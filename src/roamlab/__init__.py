@@ -22,21 +22,10 @@ from .assimilation import (
 )
 from .config import ExperimentConfig, resolve_config, validate_config
 from .metrics import aggregate_runs, build_od, discrepancy, ngram_table, top_k
-from .model import (
-    AgentState,
-    BehaviorParams,
-    ChoiceModel,
-    SimConfig,
-    StoreGraph,
-    WorldState,
-    choice_probabilities,
-    replenish,
-    step_world,
-)
+from .model import BehaviorParams, ChoiceModel, SimConfig, StoreGraph, step_world
 from .twin import ObservationRecord, SequencePool, run_truth, sample_biased_pool
 
 __all__ = [
-    "AgentState",
     "AssimOptions",
     "BehaviorParams",
     "ChoiceModel",
@@ -47,16 +36,13 @@ __all__ = [
     "SimConfig",
     "StoreGraph",
     "StoreWeightVector",
-    "WorldState",
     "aggregate_runs",
     "assign_sequence",
     "build_od",
-    "choice_probabilities",
     "discrepancy",
     "ngram_table",
     "place_new_agent",
     "propose_particles",
-    "replenish",
     "resample_and_select",
     "resolve_config",
     "run_assimilation",

@@ -19,9 +19,7 @@ from .model import (
     AgentState,
     ChoiceModel,
     SimConfig,
-    StoreGraph,
     WorldState,
-    choice_probabilities,
     init_world,
     model_mover,
     step_world,
@@ -90,7 +88,11 @@ def update_store_weights(
 
 @dataclass
 class ParticleSet:
-    """Weighted candidate ensemble: next stores, or sequence-pool entry ids."""
+    """Weighted candidate ensemble: next stores, or sequence-pool entry ids.
+
+    The log weights are normalized on construction, so exp(log_weights) sums
+    to 1 for every set, however it was built.
+    """
 
     kind: str
     candidates: np.ndarray
@@ -101,48 +103,37 @@ class ParticleSet:
             raise ValueError("candidates and log_weights must have equal length")
         if len(self.candidates) == 0:
             raise ValueError("empty particle set")
+        z = logsumexp(self.log_weights)
+        if not np.isfinite(z):
+            raise ValueError("particle weights are all zero or non-finite")
+        self.log_weights = self.log_weights - z
 
     @property
     def particle_count(self) -> int:
         return len(self.candidates)
 
-    def normalized(self) -> "ParticleSet":
-        z = logsumexp(self.log_weights)
-        if not np.isfinite(z):
-            raise ValueError("particle weights are all zero or non-finite")
-        return ParticleSet(self.kind, self.candidates, self.log_weights - z)
-
     @property
     def weights(self) -> np.ndarray:
-        return np.exp(self.normalized().log_weights)
+        return np.exp(self.log_weights)
 
 
 def propose_particles(
     agent: AgentState,
     world: WorldState,
-    graph: StoreGraph,
-    params,
+    choice: ChoiceModel,
     n: int,
     rng: np.random.Generator,
-    choice: ChoiceModel | None = None,
-) -> ParticleSet:
-    """Draw n candidate next stores from the transition model, unweighted."""
-    if choice is not None:
-        probs = choice.probs(agent.group, agent.current_store, world.congestion)
-    else:
-        probs = choice_probabilities(world, graph, params, agent)
-    candidates = categorical(rng, probs, size=n)
-    return ParticleSet(NEXT_STORE, candidates, np.zeros(n))
+) -> np.ndarray:
+    """Draw n candidate next stores from the choice model, unweighted."""
+    probs = choice.probs(agent.group, agent.current_store, world.congestion)
+    return categorical(rng, probs, size=n)
 
 
 def weight_particles(
-    ps: ParticleSet, sw: StoreWeightVector, group: int | None = None
+    candidates: np.ndarray, sw: StoreWeightVector, group: int | None = None
 ) -> ParticleSet:
-    """Add each candidate store's log weight (its likelihood) and normalize."""
-    if ps.kind != NEXT_STORE:
-        raise ValueError("weight_particles applies to next-store particles")
-    lw = ps.log_weights + sw.row(group)[ps.candidates]
-    return ParticleSet(ps.kind, ps.candidates, lw).normalized()
+    """Weight each candidate next store by its store log weight (its likelihood)."""
+    return ParticleSet(NEXT_STORE, candidates, sw.row(group)[candidates])
 
 
 def resample_and_select(
@@ -178,7 +169,7 @@ def weight_sequences(pool: SequencePool, sw: StoreWeightVector) -> ParticleSet:
     raw = w_store[pool.paths].sum(axis=1)
     with np.errstate(divide="ignore"):
         lw = np.log(raw)
-    return ParticleSet(SEQUENCE, np.arange(pool.size), lw).normalized()
+    return ParticleSet(SEQUENCE, np.arange(pool.size), lw)
 
 
 def assign_sequence(
@@ -196,7 +187,7 @@ def assign_sequence(
 class AssimOptions:
     """Switches for the assimilation loop; defaults follow the main setup."""
 
-    particle_count: int | None = None  # None: 100 for cases 1-2; pool size for case 3
+    particle_count: int = 100          # candidates per filtered move (cases 1-2)
     weight_accumulation: bool = False
     explicit_resample: bool = False
     random_baseline: bool = False
@@ -210,10 +201,8 @@ class AssimRun:
     assignments: list = field(default_factory=list)  # (step, agent_id, entry_id, attr)
 
 
-def run_baseline(cfg: SimConfig, rng: np.random.Generator | None = None) -> WorldState:
+def run_baseline(cfg: SimConfig, rng: np.random.Generator) -> WorldState:
     """Plain model run without any observation input."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
     choice = ChoiceModel(cfg.graph(), cfg.behavior, cfg.allow_self_transition)
     mover = model_mover(choice)
     world = init_world(cfg, uniform_placer, rng)
@@ -227,21 +216,21 @@ def run_assimilation(
     observations,
     case: int,
     pool: SequencePool | None = None,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     options: AssimOptions | None = None,
 ) -> AssimRun:
     """Advance the assimilation world to the horizon under one regime.
 
     observations must cover steps 0..horizon; the weights applied during step
     t come from the inflows observed at step t. Case 3 requires a sequence
-    pool whose paths span the full transition count.
+    pool whose paths span the full transition count; its sequence weights are
+    recomputed once per step, when the store weights change.
     """
     if case not in (1, 2, 3):
         raise ValueError(f"case must be 1, 2, or 3, got {case}")
     if case == 3 and pool is None:
         raise ValueError("case 3 requires a sequence pool")
-    if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
     options = options or AssimOptions()
     if len(observations) < cfg.horizon_steps + 1:
         raise ValueError(
@@ -259,9 +248,9 @@ def run_assimilation(
                 f" expected {cfg.max_transitions + 1}"
             )
         followed = {}
+        seq = weight_sequences(pool, sw)
 
         def placer(world, agent_id, group, rng):
-            seq = weight_sequences(pool, sw)
             entry = assign_sequence(seq, rng, random_baseline=options.random_baseline)
             followed[agent_id] = entry
             run.assignments.append((world.step, agent_id, entry, int(pool.attrs[entry])))
@@ -272,14 +261,14 @@ def run_assimilation(
 
     else:
         choice = ChoiceModel(cfg.graph(), cfg.behavior, cfg.allow_self_transition)
-        n = options.particle_count or 100
+        n = options.particle_count
         attr_of = (lambda group: group) if case == 2 else (lambda group: None)
 
         if options.filter_moves:
 
             def mover(world, agent, rng):
-                ps = propose_particles(agent, world, None, None, n, rng, choice=choice)
-                ps = weight_particles(ps, sw, group=attr_of(agent.group))
+                candidates = propose_particles(agent, world, choice, n, rng)
+                ps = weight_particles(candidates, sw, group=attr_of(agent.group))
                 return resample_and_select(ps, rng, options.explicit_resample)
 
         else:
@@ -302,5 +291,7 @@ def run_assimilation(
                 f"observation stream misaligned: expected step {t}, got {observations[t].step}"
             )
         sw = update_store_weights(sw, observations[t], accumulate=options.weight_accumulation)
+        if case == 3:
+            seq = weight_sequences(pool, sw)
         step_world(run.world, cfg, mover, placer, rng)
     return run

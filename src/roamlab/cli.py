@@ -134,6 +134,9 @@ def main(argv=None) -> int:
         elif args.command == "experiment":
             summary = experiment.run_experiment(cfg, args.out)
             _print_summary(summary)
+    except ConfigSchemaError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG_SCHEMA
     except PermissionError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO

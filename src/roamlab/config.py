@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .assimilation import AssimOptions
 from .model import BehaviorParams, SimConfig, unit_distance
 
 
@@ -101,13 +102,8 @@ class ExperimentConfig:
     jobs: int | None = None
     pool_size: int = 400
     pool_ratios: tuple = (0.4, 0.25, 0.2, 0.15)
-    particles_cases12: int = 100
-    weight_accumulation: bool = False
-    explicit_resample: bool = False
-    random_baseline: bool = False
     count_spawn_as_inflow: bool = True
-    filter_moves: bool = True
-    weighted_placement: bool = True
+    assim_options: AssimOptions = field(default_factory=AssimOptions)
     resolved: dict = field(default_factory=dict)  # flat key -> value echo
 
 
@@ -281,13 +277,15 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
         jobs=jobs,
         pool_size=merged["pool.size"],
         pool_ratios=tuple(ratios),
-        particles_cases12=merged["particles.cases12"],
-        weight_accumulation=merged["flags.weight_accumulation"],
-        explicit_resample=merged["flags.explicit_resample"],
-        random_baseline=merged["flags.random_baseline"],
         count_spawn_as_inflow=merged["flags.count_spawn_as_inflow"],
-        filter_moves=merged["flags.filter_moves"],
-        weighted_placement=merged["flags.weighted_placement"],
+        assim_options=AssimOptions(
+            particle_count=merged["particles.cases12"],
+            weight_accumulation=merged["flags.weight_accumulation"],
+            explicit_resample=merged["flags.explicit_resample"],
+            random_baseline=merged["flags.random_baseline"],
+            filter_moves=merged["flags.filter_moves"],
+            weighted_placement=merged["flags.weighted_placement"],
+        ),
         resolved=resolved,
     )
 

@@ -9,6 +9,7 @@ separately with identical results. The output tree is
     out/run_manifest.json
 """
 
+import dataclasses
 import hashlib
 import os
 import time
@@ -18,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .assimilation import AssimOptions, run_assimilation, run_baseline
-from .config import ExperimentConfig, config_hash
+from .assimilation import run_assimilation, run_baseline
+from .config import ConfigSchemaError, ExperimentConfig, config_hash
 from .metrics import aggregate_runs, build_od, mean_ngram_table, ngram_table, top_k
 from .model import agent_paths
 from .seeds import ROLE_CODES, derive_rng
@@ -40,21 +41,10 @@ def case_labels(cfg: ExperimentConfig):
     """Assimilation runs to perform; case 3 always carries its random control."""
     labels = [f"case{c}" for c in cfg.cases if c != 3]
     if 3 in cfg.cases:
-        if not cfg.random_baseline:
+        if not cfg.assim_options.random_baseline:
             labels.append("case3")
         labels.append("case3_random")
     return labels
-
-
-def _assim_options(cfg: ExperimentConfig, label: str) -> AssimOptions:
-    return AssimOptions(
-        particle_count=cfg.particles_cases12,
-        weight_accumulation=cfg.weight_accumulation,
-        explicit_resample=cfg.explicit_resample,
-        random_baseline=(label == "case3_random"),
-        filter_moves=cfg.filter_moves,
-        weighted_placement=cfg.weighted_placement,
-    )
 
 
 def run_truth_stage(cfg: ExperimentConfig, out, replicate: int):
@@ -64,12 +54,18 @@ def run_truth_stage(cfg: ExperimentConfig, out, replicate: int):
         derive_rng(cfg.base_seed, replicate, "truth"),
         count_spawn_as_inflow=cfg.count_spawn_as_inflow,
     )
-    pool = sample_biased_pool(
-        truth.archive,
-        cfg.pool_ratios,
-        cfg.pool_size,
-        derive_rng(cfg.base_seed, replicate, "pool"),
-    )
+    try:
+        pool = sample_biased_pool(
+            truth.archive,
+            cfg.pool_ratios,
+            cfg.pool_size,
+            derive_rng(cfg.base_seed, replicate, "pool"),
+        )
+    except ValueError as e:
+        raise ConfigSchemaError(
+            f"pool.ratios: {e} in replicate {replicate}; no agent of that group finished"
+            f" its transitions within sim.horizon_steps={cfg.truth.horizon_steps}"
+        ) from e
     d = replicate_dir(out, "truth", replicate)
     io.write_obs_counts(d / "obs_counts.csv", truth.observations)
     io.write_obs_counts_attr(d / "obs_counts_attr.csv", truth.observations)
@@ -119,7 +115,7 @@ def run_case_stage(cfg: ExperimentConfig, out, replicate: int, label: str,
         case,
         pool=pool,
         rng=derive_rng(cfg.base_seed, replicate, label),
-        options=_assim_options(cfg, label),
+        options=dataclasses.replace(cfg.assim_options, random_baseline=label == "case3_random"),
     )
     d = replicate_dir(out, label, replicate)
     paths = agent_paths(run.world)

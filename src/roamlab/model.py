@@ -1,7 +1,7 @@
 """Store graph, agent lifecycle, and the probabilistic store-choice model.
 
 The world is a complete graph of stores. Agents dwell in a store for a few
-steps, hop to a new store drawn from a softmax over per-store utilities
+steps, hop to a new store drawn from a multinomial logit over per-store utilities
 (attractiveness + distance-decayed spillover from neighbors + congestion),
 and stop roaming after a fixed number of transitions. Stationary agents are
 periodically replaced by fresh ones until a total-agent budget is spent.
@@ -117,9 +117,6 @@ class WorldState:
     stationary_unretired: int = 0
     last_report: StepReport | None = None
 
-    def active_agents(self):
-        return [a for a in self.agents if a.status == ACTIVE]
-
 
 @dataclass
 class SimConfig:
@@ -145,7 +142,6 @@ class SimConfig:
     attractiveness: np.ndarray | None = None  # (G, S); required
     distance: np.ndarray | None = None        # (S, S); unit complete graph if omitted
     allow_self_transition: bool = False
-    rng_seed: int | None = None
 
     def __post_init__(self):
         if self.distance is None:
@@ -221,7 +217,7 @@ class ChoiceModel:
     """Next-store distribution with the static utility part precomputed.
 
     One instance per (graph, behavior) pair; per-call work is a vector add
-    and a softmax over the candidate stores.
+    and a log-normalisation over the candidate stores.
     """
 
     def __init__(self, graph: StoreGraph, behavior, allow_self_transition: bool = False):
@@ -254,33 +250,8 @@ class ChoiceModel:
         # exp(-inf) leaves exact zeros on excluded stores
         return p
 
-    def sample(self, group, current_store, congestion, rng, size=None):
-        return categorical(rng, self.probs(group, current_store, congestion), size=size)
-
-
-def choice_probabilities(
-    world: WorldState,
-    graph: StoreGraph,
-    params: BehaviorParams,
-    agent: AgentState,
-    allow_self_transition: bool = False,
-) -> np.ndarray:
-    """Probability vector over candidate next stores for an active agent.
-
-    Returns a store-indexed vector summing to 1; the current store carries a
-    structural zero unless self-transitions are allowed. Congestion is the
-    snapshot taken at the start of the current step.
-    """
-    if agent.status != ACTIVE:
-        raise ValueError(f"agent {agent.agent_id} is not active")
-    u = store_utilities(graph, params, agent.group, world.congestion)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("non-finite store utilities; check behavior params")
-    if not allow_self_transition:
-        u[agent.current_store] = -np.inf
-        if len(u) < 2:
-            raise ValueError("empty candidate set: no store other than the current one")
-    return np.exp(log_normalize(u))
+    def sample(self, group, current_store, congestion, rng):
+        return categorical(rng, self.probs(group, current_store, congestion))
 
 
 def _draw_dwell(cfg: SimConfig, rng: np.random.Generator) -> int:

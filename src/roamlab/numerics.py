@@ -20,14 +20,6 @@ def log_normalize(v: np.ndarray) -> np.ndarray:
     return v - logsumexp(v)
 
 
-def softmax(v: np.ndarray) -> np.ndarray:
-    m = np.max(v)
-    if not np.isfinite(m):
-        raise ValueError("softmax over non-finite or empty utilities")
-    w = np.exp(v - m)
-    return w / w.sum()
-
-
 def categorical(rng: np.random.Generator, probs: np.ndarray, size: int | None = None):
     """Draw index/indices from a normalized probability vector.
 

@@ -45,7 +45,6 @@ class SequencePool:
 
     paths: np.ndarray           # (P, L) store indices
     attrs: np.ndarray           # (P,) group of each sampled path
-    sampling_ratios: tuple = (0.4, 0.25, 0.2, 0.15)
 
     @property
     def size(self) -> int:
@@ -80,7 +79,7 @@ def _record_step(world, store_count, group_count, events, count_spawn_as_inflow)
 
 def run_truth(
     cfg: SimConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     count_spawn_as_inflow: bool = True,
 ) -> TruthRun:
     """Step the truth world to the horizon and log every store entry.
@@ -88,8 +87,6 @@ def run_truth(
     Observation records are indexed by step (step 0 holds the initial spawn
     entries). Completed agents' paths are available from the returned world.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
     choice = ChoiceModel(cfg.graph(), cfg.behavior, cfg.allow_self_transition)
     mover = model_mover(choice)
     events: list = []
@@ -149,7 +146,6 @@ def sample_biased_pool(
     return SequencePool(
         paths=np.array(paths, dtype=np.int64),
         attrs=np.array(attrs, dtype=np.int64),
-        sampling_ratios=tuple(ratios),
     )
 
 

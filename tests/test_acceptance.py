@@ -24,7 +24,7 @@ from roamlab.cli import EXIT_OK, main
 from roamlab.config import resolve_config
 from roamlab.experiment import replicate_dir, run_experiment
 from roamlab.metrics import build_od, discrepancy, ngram_table
-from roamlab.model import BehaviorParams, choice_probabilities, store_utilities
+from roamlab.model import BehaviorParams, ChoiceModel, store_utilities
 from roamlab.numerics import log_normalize
 from roamlab.twin import ObservationRecord
 
@@ -100,11 +100,8 @@ def test_criterion_4_softmax_properties():
             lam=float(rng.uniform(0, 8)),
         )
         congestion = rng.integers(0, 50, size=s)
-        agent = make_agent(store=int(rng.integers(s)))
-        world = make_world([agent], store_count=s)
-        world.congestion = congestion
 
-        p = choice_probabilities(world, graph, params, agent)
+        p = ChoiceModel(graph, (params,)).probs(0, int(rng.integers(s)), congestion)
         worst_sum = max(worst_sum, abs(p.sum() - 1.0))
 
         u = store_utilities(graph, params, 0, congestion.astype(float))
@@ -114,10 +111,7 @@ def test_criterion_4_softmax_properties():
         )
 
     sym_graph = make_graph([[5.0] * 18])
-    agent = make_agent(store=4)
-    world = make_world([agent], store_count=18)
-    world.congestion = np.full(18, 7)
-    p = choice_probabilities(world, sym_graph, BehaviorParams(), agent)
+    p = ChoiceModel(sym_graph, (BehaviorParams(),)).probs(0, 4, np.full(18, 7))
     candidates = p[np.arange(18) != 4]
     exact_uniform = bool(np.all(candidates == candidates[0]))
 
@@ -132,11 +126,11 @@ def test_criterion_4_softmax_properties():
 
 def test_criterion_5_uniform_likelihood_is_noop():
     graph = make_graph([[5.0, 5.0, 5.0]])
-    params = BehaviorParams()
+    choice = ChoiceModel(graph, (BehaviorParams(),))
     agent = make_agent(store=0)
     world = make_world([agent], store_count=3)
     world.congestion = np.array([4, 2, 1])
-    expected = choice_probabilities(world, graph, params, agent)
+    expected = choice.probs(0, 0, world.congestion)
 
     uniform_obs = ObservationRecord(
         step=1, inflow=np.array([3, 3, 3]), inflow_by_attr=np.array([[3, 3, 3]])
@@ -147,9 +141,8 @@ def test_criterion_5_uniform_likelihood_is_noop():
     n = 100_000
     draws = np.empty(n, dtype=int)
     for i in range(n):
-        ps = propose_particles(agent, world, graph, params, 100, rng)
-        ps = weight_particles(ps, sw)
-        draws[i] = resample_and_select(ps, rng)
+        candidates = propose_particles(agent, world, choice, 100, rng)
+        draws[i] = resample_and_select(weight_particles(candidates, sw), rng)
     counts = np.bincount(draws, minlength=3)
     cand = expected > 0
     p = stats.chisquare(counts[cand], f_exp=n * expected[cand]).pvalue

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from roamlab import assimilation
 from roamlab.assimilation import (
     NEXT_STORE,
     SEQUENCE,
@@ -19,7 +20,7 @@ from roamlab.assimilation import (
     weight_particles,
     weight_sequences,
 )
-from roamlab.model import choice_probabilities
+from roamlab.model import BehaviorParams, ChoiceModel
 from roamlab.twin import ObservationRecord, SequencePool, run_truth
 
 from conftest import make_agent, make_graph, make_world, small_sim_config
@@ -94,55 +95,48 @@ class TestStoreWeights:
 
 class TestParticleOps:
     def frozen_scene(self, attractiveness=(5.0, 5.0, 5.0)):
-        graph = make_graph([list(attractiveness)])
+        choice = ChoiceModel(make_graph([list(attractiveness)]), (BehaviorParams(),))
         agent = make_agent(store=0)
         world = make_world([agent], store_count=len(attractiveness))
-        return world, graph, agent
+        return world, choice, agent
 
     def test_degenerate_proposal_is_constant(self):
-        world, graph, agent = self.frozen_scene((5.0, 5.0))
-        from roamlab.model import BehaviorParams
-
-        ps = propose_particles(agent, world, graph, BehaviorParams(), 50, np.random.default_rng(0))
-        assert ps.kind == NEXT_STORE
-        assert np.all(ps.candidates == 1)  # only candidate besides the current store
+        world, choice, agent = self.frozen_scene((5.0, 5.0))
+        candidates = propose_particles(agent, world, choice, 50, np.random.default_rng(0))
+        assert len(candidates) == 50
+        assert np.all(candidates == 1)  # only candidate besides the current store
 
     def test_proposal_frequencies_match_choice_model(self):
-        from roamlab.model import BehaviorParams
-
-        world, graph, agent = self.frozen_scene((5.0, 7.0, 6.0, 5.5))
-        params = BehaviorParams()
-        probs = choice_probabilities(world, graph, params, agent)
+        world, choice, agent = self.frozen_scene((5.0, 7.0, 6.0, 5.5))
+        probs = choice.probs(agent.group, agent.current_store, world.congestion)
         n = 100_000
-        ps = propose_particles(agent, world, graph, params, n, np.random.default_rng(1))
-        counts = np.bincount(ps.candidates, minlength=4)
+        candidates = propose_particles(agent, world, choice, n, np.random.default_rng(1))
+        counts = np.bincount(candidates, minlength=4)
         sigma = np.sqrt(n * probs * (1 - probs))
         assert np.all(np.abs(counts - n * probs) <= 3 * np.maximum(sigma, 1e-9))
 
     def test_uniform_store_weights_leave_particles_unweighted(self):
-        ps = ParticleSet(NEXT_STORE, np.array([0, 1, 2, 1]), np.zeros(4))
         sw = StoreWeightVector.uniform(3)
-        out = weight_particles(ps, sw)
+        out = weight_particles(np.array([0, 1, 2, 1]), sw)
+        assert out.kind == NEXT_STORE
         np.testing.assert_allclose(out.weights, np.full(4, 0.25), atol=1e-12)
 
     def test_weighting_by_store_weights_hand_case(self):
         sw = StoreWeightVector(step=1, log_w=np.log([0.5, 0.3, 0.2]))
-        ps = ParticleSet(NEXT_STORE, np.array([0, 1, 2]), np.zeros(3))
-        out = weight_particles(ps, sw)
+        out = weight_particles(np.array([0, 1, 2]), sw)
         np.testing.assert_allclose(out.weights, [0.5, 0.3, 0.2], atol=1e-12)
 
     def test_same_store_particles_get_equal_weight(self):
         sw = StoreWeightVector(step=1, log_w=np.log([0.6, 0.4]))
-        ps = ParticleSet(NEXT_STORE, np.array([0, 1, 0]), np.zeros(3))
-        out = weight_particles(ps, sw)
+        out = weight_particles(np.array([0, 1, 0]), sw)
         assert out.weights[0] == out.weights[2]
 
     def test_attribute_variant_uses_group_row(self):
         log_attr = np.log(np.array([[0.9, 0.1], [0.2, 0.8]]))
         sw = StoreWeightVector(step=1, log_w=np.log([0.5, 0.5]), log_w_attr=log_attr)
-        ps = ParticleSet(NEXT_STORE, np.array([0, 1]), np.zeros(2))
-        np.testing.assert_allclose(weight_particles(ps, sw, group=0).weights, [0.9, 0.1])
-        np.testing.assert_allclose(weight_particles(ps, sw, group=1).weights, [0.2, 0.8])
+        candidates = np.array([0, 1])
+        np.testing.assert_allclose(weight_particles(candidates, sw, group=0).weights, [0.9, 0.1])
+        np.testing.assert_allclose(weight_particles(candidates, sw, group=1).weights, [0.2, 0.8])
 
     def test_single_particle_always_selected(self):
         ps = ParticleSet(NEXT_STORE, np.array([7]), np.zeros(1))
@@ -171,9 +165,8 @@ class TestParticleOps:
         assert np.all(np.abs(counts - n * w) <= 3 * sigma)
 
     def test_all_zero_weights_rejected(self):
-        ps = ParticleSet(NEXT_STORE, np.array([0, 1]), np.array([-np.inf, -np.inf]))
         with pytest.raises(ValueError, match="zero or non-finite"):
-            resample_and_select(ps, np.random.default_rng(0))
+            ParticleSet(NEXT_STORE, np.array([0, 1]), np.array([-np.inf, -np.inf]))
 
     def test_placement_follows_store_weights(self):
         sw = StoreWeightVector(step=1, log_w=np.log(softmax_oracle([2, 1, 0])))
@@ -296,17 +289,21 @@ class TestRunAssimilation:
     def test_case3_requires_pool(self):
         _, assim_cfg, truth, _ = self.setup_inputs()
         with pytest.raises(ValueError, match="pool"):
-            run_assimilation(assim_cfg, truth.observations, 3, pool=None)
+            run_assimilation(
+                assim_cfg, truth.observations, 3, pool=None, rng=np.random.default_rng(0)
+            )
 
     def test_invalid_case_rejected(self):
         _, assim_cfg, truth, _ = self.setup_inputs()
         with pytest.raises(ValueError, match="case"):
-            run_assimilation(assim_cfg, truth.observations, 4)
+            run_assimilation(assim_cfg, truth.observations, 4, rng=np.random.default_rng(0))
 
     def test_short_observation_stream_rejected(self):
         _, assim_cfg, truth, _ = self.setup_inputs()
         with pytest.raises(ValueError, match="observation stream"):
-            run_assimilation(assim_cfg, truth.observations[:10], 1)
+            run_assimilation(
+                assim_cfg, truth.observations[:10], 1, rng=np.random.default_rng(0)
+            )
 
     def test_runs_are_seed_deterministic(self):
         _, assim_cfg, truth, pool = self.setup_inputs()
@@ -330,11 +327,31 @@ class TestRunAssimilation:
             assigned = pool.paths[entry_of[agent.agent_id]]
             assert tuple(agent.path) == tuple(assigned[: len(agent.path)])
 
+    def test_case3_weights_pool_once_per_step(self, monkeypatch):
+        # The store weights change once per step, so the pool is reweighted
+        # once for the uniform start vector and once after each update, not
+        # once per spawned agent.
+        _, assim_cfg, truth, pool = self.setup_inputs()
+        calls = []
+
+        def counting(pool, sw):
+            calls.append(sw.step)
+            return weight_sequences(pool, sw)
+
+        monkeypatch.setattr(assimilation, "weight_sequences", counting)
+        run = run_assimilation(
+            assim_cfg, truth.observations, 3, pool=pool, rng=np.random.default_rng(6)
+        )
+        assert run.world.agents_spawned > assim_cfg.horizon_steps + 1
+        assert calls == [None, *range(1, assim_cfg.horizon_steps + 1)]
+
     def test_case3_pool_length_mismatch_rejected(self):
         _, assim_cfg, truth, _ = self.setup_inputs()
         bad = SequencePool(paths=np.zeros((4, 2), dtype=np.int64), attrs=np.zeros(4, dtype=int))
         with pytest.raises(ValueError, match="pool paths"):
-            run_assimilation(assim_cfg, truth.observations, 3, pool=bad)
+            run_assimilation(
+                assim_cfg, truth.observations, 3, pool=bad, rng=np.random.default_rng(0)
+            )
 
     def test_case2_places_each_group_by_its_own_row(self):
         # Craft observations where group 0 only ever enters store 0 and group 1
@@ -372,27 +389,23 @@ class TestRunAssimilation:
     def test_uniform_observations_keep_model_kernel(self):
         # Flat inflows make the likelihood constant, so propose-weight-select
         # must sample the plain choice distribution.
-        from roamlab.model import BehaviorParams
-
-        graph = make_graph([[5.0, 6.5, 5.8]])
+        choice = ChoiceModel(make_graph([[5.0, 6.5, 5.8]]), (BehaviorParams(),))
         agent = make_agent(store=0)
         world = make_world([agent], store_count=3)
-        params = BehaviorParams()
-        expected = choice_probabilities(world, graph, params, agent)
+        expected = choice.probs(agent.group, agent.current_store, world.congestion)
         sw = update_store_weights(StoreWeightVector.uniform(3), obs(1, [4, 4, 4]))
         rng = np.random.default_rng(10)
         n = 20_000
         draws = []
         for _ in range(n):
-            ps = propose_particles(agent, world, graph, params, 100, rng)
-            ps = weight_particles(ps, sw)
-            draws.append(resample_and_select(ps, rng))
+            candidates = propose_particles(agent, world, choice, 100, rng)
+            draws.append(resample_and_select(weight_particles(candidates, sw), rng))
         counts = np.bincount(draws, minlength=3)
         sigma = np.sqrt(n * expected * (1 - expected))
         assert np.all(np.abs(counts - n * expected) <= 3 * np.maximum(sigma, 1e-9))
 
     def test_baseline_ignores_observations(self):
-        cfg = small_sim_config(rng_seed=3)
-        w1 = run_baseline(cfg)
-        w2 = run_baseline(cfg)
+        cfg = small_sim_config()
+        w1 = run_baseline(cfg, np.random.default_rng(3))
+        w2 = run_baseline(cfg, np.random.default_rng(3))
         assert [a.path for a in w1.agents] == [a.path for a in w2.agents]

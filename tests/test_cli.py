@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import roamlab
 from roamlab.cli import EXIT_CONFIG_READ, EXIT_CONFIG_SCHEMA, EXIT_IO, EXIT_OK, main
 
 from conftest import TINY_OVERRIDES
@@ -122,13 +125,32 @@ class TestPipeline:
         assert (out / "case3_random").exists()
         assert not (out / "case3").exists()
 
+    @pytest.mark.parametrize(
+        "command", [["generate-obs"], ["experiment", "--jobs", "1"], ["experiment", "--jobs", "2"]]
+    )
+    def test_horizon_too_short_for_pool_exits_3(self, tmp_path, capsys, command):
+        # Within 5 steps no agent finishes its 3 transitions (dwell >= 2), so
+        # the truth archive has no path for the groups pool.ratios asks for.
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"sim.horizon_steps": 5, "experiment.replicates": 2}))
+        rc = main([*command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("error: pool.ratios: ")
+        assert len(err.splitlines()) == 1
+
     def test_console_entry_point(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("{}")
+        # The child imports the same roamlab as this process, installed or not.
+        src = str(Path(roamlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         proc = subprocess.run(
             [sys.executable, "-m", "roamlab.cli", "validate-config", "--config", str(path)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["sim.store_count"] == 18

@@ -30,7 +30,7 @@ class TestDefaults:
         assert cfg.cases == (1, 2, 3)
         assert cfg.pool_size == 400
         assert cfg.pool_ratios == (0.4, 0.25, 0.2, 0.15)
-        assert cfg.particles_cases12 == 100
+        assert cfg.assim_options.particle_count == 100
         for p in cfg.truth.behavior:
             assert (p.omega, p.k, p.lam) == (0.005, 1.0, 6.0)
 

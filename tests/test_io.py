@@ -7,8 +7,8 @@ from conftest import small_sim_config
 
 
 def test_observation_roundtrip(tmp_path):
-    cfg = small_sim_config(store_count=4, horizon_steps=25, rng_seed=1)
-    truth = run_truth(cfg)
+    cfg = small_sim_config(store_count=4, horizon_steps=25)
+    truth = run_truth(cfg, np.random.default_rng(1))
     io.write_obs_counts(tmp_path / "c.csv", truth.observations)
     io.write_obs_counts_attr(tmp_path / "a.csv", truth.observations)
     back = io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv")

@@ -12,7 +12,6 @@ from roamlab.model import (
     ChoiceModel,
     SimConfig,
     StoreGraph,
-    choice_probabilities,
     init_world,
     model_mover,
     replenish,
@@ -29,11 +28,17 @@ def params(omega=0.0, k=1.0, lam=6.0):
     return BehaviorParams(omega=omega, k=k, lam=lam)
 
 
+def kernel_probs(graph, pm, store, congestion=None, allow_self_transition=False):
+    """ChoiceModel.probs for a one-group graph; zero congestion by default."""
+    model = ChoiceModel(graph, (pm,), allow_self_transition)
+    if congestion is None:
+        congestion = np.zeros(graph.store_count, dtype=np.int64)
+    return model.probs(0, store, congestion)
+
+
 class TestChoiceProbabilities:
     def test_symmetric_stores_are_uniform(self):
-        graph = make_graph([[5.0, 5.0, 5.0]])
-        world = make_world([make_agent(store=0)], store_count=3)
-        p = choice_probabilities(world, graph, params(), make_agent(store=0))
+        p = kernel_probs(make_graph([[5.0, 5.0, 5.0]]), params(), store=0)
         assert p[0] == 0.0
         # identical utilities give bit-identical probabilities
         assert p[1] == p[2]
@@ -41,62 +46,42 @@ class TestChoiceProbabilities:
 
     def test_hand_computed_utilities(self):
         # Independent scalar evaluation: u_j = A_j + sum_{j'!=j} A_j'/(1+d)^lam,
-        # agent at store 2, so the softmax runs over stores {0, 1}.
+        # agent at store 2, so the normalization runs over stores {0, 1}.
         graph = make_graph([[5.0, 10.0, 5.0]])
-        agent = make_agent(store=2)
-        world = make_world([agent], store_count=3)
         u0 = 5.0 + (10.0 + 5.0) / 2.0**6
         u1 = 10.0 + (5.0 + 5.0) / 2.0**6
         e0, e1 = math.exp(u0), math.exp(u1)
         expected = np.array([e0 / (e0 + e1), e1 / (e0 + e1), 0.0])
-        p = choice_probabilities(world, graph, params(), agent)
+        p = kernel_probs(graph, params(), store=2)
         np.testing.assert_allclose(p, expected, atol=1e-12)
 
     def test_shift_invariance_via_occupancy(self):
         # Raising every store's occupancy by the same amount shifts all
-        # utilities by a constant, which softmax must ignore.
+        # utilities by a constant, which the normalization must ignore.
         rng = np.random.default_rng(7)
         graph = make_graph(rng.uniform(1, 10, size=(1, 6)))
-        agent = make_agent(store=3)
         pm = params(omega=0.5)
-        world_a = make_world([agent], store_count=6)
-        world_b = make_world([agent], store_count=6)
-        world_a.congestion = rng.integers(0, 30, size=6)
-        world_b.congestion = world_a.congestion + 17
-        pa = choice_probabilities(world_a, graph, pm, agent)
-        pb = choice_probabilities(world_b, graph, pm, agent)
+        congestion_a = rng.integers(0, 30, size=6)
+        pa = kernel_probs(graph, pm, store=3, congestion=congestion_a)
+        pb = kernel_probs(graph, pm, store=3, congestion=congestion_a + 17)
         np.testing.assert_allclose(np.log(pa[pa > 0]), np.log(pb[pb > 0]), atol=1e-12)
 
     def test_omega_zero_ignores_occupancy(self):
         graph = make_graph([[2.0, 7.0, 4.0, 6.0]])
-        agent = make_agent(store=1)
-        world = make_world([agent], store_count=4)
-        p0 = choice_probabilities(world, graph, params(omega=0.0), agent)
-        world.congestion = np.array([90, 0, 50, 3])
-        p1 = choice_probabilities(world, graph, params(omega=0.0), agent)
+        p0 = kernel_probs(graph, params(omega=0.0), store=1)
+        p1 = kernel_probs(graph, params(omega=0.0), store=1, congestion=np.array([90, 0, 50, 3]))
         np.testing.assert_array_equal(p0, p1)
 
     def test_allow_self_transition_includes_current_store(self):
         graph = make_graph([[5.0, 5.0, 5.0]])
-        agent = make_agent(store=0)
-        world = make_world([agent], store_count=3)
-        p = choice_probabilities(world, graph, params(), agent, allow_self_transition=True)
+        p = kernel_probs(graph, params(), store=0, allow_self_transition=True)
         assert p[0] > 0
         assert abs(p.sum() - 1.0) < 1e-9
 
     def test_rejects_non_finite_utilities(self):
         graph = make_graph([[5.0, 5.0, 1e308]])
-        agent = make_agent(store=0)
-        world = make_world([agent], store_count=3)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-            choice_probabilities(world, graph, params(k=1e308), agent)
-
-    def test_rejects_inactive_agent(self):
-        graph = make_graph([[5.0, 5.0]])
-        agent = make_agent(store=0, status=STATIONARY)
-        world = make_world([agent], store_count=2)
-        with pytest.raises(ValueError, match="not active"):
-            choice_probabilities(world, graph, params(), agent)
+            kernel_probs(graph, params(k=1e308), store=0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
@@ -104,14 +89,13 @@ class TestChoiceProbabilities:
         rng = np.random.default_rng(seed)
         s = int(rng.integers(2, 20))
         graph = make_graph(rng.uniform(0.1, 20.0, size=(1, s)))
-        agent = make_agent(store=int(rng.integers(s)))
-        world = make_world([agent], store_count=s)
-        world.congestion = rng.integers(0, 40, size=s)
+        store = int(rng.integers(s))
+        congestion = rng.integers(0, 40, size=s)
         pm = params(omega=float(rng.uniform(-1, 1)), k=float(rng.uniform(-2, 2)),
                     lam=float(rng.uniform(0, 8)))
-        p = choice_probabilities(world, graph, pm, agent)
+        p = kernel_probs(graph, pm, store=store, congestion=congestion)
         assert abs(p.sum() - 1.0) < 1e-9
-        assert p[agent.current_store] == 0.0
+        assert p[store] == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.1, 5.0))
@@ -121,34 +105,42 @@ class TestChoiceProbabilities:
         s = int(rng.integers(3, 12))
         a = rng.uniform(0.5, 10.0, size=(1, s))
         pm = params(omega=0.0, k=float(rng.uniform(0, 3)), lam=float(rng.uniform(0, 8)))
-        agent = make_agent(store=0)
-        world = make_world([agent], store_count=s)
         j = int(rng.integers(1, s))
-        p_before = choice_probabilities(world, make_graph(a), pm, agent)
+        p_before = kernel_probs(make_graph(a), pm, store=0)
         a2 = a.copy()
         a2[0, j] += bump
-        p_after = choice_probabilities(world, make_graph(a2), pm, agent)
+        p_after = kernel_probs(make_graph(a2), pm, store=0)
         assert p_after[j] >= p_before[j] - 1e-12
 
 
 class TestChoiceModel:
     def test_matches_direct_computation(self):
+        # Scalar oracle sharing no code with the kernel:
+        # u_j = k*(A_gj + sum_{j'!=j} A_gj' * (1 + d_jj')^-lam) + omega*c_j,
+        # normalized with math.exp over every store but the current one.
         rng = np.random.default_rng(3)
         a = rng.uniform(1, 10, size=(2, 7))
         d = rng.uniform(0, 4, size=(7, 7))
         d = (d + d.T) / 2
         np.fill_diagonal(d, 0.0)
-        graph = make_graph(a, d)
         behavior = (params(omega=0.01), params(omega=0.3, k=0.7, lam=2.0))
-        model = ChoiceModel(graph, behavior)
-        world = make_world([make_agent(group=1, store=4)], store_count=7)
-        world.congestion = rng.integers(0, 25, size=7)
-        agent = make_agent(group=1, store=4)
-        np.testing.assert_allclose(
-            model.probs(1, 4, world.congestion),
-            choice_probabilities(world, graph, behavior[1], agent),
-            atol=1e-12,
-        )
+        model = ChoiceModel(make_graph(a, d), behavior)
+        congestion = rng.integers(0, 25, size=7)
+        for group, pm in enumerate(behavior):
+            for current in range(7):
+                u = {}
+                for j in range(7):
+                    if j == current:
+                        continue
+                    spill = sum(
+                        a[group, jp] * (1.0 + d[j, jp]) ** -pm.lam for jp in range(7) if jp != j
+                    )
+                    u[j] = pm.k * (a[group, j] + spill) + pm.omega * int(congestion[j])
+                z = sum(math.exp(v) for v in u.values())
+                expected = [math.exp(u[j]) / z if j in u else 0.0 for j in range(7)]
+                np.testing.assert_allclose(
+                    model.probs(group, current, congestion), expected, rtol=1e-12, atol=1e-15
+                )
 
     def test_static_part_excludes_self_spillover(self):
         graph = make_graph([[3.0, 4.0]])

@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roamlab.numerics import categorical, log_normalize, logsumexp, softmax
+from roamlab.numerics import categorical, log_normalize, logsumexp
 
 finite_vec = st.lists(
     st.floats(-200, 200, allow_nan=False, allow_infinity=False), min_size=1, max_size=20
@@ -29,12 +29,6 @@ def test_logsumexp_handles_large_values(v=np.array([10_000.0, 0.0])):
 
 def test_logsumexp_all_minus_inf():
     assert logsumexp(np.array([-np.inf, -np.inf])) == -np.inf
-
-
-def test_softmax_equal_inputs_exactly_uniform():
-    p = softmax(np.full(18, 3.7))
-    assert np.all(p == p[0])
-    assert abs(p.sum() - 1.0) < 1e-12
 
 
 def test_categorical_scalar_and_vector_draws():

@@ -19,16 +19,15 @@ def truth_run():
         replenish_count=5,
         horizon_steps=80,
         attractiveness=np.array([[5.0, 7.0, 5.0, 5.0, 5.0], [5.0, 5.0, 5.0, 8.0, 5.0]]),
-        rng_seed=42,
     )
-    return cfg, run_truth(cfg)
+    return cfg, run_truth(cfg, np.random.default_rng(42))
 
 
 class TestObservations:
     def test_quiet_first_step_has_zero_inflow(self):
         # dwell is at least 2, so nobody moves (and nobody spawns) at step 1
-        cfg = small_sim_config(horizon_steps=2, rng_seed=0)
-        truth = run_truth(cfg)
+        cfg = small_sim_config(horizon_steps=2)
+        truth = run_truth(cfg, np.random.default_rng(0))
         assert truth.observations[1].inflow.sum() == 0
 
     def test_step_zero_counts_initial_spawns(self, truth_run):
@@ -49,7 +48,7 @@ class TestObservations:
         assert sum(int(o.inflow.sum()) for o in truth.observations) == transitions + spawns
 
     def test_spawns_excluded_when_flag_off(self):
-        cfg = small_sim_config(horizon_steps=40, rng_seed=9)
+        cfg = small_sim_config(horizon_steps=40)
         with_spawns = run_truth(cfg, np.random.default_rng(1), count_spawn_as_inflow=True)
         without = run_truth(cfg, np.random.default_rng(1), count_spawn_as_inflow=False)
         total_with = sum(int(o.inflow.sum()) for o in with_spawns.observations)
