@@ -21,7 +21,7 @@ from .assimilation import (
     weight_sequences,
 )
 from .config import ExperimentConfig, resolve_config, validate_config
-from .metrics import aggregate_runs, build_od, discrepancy, ngram_table, top_k
+from .metrics import aggregate_runs, build_od, decode_ngram, discrepancy, ngram_table, top_k
 from .model import BehaviorParams, ChoiceModel, SimConfig, StoreGraph, step_world
 from .twin import ObservationRecord, SequencePool, run_truth, sample_biased_pool
 
@@ -39,6 +39,7 @@ __all__ = [
     "aggregate_runs",
     "assign_sequence",
     "build_od",
+    "decode_ngram",
     "discrepancy",
     "ngram_table",
     "place_new_agent",

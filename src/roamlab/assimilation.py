@@ -25,7 +25,7 @@ from .model import (
     step_world,
     uniform_placer,
 )
-from .numerics import categorical, log_normalize, logsumexp
+from .numerics import categorical, log_normalize, log_normalize_rows, logsumexp
 from .twin import SequencePool
 
 NEXT_STORE = "next-store"
@@ -81,8 +81,7 @@ def update_store_weights(
     if obs.inflow_by_attr is not None:
         rows = np.asarray(obs.inflow_by_attr, dtype=float)
         base_attr = prev.log_w_attr if accumulate and prev.log_w_attr is not None else 0.0
-        raw = base_attr + rows
-        attr = np.vstack([log_normalize(r) for r in raw])
+        attr = log_normalize_rows(base_attr + rows)
     return StoreWeightVector(step=obs.step, log_w=log_w, log_w_attr=attr)
 
 
@@ -172,14 +171,10 @@ def weight_sequences(pool: SequencePool, sw: StoreWeightVector) -> ParticleSet:
     return ParticleSet(SEQUENCE, np.arange(pool.size), lw)
 
 
-def assign_sequence(
-    ps: ParticleSet, rng: np.random.Generator, random_baseline: bool = False
-) -> int:
-    """Draw a pool entry id by sequence weight (or uniformly, as the control)."""
+def assign_sequence(ps: ParticleSet, rng: np.random.Generator) -> int:
+    """Draw a pool entry id by sequence weight."""
     if ps.kind != SEQUENCE:
         raise ValueError("assign_sequence applies to sequence particles")
-    if random_baseline:
-        return int(ps.candidates[int(rng.integers(ps.particle_count))])
     return int(ps.candidates[categorical(rng, ps.weights)])
 
 
@@ -225,7 +220,8 @@ def run_assimilation(
     observations must cover steps 0..horizon; the weights applied during step
     t come from the inflows observed at step t. Case 3 requires a sequence
     pool whose paths span the full transition count; its sequence weights are
-    recomputed once per step, when the store weights change.
+    recomputed once per step, when the store weights change. The case-3 random
+    control draws pool entries uniformly and never weights the pool.
     """
     if case not in (1, 2, 3):
         raise ValueError(f"case must be 1, 2, or 3, got {case}")
@@ -240,6 +236,7 @@ def run_assimilation(
 
     sw = StoreWeightVector.uniform(cfg.store_count, cfg.group_count)
     run = AssimRun(world=None)
+    weighted = case == 3 and not options.random_baseline  # sequence weights in use
 
     if case == 3:
         if pool.paths.shape[1] != cfg.max_transitions + 1:
@@ -248,10 +245,10 @@ def run_assimilation(
                 f" expected {cfg.max_transitions + 1}"
             )
         followed = {}
-        seq = weight_sequences(pool, sw)
+        seq = weight_sequences(pool, sw) if weighted else None
 
         def placer(world, agent_id, group, rng):
-            entry = assign_sequence(seq, rng, random_baseline=options.random_baseline)
+            entry = assign_sequence(seq, rng) if weighted else int(rng.integers(pool.size))
             followed[agent_id] = entry
             run.assignments.append((world.step, agent_id, entry, int(pool.attrs[entry])))
             return int(pool.paths[entry][0])
@@ -291,7 +288,7 @@ def run_assimilation(
                 f"observation stream misaligned: expected step {t}, got {observations[t].step}"
             )
         sw = update_store_weights(sw, observations[t], accumulate=options.weight_accumulation)
-        if case == 3:
+        if weighted:
             seq = weight_sequences(pool, sw)
         step_world(run.world, cfg, mover, placer, rng)
     return run

@@ -1,7 +1,7 @@
 """Command-line interface for the roaming twin-experiment laboratory.
 
 Exit codes: 0 success, 2 unreadable config, 3 schema violation,
-4 unusable output directory or missing stage inputs.
+4 unusable output directory, or stage inputs that are missing or malformed.
 """
 
 import argparse
@@ -10,7 +10,7 @@ import sys
 import uuid
 from pathlib import Path
 
-from . import experiment
+from . import experiment, io
 from .config import ConfigReadError, ConfigSchemaError, load_raw, resolve_config
 
 EXIT_OK = 0
@@ -125,8 +125,11 @@ def main(argv=None) -> int:
         elif args.command == "assimilate":
             labels = experiment.case_labels(cfg)
             for r in range(cfg.replicate_count):
+                observations, pool = experiment.load_truth_products(
+                    args.out, r, need_pool=3 in cfg.cases
+                )
                 for label in labels:
-                    experiment.run_case_stage(cfg, args.out, r, label)
+                    experiment.run_case_stage(cfg, args.out, r, label, observations, pool)
             print(f"wrote {', '.join(labels)} for {cfg.replicate_count} replicate(s)")
         elif args.command == "evaluate":
             summary = experiment.evaluate(cfg, args.out)
@@ -140,7 +143,7 @@ def main(argv=None) -> int:
     except PermissionError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except experiment.MissingInputError as e:
+    except (experiment.MissingInputError, io.MalformedTableError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

@@ -21,7 +21,14 @@ import numpy as np
 from . import io
 from .assimilation import run_assimilation, run_baseline
 from .config import ConfigSchemaError, ExperimentConfig, config_hash
-from .metrics import aggregate_runs, build_od, mean_ngram_table, ngram_table, top_k
+from .metrics import (
+    aggregate_runs,
+    build_od,
+    decode_ngram,
+    mean_ngram_table,
+    ngram_table,
+    top_k,
+)
 from .model import agent_paths
 from .seeds import ROLE_CODES, derive_rng
 from .twin import run_truth, sample_biased_pool
@@ -85,7 +92,8 @@ def run_baseline_stage(cfg: ExperimentConfig, out, replicate: int):
     return world
 
 
-def _load_truth_products(cfg: ExperimentConfig, out, replicate: int, need_pool: bool):
+def load_truth_products(out, replicate: int, need_pool: bool):
+    """Read one replicate's observations, and its sequence pool if asked, from disk."""
     d = replicate_dir(out, "truth", replicate)
     counts, attr = d / "obs_counts.csv", d / "obs_counts_attr.csv"
     if not counts.exists() or not attr.exists():
@@ -102,13 +110,9 @@ def _load_truth_products(cfg: ExperimentConfig, out, replicate: int, need_pool: 
     return observations, pool
 
 
-def run_case_stage(cfg: ExperimentConfig, out, replicate: int, label: str,
-                   observations=None, pool=None):
-    """Run one assimilation variant; truth products are read from disk unless given."""
+def run_case_stage(cfg: ExperimentConfig, out, replicate: int, label: str, observations, pool):
+    """Run one assimilation variant on the given truth products (pool: case 3 only)."""
     case = 3 if label.startswith("case3") else int(label[-1])
-    if observations is None:
-        observations, loaded_pool = _load_truth_products(cfg, out, replicate, case == 3)
-        pool = pool if pool is not None else loaded_pool
     run = run_assimilation(
         cfg.assim,
         observations,
@@ -131,8 +135,7 @@ def run_replicate(cfg: ExperimentConfig, out, replicate: int):
     truth, pool = run_truth_stage(cfg, out, replicate)
     run_baseline_stage(cfg, out, replicate)
     for label in case_labels(cfg):
-        run_case_stage(cfg, out, replicate, label,
-                       observations=truth.observations, pool=pool)
+        run_case_stage(cfg, out, replicate, label, truth.observations, pool)
     return replicate
 
 
@@ -184,22 +187,25 @@ def evaluate(cfg: ExperimentConfig, out) -> dict:
         if role.startswith("case"):
             io.write_mean_od(agg_dir / role / "od_assim_mean.csv", agg["mean_od"][role])
 
-    ngram_means = {}
-    for role in roles:
-        tables = []
-        for r in replicates:
-            triples = io.read_paths(replicate_dir(out, role, r) / _paths_file(role))
-            tables.append(ngram_table([p for _, _, p in triples], NGRAM_N))
-        ngram_means[role] = mean_ngram_table(tables)
+    stores = cfg.assim.store_count
+    ngram_means = {
+        role: mean_ngram_table(
+            ngram_table(io.read_paths(replicate_dir(out, role, r) / _paths_file(role)),
+                        stores, NGRAM_N)
+            for r in replicates
+        )
+        for role in roles
+    }
     leaders = top_k(ngram_means["truth"], 20)
+    baseline = ngram_means.get("baseline")
     for role in roles:
         if not role.startswith("case"):
             continue
-        rows = []
-        for rank, (gram, ft) in enumerate(leaders, start=1):
-            fa = ngram_means[role].get(gram, 0.0)
-            fb = ngram_means.get("baseline", {}).get(gram, 0.0)
-            rows.append((rank, gram, ft, fa, fb))
+        rows = [
+            (rank, decode_ngram(code, stores, NGRAM_N), ft, ngram_means[role][code],
+             0.0 if baseline is None else baseline[code])
+            for rank, (code, ft) in enumerate(leaders, start=1)
+        ]
         io.write_ngram_top(agg_dir / role / "ngram_top20.csv", rows, NGRAM_N)
 
     payload = {
@@ -232,10 +238,10 @@ def _assignment_bias(cfg: ExperimentConfig, out, roles):
             if not path.exists():
                 per_run = []
                 break
-            assignments = io.read_assignments(path)
-            counts = np.zeros(len(target))
-            for _, _, _, attr in assignments:
-                counts[attr] += 1
+            attrs = io.read_assignments(path)[:, 3]
+            if len(attrs) and (attrs.min() < 0 or attrs.max() >= len(target)):
+                raise io.MalformedTableError(f"{path}: attr outside 0..{len(target) - 1}")
+            counts = np.bincount(attrs, minlength=len(target))
             share = counts / counts.sum()
             per_run.append(float(np.abs(share - target).sum()))
         if per_run:

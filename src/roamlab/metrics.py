@@ -3,9 +3,11 @@
 OD matrices are plain (S, S) integer arrays, origin on rows, destination on
 columns. The discrepancy between two runs is the total absolute difference
 between their OD matrices.
-"""
 
-from collections import Counter
+An n-gram table is a flat array of length S**n indexed by n-gram code: the
+window (s0, ..., s_{n-1}) has code s0*S**(n-1) + ... + s_{n-1}, so ascending
+code order is ascending tuple order.
+"""
 
 import numpy as np
 
@@ -28,30 +30,42 @@ def discrepancy(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a.astype(float) - b.astype(float)).sum())
 
 
-def ngram_table(paths, n: int = 3) -> Counter:
-    """Frequency of every contiguous n-store window across the paths."""
+def ngram_table(rows, store_count: int, n: int = 3) -> np.ndarray:
+    """Count every contiguous n-store window of every agent's path, by code.
+
+    rows: (R, 4) path rows (agent_id, group, position, store) ordered by
+    agent, then position, as io.read_paths returns them.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    table: Counter = Counter()
-    for path in paths:
-        for i in range(len(path) - n + 1):
-            table[tuple(path[i : i + n])] += 1
-    return table
+    agent, store = rows[:, 0], rows[:, 3]
+    if len(store) and (store.min() < 0 or store.max() >= store_count):
+        raise ValueError(f"store index outside 0..{store_count - 1}")
+    windows = max(len(store) - n + 1, 0)
+    codes = np.zeros(windows, dtype=np.int64)
+    for j in range(n):
+        codes = codes * store_count + store[j : j + windows]
+    within = agent[:windows] == agent[n - 1 : n - 1 + windows]
+    return np.bincount(codes[within], minlength=store_count**n)
 
 
-def top_k(table, k: int):
-    """k most frequent n-grams; ties broken by ascending tuple order."""
-    return sorted(table.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+def decode_ngram(code: int, store_count: int, n: int) -> tuple:
+    """The store tuple behind an n-gram code."""
+    return tuple(int(s) for s in np.unravel_index(code, (store_count,) * n))
 
 
-def mean_ngram_table(tables) -> dict:
-    """Element-wise mean frequency over per-run tables (missing entries = 0)."""
+def top_k(table: np.ndarray, k: int):
+    """(code, frequency) of the k most frequent n-grams, zero counts excluded;
+    ties broken by ascending code, which is ascending tuple order."""
+    codes = np.flatnonzero(table)
+    ranked = codes[np.argsort(-table[codes], kind="stable")][:k]
+    return [(int(c), table[c]) for c in ranked]
+
+
+def mean_ngram_table(tables) -> np.ndarray:
+    """Element-wise mean frequency over per-run tables."""
     tables = list(tables)
-    total: Counter = Counter()
-    for t in tables:
-        total.update(t)
-    r = len(tables)
-    return {gram: count / r for gram, count in total.items()}
+    return np.sum(tables, axis=0) / len(tables)
 
 
 def aggregate_runs(od_runs: dict, truth_label: str = "truth") -> dict:

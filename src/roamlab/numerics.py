@@ -20,6 +20,12 @@ def log_normalize(v: np.ndarray) -> np.ndarray:
     return v - logsumexp(v)
 
 
+def log_normalize_rows(v: np.ndarray) -> np.ndarray:
+    """Shift each row of a finite 2-D v so that exp(row) sums to 1."""
+    m = v.max(axis=1, keepdims=True)
+    return v - (m + np.log(np.exp(v - m).sum(axis=1, keepdims=True)))
+
+
 def categorical(rng: np.random.Generator, probs: np.ndarray, size: int | None = None):
     """Draw index/indices from a normalized probability vector.
 

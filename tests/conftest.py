@@ -65,6 +65,15 @@ def make_agent(agent_id=0, group=0, store=0, dwell=2, path=None, transitions=Non
     )
 
 
+def path_rows(triples):
+    """(agent_id, group, position, store) rows of (agent_id, group, path) triples,
+    the layout io.read_paths returns and metrics.ngram_table reads."""
+    return np.array(
+        [(aid, g, pos, s) for aid, g, stores in triples for pos, s in enumerate(stores)],
+        dtype=np.int64,
+    ).reshape(-1, 4)
+
+
 def small_sim_config(**kw):
     """3-store, 2-group config small enough for hand reasoning."""
     defaults = dict(

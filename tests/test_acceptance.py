@@ -23,12 +23,12 @@ from roamlab.assimilation import (
 from roamlab.cli import EXIT_OK, main
 from roamlab.config import resolve_config
 from roamlab.experiment import replicate_dir, run_experiment
-from roamlab.metrics import build_od, discrepancy, ngram_table
+from roamlab.metrics import build_od, decode_ngram, discrepancy, ngram_table
 from roamlab.model import BehaviorParams, ChoiceModel, store_utilities
 from roamlab.numerics import log_normalize
 from roamlab.twin import ObservationRecord
 
-from conftest import TINY_OVERRIDES, make_agent, make_graph, make_world
+from conftest import TINY_OVERRIDES, make_agent, make_graph, make_world, path_rows
 
 
 def check(criterion: int, ok: bool, description: str):
@@ -165,13 +165,14 @@ def test_criterion_6_lifecycle_accounting(default_experiment):
     for r in range(cfg.replicate_count):
         for role in roles:
             fname = paths_file.get(role, "assim_paths.csv")
-            triples = io.read_paths(replicate_dir(out, role, r) / fname)
-            if len(triples) != 2000:
+            rows = io.read_paths(replicate_dir(out, role, r) / fname)
+            starts = rows[rows[:, 2] == 0]  # one row per agent: its first store
+            if len(starts) != 2000:
                 spawn_ok = False
-            groups = np.bincount([g for _, g, _ in triples], minlength=4)
+            groups = np.bincount(starts[:, 1], minlength=4)
             if not np.all(groups == 500):
                 group_ok = False
-            if any(len(p) > 4 for _, _, p in triples):
+            if rows[:, 2].max() > 3:  # positions 0..3: at most 4 stores
                 length_ok = False
         observations = io.read_observations(
             replicate_dir(out, "truth", r) / "obs_counts.csv",
@@ -193,7 +194,8 @@ def test_criterion_7_metric_unit_oracles():
     six = discrepancy([[1, 2], [3, 4]], [[0, 2], [5, 1]])
     a = np.array([[3, 1], [0, 9]])
     zero = discrepancy(a, a)
-    grams = dict(ngram_table([[0, 1, 2, 3]], 3))
+    table = ngram_table(path_rows([(0, 0, (0, 1, 2, 3))]), 4, 3)
+    grams = {decode_ngram(c, 4, 3): int(table[c]) for c in np.flatnonzero(table)}
     od = build_od([[0, 1, 2, 3]], 4)
     check(
         7,

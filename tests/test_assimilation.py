@@ -229,14 +229,24 @@ class TestSequenceWeights:
         assert all(assign_sequence(ps, rng) == 0 for _ in range(10))
 
     def test_random_baseline_is_uniform(self):
-        pool = self.pool([[0, 1], [1, 2], [2, 3], [3, 0]])
-        sw = StoreWeightVector(step=1, log_w=np.log([0.7, 0.1, 0.1, 0.1]))
-        ps = weight_sequences(pool, sw)
-        rng = np.random.default_rng(7)
+        # One seed agent moves at step 1 and goes stationary, which spawns n
+        # agents after the step-1 store weights (exp(2) on store 0) took hold.
+        # Weighted assignment would favour entries 0 and 3, which visit store 0.
         n = 100_000
-        counts = np.bincount(
-            [assign_sequence(ps, rng, random_baseline=True) for _ in range(n)], minlength=4
+        cfg = small_sim_config(
+            store_count=4, max_transitions=1, dwell_min=1, dwell_max=1, horizon_steps=1,
+            total_agents=n + 1, initial_agents=1, replenish_threshold=1, replenish_count=n,
+            group_count=1, group_quotas=(n + 1,), behavior=(BehaviorParams(),),
         )
+        pool = self.pool([[0, 1], [1, 2], [2, 3], [3, 0]])
+        observations = [obs(0, [0, 0, 0, 0]), obs(1, [2, 0, 0, 0])]
+        run = run_assimilation(
+            cfg, observations, 3, pool=pool, rng=np.random.default_rng(7),
+            options=AssimOptions(random_baseline=True),
+        )
+        spawned = [entry for step, _, entry, _ in run.assignments if step == 1]
+        assert len(spawned) == n
+        counts = np.bincount(spawned, minlength=4)
         sigma = math.sqrt(n * 0.25 * 0.75)
         assert np.all(np.abs(counts - n * 0.25) <= 3 * sigma)
 
@@ -344,6 +354,19 @@ class TestRunAssimilation:
         )
         assert run.world.agents_spawned > assim_cfg.horizon_steps + 1
         assert calls == [None, *range(1, assim_cfg.horizon_steps + 1)]
+
+    def test_random_control_never_weights_the_pool(self, monkeypatch):
+        _, assim_cfg, truth, pool = self.setup_inputs()
+
+        def refuse(pool, sw):
+            raise AssertionError("the random control weighted the sequence pool")
+
+        monkeypatch.setattr(assimilation, "weight_sequences", refuse)
+        run = run_assimilation(
+            assim_cfg, truth.observations, 3, pool=pool, rng=np.random.default_rng(6),
+            options=AssimOptions(random_baseline=True),
+        )
+        assert run.world.agents_spawned > assim_cfg.horizon_steps + 1
 
     def test_case3_pool_length_mismatch_rejected(self):
         _, assim_cfg, truth, _ = self.setup_inputs()

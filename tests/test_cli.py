@@ -106,6 +106,38 @@ class TestPipeline:
         assert rc == EXIT_IO
         assert "generate-obs" in capsys.readouterr().err
 
+    @staticmethod
+    def cut_mid_row(path):
+        """Truncate a CSV inside its last data row, as a killed writer leaves it."""
+        text = path.read_text()
+        last = text.rstrip("\n").rsplit("\n", 1)[1]
+        path.write_text(text[: len(text) - len(last) // 2 - 1])
+
+    def test_evaluate_on_truncated_paths_exits_4(self, mini_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        base = ["--config", str(mini_config), "--out", str(out)]
+        assert main(["experiment", *base, "--case", "1", "--jobs", "1"]) == EXIT_OK
+        target = out / "case1" / "000" / "assim_paths.csv"
+        self.cut_mid_row(target)
+        capsys.readouterr()
+        assert main(["evaluate", *base]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+        assert len(err.splitlines()) == 1
+
+    def test_assimilate_on_truncated_attr_counts_exits_4(self, mini_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        base = ["--config", str(mini_config), "--out", str(out)]
+        assert main(["generate-obs", *base]) == EXIT_OK
+        target = out / "truth" / "000" / "obs_counts_attr.csv"
+        self.cut_mid_row(target)
+        capsys.readouterr()
+        assert main(["assimilate", *base, "--case", "1"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+        assert len(err.splitlines()) == 1
+        assert not (out / "case1").exists()
+
     def test_unusable_output_dir_exits_4(self, mini_config, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")

@@ -9,6 +9,7 @@ from roamlab.experiment import (
     MissingInputError,
     case_labels,
     evaluate,
+    load_truth_products,
     replicate_dir,
     run_baseline_stage,
     run_case_stage,
@@ -62,19 +63,20 @@ class TestStages:
 
     def test_case_stage_reads_products_from_disk(self, cfg, tmp_path):
         run_truth_stage(cfg, tmp_path, 0)
-        run_case_stage(cfg, tmp_path, 0, "case3")
+        observations, pool = load_truth_products(tmp_path, 0, need_pool=True)
+        run_case_stage(cfg, tmp_path, 0, "case3", observations, pool)
         d = replicate_dir(tmp_path, "case3", 0)
         assert (d / "assim_od.csv").exists()
         assignments = io.read_assignments(d / "assigned_sequences.csv")
         pool = io.read_sequence_pool(replicate_dir(tmp_path, "truth", 0) / "sequence_pool.csv")
-        triples = io.read_paths(d / "assim_paths.csv")
-        entry_of = {aid: e for _, aid, e, _ in assignments}
-        for aid, _, path in triples:
-            assert path == tuple(pool.paths[entry_of[aid]][: len(path)])
+        rows = io.read_paths(d / "assim_paths.csv")
+        entry_of = dict(zip(assignments[:, 1], assignments[:, 2]))
+        followed = np.array([entry_of[aid] for aid in rows[:, 0]])
+        np.testing.assert_array_equal(rows[:, 3], pool.paths[followed, rows[:, 2]])
 
     def test_case_stage_without_truth_products_raises(self, cfg, tmp_path):
         with pytest.raises(MissingInputError, match="generate-obs"):
-            run_case_stage(cfg, tmp_path, 0, "case1")
+            load_truth_products(tmp_path, 0, need_pool=False)
 
     def test_evaluate_requires_truth(self, cfg, tmp_path):
         run_baseline_stage(cfg, tmp_path, 0)
@@ -82,8 +84,8 @@ class TestStages:
             evaluate(cfg, tmp_path)
 
     def test_evaluate_handles_partial_roles(self, cfg, tmp_path):
-        run_truth_stage(cfg, tmp_path, 0)
-        run_case_stage(cfg, tmp_path, 0, "case1")
+        truth, _ = run_truth_stage(cfg, tmp_path, 0)
+        run_case_stage(cfg, tmp_path, 0, "case1", truth.observations, None)
         summary = evaluate(cfg, tmp_path)
         assert set(summary["discrepancy"]) == {"case1"}
         assert (tmp_path / "aggregate" / "case1" / "od_assim_mean.csv").exists()

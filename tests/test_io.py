@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
+import pytest
 
 from roamlab import io
 from roamlab.twin import SequencePool, run_truth
 
-from conftest import small_sim_config
+from conftest import path_rows, small_sim_config
 
 
 def test_observation_roundtrip(tmp_path):
@@ -38,13 +41,97 @@ def test_od_roundtrip(tmp_path):
 def test_paths_roundtrip(tmp_path):
     triples = [(0, 1, (4, 2, 0)), (1, 3, (5,)), (2, 0, (1, 1, 2, 3))]
     io.write_paths(tmp_path / "p.csv", triples)
-    assert io.read_paths(tmp_path / "p.csv") == triples
+    back = io.read_paths(tmp_path / "p.csv")
+    assert back.dtype == np.int64
+    np.testing.assert_array_equal(back, path_rows(triples))
 
 
 def test_assignments_roundtrip(tmp_path):
     rows = [(0, 5, 12, 3), (7, 40, 399, 0)]
     io.write_assignments(tmp_path / "s.csv", rows)
-    assert io.read_assignments(tmp_path / "s.csv") == rows
+    back = io.read_assignments(tmp_path / "s.csv")
+    assert back.dtype == np.int64
+    np.testing.assert_array_equal(back, rows)
+
+
+def test_header_only_files_parse_to_zero_rows(tmp_path):
+    io.write_paths(tmp_path / "p.csv", [])
+    io.write_assignments(tmp_path / "s.csv", [])
+    (tmp_path / "blank.csv").write_text("step,agent_id,entry_id,attr\n\n \n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        paths = io.read_paths(tmp_path / "p.csv")
+        assignments = io.read_assignments(tmp_path / "s.csv")
+        blank = io.read_assignments(tmp_path / "blank.csv")
+    assert paths.shape == (0, 4)
+    assert assignments.shape == (0, 4)
+    assert blank.shape == (0, 4)
+
+
+def shuffle_rows(path, seed):
+    header, *rows = path.read_text().splitlines(keepends=True)
+    order = np.random.default_rng(seed).permutation(len(rows))
+    assert not np.array_equal(order, np.arange(len(rows)))
+    path.write_text(header + "".join(rows[i] for i in order))
+
+
+def test_paths_read_in_agent_and_position_order_whatever_the_row_order(tmp_path):
+    triples = [(0, 1, (4, 2, 0)), (1, 3, (5,)), (2, 0, (1, 1, 2, 3)), (3, 2, (0, 1))]
+    io.write_paths(tmp_path / "p.csv", triples)
+    shuffle_rows(tmp_path / "p.csv", 3)
+    np.testing.assert_array_equal(io.read_paths(tmp_path / "p.csv"), path_rows(triples))
+
+
+def test_observations_placed_by_index_whatever_the_row_order(tmp_path):
+    cfg = small_sim_config(store_count=4, horizon_steps=25)
+    truth = run_truth(cfg, np.random.default_rng(1))
+    io.write_obs_counts(tmp_path / "c.csv", truth.observations)
+    io.write_obs_counts_attr(tmp_path / "a.csv", truth.observations)
+    shuffle_rows(tmp_path / "c.csv", 4)
+    shuffle_rows(tmp_path / "a.csv", 5)
+    back = io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv")
+    assert [x.step for x in back] == [y.step for y in truth.observations]
+    for x, y in zip(back, truth.observations):
+        np.testing.assert_array_equal(x.inflow, y.inflow)
+        np.testing.assert_array_equal(x.inflow_by_attr, y.inflow_by_attr)
+
+
+PATHS_HEADER = "agent_id,group,position,store\n"
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("", "header"),
+        ("agent_id,group,pos,store\n0,0,0,1\n", "header"),
+        (PATHS_HEADER + "0,0,0,1\n0,0,1,2\n0,0,2", "columns changed"),
+        (PATHS_HEADER + "0,0,0,1\n0,0,1,\n", "convert"),
+        (PATHS_HEADER + "0,0,0,1.5\n", "convert"),
+        (PATHS_HEADER + "0,0,0\n", "cells"),
+        (PATHS_HEADER + "0,0,0,1\n0,0,2,3\n", "positions"),
+        (PATHS_HEADER + "0,0,0,1\n0,0,0,1\n", "positions"),
+        (PATHS_HEADER + "0,0,0,1\n0,1,1,2\n", "group"),
+    ],
+)
+def test_malformed_paths_file_refused_naming_it(tmp_path, text, reason):
+    path = tmp_path / "p.csv"
+    path.write_text(text)
+    with pytest.raises(io.MalformedTableError, match=reason) as info:
+        io.read_paths(path)
+    assert str(path) in str(info.value)
+
+
+def test_observation_files_must_agree_on_extent(tmp_path):
+    (tmp_path / "c.csv").write_text("step,store,count\n0,0,1\n0,1,0\n")
+    (tmp_path / "a.csv").write_text("step,attr,store,count\n0,0,0,1\n1,0,1,0\n")
+    with pytest.raises(io.MalformedTableError, match="beyond"):
+        io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv")
+
+
+def test_sequence_pool_entry_ids_must_number_rows(tmp_path):
+    (tmp_path / "pool.csv").write_text("entry_id,attr,s0,s1\n0,0,1,2\n2,1,2,3\n")
+    with pytest.raises(io.MalformedTableError, match="entry_id"):
+        io.read_sequence_pool(tmp_path / "pool.csv")
 
 
 def test_mean_od_fixed_precision(tmp_path):

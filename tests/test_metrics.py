@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,14 @@ from hypothesis import strategies as st
 from roamlab.metrics import (
     aggregate_runs,
     build_od,
+    decode_ngram,
     discrepancy,
     mean_ngram_table,
     ngram_table,
     top_k,
 )
+
+from conftest import path_rows
 
 int_matrix = st.integers(2, 5).flatmap(
     lambda n: st.lists(
@@ -69,36 +74,81 @@ class TestDiscrepancy:
             assert discrepancy(a, c) <= discrepancy(a, b) + discrepancy(b, c) + 1e-9
 
 
+def table_of(paths, store_count, n=3):
+    """ngram_table over plain paths, one agent per path."""
+    return ngram_table(path_rows([(i, 0, p) for i, p in enumerate(paths)]), store_count, n)
+
+
+def as_dict(table, store_count, n=3):
+    return {decode_ngram(c, store_count, n): int(table[c]) for c in np.flatnonzero(table)}
+
+
+def oracle_table(paths, n):
+    """Plain-Python n-gram counts: every window of every path, as a tuple."""
+    return Counter(tuple(p[i : i + n]) for p in paths for i in range(len(p) - n + 1))
+
+
 class TestNgrams:
     def test_three_grams_of_short_path(self):
-        table = ngram_table([[0, 1, 2, 3]], 3)
-        assert dict(table) == {(0, 1, 2): 1, (1, 2, 3): 1}
+        table = table_of([[0, 1, 2, 3]], 4)
+        assert as_dict(table, 4) == {(0, 1, 2): 1, (1, 2, 3): 1}
 
     def test_n_longer_than_path_gives_empty(self):
-        assert ngram_table([[0, 1]], 3) == {}
+        assert as_dict(table_of([[0, 1]], 2), 2) == {}
 
     def test_shared_prefix_counts(self):
         paths = [[4, 5, 6, 1], [4, 5, 6, 2], [4, 5, 6]]
-        assert ngram_table(paths, 3)[(4, 5, 6)] == 3
+        assert as_dict(table_of(paths, 7), 7)[(4, 5, 6)] == 3
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=7), max_size=8))
     def test_total_window_count(self, paths):
-        table = ngram_table(paths, 3)
-        assert sum(table.values()) == sum(max(0, len(p) - 2) for p in paths)
+        table = table_of(paths, 5)
+        assert table.sum() == sum(max(0, len(p) - 2) for p in paths)
 
     def test_top_k_deterministic_tiebreak(self):
-        table = {(2, 0): 3, (0, 1): 3, (1, 2): 5, (0, 0): 1}
-        ranked = top_k(table, 3)
+        # bigram counts (2,0):3, (0,1):3, (1,2):5, (0,0):1, one path per bigram
+        paths = [[2, 0]] * 3 + [[0, 1]] * 3 + [[1, 2]] * 5 + [[0, 0]]
+        ranked = [(decode_ngram(c, 3, 2), f) for c, f in top_k(table_of(paths, 3, 2), 3)]
         assert ranked == [((1, 2), 5), ((0, 1), 3), ((2, 0), 3)]
-        assert ranked == top_k(dict(reversed(list(table.items()))), 3)
+        assert top_k(table_of(paths, 3, 2), 3) == top_k(table_of(paths[::-1], 3, 2), 3)
 
     def test_mean_table_averages_missing_as_zero(self):
-        t1 = {(0, 1): 4}
-        t2 = {(0, 1): 2, (1, 2): 2}
+        t1 = table_of([[0, 1]] * 4, 3, 2)
+        t2 = table_of([[0, 1]] * 2 + [[1, 2]] * 2, 3, 2)
         mean = mean_ngram_table([t1, t2])
-        assert mean[(0, 1)] == 3.0
-        assert mean[(1, 2)] == 1.0
+        assert mean[1] == 3.0  # code of (0, 1)
+        assert mean[5] == 1.0  # code of (1, 2)
+        assert np.count_nonzero(mean) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda s: st.tuples(
+                st.just(s),
+                st.lists(st.lists(st.integers(0, s - 1), min_size=1, max_size=7), max_size=10),
+            )
+        ),
+        st.integers(1, 4),
+        st.integers(1, 12),
+    )
+    def test_codes_and_ranking_match_plain_python_oracle(self, store_paths, n, k):
+        store_count, paths = store_paths
+        table = table_of(paths, store_count, n)
+        assert table.shape == (store_count**n,)
+        oracle = oracle_table(paths, n)
+        assert as_dict(table, store_count, n) == dict(oracle)
+        ranked = [(decode_ngram(c, store_count, n), f) for c, f in top_k(table, k)]
+        assert ranked == sorted(oracle.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+
+    def test_windows_stay_within_one_agent(self):
+        # Two agents whose rows are adjacent: no window may join 0,1 to 2,3.
+        assert as_dict(table_of([[0, 1], [2, 3]], 4, 3), 4) == {}
+        assert as_dict(table_of([[0, 1], [2, 3]], 4, 2), 4, 2) == {(0, 1): 1, (2, 3): 1}
+
+    def test_store_outside_code_range_rejected(self):
+        with pytest.raises(ValueError, match="store index"):
+            table_of([[0, 1, 3]], 3)
 
 
 class TestAggregateRuns:

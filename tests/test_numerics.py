@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roamlab.numerics import categorical, log_normalize, logsumexp
+from roamlab.numerics import categorical, log_normalize, log_normalize_rows, logsumexp
 
 finite_vec = st.lists(
     st.floats(-200, 200, allow_nan=False, allow_infinity=False), min_size=1, max_size=20
@@ -20,6 +20,15 @@ def test_log_normalize_sums_to_one(v):
 @given(finite_vec, st.floats(-100, 100, allow_nan=False, allow_infinity=False))
 def test_log_normalize_shift_invariant(v, c):
     assert np.max(np.abs(log_normalize(v + c) - log_normalize(v))) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda rows: st.lists(finite_vec, min_size=rows, max_size=rows)))
+def test_log_normalize_rows_matches_row_loop_bit_for_bit(rows):
+    width = min(len(r) for r in rows)
+    v = np.array([r[:width] for r in rows])
+    expected = np.vstack([log_normalize(r) for r in v])
+    np.testing.assert_array_equal(log_normalize_rows(v), expected)
 
 
 def test_logsumexp_handles_large_values(v=np.array([10_000.0, 0.0])):
