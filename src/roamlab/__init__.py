@@ -10,8 +10,8 @@ from .assimilation import (
     AssimOptions,
     ParticleSet,
     StoreWeightVector,
-    assign_sequence,
-    place_new_agent,
+    assign_sequences,
+    place_new_agents,
     propose_particles,
     resample_and_select,
     run_assimilation,
@@ -37,12 +37,12 @@ __all__ = [
     "StoreGraph",
     "StoreWeightVector",
     "aggregate_runs",
-    "assign_sequence",
+    "assign_sequences",
     "build_od",
     "decode_ngram",
     "discrepancy",
     "ngram_table",
-    "place_new_agent",
+    "place_new_agents",
     "propose_particles",
     "resample_and_select",
     "resolve_config",

@@ -1,8 +1,9 @@
 """Particle-filter assimilation of store-inflow observations.
 
-Three regimes share one machinery. With per-store counts (case 1) an agent's
-candidate moves are proposed from the choice model, weighted by exp(inflow)
-store likelihoods, and one survivor is selected. With attribute-tagged counts
+Three regimes share one machinery. With per-store counts (case 1) each moving
+agent's candidate moves are proposed from the choice model, weighted by
+exp(inflow) store likelihoods, and one survivor is selected; all movers of a
+step are filtered at once, one row per agent. With attribute-tagged counts
 (case 2) the same runs per behavioral group. With a biased sample of whole
 transition sequences (case 3) the measured sequences themselves are the
 particles: new agents draw a sequence weighted by the summed store weights
@@ -11,12 +12,11 @@ along it and then follow that sequence verbatim.
 All weights are kept in log space and normalized by log-sum-exp.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
-    AgentState,
     ChoiceModel,
     SimConfig,
     WorldState,
@@ -25,7 +25,7 @@ from .model import (
     step_world,
     uniform_placer,
 )
-from .numerics import categorical, log_normalize, log_normalize_rows, logsumexp
+from .numerics import categorical, log_normalize, log_normalize_rows
 from .twin import SequencePool
 
 NEXT_STORE = "next-store"
@@ -51,14 +51,15 @@ class StoreWeightVector:
             attr = np.tile(log_w, (group_count, 1))
         return cls(step=None, log_w=log_w, log_w_attr=attr)
 
-    def row(self, group: int | None = None) -> np.ndarray:
+    def row(self, group=None) -> np.ndarray:
+        """The total row, or the row of each given group (a scalar or an array)."""
         if group is None:
             return self.log_w
         if self.log_w_attr is None:
             raise ValueError("no per-attribute weights available")
         return self.log_w_attr[group]
 
-    def weights(self, group: int | None = None) -> np.ndarray:
+    def weights(self, group=None) -> np.ndarray:
         return np.exp(self.row(group))
 
 
@@ -87,10 +88,12 @@ def update_store_weights(
 
 @dataclass
 class ParticleSet:
-    """Weighted candidate ensemble: next stores, or sequence-pool entry ids.
+    """Weighted candidate ensembles: next stores, or sequence-pool entry ids.
 
-    The log weights are normalized on construction, so exp(log_weights) sums
-    to 1 for every set, however it was built.
+    candidates and log_weights are (n,) for one ensemble, or (m, n) for one
+    ensemble per row. The log weights are normalized per ensemble on
+    construction, so exp(log_weights) sums to 1 along the last axis, however
+    the set was built.
     """
 
     kind: str
@@ -98,84 +101,97 @@ class ParticleSet:
     log_weights: np.ndarray
 
     def __post_init__(self):
-        if len(self.candidates) != len(self.log_weights):
-            raise ValueError("candidates and log_weights must have equal length")
-        if len(self.candidates) == 0:
+        if np.shape(self.candidates) != np.shape(self.log_weights):
+            raise ValueError("candidates and log_weights must have equal shape")
+        if np.size(self.candidates) == 0:
             raise ValueError("empty particle set")
-        z = logsumexp(self.log_weights)
-        if not np.isfinite(z):
+        if not np.all(np.isfinite(self.log_weights.max(axis=-1))):
             raise ValueError("particle weights are all zero or non-finite")
-        self.log_weights = self.log_weights - z
+        self.log_weights = log_normalize_rows(self.log_weights)
 
     @property
     def particle_count(self) -> int:
-        return len(self.candidates)
+        return self.candidates.shape[-1]
 
     @property
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
 
 
+def _pick(candidates: np.ndarray, idx) -> np.ndarray:
+    """The candidate at idx in every row (one candidate for a 1-D set)."""
+    return np.take_along_axis(candidates, np.asarray(idx)[..., None], axis=-1)[..., 0]
+
+
 def propose_particles(
-    agent: AgentState,
     world: WorldState,
+    ids: np.ndarray,
     choice: ChoiceModel,
     n: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw n candidate next stores from the choice model, unweighted."""
-    probs = choice.probs(agent.group, agent.current_store, world.congestion)
+    """Draw n unweighted candidate next stores for each listed agent: (m, n)."""
+    probs = choice.probs(world.group[ids], world.store[ids], world.congestion)
     return categorical(rng, probs, size=n)
 
 
-def weight_particles(
-    candidates: np.ndarray, sw: StoreWeightVector, group: int | None = None
-) -> ParticleSet:
-    """Weight each candidate next store by its store log weight (its likelihood)."""
-    return ParticleSet(NEXT_STORE, candidates, sw.row(group)[candidates])
+def weight_particles(candidates: np.ndarray, sw: StoreWeightVector, groups=None) -> ParticleSet:
+    """Weight each candidate next store by its store log weight (its likelihood).
+
+    groups selects per-attribute rows: one group per row of candidates.
+    """
+    rows = sw.row(groups)
+    log_w = rows[candidates] if rows.ndim == 1 else np.take_along_axis(rows, candidates, axis=-1)
+    return ParticleSet(NEXT_STORE, candidates, log_w)
 
 
 def resample_and_select(
     ps: ParticleSet, rng: np.random.Generator, explicit_resample: bool = False
 ):
-    """Pick one particle by weight and return its candidate.
+    """Pick one particle per ensemble by weight and return its candidate.
 
     The default collapses resample-then-select-one into a single categorical
-    draw, which has the same marginal law. explicit_resample materializes the
+    draw, which has the same marginal law. explicit_resample materializes each
     full multinomially resampled set first and selects uniformly from it.
     """
     w = ps.weights
     if explicit_resample:
-        resampled = ps.candidates[categorical(rng, w, size=ps.particle_count)]
-        return resampled[int(rng.integers(ps.particle_count))]
-    return ps.candidates[categorical(rng, w)]
+        n = ps.particle_count
+        resampled = np.take_along_axis(ps.candidates, categorical(rng, w, size=n), axis=-1)
+        return _pick(resampled, rng.integers(n, size=w.shape[:-1]))
+    return _pick(ps.candidates, categorical(rng, w))
 
 
-def place_new_agent(
-    sw: StoreWeightVector, rng: np.random.Generator, group: int | None = None
-) -> int:
-    """Initial store for a freshly spawned agent, drawn from the store weights."""
-    return int(categorical(rng, sw.weights(group)))
+def place_new_agents(
+    sw: StoreWeightVector, rng: np.random.Generator, count: int, groups=None
+) -> np.ndarray:
+    """Initial stores for count freshly spawned agents, drawn from the store
+    weights; with groups, agent i draws from the row of groups[i]."""
+    if groups is None:
+        return categorical(rng, sw.weights(), size=count)
+    return categorical(rng, sw.weights(groups))
 
 
 def weight_sequences(pool: SequencePool, sw: StoreWeightVector) -> ParticleSet:
     """Weight every pool entry by the sum of store weights along its path.
 
-    The sum (not product) runs in the linear domain over the normalized store
-    weights; repeated stores count once per visit.
+    The sum (not product) runs over the normalized store weights; repeated
+    stores count once per visit. It is taken in log space, as a log-sum-exp of
+    the path's store log weights shifted by the largest store log weight: a
+    path through that store sums to at least 1, so however far negative the
+    log weights drift, the pool never underflows to all zero.
     """
-    w_store = sw.weights()
-    raw = w_store[pool.paths].sum(axis=1)
+    top = np.max(sw.log_w)
     with np.errstate(divide="ignore"):
-        lw = np.log(raw)
-    return ParticleSet(SEQUENCE, np.arange(pool.size), lw)
+        log_sums = top + np.log(np.exp(sw.log_w - top)[pool.paths].sum(axis=1))
+    return ParticleSet(SEQUENCE, np.arange(pool.size), log_sums)
 
 
-def assign_sequence(ps: ParticleSet, rng: np.random.Generator) -> int:
-    """Draw a pool entry id by sequence weight."""
+def assign_sequences(ps: ParticleSet, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draw count pool entry ids by sequence weight."""
     if ps.kind != SEQUENCE:
-        raise ValueError("assign_sequence applies to sequence particles")
-    return int(ps.candidates[categorical(rng, ps.weights)])
+        raise ValueError("assign_sequences applies to sequence particles")
+    return ps.candidates[categorical(rng, ps.weights, size=count)]
 
 
 @dataclass
@@ -193,7 +209,7 @@ class AssimOptions:
 @dataclass
 class AssimRun:
     world: WorldState
-    assignments: list = field(default_factory=list)  # (step, agent_id, entry_id, attr)
+    assignments: np.ndarray  # (R, 4) rows (step, agent_id, entry_id, attr); case 3 only
 
 
 def run_baseline(cfg: SimConfig, rng: np.random.Generator) -> WorldState:
@@ -235,7 +251,7 @@ def run_assimilation(
         )
 
     sw = StoreWeightVector.uniform(cfg.store_count, cfg.group_count)
-    run = AssimRun(world=None)
+    assignments = []  # one (k, 4) block per spawn batch
     weighted = case == 3 and not options.random_baseline  # sequence weights in use
 
     if case == 3:
@@ -244,28 +260,32 @@ def run_assimilation(
                 f"pool paths have length {pool.paths.shape[1]},"
                 f" expected {cfg.max_transitions + 1}"
             )
-        followed = {}
+        followed = np.zeros(cfg.total_agents, dtype=np.int64)  # pool entry of each agent
         seq = weight_sequences(pool, sw) if weighted else None
 
-        def placer(world, agent_id, group, rng):
-            entry = assign_sequence(seq, rng) if weighted else int(rng.integers(pool.size))
-            followed[agent_id] = entry
-            run.assignments.append((world.step, agent_id, entry, int(pool.attrs[entry])))
-            return int(pool.paths[entry][0])
+        def placer(world, ids, groups, rng):
+            if weighted:
+                entries = assign_sequences(seq, rng, len(ids))
+            else:
+                entries = rng.integers(pool.size, size=len(ids))
+            followed[ids] = entries
+            step = np.full(len(ids), world.step)
+            assignments.append(np.column_stack([step, ids, entries, pool.attrs[entries]]))
+            return pool.paths[entries, 0]
 
-        def mover(world, agent, rng):
-            return int(pool.paths[followed[agent.agent_id]][agent.transitions_made + 1])
+        def mover(world, ids, rng):
+            return pool.paths[followed[ids], world.transitions[ids] + 1]
 
     else:
         choice = ChoiceModel(cfg.graph(), cfg.behavior, cfg.allow_self_transition)
         n = options.particle_count
-        attr_of = (lambda group: group) if case == 2 else (lambda group: None)
+        by_group = case == 2
 
         if options.filter_moves:
 
-            def mover(world, agent, rng):
-                candidates = propose_particles(agent, world, choice, n, rng)
-                ps = weight_particles(candidates, sw, group=attr_of(agent.group))
+            def mover(world, ids, rng):
+                candidates = propose_particles(world, ids, choice, n, rng)
+                ps = weight_particles(candidates, sw, world.group[ids] if by_group else None)
                 return resample_and_select(ps, rng, options.explicit_resample)
 
         else:
@@ -273,15 +293,15 @@ def run_assimilation(
 
         if options.weighted_placement:
 
-            def placer(world, agent_id, group, rng):
-                return place_new_agent(sw, rng, group=attr_of(group))
+            def placer(world, ids, groups, rng):
+                return place_new_agents(sw, rng, len(ids), groups if by_group else None)
 
         else:
             placer = uniform_placer
 
     # Initial population: no observation has been consumed yet, so cases 1-2
     # place uniformly (sw is uniform) and case 3 draws uniformly from the pool.
-    run.world = init_world(cfg, placer, rng)
+    world = init_world(cfg, placer, rng)
     for t in range(1, cfg.horizon_steps + 1):
         if observations[t].step != t:
             raise ValueError(
@@ -290,5 +310,6 @@ def run_assimilation(
         sw = update_store_weights(sw, observations[t], accumulate=options.weight_accumulation)
         if weighted:
             seq = weight_sequences(pool, sw)
-        step_world(run.world, cfg, mover, placer, rng)
-    return run
+        step_world(world, cfg, mover, placer, rng)
+    rows = np.concatenate(assignments) if assignments else np.empty((0, 4), dtype=np.int64)
+    return AssimRun(world=world, assignments=rows)

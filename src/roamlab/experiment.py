@@ -29,7 +29,7 @@ from .metrics import (
     ngram_table,
     top_k,
 )
-from .model import agent_paths
+from .model import path_rows
 from .seeds import ROLE_CODES, derive_rng
 from .twin import run_truth, sample_biased_pool
 
@@ -78,7 +78,7 @@ def run_truth_stage(cfg: ExperimentConfig, out, replicate: int):
     io.write_obs_counts_attr(d / "obs_counts_attr.csv", truth.observations)
     io.write_sequence_pool(d / "sequence_pool.csv", pool)
     io.write_od(d / "truth_od.csv", truth.od)
-    io.write_paths(d / "truth_paths.csv", agent_paths(truth.world))
+    io.write_paths(d / "truth_paths.csv", path_rows(truth.world))
     return truth, pool
 
 
@@ -86,9 +86,9 @@ def run_baseline_stage(cfg: ExperimentConfig, out, replicate: int):
     """Plain model run in the assimilation environment (no observations)."""
     world = run_baseline(cfg.assim, derive_rng(cfg.base_seed, replicate, "baseline"))
     d = replicate_dir(out, "baseline", replicate)
-    paths = agent_paths(world)
-    io.write_od(d / "baseline_od.csv", build_od([p for _, _, p in paths], cfg.assim.store_count))
-    io.write_paths(d / "baseline_paths.csv", paths)
+    rows = path_rows(world)
+    io.write_od(d / "baseline_od.csv", build_od(rows, cfg.assim.store_count))
+    io.write_paths(d / "baseline_paths.csv", rows)
     return world
 
 
@@ -122,9 +122,9 @@ def run_case_stage(cfg: ExperimentConfig, out, replicate: int, label: str, obser
         options=dataclasses.replace(cfg.assim_options, random_baseline=label == "case3_random"),
     )
     d = replicate_dir(out, label, replicate)
-    paths = agent_paths(run.world)
-    io.write_od(d / "assim_od.csv", build_od([p for _, _, p in paths], cfg.assim.store_count))
-    io.write_paths(d / "assim_paths.csv", paths)
+    rows = path_rows(run.world)
+    io.write_od(d / "assim_od.csv", build_od(rows, cfg.assim.store_count))
+    io.write_paths(d / "assim_paths.csv", rows)
     if case == 3:
         io.write_assignments(d / "assigned_sequences.csv", run.assignments)
     return run
@@ -239,7 +239,9 @@ def _assignment_bias(cfg: ExperimentConfig, out, roles):
                 per_run = []
                 break
             attrs = io.read_assignments(path)[:, 3]
-            if len(attrs) and (attrs.min() < 0 or attrs.max() >= len(target)):
+            if len(attrs) == 0:
+                raise io.MalformedTableError(f"{path}: no assignment rows")
+            if attrs.min() < 0 or attrs.max() >= len(target):
                 raise io.MalformedTableError(f"{path}: attr outside 0..{len(target) - 1}")
             counts = np.bincount(attrs, minlength=len(target))
             share = counts / counts.sum()

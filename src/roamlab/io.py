@@ -155,14 +155,13 @@ def write_mean_od(path, od: np.ndarray):
                 w.writerow([o, d, f"{od[o, d]:.6f}"])
 
 
-def write_paths(path, agent_paths):
-    """agent_paths: (agent_id, group, path) triples, one row per visited store."""
+def write_paths(path, rows):
+    """rows: (R, 4) path rows (agent_id, group, position, store), one per
+    visited store, as model.path_rows gives them."""
     with _open_w(path) as f:
         w = csv.writer(f)
         w.writerow(["agent_id", "group", "position", "store"])
-        for agent_id, group, stores in agent_paths:
-            for pos, store in enumerate(stores):
-                w.writerow([agent_id, group, pos, store])
+        w.writerows(np.asarray(rows).tolist())
 
 
 def read_paths(path) -> np.ndarray:

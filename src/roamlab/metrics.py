@@ -12,13 +12,18 @@ code order is ascending tuple order.
 import numpy as np
 
 
-def build_od(paths, store_count: int) -> np.ndarray:
-    """Count every consecutive store pair across the given paths."""
-    od = np.zeros((store_count, store_count), dtype=np.int64)
-    for path in paths:
-        for a, b in zip(path[:-1], path[1:]):
-            od[a, b] += 1
-    return od
+def build_od(rows, store_count: int) -> np.ndarray:
+    """Count every consecutive store pair within each agent's path.
+
+    rows: (R, 4) path rows (agent_id, group, position, store) ordered by
+    agent, then position, as io.read_paths and model.path_rows give them.
+    """
+    agent, store = rows[:, 0], rows[:, 3]
+    within = agent[1:] == agent[:-1]
+    codes = store[:-1][within] * store_count + store[1:][within]
+    return np.bincount(codes, minlength=store_count * store_count).reshape(
+        store_count, store_count
+    )
 
 
 def discrepancy(a: np.ndarray, b: np.ndarray) -> float:

@@ -6,18 +6,26 @@ steps, hop to a new store drawn from a multinomial logit over per-store utilitie
 and stop roaming after a fixed number of transitions. Stationary agents are
 periodically replaced by fresh ones until a total-agent budget is spent.
 
+The world is a struct of arrays indexed by agent id, ids being handed out in
+spawn order. Choices read the congestion snapshot taken at the start of each
+step, so the moves of one step are conditionally independent given that
+snapshot and are drawn as one batch.
+
 Movement and initial placement are pluggable policies so the same stepper
-drives plain model runs and assimilated runs.
+drives plain model runs and assimilated runs. A mover maps (world, ids, rng)
+to the next store of each listed agent; a placer maps (world, ids, groups,
+rng) to the first store of each freshly spawned agent.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import categorical, log_normalize
+from .numerics import categorical, log_normalize_rows
 
-ACTIVE = "active"
-STATIONARY = "stationary"
+
+def _no_entries():
+    return tuple(np.empty(0, dtype=np.int64) for _ in range(3))
 
 
 @dataclass
@@ -81,35 +89,36 @@ def unit_distance(store_count: int) -> np.ndarray:
     return d
 
 
-@dataclass(slots=True)
-class AgentState:
-    """One roaming agent."""
-
-    agent_id: int
-    group: int
-    current_store: int
-    dwell_remaining: int
-    transitions_made: int = 0
-    path: list = field(default_factory=list)
-    status: str = ACTIVE
-
-
 @dataclass
 class StepReport:
-    """What happened during one world step, for observation building."""
+    """What happened during one world step, for observation building.
+
+    moves and spawns are (agent ids, groups, stores) arrays: the store each
+    mover entered, and the store each new agent was placed in, by ascending id.
+    """
 
     step: int
-    move_entries: list  # (agent_id, group, store)
-    spawn_entries: list  # (agent_id, group, store)
+    moves: tuple = field(default_factory=_no_entries)
+    spawns: tuple = field(default_factory=_no_entries)
     retired: int = 0
 
 
 @dataclass
 class WorldState:
-    """Mutable simulation state advanced by step_world."""
+    """Mutable simulation state advanced by step_world.
+
+    Per-agent arrays have one entry per agent of the total budget; the first
+    agents_spawned entries are live. path holds each agent's visited stores,
+    padded with -1 after the last one.
+    """
 
     step: int
-    agents: list
+    group: np.ndarray           # (N,) behavioral group
+    store: np.ndarray           # (N,) current store
+    dwell: np.ndarray           # (N,) steps left in the current store
+    transitions: np.ndarray     # (N,) moves made so far
+    active: np.ndarray          # (N,) bool: spawned and still roaming
+    path: np.ndarray            # (N, max_transitions + 1) visited stores, -1 padded
     occupancy: np.ndarray       # active agents per store, maintained incrementally
     congestion: np.ndarray      # occupancy snapshot taken at the start of the step
     agents_spawned: int
@@ -216,8 +225,8 @@ def store_utilities(
 class ChoiceModel:
     """Next-store distribution with the static utility part precomputed.
 
-    One instance per (graph, behavior) pair; per-call work is a vector add
-    and a log-normalisation over the candidate stores.
+    One instance per (graph, behavior) pair; per-call work is a row gather, a
+    vector add and a log-normalisation over the candidate stores.
     """
 
     def __init__(self, graph: StoreGraph, behavior, allow_self_transition: bool = False):
@@ -234,72 +243,95 @@ class ChoiceModel:
         )
         self._omega = np.array([p.omega for p in self.behavior])
 
-    def log_probs(self, group: int, current_store: int, congestion: np.ndarray) -> np.ndarray:
-        """Log choice probabilities over all stores; excluded stores get -inf."""
-        u = self._static[group] + self._omega[group] * congestion
+    def log_probs(self, group, current_store, congestion: np.ndarray) -> np.ndarray:
+        """Log choice probabilities over all stores; excluded stores get -inf.
+
+        group and current_store are scalars, giving one (S,) vector, or
+        equal-length arrays, giving one (m, S) row per agent.
+        """
+        group = np.asarray(group)
+        u = self._static[group] + self._omega[group][..., None] * congestion
         if not np.all(np.isfinite(u)):
             raise ValueError("non-finite store utilities; check behavior params")
         if not self.allow_self_transition:
-            if len(u) < 2:
-                raise ValueError("empty candidate set: no store other than the current one")
-            u[current_store] = -np.inf
-        return log_normalize(u)
+            np.put_along_axis(u, np.asarray(current_store)[..., None], -np.inf, axis=-1)
+        return log_normalize_rows(u)
 
-    def probs(self, group: int, current_store: int, congestion: np.ndarray) -> np.ndarray:
-        p = np.exp(self.log_probs(group, current_store, congestion))
+    def probs(self, group, current_store, congestion: np.ndarray) -> np.ndarray:
         # exp(-inf) leaves exact zeros on excluded stores
-        return p
+        return np.exp(self.log_probs(group, current_store, congestion))
 
     def sample(self, group, current_store, congestion, rng):
+        """One next store per agent (a scalar for scalar inputs)."""
         return categorical(rng, self.probs(group, current_store, congestion))
 
 
-def _draw_dwell(cfg: SimConfig, rng: np.random.Generator) -> int:
-    return int(rng.integers(cfg.dwell_min, cfg.dwell_max + 1))
+def _draw_dwells(cfg: SimConfig, count: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.integers(cfg.dwell_min, cfg.dwell_max + 1, size=count)
 
 
-def _spawn_agents(world, cfg, count, placer, rng, entries):
+def _spawn_agents(world, cfg, count, placer, rng):
+    """Spawn up to count agents as one batch; returns their (ids, groups, stores).
+
+    Each group is drawn uniformly among the groups with quota left after the
+    draws before it, so the group draws run one at a time. Placement and dwell
+    are then drawn for the whole batch, one call each.
+    """
+    quota = world.group_quota_remaining
+    eligible = np.flatnonzero(quota > 0)
+    groups = []
     for _ in range(count):
-        eligible = np.flatnonzero(world.group_quota_remaining > 0)
         if len(eligible) == 0:
             break
         group = int(eligible[rng.integers(len(eligible))])
-        world.group_quota_remaining[group] -= 1
-        agent_id = world.agents_spawned
-        store = int(placer(world, agent_id, group, rng))
-        agent = AgentState(
-            agent_id=agent_id,
-            group=group,
-            current_store=store,
-            dwell_remaining=_draw_dwell(cfg, rng),
-            path=[store],
-        )
-        world.agents.append(agent)
-        world.agents_spawned += 1
-        world.occupancy[store] += 1
-        entries.append((agent_id, group, store))
+        quota[group] -= 1
+        if quota[group] == 0:
+            eligible = np.flatnonzero(quota > 0)
+        groups.append(group)
+    if not groups:
+        return _no_entries()
+    groups = np.array(groups, dtype=np.int64)
+    ids = np.arange(world.agents_spawned, world.agents_spawned + len(groups))
+    stores = np.asarray(placer(world, ids, groups, rng), dtype=np.int64)
+    world.group[ids] = groups
+    world.store[ids] = stores
+    world.dwell[ids] = _draw_dwells(cfg, len(ids), rng)
+    world.active[ids] = True
+    world.path[ids, 0] = stores
+    world.agents_spawned += len(ids)
+    world.occupancy += np.bincount(stores, minlength=len(world.occupancy))
+    return ids, groups, stores
 
 
-def uniform_placer(world, agent_id, group, rng) -> int:
-    return int(rng.integers(len(world.occupancy)))
+def uniform_placer(world, ids, groups, rng) -> np.ndarray:
+    return rng.integers(len(world.occupancy), size=len(ids))
 
 
-def init_world(cfg: SimConfig, placer, rng: np.random.Generator) -> WorldState:
-    """Spawn the initial population at step 0."""
-    s = cfg.store_count
-    world = WorldState(
+def new_world(cfg: SimConfig) -> WorldState:
+    """An empty world at step 0 with room for the whole agent budget."""
+    n, s = cfg.total_agents, cfg.store_count
+    return WorldState(
         step=0,
-        agents=[],
+        group=np.zeros(n, dtype=np.int64),
+        store=np.zeros(n, dtype=np.int64),
+        dwell=np.zeros(n, dtype=np.int64),
+        transitions=np.zeros(n, dtype=np.int64),
+        active=np.zeros(n, dtype=bool),
+        path=np.full((n, cfg.max_transitions + 1), -1, dtype=np.int64),
         occupancy=np.zeros(s, dtype=np.int64),
         congestion=np.zeros(s, dtype=np.int64),
         agents_spawned=0,
         group_quota_remaining=np.array(cfg.group_quotas, dtype=np.int64),
     )
-    entries = []
+
+
+def init_world(cfg: SimConfig, placer, rng: np.random.Generator) -> WorldState:
+    """Spawn the initial population at step 0."""
+    world = new_world(cfg)
+    world.last_report = StepReport(step=0)
     n = min(cfg.initial_agents, cfg.total_agents)
-    _spawn_agents(world, cfg, n, placer, rng, entries)
+    world.last_report.spawns = _spawn_agents(world, cfg, n, placer, rng)
     world.congestion = world.occupancy.copy()
-    world.last_report = StepReport(step=0, move_entries=[], spawn_entries=entries)
     return world
 
 
@@ -319,7 +351,8 @@ def replenish(world: WorldState, cfg: SimConfig, placer, rng: np.random.Generato
         world.stationary_unretired -= cfg.replenish_threshold
         report.retired += cfg.replenish_threshold
         n_new = min(cfg.replenish_count, cfg.total_agents - world.agents_spawned)
-        _spawn_agents(world, cfg, n_new, placer, rng, report.spawn_entries)
+        spawned = _spawn_agents(world, cfg, n_new, placer, rng)
+        report.spawns = tuple(np.concatenate(pair) for pair in zip(report.spawns, spawned))
     return world
 
 
@@ -328,38 +361,37 @@ def step_world(
 ) -> WorldState:
     """Advance the world by one step, in place.
 
-    Active agents (ascending id) count down their dwell; an agent hitting zero
-    asks `mover` for its next store, moves there, and either redraws a dwell
-    or goes stationary at the transition cap. Replenishment then runs, and the
-    congestion snapshot is refreshed. The step's entries land in
-    world.last_report.
+    Active agents count down their dwell. The agents hitting zero (ascending
+    id) get their next stores from one `mover` call against the congestion
+    snapshot; they move there, and either go stationary at the transition cap
+    or all redraw a dwell in one call. Replenishment then runs. The step's
+    entries land in world.last_report.
     """
     if world.step >= cfg.horizon_steps:
         raise ValueError(f"world already at horizon step {cfg.horizon_steps}")
     world.step += 1
     world.congestion = world.occupancy.copy()
-    report = StepReport(step=world.step, move_entries=[], spawn_entries=[])
+    report = StepReport(step=world.step)
     world.last_report = report
 
-    for agent in world.agents:
-        if agent.status != ACTIVE:
-            continue
-        agent.dwell_remaining -= 1
-        if agent.dwell_remaining > 0:
-            continue
-        nxt = int(mover(world, agent, rng))
-        world.occupancy[agent.current_store] -= 1
-        agent.current_store = nxt
-        agent.path.append(nxt)
-        agent.transitions_made += 1
-        report.move_entries.append((agent.agent_id, agent.group, nxt))
-        if agent.transitions_made >= cfg.max_transitions:
-            agent.status = STATIONARY
-            agent.dwell_remaining = 0
-            world.stationary_unretired += 1
-        else:
-            agent.dwell_remaining = _draw_dwell(cfg, rng)
-            world.occupancy[nxt] += 1
+    ids = np.flatnonzero(world.active)
+    world.dwell[ids] -= 1
+    movers = ids[world.dwell[ids] <= 0]
+    if len(movers):
+        stores = np.asarray(mover(world, movers, rng), dtype=np.int64)
+        s = len(world.occupancy)
+        world.occupancy -= np.bincount(world.store[movers], minlength=s)
+        world.store[movers] = stores
+        world.transitions[movers] += 1
+        world.path[movers, world.transitions[movers]] = stores
+        done = world.transitions[movers] >= cfg.max_transitions
+        finished, going = movers[done], movers[~done]
+        world.active[finished] = False
+        world.dwell[finished] = 0
+        world.stationary_unretired += len(finished)
+        world.dwell[going] = _draw_dwells(cfg, len(going), rng)
+        world.occupancy += np.bincount(stores[~done], minlength=s)
+        report.moves = (movers, world.group[movers], stores)
 
     replenish(world, cfg, placer, rng)
     return world
@@ -368,18 +400,22 @@ def step_world(
 def model_mover(choice: ChoiceModel):
     """Movement policy that samples directly from the choice model."""
 
-    def mover(world, agent, rng):
-        return choice.sample(agent.group, agent.current_store, world.congestion, rng)
+    def mover(world, ids, rng):
+        return choice.sample(world.group[ids], world.store[ids], world.congestion, rng)
 
     return mover
 
 
-def agent_paths(world: WorldState):
-    """(agent_id, group, path) for every spawned agent, partial paths included."""
-    return [(a.agent_id, a.group, tuple(a.path)) for a in world.agents]
+def path_rows(world: WorldState) -> np.ndarray:
+    """(agent_id, group, position, store) rows of every spawned agent's path,
+    partial paths included, ordered by agent, then position: the layout
+    io.read_paths returns."""
+    agent, position = np.nonzero(world.path[: world.agents_spawned] >= 0)
+    return np.column_stack([agent, world.group[agent], position, world.path[agent, position]])
 
 
-def completed_paths(world: WorldState, cfg: SimConfig):
-    """(group, path) for agents that finished all transitions."""
-    full = cfg.max_transitions + 1
-    return [(a.group, tuple(a.path)) for a in world.agents if len(a.path) == full]
+def completed_paths(world: WorldState):
+    """(groups, paths) arrays of the agents that finished all transitions."""
+    n = world.agents_spawned
+    done = world.path[:n, -1] >= 0
+    return world.group[:n][done], world.path[:n][done]

@@ -21,20 +21,38 @@ def log_normalize(v: np.ndarray) -> np.ndarray:
 
 
 def log_normalize_rows(v: np.ndarray) -> np.ndarray:
-    """Shift each row of a finite 2-D v so that exp(row) sums to 1."""
-    m = v.max(axis=1, keepdims=True)
-    return v - (m + np.log(np.exp(v - m).sum(axis=1, keepdims=True)))
+    """Shift each row (last axis) of v so that exp(row) sums to 1.
+
+    Every row's largest entry must be finite; -inf entries stay -inf.
+    """
+    m = v.max(axis=-1, keepdims=True)
+    return v - (m + np.log(np.exp(v - m).sum(axis=-1, keepdims=True)))
 
 
 def categorical(rng: np.random.Generator, probs: np.ndarray, size: int | None = None):
-    """Draw index/indices from a normalized probability vector.
+    """Inverse-CDF draws from one probability vector, or from each row of a stack.
 
-    Inverse-CDF sampling; one uniform per draw, so the stream consumption is
-    independent of the category count.
+    probs is (K,) or (m, K). Without size this returns one index for a vector
+    and one index per row for a stack; with size it returns `size` indices
+    (per row). One uniform per draw, so the stream consumption is independent
+    of the category count. Each uniform is scaled by its row's CDF total, so
+    the last category with non-zero probability is reached without clamping,
+    and a zero-probability category is never drawn.
+
+    Raises ValueError on a NaN or negative entry, or a row that sums more than
+    1e-9 away from 1.
     """
-    cdf = np.cumsum(probs)
-    last = len(probs) - 1
-    if size is None:
-        return min(int(np.searchsorted(cdf, rng.random(), side="right")), last)
-    idx = np.searchsorted(cdf, rng.random(size), side="right")
-    return np.minimum(idx, last)
+    p = np.asarray(probs, dtype=float)
+    if not np.all(p >= 0):  # also false for NaN
+        raise ValueError("probabilities must be non-negative numbers")
+    cdf = np.cumsum(p, axis=-1)
+    total = cdf[..., -1:]
+    if np.any(np.abs(total - 1.0) > 1e-9):
+        raise ValueError("probabilities must sum to 1 (within 1e-9)")
+    if p.ndim == 1:
+        if size is None:
+            return int(np.searchsorted(cdf, rng.random() * total[0], side="right"))
+        return np.searchsorted(cdf, rng.random(size) * total[0], side="right")
+    u = rng.random(p.shape[:-1] + (1 if size is None else size,)) * total
+    idx = np.argmax(cdf[..., None, :] > u[..., None], axis=-1)  # first cdf entry above u
+    return idx[..., 0] if size is None else idx

@@ -19,6 +19,7 @@ from .model import (
     completed_paths,
     init_world,
     model_mover,
+    path_rows,
     step_world,
     uniform_placer,
 )
@@ -51,30 +52,34 @@ class SequencePool:
         return len(self.attrs)
 
 
+MOVE, SPAWN = 0, 1  # entry kinds in TruthRun.events
+
+
 @dataclass
 class TruthRun:
     world: WorldState
     observations: list          # ObservationRecord per step 0..horizon
-    events: list                # (step, agent_id, group, store, kind)
-    archive: list               # (group, path) of agents that finished roaming
+    events: np.ndarray          # (E, 5) rows (step, agent_id, group, store, kind)
+    archive: tuple              # (groups, paths) of agents that finished roaming
     od: np.ndarray              # origin x destination transition counts, all agents
 
 
-def _record_step(world, store_count, group_count, events, count_spawn_as_inflow):
+def _record_step(world, store_count, group_count, count_spawn_as_inflow):
+    """The step's observation record and its entry events, moves first."""
     report = world.last_report
-    inflow_attr = np.zeros((group_count, store_count), dtype=np.int64)
-    for agent_id, group, store in report.move_entries:
-        inflow_attr[group, store] += 1
-        events.append((report.step, agent_id, group, store, "move"))
-    for agent_id, group, store in report.spawn_entries:
-        events.append((report.step, agent_id, group, store, "spawn"))
-        if count_spawn_as_inflow:
-            inflow_attr[group, store] += 1
-    return ObservationRecord(
-        step=report.step,
-        inflow=inflow_attr.sum(axis=0),
-        inflow_by_attr=inflow_attr,
+    events = np.concatenate([
+        np.column_stack([np.full(len(ids), report.step), ids, groups, stores,
+                         np.full(len(ids), kind)])
+        for kind, (ids, groups, stores) in ((MOVE, report.moves), (SPAWN, report.spawns))
+    ])
+    counted = events if count_spawn_as_inflow else events[events[:, 4] == MOVE]
+    inflow_attr = np.bincount(
+        counted[:, 2] * store_count + counted[:, 3], minlength=group_count * store_count
+    ).reshape(group_count, store_count)
+    record = ObservationRecord(
+        step=report.step, inflow=inflow_attr.sum(axis=0), inflow_by_attr=inflow_attr
     )
+    return record, events
 
 
 def run_truth(
@@ -89,22 +94,20 @@ def run_truth(
     """
     choice = ChoiceModel(cfg.graph(), cfg.behavior, cfg.allow_self_transition)
     mover = model_mover(choice)
-    events: list = []
     world = init_world(cfg, uniform_placer, rng)
-    observations = [
-        _record_step(world, cfg.store_count, cfg.group_count, events, count_spawn_as_inflow)
-    ]
+    records = [_record_step(world, cfg.store_count, cfg.group_count, count_spawn_as_inflow)]
     for _ in range(cfg.horizon_steps):
         step_world(world, cfg, mover, uniform_placer, rng)
-        observations.append(
-            _record_step(world, cfg.store_count, cfg.group_count, events, count_spawn_as_inflow)
+        records.append(
+            _record_step(world, cfg.store_count, cfg.group_count, count_spawn_as_inflow)
         )
+    observations, events = zip(*records)
     return TruthRun(
         world=world,
-        observations=observations,
-        events=events,
-        archive=completed_paths(world, cfg),
-        od=build_od([a.path for a in world.agents], cfg.store_count),
+        observations=list(observations),
+        events=np.concatenate(events),
+        archive=completed_paths(world),
+        od=build_od(path_rows(world), cfg.store_count),
     )
 
 
@@ -116,7 +119,7 @@ def sample_biased_pool(
 ) -> SequencePool:
     """Draw a pool of completed paths with a biased group composition.
 
-    archive: (group, path) pairs of completed agents. Each pool entry draws
+    archive: (groups, paths) arrays of completed agents. Each pool entry draws
     its group from `ratios`, then a uniform path of that group; draws are
     without replacement within a group until it is exhausted, then with
     replacement.
@@ -124,37 +127,38 @@ def sample_biased_pool(
     ratios = np.asarray(ratios, dtype=float)
     if abs(ratios.sum() - 1.0) > 1e-9 or np.any(ratios < 0):
         raise ValueError("sampling ratios must be non-negative and sum to 1")
-    by_group: dict[int, list] = {g: [] for g in range(len(ratios))}
-    for group, path in archive:
-        by_group.setdefault(group, []).append(tuple(path))
+    archive_groups, archive_paths = (np.asarray(a) for a in archive)
+    members = [np.flatnonzero(archive_groups == g) for g in range(len(ratios))]
     for g, r in enumerate(ratios):
-        if r > 0 and not by_group[g]:
+        if r > 0 and len(members[g]) == 0:
             raise ValueError(f"group {g} has ratio {r} but no archived paths")
 
-    remaining = {g: list(paths) for g, paths in by_group.items()}
     groups = categorical(rng, ratios, size=pool_size)
-    paths, attrs = [], []
-    for g in groups:
-        g = int(g)
-        if remaining[g]:
-            i = int(rng.integers(len(remaining[g])))
-            paths.append(remaining[g].pop(i))
-        else:
-            i = int(rng.integers(len(by_group[g])))
-            paths.append(by_group[g][i])
-        attrs.append(g)
+    entries = np.empty(pool_size, dtype=np.int64)
+    for g, of_group in enumerate(members):
+        slots = np.flatnonzero(groups == g)
+        if len(slots) == 0:
+            continue
+        # a uniform ordered sample without replacement, then uniform with it
+        fresh = min(len(slots), len(of_group))
+        entries[slots[:fresh]] = rng.permutation(of_group)[:fresh]
+        entries[slots[fresh:]] = of_group[rng.integers(len(of_group), size=len(slots) - fresh)]
     return SequencePool(
-        paths=np.array(paths, dtype=np.int64),
-        attrs=np.array(attrs, dtype=np.int64),
+        paths=archive_paths[entries].astype(np.int64),
+        attrs=groups.astype(np.int64),
     )
 
 
 def rebuild_observations(events, horizon_steps, store_count, group_count,
                          count_spawn_as_inflow: bool = True):
-    """Reconstruct the observation trajectory from the raw entry-event log."""
+    """Reconstruct the observation trajectory from the raw entry-event log.
+
+    A plain loop over the events: the reference that the per-step counts of
+    run_truth are checked against.
+    """
     attr = np.zeros((horizon_steps + 1, group_count, store_count), dtype=np.int64)
-    for step, _agent_id, group, store, kind in events:
-        if kind == "spawn" and not count_spawn_as_inflow:
+    for step, _agent_id, group, store, kind in np.asarray(events).tolist():
+        if kind == SPAWN and not count_spawn_as_inflow:
             continue
         attr[step, group, store] += 1
     return [

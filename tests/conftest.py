@@ -1,16 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from roamlab.config import resolve_config
-from roamlab.model import (
-    ACTIVE,
-    AgentState,
-    BehaviorParams,
-    SimConfig,
-    StoreGraph,
-    WorldState,
-    unit_distance,
-)
+from roamlab.model import BehaviorParams, SimConfig, StoreGraph, new_world, unit_distance
+
+# CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # Overrides for a fast full pipeline: same structure, ~10x smaller.
 TINY_OVERRIDES = {
@@ -36,33 +35,43 @@ def make_graph(attractiveness, distance=None):
     return StoreGraph(distance=d, attractiveness=a)
 
 
-def make_world(agents, store_count, quotas=(10, 10, 10, 10), spawned=None, step=0):
-    """WorldState consistent with the given agents."""
-    occupancy = np.zeros(store_count, dtype=np.int64)
-    for a in agents:
-        if a.status == ACTIVE:
-            occupancy[a.current_store] += 1
-    return WorldState(
-        step=step,
-        agents=list(agents),
-        occupancy=occupancy,
-        congestion=occupancy.copy(),
-        agents_spawned=len(agents) if spawned is None else spawned,
-        group_quota_remaining=np.array(quotas, dtype=np.int64),
-    )
+def make_agent(group=0, store=0, dwell=2, path=None, active=True):
+    """One agent for make_world: its visited stores end at its current store."""
+    return {"group": group, "path": [store] if path is None else list(path),
+            "dwell": dwell, "active": active}
 
 
-def make_agent(agent_id=0, group=0, store=0, dwell=2, path=None, transitions=None, status=ACTIVE):
-    path = [store] if path is None else list(path)
-    return AgentState(
-        agent_id=agent_id,
-        group=group,
-        current_store=path[-1],
-        dwell_remaining=dwell,
-        transitions_made=len(path) - 1 if transitions is None else transitions,
-        path=path,
-        status=status,
-    )
+def make_world(agents, store_count, quotas=(10, 10, 10, 10), spawned=None, capacity=None):
+    """WorldState holding the given agents as ids 0, 1, ...
+
+    Ids from len(agents) up to `spawned` are spawned agents that have left
+    (no path, inactive); `capacity` is the total-agent budget.
+    """
+    spawned = len(agents) if spawned is None else spawned
+    capacity = max(spawned, 1) if capacity is None else capacity
+    world = new_world(SimConfig(
+        store_count=store_count, total_agents=capacity,
+        group_count=len(quotas), group_quotas=quotas,
+    ))
+    for i, a in enumerate(agents):
+        path = a["path"]
+        world.group[i] = a["group"]
+        world.store[i] = path[-1]
+        world.dwell[i] = a["dwell"]
+        world.transitions[i] = len(path) - 1
+        world.active[i] = a["active"]
+        world.path[i, : len(path)] = path
+        if a["active"]:
+            world.occupancy[path[-1]] += 1
+    world.congestion = world.occupancy.copy()
+    world.agents_spawned = spawned
+    return world
+
+
+def agent_path(world, agent_id):
+    """The stores one agent has visited, as a list."""
+    row = world.path[agent_id]
+    return row[row >= 0].tolist()
 
 
 def path_rows(triples):

@@ -1,0 +1,51 @@
+"""Per-agent reference kernels: one agent and one draw at a time, in plain Python.
+
+roamlab draws all movers of a step, and all agents of a spawn batch, in one
+batched call. These kernels state the laws those batches must follow; the law
+tests in test_law.py draw from both and compare the counts.
+"""
+
+import math
+
+
+def choice_probs(graph, behavior, group, current, congestion, allow_self_transition=False):
+    """Next-store probabilities of one agent, with math.exp over the utilities
+    u_j = k*(A_gj + sum_{j'!=j} A_gj' * (1 + d_jj')^-lam) + omega*c_j."""
+    a, d, pm = graph.attractiveness[group], graph.distance, behavior[group]
+    stores = range(len(a))
+    u = {
+        j: pm.k * (a[j] + sum(a[jp] * (1.0 + d[j, jp]) ** -pm.lam for jp in stores if jp != j))
+        + pm.omega * float(congestion[j])
+        for j in stores
+        if allow_self_transition or j != current
+    }
+    top = max(u.values())
+    z = sum(math.exp(v - top) for v in u.values())
+    return [math.exp(u[j] - top) / z if j in u else 0.0 for j in stores]
+
+
+def draw(rng, probs):
+    """One inverse-CDF draw from a list of probabilities."""
+    u, acc = rng.random(), 0.0
+    for i, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return i
+    return max(i for i, p in enumerate(probs) if p > 0)  # u beyond a rounded-down total
+
+
+def filtered_move(rng, probs, log_w, n):
+    """Propose n candidate stores from probs, weight each by exp(log_w[store]),
+    and select one by weight."""
+    candidates = [draw(rng, probs) for _ in range(n)]
+    w = [math.exp(log_w[c]) for c in candidates]
+    z = sum(w)
+    return candidates[draw(rng, [x / z for x in w])]
+
+
+def sequence_probs(paths, log_w):
+    """Selection probability of each pool path: the sum of exp(log_w[s]) over
+    its visits, normalized over the pool."""
+    raw = [sum(math.exp(log_w[s]) for s in path) for path in paths]
+    z = sum(raw)
+    return [r / z for r in raw]

@@ -127,8 +127,7 @@ def test_criterion_4_softmax_properties():
 def test_criterion_5_uniform_likelihood_is_noop():
     graph = make_graph([[5.0, 5.0, 5.0]])
     choice = ChoiceModel(graph, (BehaviorParams(),))
-    agent = make_agent(store=0)
-    world = make_world([agent], store_count=3)
+    world = make_world([make_agent(store=0)], store_count=3)
     world.congestion = np.array([4, 2, 1])
     expected = choice.probs(0, 0, world.congestion)
 
@@ -138,11 +137,16 @@ def test_criterion_5_uniform_likelihood_is_noop():
     sw = update_store_weights(StoreWeightVector.uniform(3), uniform_obs)
 
     rng = np.random.default_rng(51)
-    n = 100_000
-    draws = np.empty(n, dtype=int)
-    for i in range(n):
-        candidates = propose_particles(agent, world, choice, 100, rng)
-        draws[i] = resample_and_select(weight_particles(candidates, sw), rng)
+    n, chunk = 100_000, 10_000  # one batched move of `chunk` copies of the agent at a time
+    draws = np.concatenate([
+        resample_and_select(
+            weight_particles(
+                propose_particles(world, np.zeros(chunk, dtype=np.int64), choice, 100, rng), sw
+            ),
+            rng,
+        )
+        for _ in range(n // chunk)
+    ])
     counts = np.bincount(draws, minlength=3)
     cand = expected > 0
     p = stats.chisquare(counts[cand], f_exp=n * expected[cand]).pvalue
@@ -196,7 +200,7 @@ def test_criterion_7_metric_unit_oracles():
     zero = discrepancy(a, a)
     table = ngram_table(path_rows([(0, 0, (0, 1, 2, 3))]), 4, 3)
     grams = {decode_ngram(c, 4, 3): int(table[c]) for c in np.flatnonzero(table)}
-    od = build_od([[0, 1, 2, 3]], 4)
+    od = build_od(path_rows([(0, 0, (0, 1, 2, 3))]), 4)
     check(
         7,
         six == 6.0 and zero == 0.0

@@ -10,8 +10,8 @@ from roamlab.assimilation import (
     AssimOptions,
     ParticleSet,
     StoreWeightVector,
-    assign_sequence,
-    place_new_agent,
+    assign_sequences,
+    place_new_agents,
     propose_particles,
     resample_and_select,
     run_assimilation,
@@ -20,10 +20,11 @@ from roamlab.assimilation import (
     weight_particles,
     weight_sequences,
 )
-from roamlab.model import BehaviorParams, ChoiceModel
-from roamlab.twin import ObservationRecord, SequencePool, run_truth
+from roamlab.model import BehaviorParams, ChoiceModel, completed_paths, path_rows
+from roamlab.numerics import log_normalize
+from roamlab.twin import ObservationRecord, SequencePool, run_truth, sample_biased_pool
 
-from conftest import make_agent, make_graph, make_world, small_sim_config
+from conftest import agent_path, make_agent, make_graph, make_world, small_sim_config
 
 
 def obs(step, inflow, groups=1):
@@ -96,21 +97,20 @@ class TestStoreWeights:
 class TestParticleOps:
     def frozen_scene(self, attractiveness=(5.0, 5.0, 5.0)):
         choice = ChoiceModel(make_graph([list(attractiveness)]), (BehaviorParams(),))
-        agent = make_agent(store=0)
-        world = make_world([agent], store_count=len(attractiveness))
-        return world, choice, agent
+        world = make_world([make_agent(store=0)], store_count=len(attractiveness))
+        return world, choice, np.array([0])
 
     def test_degenerate_proposal_is_constant(self):
-        world, choice, agent = self.frozen_scene((5.0, 5.0))
-        candidates = propose_particles(agent, world, choice, 50, np.random.default_rng(0))
+        world, choice, ids = self.frozen_scene((5.0, 5.0))
+        candidates = propose_particles(world, ids, choice, 50, np.random.default_rng(0))[0]
         assert len(candidates) == 50
         assert np.all(candidates == 1)  # only candidate besides the current store
 
     def test_proposal_frequencies_match_choice_model(self):
-        world, choice, agent = self.frozen_scene((5.0, 7.0, 6.0, 5.5))
-        probs = choice.probs(agent.group, agent.current_store, world.congestion)
+        world, choice, ids = self.frozen_scene((5.0, 7.0, 6.0, 5.5))
+        probs = choice.probs(0, 0, world.congestion)
         n = 100_000
-        candidates = propose_particles(agent, world, choice, n, np.random.default_rng(1))
+        candidates = propose_particles(world, ids, choice, n, np.random.default_rng(1))[0]
         counts = np.bincount(candidates, minlength=4)
         sigma = np.sqrt(n * probs * (1 - probs))
         assert np.all(np.abs(counts - n * probs) <= 3 * np.maximum(sigma, 1e-9))
@@ -135,8 +135,8 @@ class TestParticleOps:
         log_attr = np.log(np.array([[0.9, 0.1], [0.2, 0.8]]))
         sw = StoreWeightVector(step=1, log_w=np.log([0.5, 0.5]), log_w_attr=log_attr)
         candidates = np.array([0, 1])
-        np.testing.assert_allclose(weight_particles(candidates, sw, group=0).weights, [0.9, 0.1])
-        np.testing.assert_allclose(weight_particles(candidates, sw, group=1).weights, [0.2, 0.8])
+        np.testing.assert_allclose(weight_particles(candidates, sw, groups=0).weights, [0.9, 0.1])
+        np.testing.assert_allclose(weight_particles(candidates, sw, groups=1).weights, [0.2, 0.8])
 
     def test_single_particle_always_selected(self):
         ps = ParticleSet(NEXT_STORE, np.array([7]), np.zeros(1))
@@ -173,7 +173,7 @@ class TestParticleOps:
         rng = np.random.default_rng(4)
         n = 100_000
         w = np.array(softmax_oracle([2, 1, 0]))
-        counts = np.bincount([place_new_agent(sw, rng) for _ in range(n)], minlength=3)
+        counts = np.bincount(place_new_agents(sw, rng, n), minlength=3)
         sigma = np.sqrt(n * w * (1 - w))
         assert np.all(np.abs(counts - n * w) <= 3 * sigma)
 
@@ -182,13 +182,13 @@ class TestParticleOps:
         log_w[5] = 0.0
         sw = StoreWeightVector(step=1, log_w=log_w)
         rng = np.random.default_rng(5)
-        assert all(place_new_agent(sw, rng) == 5 for _ in range(20))
+        assert np.all(place_new_agents(sw, rng, 20) == 5)
 
     def test_placement_uniform_weights(self):
         sw = StoreWeightVector.uniform(4)
         rng = np.random.default_rng(6)
         n = 40_000
-        counts = np.bincount([place_new_agent(sw, rng) for _ in range(n)], minlength=4)
+        counts = np.bincount(place_new_agents(sw, rng, n), minlength=4)
         sigma = math.sqrt(n * 0.25 * 0.75)
         assert np.all(np.abs(counts - n * 0.25) <= 3 * sigma)
 
@@ -222,11 +222,35 @@ class TestSequenceWeights:
         ps = weight_sequences(pool, sw)
         np.testing.assert_allclose(ps.weights, [1.4 / 2.4, 1.0 / 2.4], atol=1e-12)
 
+    def test_far_negative_store_weights_stay_finite(self):
+        # exp(-800) underflows to 0, so a sum of linear weights is 0 for every
+        # path and the pool cannot be weighted; the log-sum-exp keeps them.
+        pool = self.pool([[0, 1, 2, 3], [3, 3, 2, 0], [1, 2, 1, 2]])
+        log_w = np.array([-800.0, -801.5, -799.0, -802.25])
+        ps = weight_sequences(pool, StoreWeightVector(step=1, log_w=log_w))
+        raw = []
+        for path in pool.paths.tolist():
+            top = max(log_w[s] for s in path)
+            raw.append(top + math.log(sum(math.exp(log_w[s] - top) for s in path)))
+        top = max(raw)
+        z = top + math.log(sum(math.exp(r - top) for r in raw))
+        assert np.all(np.isfinite(ps.log_weights))
+        np.testing.assert_allclose(ps.log_weights, [r - z for r in raw], rtol=0, atol=1e-12)
+
+    def test_log_space_matches_linear_sum(self):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            pool = self.pool(rng.integers(6, size=(int(rng.integers(1, 30)), 4)))
+            sw = StoreWeightVector(step=1, log_w=log_normalize(rng.normal(scale=3.0, size=6)))
+            raw = np.exp(sw.log_w)[pool.paths].sum(axis=1)
+            ps = weight_sequences(pool, sw)
+            np.testing.assert_allclose(ps.weights, raw / raw.sum(), rtol=0, atol=1e-12)
+
     def test_single_entry_always_assigned(self):
         pool = self.pool([[0, 1, 2, 3]])
         ps = weight_sequences(pool, StoreWeightVector.uniform(4))
         rng = np.random.default_rng(0)
-        assert all(assign_sequence(ps, rng) == 0 for _ in range(10))
+        assert np.all(assign_sequences(ps, rng, 10) == 0)
 
     def test_random_baseline_is_uniform(self):
         # One seed agent moves at step 1 and goes stationary, which spawns n
@@ -244,7 +268,7 @@ class TestSequenceWeights:
             cfg, observations, 3, pool=pool, rng=np.random.default_rng(7),
             options=AssimOptions(random_baseline=True),
         )
-        spawned = [entry for step, _, entry, _ in run.assignments if step == 1]
+        spawned = run.assignments[run.assignments[:, 0] == 1, 2]
         assert len(spawned) == n
         counts = np.bincount(spawned, minlength=4)
         sigma = math.sqrt(n * 0.25 * 0.75)
@@ -257,7 +281,7 @@ class TestSequenceWeights:
         w = ps.weights
         rng = np.random.default_rng(8)
         n = 100_000
-        counts = np.bincount([assign_sequence(ps, rng) for _ in range(n)], minlength=3)
+        counts = np.bincount(assign_sequences(ps, rng, n), minlength=3)
         sigma = np.sqrt(n * w * (1 - w))
         assert np.all(np.abs(counts - n * w) <= 3 * sigma)
 
@@ -287,11 +311,8 @@ class TestRunAssimilation:
             attractiveness=np.full((2, 5), 5.0),
         )
         truth = run_truth(truth_cfg, np.random.default_rng(seed))
-        from roamlab.model import completed_paths
-        from roamlab.twin import sample_biased_pool
-
         pool = sample_biased_pool(
-            completed_paths(truth.world, truth_cfg), [0.6, 0.4], 30,
+            completed_paths(truth.world), [0.6, 0.4], 30,
             np.random.default_rng(seed + 1),
         )
         return truth_cfg, assim_cfg, truth, pool
@@ -323,19 +344,20 @@ class TestRunAssimilation:
             )
             for _ in range(2)
         ]
-        assert [a.path for a in runs[0].world.agents] == [a.path for a in runs[1].world.agents]
-        assert runs[0].assignments == runs[1].assignments
+        np.testing.assert_array_equal(path_rows(runs[0].world), path_rows(runs[1].world))
+        np.testing.assert_array_equal(runs[0].assignments, runs[1].assignments)
 
     def test_case3_realized_paths_come_from_pool(self):
         _, assim_cfg, truth, pool = self.setup_inputs()
         run = run_assimilation(
             assim_cfg, truth.observations, 3, pool=pool, rng=np.random.default_rng(6)
         )
-        entry_of = {aid: e for _, aid, e, _ in run.assignments}
+        entry_of = {aid: e for _, aid, e, _ in run.assignments.tolist()}
         assert len(entry_of) == run.world.agents_spawned
-        for agent in run.world.agents:
-            assigned = pool.paths[entry_of[agent.agent_id]]
-            assert tuple(agent.path) == tuple(assigned[: len(agent.path)])
+        for agent_id in range(run.world.agents_spawned):
+            path = agent_path(run.world, agent_id)
+            assigned = pool.paths[entry_of[agent_id]]
+            assert tuple(path) == tuple(assigned[: len(path)])
 
     def test_case3_weights_pool_once_per_step(self, monkeypatch):
         # The store weights change once per step, so the pool is reweighted
@@ -402,9 +424,8 @@ class TestRunAssimilation:
             options=AssimOptions(filter_moves=False),
         )
         placed = {0: [], 1: []}
-        for agent in run.world.agents:
-            if agent.agent_id >= 10:  # skip the uniform initial population
-                placed[agent.group].append(agent.path[0])
+        for agent_id in range(10, run.world.agents_spawned):  # skip the initial population
+            placed[int(run.world.group[agent_id])].append(int(run.world.path[agent_id, 0]))
         # exp(30) likelihood concentrates essentially all mass on one store
         assert set(placed[0]) == {0}
         assert set(placed[1]) == {4}
@@ -413,16 +434,13 @@ class TestRunAssimilation:
         # Flat inflows make the likelihood constant, so propose-weight-select
         # must sample the plain choice distribution.
         choice = ChoiceModel(make_graph([[5.0, 6.5, 5.8]]), (BehaviorParams(),))
-        agent = make_agent(store=0)
-        world = make_world([agent], store_count=3)
-        expected = choice.probs(agent.group, agent.current_store, world.congestion)
+        world = make_world([make_agent(store=0)], store_count=3)
+        expected = choice.probs(0, 0, world.congestion)
         sw = update_store_weights(StoreWeightVector.uniform(3), obs(1, [4, 4, 4]))
         rng = np.random.default_rng(10)
         n = 20_000
-        draws = []
-        for _ in range(n):
-            candidates = propose_particles(agent, world, choice, 100, rng)
-            draws.append(resample_and_select(weight_particles(candidates, sw), rng))
+        candidates = propose_particles(world, np.zeros(n, dtype=np.int64), choice, 100, rng)
+        draws = resample_and_select(weight_particles(candidates, sw), rng)
         counts = np.bincount(draws, minlength=3)
         sigma = np.sqrt(n * expected * (1 - expected))
         assert np.all(np.abs(counts - n * expected) <= 3 * np.maximum(sigma, 1e-9))
@@ -431,4 +449,4 @@ class TestRunAssimilation:
         cfg = small_sim_config()
         w1 = run_baseline(cfg, np.random.default_rng(3))
         w2 = run_baseline(cfg, np.random.default_rng(3))
-        assert [a.path for a in w1.agents] == [a.path for a in w2.agents]
+        np.testing.assert_array_equal(path_rows(w1), path_rows(w2))

@@ -4,10 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import roamlab
+from roamlab import io
 from roamlab.cli import EXIT_CONFIG_READ, EXIT_CONFIG_SCHEMA, EXIT_IO, EXIT_OK, main
+from roamlab.config import resolve_config
+from roamlab.experiment import case_labels, replicate_dir
 
 from conftest import TINY_OVERRIDES
 
@@ -138,6 +142,20 @@ class TestPipeline:
         assert len(err.splitlines()) == 1
         assert not (out / "case1").exists()
 
+    def test_evaluate_on_header_only_assignments_exits_4(self, mini_config, tmp_path, capsys):
+        # With no rows the assignment composition would be 0/0, a NaN that
+        # metrics.json cannot carry as valid JSON.
+        out = tmp_path / "out"
+        base = ["--config", str(mini_config), "--out", str(out)]
+        assert main(["experiment", *base, "--case", "3", "--jobs", "1"]) == EXIT_OK
+        target = out / "case3" / "000" / "assigned_sequences.csv"
+        target.write_text(target.read_text().splitlines(keepends=True)[0])
+        capsys.readouterr()
+        assert main(["evaluate", *base]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+        assert len(err.splitlines()) == 1
+
     def test_unusable_output_dir_exits_4(self, mini_config, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -186,3 +204,40 @@ class TestPipeline:
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["sim.store_count"] == 18
+
+
+PATHS_FILE = {"truth": "truth_paths.csv", "baseline": "baseline_paths.csv"}
+OD_FILE = {"truth": "truth_od.csv", "baseline": "baseline_od.csv"}
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        {"flags.weight_accumulation": True},
+        {"flags.explicit_resample": True},
+        {"flags.random_baseline": True},
+        {"flags.allow_self_transition": True},
+        {"flags.count_spawn_as_inflow": False},
+        {"flags.filter_moves": False},
+        {"flags.weighted_placement": False},
+    ],
+    ids=lambda flag: "-".join(f"{k}={v}" for k, v in flag.items()),
+)
+def test_experiment_under_each_ablation_flag(tmp_path, flag):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**TINY_OVERRIDES, **flag}))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out", str(out), "--jobs", "1"]) == EXIT_OK
+    cfg = resolve_config(json.loads(path.read_text()))
+    sim = cfg.assim
+    for role in ["truth", "baseline", *case_labels(cfg)]:
+        for r in range(cfg.replicate_count):
+            d = replicate_dir(out, role, r)
+            rows = io.read_paths(d / PATHS_FILE.get(role, "assim_paths.csv"))
+            starts = rows[rows[:, 2] == 0]  # one row per agent: its first store
+            assert len(starts) == sim.total_agents, role
+            groups = np.bincount(starts[:, 1], minlength=sim.group_count)
+            assert groups.tolist() == list(sim.group_quotas), role
+            assert rows[:, 2].max() <= sim.max_transitions, role
+            od = io.read_od(d / OD_FILE.get(role, "assim_od.csv"))
+            assert od.sum() == np.count_nonzero(rows[:, 2] > 0), role

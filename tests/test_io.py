@@ -40,7 +40,7 @@ def test_od_roundtrip(tmp_path):
 
 def test_paths_roundtrip(tmp_path):
     triples = [(0, 1, (4, 2, 0)), (1, 3, (5,)), (2, 0, (1, 1, 2, 3))]
-    io.write_paths(tmp_path / "p.csv", triples)
+    io.write_paths(tmp_path / "p.csv", path_rows(triples))
     back = io.read_paths(tmp_path / "p.csv")
     assert back.dtype == np.int64
     np.testing.assert_array_equal(back, path_rows(triples))
@@ -77,7 +77,7 @@ def shuffle_rows(path, seed):
 
 def test_paths_read_in_agent_and_position_order_whatever_the_row_order(tmp_path):
     triples = [(0, 1, (4, 2, 0)), (1, 3, (5,)), (2, 0, (1, 1, 2, 3)), (3, 2, (0, 1))]
-    io.write_paths(tmp_path / "p.csv", triples)
+    io.write_paths(tmp_path / "p.csv", path_rows(triples))
     shuffle_rows(tmp_path / "p.csv", 3)
     np.testing.assert_array_equal(io.read_paths(tmp_path / "p.csv"), path_rows(triples))
 

@@ -24,27 +24,55 @@ int_matrix = st.integers(2, 5).flatmap(
 )
 
 
+def od_of(paths, store_count):
+    """build_od over plain paths, one agent per path."""
+    return build_od(path_rows([(i, 0, p) for i, p in enumerate(paths)]), store_count)
+
+
 class TestBuildOd:
     def test_single_path(self):
-        od = build_od([[0, 1, 2, 3]], 4)
+        od = od_of([[0, 1, 2, 3]], 4)
         assert od[0, 1] == od[1, 2] == od[2, 3] == 1
         assert od.sum() == 3
 
     def test_empty_path_set(self):
-        assert build_od([], 3).sum() == 0
+        assert od_of([], 3).sum() == 0
 
     def test_repeated_transition_accumulates(self):
-        od = build_od([[0, 1], [0, 1]], 2)
+        od = od_of([[0, 1], [0, 1]], 2)
         assert od[0, 1] == 2
 
     def test_single_store_paths_add_nothing(self):
-        assert build_od([[2]], 3).sum() == 0
+        assert od_of([[2]], 3).sum() == 0
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=6), max_size=8))
     def test_total_equals_transition_count(self, paths):
-        od = build_od(paths, 6)
+        od = od_of(paths, 6)
         assert od.sum() == sum(len(p) - 1 for p in paths)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda s: st.tuples(
+                st.just(s),
+                st.lists(st.lists(st.integers(0, s - 1), min_size=1, max_size=6), max_size=10),
+            )
+        ),
+        st.lists(st.integers(1, 3), min_size=10, max_size=10),
+    )
+    def test_matches_plain_python_pair_count(self, store_paths, id_gaps):
+        # Paths of different lengths sit next to each other, under ascending
+        # but not consecutive agent ids; no pair may join two agents.
+        store_count, paths = store_paths
+        ids = np.cumsum(id_gaps)[: len(paths)]
+        od = build_od(path_rows(list(zip(ids, [0] * len(paths), paths))), store_count)
+        oracle = np.zeros((store_count, store_count), dtype=np.int64)
+        for path in paths:
+            for a, b in zip(path[:-1], path[1:]):
+                oracle[a, b] += 1
+        assert od.shape == (store_count, store_count)
+        np.testing.assert_array_equal(od, oracle)
 
 
 class TestDiscrepancy:

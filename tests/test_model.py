@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roamlab.model import (
-    ACTIVE,
-    STATIONARY,
     BehaviorParams,
     ChoiceModel,
     SimConfig,
+    StepReport,
     StoreGraph,
     init_world,
     model_mover,
+    path_rows,
     replenish,
     step_world,
     store_utilities,
@@ -21,7 +22,7 @@ from roamlab.model import (
     unit_distance,
 )
 
-from conftest import make_agent, make_graph, make_world, small_sim_config
+from conftest import agent_path, make_agent, make_graph, make_world, small_sim_config
 
 
 def params(omega=0.0, k=1.0, lam=6.0):
@@ -115,32 +116,27 @@ class TestChoiceProbabilities:
 
 class TestChoiceModel:
     def test_matches_direct_computation(self):
-        # Scalar oracle sharing no code with the kernel:
+        # Scalar oracle sharing no code with the kernel (reference.choice_probs):
         # u_j = k*(A_gj + sum_{j'!=j} A_gj' * (1 + d_jj')^-lam) + omega*c_j,
-        # normalized with math.exp over every store but the current one.
+        # normalized with math.exp over every store but the current one. The
+        # batched call over every (group, current store) row must agree too.
         rng = np.random.default_rng(3)
         a = rng.uniform(1, 10, size=(2, 7))
         d = rng.uniform(0, 4, size=(7, 7))
         d = (d + d.T) / 2
         np.fill_diagonal(d, 0.0)
         behavior = (params(omega=0.01), params(omega=0.3, k=0.7, lam=2.0))
-        model = ChoiceModel(make_graph(a, d), behavior)
+        graph = make_graph(a, d)
+        model = ChoiceModel(graph, behavior)
         congestion = rng.integers(0, 25, size=7)
-        for group, pm in enumerate(behavior):
-            for current in range(7):
-                u = {}
-                for j in range(7):
-                    if j == current:
-                        continue
-                    spill = sum(
-                        a[group, jp] * (1.0 + d[j, jp]) ** -pm.lam for jp in range(7) if jp != j
-                    )
-                    u[j] = pm.k * (a[group, j] + spill) + pm.omega * int(congestion[j])
-                z = sum(math.exp(v) for v in u.values())
-                expected = [math.exp(u[j]) / z if j in u else 0.0 for j in range(7)]
-                np.testing.assert_allclose(
-                    model.probs(group, current, congestion), expected, rtol=1e-12, atol=1e-15
-                )
+        groups, currents = np.repeat([0, 1], 7), np.tile(np.arange(7), 2)
+        batched = model.probs(groups, currents, congestion)
+        for row, (group, current) in enumerate(zip(groups, currents)):
+            expected = reference.choice_probs(graph, behavior, group, current, congestion)
+            np.testing.assert_allclose(
+                model.probs(group, current, congestion), expected, rtol=1e-12, atol=1e-15
+            )
+            np.testing.assert_allclose(batched[row], expected, rtol=1e-12, atol=1e-15)
 
     def test_static_part_excludes_self_spillover(self):
         graph = make_graph([[3.0, 4.0]])
@@ -148,49 +144,55 @@ class TestChoiceModel:
         np.testing.assert_allclose(u, [3.0 + 4.0 / 2.0, 4.0 + 3.0 / 2.0])
 
 
+def always(store):
+    """Mover sending every listed agent to one store."""
+    return lambda world, ids, rng: np.full(len(ids), store)
+
+
 class TestStepWorld:
     def test_dwell_countdown_without_move(self):
         cfg = small_sim_config()
-        agent = make_agent(dwell=2)
-        world = make_world([agent], store_count=3, quotas=(4, 4), spawned=4)
+        world = make_world([make_agent(dwell=2)], store_count=3, quotas=(4, 4), spawned=4,
+                           capacity=cfg.total_agents)
         mover_calls = []
 
-        def mover(world, agent, rng):
-            mover_calls.append(agent.agent_id)
-            return 1
+        def mover(world, ids, rng):
+            mover_calls.append(ids.tolist())
+            return np.ones(len(ids), dtype=np.int64)
 
         step_world(world, cfg, mover, uniform_placer, np.random.default_rng(0))
-        assert agent.dwell_remaining == 1
+        assert world.dwell[0] == 1
         assert mover_calls == []
-        assert agent.path == [0]
+        assert agent_path(world, 0) == [0]
 
     def test_move_on_dwell_zero(self):
         cfg = small_sim_config()
-        agent = make_agent(dwell=1)
-        world = make_world([agent], store_count=3, quotas=(4, 4), spawned=4)
-        step_world(world, cfg, lambda w, a, r: 2, uniform_placer, np.random.default_rng(0))
-        assert agent.path == [0, 2]
-        assert agent.transitions_made == 1
-        assert cfg.dwell_min <= agent.dwell_remaining <= cfg.dwell_max
-        assert world.last_report.move_entries == [(0, 0, 2)]
+        world = make_world([make_agent(dwell=1)], store_count=3, quotas=(4, 4), spawned=4,
+                           capacity=cfg.total_agents)
+        step_world(world, cfg, always(2), uniform_placer, np.random.default_rng(0))
+        assert agent_path(world, 0) == [0, 2]
+        assert world.transitions[0] == 1
+        assert cfg.dwell_min <= world.dwell[0] <= cfg.dwell_max
+        assert [a.tolist() for a in world.last_report.moves] == [[0], [0], [2]]
 
     def test_stationary_agent_never_moves(self):
         cfg = small_sim_config()
-        agent = make_agent(path=[0, 1, 2, 0], dwell=0, status=STATIONARY)
-        world = make_world([agent], store_count=3, quotas=(4, 4), spawned=4)
+        agent = make_agent(path=[0, 1, 2, 0], dwell=0, active=False)
+        world = make_world([agent], store_count=3, quotas=(4, 4), spawned=4,
+                           capacity=cfg.total_agents)
         world.stationary_unretired = 1
         for _ in range(5):
-            step_world(world, cfg, lambda w, a, r: 1, uniform_placer, np.random.default_rng(0))
-        assert agent.path == [0, 1, 2, 0]
-        assert agent.status == STATIONARY
+            step_world(world, cfg, always(1), uniform_placer, np.random.default_rng(0))
+        assert agent_path(world, 0) == [0, 1, 2, 0]
+        assert not world.active[0]
 
     def test_final_transition_marks_stationary(self):
         cfg = small_sim_config()
-        agent = make_agent(path=[0, 1, 2], dwell=1)
-        world = make_world([agent], store_count=3, quotas=(4, 4), spawned=4)
-        step_world(world, cfg, lambda w, a, r: 0, uniform_placer, np.random.default_rng(0))
-        assert agent.status == STATIONARY
-        assert agent.transitions_made == 3
+        world = make_world([make_agent(path=[0, 1, 2], dwell=1)], store_count=3, quotas=(4, 4),
+                           spawned=4, capacity=cfg.total_agents)
+        step_world(world, cfg, always(0), uniform_placer, np.random.default_rng(0))
+        assert not world.active[0]
+        assert world.transitions[0] == 3
         # one stationary agent; below threshold 2, so nothing spawned
         assert world.stationary_unretired == 1
         assert world.occupancy.sum() == 0
@@ -207,13 +209,14 @@ class TestStepWorld:
             group_quotas=(50, 50, 50, 50),
             attractiveness=np.full((4, 3), 5.0),
         ).validate()
-        agents = [make_agent(agent_id=i, path=[0, 1, 2], dwell=1) for i in range(40)]
-        world = make_world(agents, store_count=3, quotas=(50, 50, 50, 50), spawned=40)
-        step_world(world, cfg, lambda w, a, r: 0, uniform_placer, np.random.default_rng(1))
+        agents = [make_agent(path=[0, 1, 2], dwell=1) for _ in range(40)]
+        world = make_world(agents, store_count=3, quotas=(50, 50, 50, 50), spawned=40,
+                           capacity=cfg.total_agents)
+        step_world(world, cfg, always(0), uniform_placer, np.random.default_rng(1))
         assert world.agents_spawned == 80
-        newcomers = world.agents[40:]
-        assert len(newcomers) == 40
-        assert all(a.status == ACTIVE for a in newcomers)
+        newcomers = np.arange(40, 80)
+        assert world.last_report.spawns[0].tolist() == newcomers.tolist()
+        assert np.all(world.active[newcomers])
         assert world.stationary_unretired == 0  # batch retired
 
     def test_occupancy_tracks_active_agents(self):
@@ -225,23 +228,22 @@ class TestStepWorld:
         for _ in range(cfg.horizon_steps):
             step_world(world, cfg, mover, uniform_placer, rng)
             expected = np.zeros(cfg.store_count, dtype=np.int64)
-            for a in world.agents:
-                if a.status == ACTIVE:
-                    expected[a.current_store] += 1
+            for i in range(world.agents_spawned):
+                if world.active[i]:
+                    expected[agent_path(world, i)[-1]] += 1
             np.testing.assert_array_equal(world.occupancy, expected)
 
     def test_rejects_step_past_horizon(self):
         cfg = small_sim_config(horizon_steps=1)
-        world = make_world([make_agent()], store_count=3, quotas=(4, 4), spawned=4)
-        step_world(world, cfg, lambda w, a, r: 1, uniform_placer, np.random.default_rng(0))
+        world = make_world([make_agent()], store_count=3, quotas=(4, 4), spawned=4,
+                           capacity=cfg.total_agents)
+        step_world(world, cfg, always(1), uniform_placer, np.random.default_rng(0))
         with pytest.raises(ValueError, match="horizon"):
-            step_world(world, cfg, lambda w, a, r: 1, uniform_placer, np.random.default_rng(0))
+            step_world(world, cfg, always(1), uniform_placer, np.random.default_rng(0))
 
 
 class TestReplenish:
     def test_below_threshold_no_spawn(self):
-        from roamlab.model import StepReport
-
         cfg = SimConfig(
             store_count=3,
             total_agents=2000,
@@ -250,32 +252,30 @@ class TestReplenish:
             group_quotas=(500, 500, 500, 500),
             attractiveness=np.full((4, 3), 5.0),
         ).validate()
-        world = make_world([], store_count=3, quotas=(500, 500, 500, 500), spawned=100)
+        world = make_world([], store_count=3, quotas=(500, 500, 500, 500), spawned=100,
+                           capacity=cfg.total_agents)
         world.stationary_unretired = 39
-        world.last_report = StepReport(step=1, move_entries=[], spawn_entries=[])
+        world.last_report = StepReport(step=1)
         replenish(world, cfg, uniform_placer, np.random.default_rng(0))
         assert world.agents_spawned == 100
         assert world.stationary_unretired == 39
 
     def test_budget_exhausted_no_spawn(self):
-        from roamlab.model import StepReport
-
         cfg = SimConfig(
             store_count=3,
             total_agents=2000,
             group_quotas=(500, 500, 500, 500),
             attractiveness=np.full((4, 3), 5.0),
         ).validate()
-        world = make_world([], store_count=3, quotas=(0, 0, 0, 0), spawned=2000)
+        world = make_world([], store_count=3, quotas=(0, 0, 0, 0), spawned=2000,
+                           capacity=cfg.total_agents)
         world.stationary_unretired = 77
-        world.last_report = StepReport(step=1, move_entries=[], spawn_entries=[])
+        world.last_report = StepReport(step=1)
         replenish(world, cfg, uniform_placer, np.random.default_rng(0))
         assert world.agents_spawned == 2000
         assert world.stationary_unretired == 77
 
     def test_quota_exhaustion_caps_batch(self):
-        from roamlab.model import StepReport
-
         cfg = SimConfig(
             store_count=3,
             total_agents=2000,
@@ -284,22 +284,22 @@ class TestReplenish:
             group_quotas=(500, 500, 500, 500),
             attractiveness=np.full((4, 3), 5.0),
         ).validate()
-        world = make_world([], store_count=3, quotas=(0, 3, 0, 0), spawned=1997)
+        world = make_world([], store_count=3, quotas=(0, 3, 0, 0), spawned=1997,
+                           capacity=cfg.total_agents)
         world.stationary_unretired = 40
-        world.last_report = StepReport(step=1, move_entries=[], spawn_entries=[])
+        world.last_report = StepReport(step=1)
         replenish(world, cfg, uniform_placer, np.random.default_rng(0))
         assert world.agents_spawned == 2000
-        assert [a.group for a in world.agents] == [1, 1, 1]
+        assert world.group[1997:].tolist() == [1, 1, 1]
 
     def test_multiple_batches_fire_in_one_call(self):
-        from roamlab.model import StepReport
-
         cfg = small_sim_config(
             total_agents=100, group_quotas=(50, 50), replenish_threshold=2, replenish_count=2
         )
-        world = make_world([], store_count=3, quotas=(40, 40), spawned=20)
+        world = make_world([], store_count=3, quotas=(40, 40), spawned=20,
+                           capacity=cfg.total_agents)
         world.stationary_unretired = 5
-        world.last_report = StepReport(step=1, move_entries=[], spawn_entries=[])
+        world.last_report = StepReport(step=1)
         replenish(world, cfg, uniform_placer, np.random.default_rng(0))
         assert world.agents_spawned == 24  # two batches of 2
         assert world.stationary_unretired == 1
@@ -317,25 +317,26 @@ class TestLifecycleRun:
     def test_accounting_and_path_bounds(self):
         cfg = small_sim_config(horizon_steps=80, total_agents=20, group_quotas=(10, 10))
         world = self.run_to_horizon(cfg)
-        assert len(world.agents) == world.agents_spawned <= cfg.total_agents
-        spawned_by_group = np.bincount(
-            [a.group for a in world.agents], minlength=cfg.group_count
-        )
+        n = world.agents_spawned
+        assert n <= cfg.total_agents
+        assert np.all(world.path[n:] == -1) and not np.any(world.active[n:])
+        spawned_by_group = np.bincount(world.group[:n], minlength=cfg.group_count)
         for g, q in enumerate(cfg.group_quotas):
             assert spawned_by_group[g] <= q
-        for a in world.agents:
-            assert len(a.path) <= cfg.max_transitions + 1
-            assert a.path[-1] == a.current_store
-            assert a.transitions_made == len(a.path) - 1
-            assert (a.status == STATIONARY) == (a.transitions_made == cfg.max_transitions)
+        for i in range(n):
+            path = agent_path(world, i)
+            assert len(path) <= cfg.max_transitions + 1
+            assert path[-1] == world.store[i]
+            assert world.transitions[i] == len(path) - 1
+            assert (not world.active[i]) == (world.transitions[i] == cfg.max_transitions)
 
     def test_trajectories_are_seed_deterministic(self):
         cfg = small_sim_config(horizon_steps=40)
         w1 = self.run_to_horizon(cfg, seed=21)
         w2 = self.run_to_horizon(cfg, seed=21)
-        assert [a.path for a in w1.agents] == [a.path for a in w2.agents]
+        np.testing.assert_array_equal(path_rows(w1), path_rows(w2))
         w3 = self.run_to_horizon(cfg, seed=22)
-        assert [a.path for a in w1.agents] != [a.path for a in w3.agents]
+        assert not np.array_equal(path_rows(w1), path_rows(w3))
 
 
 class TestValidation:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,3 +58,42 @@ def test_categorical_clamps_rounding_overflow():
     probs = np.array([0.1] * 3 + [0.7 - 1e-12])
     draws = categorical(rng, probs, size=10_000)
     assert draws.max() <= 3
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [0.5, float("nan"), 0.5],
+        [0.6, -0.1, 0.5],
+        [0.25, 0.25, 0.0],  # sums to 0.5
+        [[0.2, 0.8, 0.0], [0.25, 0.25, 0.0]],
+        [[0.2, 0.8, 0.0], [float("nan"), 0.5, 0.5]],
+    ],
+)
+def test_categorical_rejects_nan_negative_and_unnormalised_input(probs):
+    with pytest.raises(ValueError, match="probabilities"):
+        categorical(np.random.default_rng(0), np.array(probs))
+
+
+def test_categorical_last_category_with_probability_one_always_drawn():
+    rng = np.random.default_rng(2)
+    probs = np.array([0.0, 0.0, 0.0, 1.0])
+    assert np.all(categorical(rng, probs, size=10_000) == 3)
+    assert all(categorical(rng, probs) == 3 for _ in range(100))
+    assert np.all(categorical(rng, np.tile(probs, (10_000, 1))) == 3)
+
+
+def test_categorical_each_row_draws_from_its_own_row():
+    rng = np.random.default_rng(3)
+    rows = np.array([[0.7, 0.3, 0.0, 0.0], [0.0, 0.0, 0.2, 0.8], [0.0, 1.0, 0.0, 0.0]])
+    n = 30_000
+    draws = categorical(rng, np.repeat(rows, n, axis=0)).reshape(3, n)
+    for row, got in zip(rows, draws):
+        counts = np.bincount(got, minlength=4)
+        assert np.all(counts[row == 0] == 0)
+        sigma = np.sqrt(n * row * (1 - row))
+        assert np.all(np.abs(counts - n * row) <= 3 * np.maximum(sigma, 1e-9))
+    per_row = categorical(rng, rows, size=n)
+    assert per_row.shape == (3, n)
+    for row, got in zip(rows, per_row):
+        assert np.all(row[got] > 0)

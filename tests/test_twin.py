@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from roamlab.metrics import build_od
-from roamlab.model import completed_paths
-from roamlab.twin import rebuild_observations, run_truth, sample_biased_pool
+from roamlab.model import completed_paths, path_rows
+from roamlab.twin import SPAWN, rebuild_observations, run_truth, sample_biased_pool
 
-from conftest import small_sim_config
+from conftest import agent_path, small_sim_config
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +43,8 @@ class TestObservations:
         # Counting oracle over the event log: each transition and each spawn
         # is exactly one entry.
         cfg, truth = truth_run
-        transitions = sum(len(a.path) - 1 for a in truth.world.agents)
         spawns = truth.world.agents_spawned
+        transitions = sum(len(agent_path(truth.world, i)) - 1 for i in range(spawns))
         assert sum(int(o.inflow.sum()) for o in truth.observations) == transitions + spawns
 
     def test_spawns_excluded_when_flag_off(self):
@@ -64,8 +64,8 @@ class TestObservations:
         moves = Counter()
         spawned_at = defaultdict(int)
         completed_at = defaultdict(int)
-        for step, aid, _g, _store, kind in truth.events:
-            if kind == "spawn":
+        for step, aid, _g, _store, kind in truth.events.tolist():
+            if kind == SPAWN:
                 spawned_at[step] += 1
             else:
                 moves[aid] += 1
@@ -90,14 +90,14 @@ class TestObservations:
 
     def test_archive_bounded_by_total_agents(self, truth_run):
         cfg, truth = truth_run
-        archive = completed_paths(truth.world, cfg)
-        assert len(archive) <= cfg.total_agents
-        assert all(len(p) == cfg.max_transitions + 1 for _, p in archive)
+        groups, paths = completed_paths(truth.world)
+        assert len(groups) == len(paths) <= cfg.total_agents
+        assert paths.shape[1] == cfg.max_transitions + 1 and np.all(paths >= 0)
 
     def test_od_margins_match_independent_path_counts(self, truth_run):
         cfg, truth = truth_run
-        paths = [tuple(a.path) for a in truth.world.agents]
-        od = build_od(paths, cfg.store_count)
+        paths = [agent_path(truth.world, i) for i in range(truth.world.agents_spawned)]
+        od = build_od(path_rows(truth.world), cfg.store_count)
         departures = np.zeros(cfg.store_count, dtype=int)
         arrivals = np.zeros(cfg.store_count, dtype=int)
         for p in paths:
@@ -109,13 +109,18 @@ class TestObservations:
         np.testing.assert_array_equal(od.sum(axis=0), arrivals)
 
 
+def as_archive(pairs):
+    """(groups, paths) arrays of (group, path) pairs."""
+    return np.array([g for g, _ in pairs]), np.array([p for _, p in pairs])
+
+
 class TestBiasedPool:
     def archive(self, rng, per_group=(30, 30, 30, 30), length=4, stores=6):
         out = []
         for g, n in enumerate(per_group):
             for _ in range(n):
                 out.append((g, tuple(int(x) for x in rng.integers(0, stores, size=length))))
-        return out
+        return as_archive(out)
 
     def test_degenerate_ratio_selects_one_group(self):
         rng = np.random.default_rng(0)
@@ -147,18 +152,18 @@ class TestBiasedPool:
     def test_without_replacement_until_group_exhausted(self):
         rng = np.random.default_rng(3)
         distinct = [(0, (0, 1, 2, 3)), (0, (1, 2, 3, 4)), (0, (2, 3, 4, 5))]
-        pool = sample_biased_pool(distinct, [1.0], 7, rng)
+        pool = sample_biased_pool(as_archive(distinct), [1.0], 7, rng)
         drawn = [tuple(p) for p in pool.paths]
         assert sorted(drawn[:3]) == sorted(p for _, p in distinct)
         assert all(d in {p for _, p in distinct} for d in drawn)
 
     def test_missing_group_with_positive_ratio_raises(self):
         rng = np.random.default_rng(4)
-        archive = [(0, (0, 1, 2, 3))]
+        archive = as_archive([(0, (0, 1, 2, 3))])
         with pytest.raises(ValueError, match="group 1"):
             sample_biased_pool(archive, [0.5, 0.5], 10, rng)
 
     def test_bad_ratios_raise(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match="sum to 1"):
-            sample_biased_pool([(0, (0, 1))], [0.7, 0.7], 4, rng)
+            sample_biased_pool(as_archive([(0, (0, 1))]), [0.7, 0.7], 4, rng)
