@@ -177,13 +177,13 @@ def weight_sequences(pool: SequencePool, sw: StoreWeightVector) -> ParticleSet:
 
     The sum (not product) runs over the normalized store weights; repeated
     stores count once per visit. It is taken in log space, as a log-sum-exp of
-    the path's store log weights shifted by the largest store log weight: a
-    path through that store sums to at least 1, so however far negative the
-    log weights drift, the pool never underflows to all zero.
+    each path's store log weights shifted by that path's largest one: every
+    shifted sum is at least 1, so however far negative the log weights drift,
+    no path weight underflows to zero.
     """
-    top = np.max(sw.log_w)
-    with np.errstate(divide="ignore"):
-        log_sums = top + np.log(np.exp(sw.log_w - top)[pool.paths].sum(axis=1))
+    log_w = sw.log_w[pool.paths]
+    top = log_w.max(axis=1)
+    log_sums = top + np.log(np.exp(log_w - top[:, None]).sum(axis=1))
     return ParticleSet(SEQUENCE, np.arange(pool.size), log_sums)
 
 

@@ -39,20 +39,34 @@ def categorical(rng: np.random.Generator, probs: np.ndarray, size: int | None = 
     the last category with non-zero probability is reached without clamping,
     and a zero-probability category is never drawn.
 
+    Every draw is one branchless binary search, run for all draws of all rows
+    at once: each row's CDF is padded with +inf to a power-of-two width, and
+    the count of its entries <= u, the index drawn, is built up bit by bit
+    (u < total, so that count is at most K - 1 and never reaches the padding).
+    That is O(log K) time and O(1) memory per draw.
+
     Raises ValueError on a NaN or negative entry, or a row that sums more than
     1e-9 away from 1.
     """
     p = np.asarray(probs, dtype=float)
     if not np.all(p >= 0):  # also false for NaN
         raise ValueError("probabilities must be non-negative numbers")
-    cdf = np.cumsum(p, axis=-1)
-    total = cdf[..., -1:]
+    rows = p.reshape(-1, p.shape[-1])
+    m, k = rows.shape
+    width = 1 << (k - 1).bit_length()
+    cdf = np.full((m, width), np.inf)
+    np.cumsum(rows, axis=-1, out=cdf[:, :k])
+    total = cdf[:, k - 1 : k]
     if np.any(np.abs(total - 1.0) > 1e-9):
         raise ValueError("probabilities must sum to 1 (within 1e-9)")
-    if p.ndim == 1:
-        if size is None:
-            return int(np.searchsorted(cdf, rng.random() * total[0], side="right"))
-        return np.searchsorted(cdf, rng.random(size) * total[0], side="right")
-    u = rng.random(p.shape[:-1] + (1 if size is None else size,)) * total
-    idx = np.argmax(cdf[..., None, :] > u[..., None], axis=-1)  # first cdf entry above u
-    return idx[..., 0] if size is None else idx
+    u = rng.random((m, 1 if size is None else size)) * total
+    flat = cdf.ravel()
+    start = np.arange(0, m * width, width)[:, None]
+    pos, step = np.broadcast_to(start, u.shape), width >> 1
+    while step:
+        pos = pos + step * (flat.take(pos + (step - 1)) <= u)
+        step >>= 1
+    idx = (pos - start).reshape(p.shape[:-1] + u.shape[-1:])
+    if size is not None:
+        return idx
+    return int(idx[0]) if p.ndim == 1 else idx[..., 0]

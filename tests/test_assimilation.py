@@ -222,11 +222,16 @@ class TestSequenceWeights:
         ps = weight_sequences(pool, sw)
         np.testing.assert_allclose(ps.weights, [1.4 / 2.4, 1.0 / 2.4], atol=1e-12)
 
-    def test_far_negative_store_weights_stay_finite(self):
+    @pytest.mark.parametrize("log_w", [
+        [-800.0, -801.5, -799.0, -802.25],
+        # store 4 carries the top weight but lies on no pool path
+        [-800.0, -801.5, -799.0, -802.25, 0.0],
+    ])
+    def test_far_negative_store_weights_stay_finite(self, log_w):
         # exp(-800) underflows to 0, so a sum of linear weights is 0 for every
         # path and the pool cannot be weighted; the log-sum-exp keeps them.
         pool = self.pool([[0, 1, 2, 3], [3, 3, 2, 0], [1, 2, 1, 2]])
-        log_w = np.array([-800.0, -801.5, -799.0, -802.25])
+        log_w = np.array(log_w)
         ps = weight_sequences(pool, StoreWeightVector(step=1, log_w=log_w))
         raw = []
         for path in pool.paths.tolist():

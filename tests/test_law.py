@@ -163,6 +163,24 @@ def test_one_hot_weight_always_selects_its_store(seed, explicit_resample):
 
 
 @settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 40), st.integers(1, 30))
+def test_stacked_draws_equal_row_by_row_inverse_cdf(seed, m, k, size):
+    rng = np.random.default_rng(seed)
+    nonzero = rng.random((m, k)) < 0.6
+    nonzero[np.arange(m), rng.integers(k, size=m)] = True
+    p = rng.random((m, k)) * nonzero
+    p /= p.sum(axis=1, keepdims=True)
+    u = np.random.default_rng(seed + 1).random((m, size))
+    expected = []
+    for row, us in zip(p, u):
+        cdf = np.cumsum(row)
+        expected.append([int(np.searchsorted(cdf, x * cdf[-1], side="right")) for x in us])
+    got = categorical(np.random.default_rng(seed + 1), p, size=size)
+    np.testing.assert_array_equal(got, expected)
+    assert np.all(p[np.arange(m)[:, None], got] > 0)
+
+
+@settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 50), st.booleans())
 def test_one_dimensional_input_equals_a_single_row(seed, size, explicit_resample):
     rng = np.random.default_rng(seed)
