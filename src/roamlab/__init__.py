@@ -23,14 +23,13 @@ from .assimilation import (
 from .config import ExperimentConfig, resolve_config, validate_config
 from .metrics import aggregate_runs, build_od, decode_ngram, discrepancy, ngram_table, top_k
 from .model import BehaviorParams, ChoiceModel, SimConfig, StoreGraph, step_world
-from .twin import ObservationRecord, SequencePool, run_truth, sample_biased_pool
+from .twin import SequencePool, run_truth, sample_biased_pool
 
 __all__ = [
     "AssimOptions",
     "BehaviorParams",
     "ChoiceModel",
     "ExperimentConfig",
-    "ObservationRecord",
     "ParticleSet",
     "SequencePool",
     "SimConfig",

@@ -25,7 +25,7 @@ from .model import (
     step_world,
     uniform_placer,
 )
-from .numerics import categorical, log_normalize, log_normalize_rows
+from .numerics import categorical, log_normalize_rows
 from .twin import SequencePool
 
 NEXT_STORE = "next-store"
@@ -64,26 +64,24 @@ class StoreWeightVector:
 
 
 def update_store_weights(
-    prev: StoreWeightVector, obs, accumulate: bool = False
+    prev: StoreWeightVector, counts, accumulate: bool = False
 ) -> StoreWeightVector:
-    """Fold one step's inflow counts into the store weights.
+    """Fold one step's inflow counts, a (G, S) row by group and store, into
+    the store weights.
 
     Fresh mode rebuilds the weights from this step alone: log w_j = inflow_j,
-    normalized. Accumulation mode keeps multiplying the running weights by
-    exp(inflow_j), matching the literal multiplicative update. Attribute rows
-    get the same rule with their own counts.
+    normalized, where inflow_j is the per-store total over groups.
+    Accumulation mode keeps multiplying the running weights by exp(inflow_j),
+    matching the literal multiplicative update. Attribute rows get the same
+    rule with their own counts. The result is numbered one step past prev.
     """
-    if prev.step is not None and obs.step != prev.step + 1:
-        raise ValueError(f"observation step {obs.step} does not follow {prev.step}")
-    inflow = np.asarray(obs.inflow, dtype=float)
+    counts = np.asarray(counts)
     base = prev.log_w if accumulate else 0.0
-    log_w = log_normalize(base + inflow)
-    attr = None
-    if obs.inflow_by_attr is not None:
-        rows = np.asarray(obs.inflow_by_attr, dtype=float)
-        base_attr = prev.log_w_attr if accumulate and prev.log_w_attr is not None else 0.0
-        attr = log_normalize_rows(base_attr + rows)
-    return StoreWeightVector(step=obs.step, log_w=log_w, log_w_attr=attr)
+    log_w = log_normalize_rows(base + counts.sum(axis=0).astype(float))
+    base_attr = prev.log_w_attr if accumulate and prev.log_w_attr is not None else 0.0
+    attr = log_normalize_rows(base_attr + counts.astype(float))
+    step = 1 if prev.step is None else prev.step + 1
+    return StoreWeightVector(step=step, log_w=log_w, log_w_attr=attr)
 
 
 @dataclass
@@ -233,8 +231,9 @@ def run_assimilation(
 ) -> AssimRun:
     """Advance the assimilation world to the horizon under one regime.
 
-    observations must cover steps 0..horizon; the weights applied during step
-    t come from the inflows observed at step t. Case 3 requires a sequence
+    observations is the (T+1, G, S) array of inflow counts by step, group and
+    store, covering steps 0..horizon; the weights applied during step t come
+    from the inflows observed at step t. Case 3 requires a sequence
     pool whose paths span the full transition count; its sequence weights are
     recomputed once per step, when the store weights change. The case-3 random
     control draws pool entries uniformly and never weights the pool.
@@ -303,10 +302,6 @@ def run_assimilation(
     # place uniformly (sw is uniform) and case 3 draws uniformly from the pool.
     world = init_world(cfg, placer, rng)
     for t in range(1, cfg.horizon_steps + 1):
-        if observations[t].step != t:
-            raise ValueError(
-                f"observation stream misaligned: expected step {t}, got {observations[t].step}"
-            )
         sw = update_store_weights(sw, observations[t], accumulate=options.weight_accumulation)
         if weighted:
             seq = weight_sequences(pool, sw)

@@ -126,7 +126,7 @@ def main(argv=None) -> int:
             labels = experiment.case_labels(cfg)
             for r in range(cfg.replicate_count):
                 observations, pool = experiment.load_truth_products(
-                    args.out, r, need_pool=3 in cfg.cases
+                    cfg, args.out, r, need_pool=3 in cfg.cases
                 )
                 for label in labels:
                     experiment.run_case_stage(cfg, args.out, r, label, observations, pool)

@@ -9,7 +9,7 @@ versus uniform 5) and in seed derivation.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,15 +96,15 @@ class ExperimentConfig:
 
     truth: SimConfig
     assim: SimConfig
-    cases: tuple = (1, 2, 3)
-    replicate_count: int = 30
-    base_seed: int = 12345
-    jobs: int | None = None
-    pool_size: int = 400
-    pool_ratios: tuple = (0.4, 0.25, 0.2, 0.15)
-    count_spawn_as_inflow: bool = True
-    assim_options: AssimOptions = field(default_factory=AssimOptions)
-    resolved: dict = field(default_factory=dict)  # flat key -> value echo
+    cases: tuple
+    replicate_count: int
+    base_seed: int
+    jobs: int | None
+    pool_size: int
+    pool_ratios: tuple
+    count_spawn_as_inflow: bool
+    assim_options: AssimOptions
+    resolved: dict  # flat key -> value echo
 
 
 def _type_error(key, expected, value):
@@ -212,18 +212,16 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
     assim_a = merged["assim.attractiveness"]
     assim_a = uniform_attractiveness(g, s) if assim_a is None else np.asarray(assim_a, dtype=float)
 
+    # the integer sim.* keys are named after the SimConfig fields they set
+    counts = {
+        key.removeprefix("sim."): value
+        for key, value in merged.items()
+        if key.startswith("sim.") and SCHEMA[key][1] == "int"
+    }
+
     def build_sim(attractiveness, label):
         sim = SimConfig(
-            store_count=s,
-            total_agents=merged["sim.total_agents"],
-            initial_agents=merged["sim.initial_agents"],
-            replenish_threshold=merged["sim.replenish_threshold"],
-            replenish_count=merged["sim.replenish_count"],
-            max_transitions=merged["sim.max_transitions"],
-            dwell_min=merged["sim.dwell_min"],
-            dwell_max=merged["sim.dwell_max"],
-            horizon_steps=merged["sim.horizon_steps"],
-            group_count=g,
+            **counts,
             group_quotas=tuple(quotas),
             behavior=behavior,
             attractiveness=attractiveness,

@@ -92,8 +92,13 @@ def run_baseline_stage(cfg: ExperimentConfig, out, replicate: int):
     return world
 
 
-def load_truth_products(out, replicate: int, need_pool: bool):
-    """Read one replicate's observations, and its sequence pool if asked, from disk."""
+def load_truth_products(cfg: ExperimentConfig, out, replicate: int, need_pool: bool):
+    """Read one replicate's observations, and its sequence pool if asked, from disk.
+
+    Products that do not fit cfg (another horizon, store, group or transition
+    count than the run that wrote them) raise MalformedTableError.
+    """
+    sim = cfg.assim
     d = replicate_dir(out, "truth", replicate)
     counts, attr = d / "obs_counts.csv", d / "obs_counts_attr.csv"
     if not counts.exists() or not attr.exists():
@@ -101,12 +106,29 @@ def load_truth_products(out, replicate: int, need_pool: bool):
             f"missing observation products under {d}; run generate-obs first"
         )
     observations = io.read_observations(counts, attr)
+    shape = (sim.horizon_steps + 1, sim.group_count, sim.store_count)
+    if observations.shape != shape:
+        raise io.MalformedTableError(
+            f"{attr}: holds (steps, attrs, stores) {observations.shape},"
+            f" the config needs {shape}"
+        )
     pool = None
     if need_pool:
         pool_path = d / "sequence_pool.csv"
         if not pool_path.exists():
             raise MissingInputError(f"missing {pool_path}; run generate-obs first")
         pool = io.read_sequence_pool(pool_path)
+        if pool.size == 0 or pool.paths.shape[1] != sim.max_transitions + 1:
+            raise io.MalformedTableError(
+                f"{pool_path}: holds {pool.size} paths of {pool.paths.shape[1]} stores,"
+                f" the config needs paths of {sim.max_transitions + 1}"
+            )
+        if not (np.all((pool.paths >= 0) & (pool.paths < sim.store_count))
+                and np.all((pool.attrs >= 0) & (pool.attrs < sim.group_count))):
+            raise io.MalformedTableError(
+                f"{pool_path}: a store outside 0..{sim.store_count - 1}"
+                f" or an attr outside 0..{sim.group_count - 1}"
+            )
     return observations, pool
 
 

@@ -1,8 +1,10 @@
 """CSV/JSON serialization of runs, observation products, and aggregates.
 
 All CSV files are UTF-8 with a header row; integers in plain decimal,
-averaged values with six decimal places. Zero counts are written explicitly
-so files round-trip without shape metadata.
+averaged values with six decimal places. Every CSV file is written through
+_write_table. Dense count arrays are written as one row of indices and value
+per cell, in C order, with zero counts written explicitly, so files
+round-trip without shape metadata.
 
 Stage products are read back strictly, each in one numpy pass: the header
 must match exactly and every row must hold one integer per column. A file
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .twin import ObservationRecord, SequencePool
+from .twin import SequencePool
 
 
 class MalformedTableError(ValueError):
@@ -59,35 +61,54 @@ def _extent(path, table, columns):
     return index.max(axis=0) + 1
 
 
-def _open_w(path):
+def _write_table(path, header, rows):
+    """Write a CSV with the given header row, then every row of the iterable rows."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", newline="", encoding="utf-8")
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _rows(table):
+    """The rows of a 2-D array as lists, converted 4096 rows at a time."""
+    table = np.asarray(table)
+    for start in range(0, len(table), 4096):
+        yield from table[start : start + 4096].tolist()
+
+
+def _cells(array):
+    """(index..., value) rows of every cell of a dense array, in C order."""
+    array = np.asarray(array)
+    tail = list(np.ndindex(array.shape[1:]))
+    for i, block in enumerate(array.reshape(len(array), -1)):
+        yield from ((i, *index, value) for index, value in zip(tail, block.tolist()))
+
+
+def _place(table, shape):
+    """The dense int64 array of the given shape that (index..., value) rows
+    describe; a cell with no row is 0."""
+    array = np.zeros(shape, dtype=np.int64)
+    array[tuple(table[:, :-1].T)] = table[:, -1]
+    return array
 
 
 def write_obs_counts(path, observations):
-    with _open_w(path) as f:
-        w = csv.writer(f)
-        w.writerow(["step", "store", "count"])
-        for obs in observations:
-            for store, count in enumerate(obs.inflow):
-                w.writerow([obs.step, store, int(count)])
+    """observations: (T, G, S) counts; writes each step's per-store totals."""
+    _write_table(path, ["step", "store", "count"], _cells(np.sum(observations, axis=1)))
 
 
 def write_obs_counts_attr(path, observations):
-    with _open_w(path) as f:
-        w = csv.writer(f)
-        w.writerow(["step", "attr", "store", "count"])
-        for obs in observations:
-            for attr in range(obs.inflow_by_attr.shape[0]):
-                for store, count in enumerate(obs.inflow_by_attr[attr]):
-                    w.writerow([obs.step, attr, store, int(count)])
+    """observations: (T, G, S) counts by step, attribute (group) and store."""
+    _write_table(path, ["step", "attr", "store", "count"], _cells(observations))
 
 
-def read_observations(counts_path, attr_path):
-    """Rebuild the observation trajectory from the two count files.
+def read_observations(counts_path, attr_path) -> np.ndarray:
+    """The (T, G, S) observation array from the two count files.
 
     Cells are placed by their (step, store) and (step, attr, store) indices,
-    so row order does not matter; a cell missing from a file counts 0.
+    so row order does not matter; a cell missing from a file counts 0. The
+    totals file must hold the per-store sums of the attribute file.
     """
     totals = _read_table(counts_path, ["step", "store", "count"])
     by_attr = _read_table(attr_path, ["step", "attr", "store", "count"])
@@ -98,23 +119,18 @@ def read_observations(counts_path, attr_path):
             f"{attr_path}: indexes step {attr_steps - 1}, store {attr_stores - 1}"
             f" beyond {counts_path} ({steps} steps, {stores} stores)"
         )
-    inflow = np.zeros((steps, stores), dtype=np.int64)
-    inflow[totals[:, 0], totals[:, 1]] = totals[:, 2]
-    inflow_attr = np.zeros((steps, attrs, stores), dtype=np.int64)
-    inflow_attr[by_attr[:, 0], by_attr[:, 1], by_attr[:, 2]] = by_attr[:, 3]
-    return [
-        ObservationRecord(step=t, inflow=inflow[t], inflow_by_attr=inflow_attr[t])
-        for t in range(steps)
-    ]
+    observations = _place(by_attr, (steps, attrs, stores))
+    if not np.array_equal(_place(totals, (steps, stores)), observations.sum(axis=1)):
+        raise MalformedTableError(
+            f"{counts_path}: counts are not the per-store sums of {attr_path}"
+        )
+    return observations
 
 
 def write_sequence_pool(path, pool: SequencePool):
-    length = pool.paths.shape[1]
-    with _open_w(path) as f:
-        w = csv.writer(f)
-        w.writerow(["entry_id", "attr"] + [f"s{i}" for i in range(length)])
-        for i in range(pool.size):
-            w.writerow([i, int(pool.attrs[i])] + [int(s) for s in pool.paths[i]])
+    table = np.column_stack([np.arange(pool.size), pool.attrs, pool.paths])
+    header = ["entry_id", "attr"] + [f"s{i}" for i in range(pool.paths.shape[1])]
+    _write_table(path, header, _rows(table))
 
 
 def read_sequence_pool(path) -> SequencePool:
@@ -130,38 +146,26 @@ def read_sequence_pool(path) -> SequencePool:
 
 
 def write_od(path, od: np.ndarray):
-    with _open_w(path) as f:
-        w = csv.writer(f)
-        w.writerow(["origin", "dest", "count"])
-        for o in range(od.shape[0]):
-            for d in range(od.shape[1]):
-                w.writerow([o, d, int(od[o, d])])
+    _write_table(path, ["origin", "dest", "count"], _cells(od))
 
 
 def read_od(path) -> np.ndarray:
     table = _read_table(path, ["origin", "dest", "count"])
     size = _extent(path, table, [0, 1]).max()
-    od = np.zeros((size, size), dtype=np.int64)
-    od[table[:, 0], table[:, 1]] = table[:, 2]
-    return od
+    return _place(table, (size, size))
 
 
 def write_mean_od(path, od: np.ndarray):
-    with _open_w(path) as f:
-        w = csv.writer(f)
-        w.writerow(["origin", "dest", "mean_count"])
-        for o in range(od.shape[0]):
-            for d in range(od.shape[1]):
-                w.writerow([o, d, f"{od[o, d]:.6f}"])
+    _write_table(
+        path, ["origin", "dest", "mean_count"],
+        ((o, d, f"{mean:.6f}") for o, d, mean in _cells(od)),
+    )
 
 
 def write_paths(path, rows):
     """rows: (R, 4) path rows (agent_id, group, position, store), one per
     visited store, as model.path_rows gives them."""
-    with _open_w(path) as f:
-        w = csv.writer(f)
-        w.writerow(["agent_id", "group", "position", "store"])
-        w.writerows(np.asarray(rows).tolist())
+    _write_table(path, ["agent_id", "group", "position", "store"], _rows(rows))
 
 
 def read_paths(path) -> np.ndarray:
@@ -182,11 +186,8 @@ def read_paths(path) -> np.ndarray:
 
 
 def write_assignments(path, assignments):
-    with _open_w(path) as f:
-        w = csv.writer(f)
-        w.writerow(["step", "agent_id", "entry_id", "attr"])
-        for step, agent_id, entry_id, attr in assignments:
-            w.writerow([step, agent_id, entry_id, attr])
+    """assignments: (R, 4) rows (step, agent_id, entry_id, attr)."""
+    _write_table(path, ["step", "agent_id", "entry_id", "attr"], _rows(assignments))
 
 
 def read_assignments(path) -> np.ndarray:
@@ -196,13 +197,11 @@ def read_assignments(path) -> np.ndarray:
 
 def write_ngram_top(path, rows, n: int):
     """rows: (rank, gram, freq_truth, freq_assim, freq_baseline)."""
-    with _open_w(path) as f:
-        w = csv.writer(f)
-        w.writerow(
-            ["rank"] + [f"s{i}" for i in range(n)] + ["freq_truth", "freq_assim", "freq_baseline"]
-        )
-        for rank, gram, ft, fa, fb in rows:
-            w.writerow([rank] + list(gram) + [f"{ft:.6f}", f"{fa:.6f}", f"{fb:.6f}"])
+    _write_table(
+        path,
+        ["rank"] + [f"s{i}" for i in range(n)] + ["freq_truth", "freq_assim", "freq_baseline"],
+        ([rank, *gram, f"{ft:.6f}", f"{fa:.6f}", f"{fb:.6f}"] for rank, gram, ft, fa, fb in rows),
+    )
 
 
 def write_json(path, payload):

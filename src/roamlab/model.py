@@ -100,7 +100,6 @@ class StepReport:
     step: int
     moves: tuple = field(default_factory=_no_entries)
     spawns: tuple = field(default_factory=_no_entries)
-    retired: int = 0
 
 
 @dataclass
@@ -349,7 +348,6 @@ def replenish(world: WorldState, cfg: SimConfig, placer, rng: np.random.Generato
         and world.agents_spawned < cfg.total_agents
     ):
         world.stationary_unretired -= cfg.replenish_threshold
-        report.retired += cfg.replenish_threshold
         n_new = min(cfg.replenish_count, cfg.total_agents - world.agents_spawned)
         spawned = _spawn_agents(world, cfg, n_new, placer, rng)
         report.spawns = tuple(np.concatenate(pair) for pair in zip(report.spawns, spawned))

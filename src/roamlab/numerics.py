@@ -7,21 +7,9 @@ probability is actually needed; normalization is a log-sum-exp shift.
 import numpy as np
 
 
-def logsumexp(v: np.ndarray) -> float:
-    """log(sum(exp(v))) with max-shift to avoid overflow."""
-    m = float(np.max(v))
-    if not np.isfinite(m):
-        return m
-    return m + float(np.log(np.sum(np.exp(v - m))))
-
-
-def log_normalize(v: np.ndarray) -> np.ndarray:
-    """Shift v so that exp(v) sums to 1."""
-    return v - logsumexp(v)
-
-
 def log_normalize_rows(v: np.ndarray) -> np.ndarray:
-    """Shift each row (last axis) of v so that exp(row) sums to 1.
+    """Shift each row (last axis) of v so that exp(row) sums to 1; a 1-D v is
+    one row.
 
     Every row's largest entry must be finite; -inf entries stay -inf.
     """

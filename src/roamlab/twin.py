@@ -2,9 +2,10 @@
 
 A truth world (group-specific attractiveness) is stepped to the horizon with
 the plain choice model. Every store entry (a move arrival, and by default a
-spawn placement) is logged; per-step inflow counts, attribute-tagged inflow
-counts, and a biased sample of completed transition sequences are derived
-from that log.
+spawn placement) is logged; the observations, one (T+1, G, S) array of
+inflow counts by step, group and store, and a biased sample of completed
+transition sequences are derived from that log. The total inflow of a step
+is the per-store sum over groups, observations.sum(axis=1).
 """
 
 from dataclasses import dataclass
@@ -27,20 +28,6 @@ from .numerics import categorical
 
 
 @dataclass
-class ObservationRecord:
-    """Per-step store inflow counts, total and split by agent attribute."""
-
-    step: int
-    inflow: np.ndarray          # (S,) ints
-    inflow_by_attr: np.ndarray  # (G, S) ints
-
-    def validate(self):
-        if not np.array_equal(self.inflow, self.inflow_by_attr.sum(axis=0)):
-            raise ValueError(f"inflow marginalization broken at step {self.step}")
-        return self
-
-
-@dataclass
 class SequencePool:
     """A biased sample of completed paths, the particle set for sequence runs."""
 
@@ -58,28 +45,20 @@ MOVE, SPAWN = 0, 1  # entry kinds in TruthRun.events
 @dataclass
 class TruthRun:
     world: WorldState
-    observations: list          # ObservationRecord per step 0..horizon
+    observations: np.ndarray    # (T+1, G, S) inflow counts by step, group and store
     events: np.ndarray          # (E, 5) rows (step, agent_id, group, store, kind)
     archive: tuple              # (groups, paths) of agents that finished roaming
     od: np.ndarray              # origin x destination transition counts, all agents
 
 
-def _record_step(world, store_count, group_count, count_spawn_as_inflow):
-    """The step's observation record and its entry events, moves first."""
+def _step_events(world):
+    """The entry events of the world's last step, moves first."""
     report = world.last_report
-    events = np.concatenate([
+    return np.concatenate([
         np.column_stack([np.full(len(ids), report.step), ids, groups, stores,
                          np.full(len(ids), kind)])
         for kind, (ids, groups, stores) in ((MOVE, report.moves), (SPAWN, report.spawns))
     ])
-    counted = events if count_spawn_as_inflow else events[events[:, 4] == MOVE]
-    inflow_attr = np.bincount(
-        counted[:, 2] * store_count + counted[:, 3], minlength=group_count * store_count
-    ).reshape(group_count, store_count)
-    record = ObservationRecord(
-        step=report.step, inflow=inflow_attr.sum(axis=0), inflow_by_attr=inflow_attr
-    )
-    return record, events
 
 
 def run_truth(
@@ -89,23 +68,24 @@ def run_truth(
 ) -> TruthRun:
     """Step the truth world to the horizon and log every store entry.
 
-    Observation records are indexed by step (step 0 holds the initial spawn
+    The observations are indexed by step (step 0 holds the initial spawn
     entries). Completed agents' paths are available from the returned world.
     """
     choice = ChoiceModel(cfg.graph(), cfg.behavior, cfg.allow_self_transition)
     mover = model_mover(choice)
     world = init_world(cfg, uniform_placer, rng)
-    records = [_record_step(world, cfg.store_count, cfg.group_count, count_spawn_as_inflow)]
+    events = [_step_events(world)]
     for _ in range(cfg.horizon_steps):
         step_world(world, cfg, mover, uniform_placer, rng)
-        records.append(
-            _record_step(world, cfg.store_count, cfg.group_count, count_spawn_as_inflow)
-        )
-    observations, events = zip(*records)
+        events.append(_step_events(world))
+    events = np.concatenate(events)
+    counted = events if count_spawn_as_inflow else events[events[:, 4] == MOVE]
+    shape = (cfg.horizon_steps + 1, cfg.group_count, cfg.store_count)
+    cells = np.ravel_multi_index((counted[:, 0], counted[:, 2], counted[:, 3]), shape)
     return TruthRun(
         world=world,
-        observations=list(observations),
-        events=np.concatenate(events),
+        observations=np.bincount(cells, minlength=np.prod(shape)).reshape(shape),
+        events=events,
         archive=completed_paths(world),
         od=build_od(path_rows(world), cfg.store_count),
     )
@@ -153,15 +133,12 @@ def rebuild_observations(events, horizon_steps, store_count, group_count,
                          count_spawn_as_inflow: bool = True):
     """Reconstruct the observation trajectory from the raw entry-event log.
 
-    A plain loop over the events: the reference that the per-step counts of
-    run_truth are checked against.
+    A plain loop over the events: the reference that the observations of
+    run_truth are checked against. Returns the same (T+1, G, S) array.
     """
     attr = np.zeros((horizon_steps + 1, group_count, store_count), dtype=np.int64)
     for step, _agent_id, group, store, kind in np.asarray(events).tolist():
         if kind == SPAWN and not count_spawn_as_inflow:
             continue
         attr[step, group, store] += 1
-    return [
-        ObservationRecord(step=t, inflow=attr[t].sum(axis=0), inflow_by_attr=attr[t])
-        for t in range(horizon_steps + 1)
-    ]
+    return attr

@@ -21,17 +21,18 @@ from roamlab.assimilation import (
     weight_sequences,
 )
 from roamlab.model import BehaviorParams, ChoiceModel, completed_paths, path_rows
-from roamlab.numerics import log_normalize
-from roamlab.twin import ObservationRecord, SequencePool, run_truth, sample_biased_pool
+from roamlab.numerics import log_normalize_rows
+from roamlab.twin import SequencePool, run_truth, sample_biased_pool
 
 from conftest import agent_path, make_agent, make_graph, make_world, small_sim_config
 
 
-def obs(step, inflow, groups=1):
+def obs(inflow, groups=1):
+    """One step's (G, S) counts: all of inflow in group 0."""
     inflow = np.asarray(inflow, dtype=np.int64)
     by_attr = np.zeros((groups, len(inflow)), dtype=np.int64)
     by_attr[0] = inflow
-    return ObservationRecord(step=step, inflow=inflow, inflow_by_attr=by_attr)
+    return by_attr
 
 
 def softmax_oracle(values):
@@ -44,12 +45,12 @@ def softmax_oracle(values):
 class TestStoreWeights:
     def test_zero_inflow_gives_uniform(self):
         sw = StoreWeightVector.uniform(18)
-        sw = update_store_weights(sw, obs(1, [0] * 18))
+        sw = update_store_weights(sw, obs([0] * 18))
         np.testing.assert_allclose(sw.weights(), np.full(18, 1 / 18), atol=1e-12)
 
     def test_fresh_mode_matches_softmax_oracle(self):
         sw = StoreWeightVector.uniform(3)
-        sw = update_store_weights(sw, obs(1, [2, 1, 0]))
+        sw = update_store_weights(sw, obs([2, 1, 0]))
         np.testing.assert_allclose(sw.weights(), softmax_oracle([2, 1, 0]), atol=1e-4)
         np.testing.assert_allclose(sw.weights(), [0.6652, 0.2447, 0.0900], atol=1e-4)
 
@@ -57,23 +58,20 @@ class TestStoreWeights:
         # w *= exp(inflow) each step: two accumulated steps equal one fresh
         # update with the summed inflows.
         sw = StoreWeightVector.uniform(4)
-        sw = update_store_weights(sw, obs(1, [3, 0, 1, 2]), accumulate=True)
-        sw = update_store_weights(sw, obs(2, [0, 4, 1, 0]), accumulate=True)
-        fresh = update_store_weights(StoreWeightVector.uniform(4), obs(1, [3, 4, 2, 2]))
+        sw = update_store_weights(sw, obs([3, 0, 1, 2]), accumulate=True)
+        sw = update_store_weights(sw, obs([0, 4, 1, 0]), accumulate=True)
+        fresh = update_store_weights(StoreWeightVector.uniform(4), obs([3, 4, 2, 2]))
         np.testing.assert_allclose(sw.weights(), fresh.weights(), atol=1e-12)
 
     def test_fresh_mode_forgets_previous_steps(self):
         sw = StoreWeightVector.uniform(3)
-        sw = update_store_weights(sw, obs(1, [9, 0, 0]))
-        sw = update_store_weights(sw, obs(2, [0, 0, 0]))
+        sw = update_store_weights(sw, obs([9, 0, 0]))
+        sw = update_store_weights(sw, obs([0, 0, 0]))
         np.testing.assert_allclose(sw.weights(), np.full(3, 1 / 3), atol=1e-12)
 
     def test_attribute_rows_normalized_independently(self):
         inflow_by_attr = np.array([[2, 0, 0], [0, 0, 5]], dtype=np.int64)
-        record = ObservationRecord(
-            step=1, inflow=inflow_by_attr.sum(axis=0), inflow_by_attr=inflow_by_attr
-        )
-        sw = update_store_weights(StoreWeightVector.uniform(3, 2), record)
+        sw = update_store_weights(StoreWeightVector.uniform(3, 2), inflow_by_attr)
         np.testing.assert_allclose(sw.weights(0), softmax_oracle([2, 0, 0]), atol=1e-9)
         np.testing.assert_allclose(sw.weights(1), softmax_oracle([0, 0, 5]), atol=1e-9)
         assert abs(sw.weights(0).sum() - 1.0) < 1e-9
@@ -81,17 +79,11 @@ class TestStoreWeights:
     def test_large_inflows_stay_finite(self):
         sw = StoreWeightVector.uniform(18)
         big = [10_000] + [0] * 17
-        sw = update_store_weights(sw, obs(1, big))
+        sw = update_store_weights(sw, obs(big))
         w = sw.weights()
         assert np.all(np.isfinite(w))
         assert abs(w.sum() - 1.0) < 1e-9
         assert w[0] == pytest.approx(1.0)
-
-    def test_out_of_order_observation_rejected(self):
-        sw = StoreWeightVector.uniform(3)
-        sw = update_store_weights(sw, obs(1, [1, 0, 0]))
-        with pytest.raises(ValueError, match="does not follow"):
-            update_store_weights(sw, obs(3, [0, 0, 0]))
 
 
 class TestParticleOps:
@@ -246,7 +238,7 @@ class TestSequenceWeights:
         for seed in range(50):
             rng = np.random.default_rng(seed)
             pool = self.pool(rng.integers(6, size=(int(rng.integers(1, 30)), 4)))
-            sw = StoreWeightVector(step=1, log_w=log_normalize(rng.normal(scale=3.0, size=6)))
+            sw = StoreWeightVector(step=1, log_w=log_normalize_rows(rng.normal(scale=3.0, size=6)))
             raw = np.exp(sw.log_w)[pool.paths].sum(axis=1)
             ps = weight_sequences(pool, sw)
             np.testing.assert_allclose(ps.weights, raw / raw.sum(), rtol=0, atol=1e-12)
@@ -268,7 +260,7 @@ class TestSequenceWeights:
             group_count=1, group_quotas=(n + 1,), behavior=(BehaviorParams(),),
         )
         pool = self.pool([[0, 1], [1, 2], [2, 3], [3, 0]])
-        observations = [obs(0, [0, 0, 0, 0]), obs(1, [2, 0, 0, 0])]
+        observations = np.array([obs([0, 0, 0, 0]), obs([2, 0, 0, 0])])
         run = run_assimilation(
             cfg, observations, 3, pool=pool, rng=np.random.default_rng(7),
             options=AssimOptions(random_baseline=True),
@@ -416,14 +408,9 @@ class TestRunAssimilation:
             horizon_steps=120,
             attractiveness=np.full((2, 5), 5.0),
         )
-        observations = []
-        for t in range(121):
-            by_attr = np.zeros((2, 5), dtype=np.int64)
-            by_attr[0, 0] = 30
-            by_attr[1, 4] = 30
-            observations.append(
-                ObservationRecord(step=t, inflow=by_attr.sum(axis=0), inflow_by_attr=by_attr)
-            )
+        observations = np.zeros((121, 2, 5), dtype=np.int64)
+        observations[:, 0, 0] = 30
+        observations[:, 1, 4] = 30
         run = run_assimilation(
             assim_cfg, observations, 2, rng=np.random.default_rng(9),
             options=AssimOptions(filter_moves=False),
@@ -441,7 +428,7 @@ class TestRunAssimilation:
         choice = ChoiceModel(make_graph([[5.0, 6.5, 5.8]]), (BehaviorParams(),))
         world = make_world([make_agent(store=0)], store_count=3)
         expected = choice.probs(0, 0, world.congestion)
-        sw = update_store_weights(StoreWeightVector.uniform(3), obs(1, [4, 4, 4]))
+        sw = update_store_weights(StoreWeightVector.uniform(3), obs([4, 4, 4]))
         rng = np.random.default_rng(10)
         n = 20_000
         candidates = propose_particles(world, np.zeros(n, dtype=np.int64), choice, 100, rng)

@@ -90,17 +90,31 @@ class TestPipeline:
         assert "case1" in capsys.readouterr().out
 
     def test_staged_pipeline_matches_subcommands(self, mini_config, tmp_path):
+        # The stages pass observations through their CSV files, experiment
+        # passes them in memory; both must write the same bytes.
         out = tmp_path / "staged"
         base = ["--config", str(mini_config), "--out", str(out)]
         assert main(["generate-obs", *base]) == EXIT_OK
         assert main(["baseline", *base]) == EXIT_OK
-        assert main(["assimilate", *base, "--case", "3"]) == EXIT_OK
+        assert main(["assimilate", *base, "--case", "all"]) == EXIT_OK
         assert main(["evaluate", *base]) == EXIT_OK
         assert (out / "case3" / "000" / "assigned_sequences.csv").exists()
         assert (out / "case3_random" / "000" / "assim_paths.csv").exists()
         metrics = json.loads((out / "aggregate" / "metrics.json").read_text())
         assert "case3" in metrics["discrepancy"]
         assert "case3_assignment_bias" in metrics
+
+        whole = tmp_path / "whole"
+        assert main(["experiment", "--config", str(mini_config), "--out", str(whole),
+                     "--jobs", "1"]) == EXIT_OK
+
+        def tree(root):
+            return {p.relative_to(root).as_posix(): p.read_bytes()
+                    for p in root.rglob("*") if p.is_file() and p.name != "run_manifest.json"}
+
+        staged, expected = tree(out), tree(whole)
+        assert sorted(staged) == sorted(expected)
+        assert [name for name in expected if staged[name] != expected[name]] == []
 
     def test_assimilate_without_truth_products_exits_4(self, mini_config, tmp_path, capsys):
         rc = main(
@@ -141,6 +155,31 @@ class TestPipeline:
         assert err.startswith("error: ") and str(target) in err
         assert len(err.splitlines()) == 1
         assert not (out / "case1").exists()
+
+    @pytest.mark.parametrize(
+        "case, override",
+        [
+            ("3", {"sim.store_count": 24}),
+            ("1", {"sim.horizon_steps": 30}),
+            ("1", {"sim.store_count": 12}),
+            ("3", {"sim.max_transitions": 2}),
+        ],
+        ids=["stores-24", "horizon-30", "stores-12", "transitions-2"],
+    )
+    def test_assimilate_on_products_of_another_config_exits_4(
+        self, mini_config, tmp_path, capsys, case, override
+    ):
+        out = tmp_path / "out"
+        assert main(["generate-obs", "--config", str(mini_config), "--out", str(out)]) == EXIT_OK
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({**MINI, **override}))
+        capsys.readouterr()
+        rc = main(["assimilate", "--config", str(other), "--out", str(out), "--case", case])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out / "truth" / "000") in err
+        assert len(err.splitlines()) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["truth"]
 
     def test_evaluate_on_header_only_assignments_exits_4(self, mini_config, tmp_path, capsys):
         # With no rows the assignment composition would be 0/0, a NaN that

@@ -15,11 +15,8 @@ def test_observation_roundtrip(tmp_path):
     io.write_obs_counts(tmp_path / "c.csv", truth.observations)
     io.write_obs_counts_attr(tmp_path / "a.csv", truth.observations)
     back = io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv")
-    assert len(back) == len(truth.observations)
-    for x, y in zip(back, truth.observations):
-        assert x.step == y.step
-        np.testing.assert_array_equal(x.inflow, y.inflow)
-        np.testing.assert_array_equal(x.inflow_by_attr, y.inflow_by_attr)
+    assert back.dtype == np.int64
+    np.testing.assert_array_equal(back, truth.observations)
 
 
 def test_sequence_pool_roundtrip(tmp_path):
@@ -90,10 +87,7 @@ def test_observations_placed_by_index_whatever_the_row_order(tmp_path):
     shuffle_rows(tmp_path / "c.csv", 4)
     shuffle_rows(tmp_path / "a.csv", 5)
     back = io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv")
-    assert [x.step for x in back] == [y.step for y in truth.observations]
-    for x, y in zip(back, truth.observations):
-        np.testing.assert_array_equal(x.inflow, y.inflow)
-        np.testing.assert_array_equal(x.inflow_by_attr, y.inflow_by_attr)
+    np.testing.assert_array_equal(back, truth.observations)
 
 
 PATHS_HEADER = "agent_id,group,position,store\n"
@@ -126,6 +120,20 @@ def test_observation_files_must_agree_on_extent(tmp_path):
     (tmp_path / "a.csv").write_text("step,attr,store,count\n0,0,0,1\n1,0,1,0\n")
     with pytest.raises(io.MalformedTableError, match="beyond"):
         io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv")
+
+
+def test_totals_must_be_the_per_store_sums_of_the_attr_counts(tmp_path):
+    cfg = small_sim_config(store_count=4, horizon_steps=25)
+    truth = run_truth(cfg, np.random.default_rng(1))
+    io.write_obs_counts(tmp_path / "c.csv", truth.observations)
+    io.write_obs_counts_attr(tmp_path / "a.csv", truth.observations)
+    header, *rows = (tmp_path / "c.csv").read_text().splitlines(keepends=True)
+    step, store, count = rows[7].split(",")
+    rows[7] = f"{step},{store},{int(count) + 1}\n"
+    (tmp_path / "c.csv").write_text(header + "".join(rows))
+    with pytest.raises(io.MalformedTableError, match="per-store sums") as info:
+        io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv")
+    assert str(tmp_path / "c.csv") in str(info.value)
 
 
 def test_sequence_pool_entry_ids_must_number_rows(tmp_path):

@@ -26,7 +26,7 @@ from roamlab.assimilation import (
 )
 from roamlab.model import BehaviorParams, ChoiceModel, model_mover
 from roamlab.numerics import categorical
-from roamlab.twin import ObservationRecord, SequencePool
+from roamlab.twin import SequencePool
 
 from conftest import make_agent, make_graph, make_world
 
@@ -67,8 +67,7 @@ def two_sample_p(a, b, k):
 def case_weights():
     """Store weights after one observed step, total and per group."""
     by_attr = np.array([[3, 0, 1, 2, 0], [0, 2, 0, 0, 3]])
-    record = ObservationRecord(step=1, inflow=by_attr.sum(axis=0), inflow_by_attr=by_attr)
-    return update_store_weights(StoreWeightVector.uniform(5, 2), record)
+    return update_store_weights(StoreWeightVector.uniform(5, 2), by_attr)
 
 
 def test_plain_moves_match_per_agent_law():

@@ -28,16 +28,11 @@ class TestObservations:
         # dwell is at least 2, so nobody moves (and nobody spawns) at step 1
         cfg = small_sim_config(horizon_steps=2)
         truth = run_truth(cfg, np.random.default_rng(0))
-        assert truth.observations[1].inflow.sum() == 0
+        assert truth.observations[1].sum() == 0
 
     def test_step_zero_counts_initial_spawns(self, truth_run):
         cfg, truth = truth_run
-        assert truth.observations[0].inflow.sum() == cfg.initial_agents
-
-    def test_marginalization_holds_at_every_step(self, truth_run):
-        _, truth = truth_run
-        for obs in truth.observations:
-            obs.validate()
+        assert truth.observations[0].sum() == cfg.initial_agents
 
     def test_total_inflow_counts_every_entry(self, truth_run):
         # Counting oracle over the event log: each transition and each spawn
@@ -45,14 +40,14 @@ class TestObservations:
         cfg, truth = truth_run
         spawns = truth.world.agents_spawned
         transitions = sum(len(agent_path(truth.world, i)) - 1 for i in range(spawns))
-        assert sum(int(o.inflow.sum()) for o in truth.observations) == transitions + spawns
+        assert int(truth.observations.sum()) == transitions + spawns
 
     def test_spawns_excluded_when_flag_off(self):
         cfg = small_sim_config(horizon_steps=40)
         with_spawns = run_truth(cfg, np.random.default_rng(1), count_spawn_as_inflow=True)
         without = run_truth(cfg, np.random.default_rng(1), count_spawn_as_inflow=False)
-        total_with = sum(int(o.inflow.sum()) for o in with_spawns.observations)
-        total_without = sum(int(o.inflow.sum()) for o in without.observations)
+        total_with = int(with_spawns.observations.sum())
+        total_without = int(without.observations.sum())
         assert total_with - total_without == without.world.agents_spawned
 
     def test_inflow_bounded_by_agents_active_during_step(self, truth_run):
@@ -72,21 +67,18 @@ class TestObservations:
                 if moves[aid] == cfg.max_transitions:
                     completed_at[step] += 1
         active = 0
-        for obs in truth.observations:
-            during = active + spawned_at[obs.step]
-            assert int(obs.inflow.sum()) <= during
-            active = during - completed_at[obs.step]
+        for step, counts in enumerate(truth.observations):
+            during = active + spawned_at[step]
+            assert int(counts.sum()) <= during
+            active = during - completed_at[step]
 
     def test_event_log_replay_reproduces_observations(self, truth_run):
         cfg, truth = truth_run
         rebuilt = rebuild_observations(
             truth.events, cfg.horizon_steps, cfg.store_count, cfg.group_count
         )
-        assert len(rebuilt) == len(truth.observations)
-        for a, b in zip(rebuilt, truth.observations):
-            assert a.step == b.step
-            np.testing.assert_array_equal(a.inflow, b.inflow)
-            np.testing.assert_array_equal(a.inflow_by_attr, b.inflow_by_attr)
+        assert rebuilt.shape == (cfg.horizon_steps + 1, cfg.group_count, cfg.store_count)
+        np.testing.assert_array_equal(rebuilt, truth.observations)
 
     def test_archive_bounded_by_total_agents(self, truth_run):
         cfg, truth = truth_run
