@@ -8,16 +8,12 @@ metrics suite scores the recovery.
 
 from .assimilation import (
     AssimOptions,
-    ParticleSet,
     StoreWeightVector,
-    assign_sequences,
+    filtered_moves,
     place_new_agents,
-    propose_particles,
-    resample_and_select,
     run_assimilation,
     run_baseline,
     update_store_weights,
-    weight_particles,
     weight_sequences,
 )
 from .config import ExperimentConfig, resolve_config, validate_config
@@ -30,20 +26,17 @@ __all__ = [
     "BehaviorParams",
     "ChoiceModel",
     "ExperimentConfig",
-    "ParticleSet",
     "SequencePool",
     "SimConfig",
     "StoreGraph",
     "StoreWeightVector",
     "aggregate_runs",
-    "assign_sequences",
     "build_od",
     "decode_ngram",
     "discrepancy",
+    "filtered_moves",
     "ngram_table",
     "place_new_agents",
-    "propose_particles",
-    "resample_and_select",
     "resolve_config",
     "run_assimilation",
     "run_baseline",
@@ -53,7 +46,6 @@ __all__ = [
     "top_k",
     "update_store_weights",
     "validate_config",
-    "weight_particles",
     "weight_sequences",
 ]
 

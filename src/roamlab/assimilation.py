@@ -1,13 +1,15 @@
 """Particle-filter assimilation of store-inflow observations.
 
 Three regimes share one machinery. With per-store counts (case 1) each moving
-agent's candidate moves are proposed from the choice model, weighted by
-exp(inflow) store likelihoods, and one survivor is selected; all movers of a
-step are filtered at once, one row per agent. With attribute-tagged counts
-(case 2) the same runs per behavioral group. With a biased sample of whole
-transition sequences (case 3) the measured sequences themselves are the
-particles: new agents draw a sequence weighted by the summed store weights
-along it and then follow that sequence verbatim.
+agent proposes n candidate moves from the choice model, weights them by
+exp(inflow) store likelihoods and keeps one. Only the number of candidates at
+each store matters, so one multinomial count row per agent is drawn and one
+store is picked with probability proportional to count times weight; all
+movers of a step are filtered at once, one row per agent. With
+attribute-tagged counts (case 2) the same runs per behavioral group. With a
+biased sample of whole transition sequences (case 3) the measured sequences
+themselves are the particles: new agents draw a sequence weighted by the
+summed store weights along it and then follow that sequence verbatim.
 
 All weights are kept in log space and normalized by log-sum-exp.
 """
@@ -27,10 +29,6 @@ from .model import (
 )
 from .numerics import categorical, log_normalize_rows
 from .twin import SequencePool
-
-NEXT_STORE = "next-store"
-SEQUENCE = "sequence"
-
 
 @dataclass
 class StoreWeightVector:
@@ -84,80 +82,29 @@ def update_store_weights(
     return StoreWeightVector(step=step, log_w=log_w, log_w_attr=attr)
 
 
-@dataclass
-class ParticleSet:
-    """Weighted candidate ensembles: next stores, or sequence-pool entry ids.
-
-    candidates and log_weights are (n,) for one ensemble, or (m, n) for one
-    ensemble per row. The log weights are normalized per ensemble on
-    construction, so exp(log_weights) sums to 1 along the last axis, however
-    the set was built.
-    """
-
-    kind: str
-    candidates: np.ndarray
-    log_weights: np.ndarray
-
-    def __post_init__(self):
-        if np.shape(self.candidates) != np.shape(self.log_weights):
-            raise ValueError("candidates and log_weights must have equal shape")
-        if np.size(self.candidates) == 0:
-            raise ValueError("empty particle set")
-        if not np.all(np.isfinite(self.log_weights.max(axis=-1))):
-            raise ValueError("particle weights are all zero or non-finite")
-        self.log_weights = log_normalize_rows(self.log_weights)
-
-    @property
-    def particle_count(self) -> int:
-        return self.candidates.shape[-1]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
-
-
-def _pick(candidates: np.ndarray, idx) -> np.ndarray:
-    """The candidate at idx in every row (one candidate for a 1-D set)."""
-    return np.take_along_axis(candidates, np.asarray(idx)[..., None], axis=-1)[..., 0]
-
-
-def propose_particles(
-    world: WorldState,
-    ids: np.ndarray,
-    choice: ChoiceModel,
-    n: int,
-    rng: np.random.Generator,
+def filtered_moves(
+    rng: np.random.Generator, probs: np.ndarray, log_w: np.ndarray, n: int
 ) -> np.ndarray:
-    """Draw n unweighted candidate next stores for each listed agent: (m, n)."""
-    probs = choice.probs(world.group[ids], world.store[ids], world.congestion)
-    return categorical(rng, probs, size=n)
+    """Filter one step's moves: each mover's next store, by candidate counts.
 
+    probs is (m, S), the choice row of each mover. log_w holds the store log
+    weights: the (S,) total row for every mover (case 1), or one (m, S) group
+    row per mover (case 2). Each mover proposes n candidates from its row,
+    weights each by its store's likelihood and keeps one. The candidates are
+    exchangeable, so the pick depends on them only through c_j, the number of
+    candidates at store j: c is one multinomial row per mover, and store j is
+    kept with probability c_j w_j / sum_j' c_j' w_j'. Resampling n candidates
+    by weight and keeping one uniformly has the same law. The sum is taken in
+    log space, so far-negative log weights do not underflow, and the cost
+    does not grow with n.
 
-def weight_particles(candidates: np.ndarray, sw: StoreWeightVector, groups=None) -> ParticleSet:
-    """Weight each candidate next store by its store log weight (its likelihood).
-
-    groups selects per-attribute rows: one group per row of candidates.
+    Raises ValueError if a row's candidate weights are all zero or non-finite.
     """
-    rows = sw.row(groups)
-    log_w = rows[candidates] if rows.ndim == 1 else np.take_along_axis(rows, candidates, axis=-1)
-    return ParticleSet(NEXT_STORE, candidates, log_w)
-
-
-def resample_and_select(
-    ps: ParticleSet, rng: np.random.Generator, explicit_resample: bool = False
-):
-    """Pick one particle per ensemble by weight and return its candidate.
-
-    The default collapses resample-then-select-one into a single categorical
-    draw, which has the same marginal law. explicit_resample materializes each
-    full multinomially resampled set first and selects uniformly from it.
-    """
-    w = ps.weights
-    if explicit_resample:
-        n = ps.particle_count
-        resampled = np.take_along_axis(ps.candidates, categorical(rng, w, size=n), axis=-1)
-        return _pick(resampled, rng.integers(n, size=w.shape[:-1]))
-    return _pick(ps.candidates, categorical(rng, w))
+    counts = rng.multinomial(n, probs)
+    log_cw = np.log(counts, where=counts > 0, out=np.full(counts.shape, -np.inf)) + log_w
+    if not np.all(np.isfinite(log_cw.max(axis=-1))):
+        raise ValueError("candidate weights are all zero or non-finite")
+    return categorical(rng, np.exp(log_normalize_rows(log_cw)))
 
 
 def place_new_agents(
@@ -170,26 +117,24 @@ def place_new_agents(
     return categorical(rng, sw.weights(groups))
 
 
-def weight_sequences(pool: SequencePool, sw: StoreWeightVector) -> ParticleSet:
-    """Weight every pool entry by the sum of store weights along its path.
+def weight_sequences(pool: SequencePool, sw: StoreWeightVector) -> np.ndarray:
+    """Selection probability of every pool entry, (P,): proportional to the
+    sum of the store weights along its path.
 
     The sum (not product) runs over the normalized store weights; repeated
     stores count once per visit. It is taken in log space, as a log-sum-exp of
     each path's store log weights shifted by that path's largest one: every
     shifted sum is at least 1, so however far negative the log weights drift,
     no path weight underflows to zero.
+
+    Raises ValueError if every entry's weight is zero or non-finite.
     """
     log_w = sw.log_w[pool.paths]
     top = log_w.max(axis=1)
     log_sums = top + np.log(np.exp(log_w - top[:, None]).sum(axis=1))
-    return ParticleSet(SEQUENCE, np.arange(pool.size), log_sums)
-
-
-def assign_sequences(ps: ParticleSet, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw count pool entry ids by sequence weight."""
-    if ps.kind != SEQUENCE:
-        raise ValueError("assign_sequences applies to sequence particles")
-    return ps.candidates[categorical(rng, ps.weights, size=count)]
+    if not np.isfinite(log_sums.max()):
+        raise ValueError("sequence weights are all zero or non-finite")
+    return np.exp(log_normalize_rows(log_sums))
 
 
 @dataclass
@@ -198,7 +143,6 @@ class AssimOptions:
 
     particle_count: int = 100          # candidates per filtered move (cases 1-2)
     weight_accumulation: bool = False
-    explicit_resample: bool = False
     random_baseline: bool = False
     filter_moves: bool = True          # per-move particle filtering (cases 1-2)
     weighted_placement: bool = True    # weight-driven spawn placement (cases 1-2)
@@ -264,7 +208,7 @@ def run_assimilation(
 
         def placer(world, ids, groups, rng):
             if weighted:
-                entries = assign_sequences(seq, rng, len(ids))
+                entries = categorical(rng, seq, size=len(ids))
             else:
                 entries = rng.integers(pool.size, size=len(ids))
             followed[ids] = entries
@@ -283,9 +227,9 @@ def run_assimilation(
         if options.filter_moves:
 
             def mover(world, ids, rng):
-                candidates = propose_particles(world, ids, choice, n, rng)
-                ps = weight_particles(candidates, sw, world.group[ids] if by_group else None)
-                return resample_and_select(ps, rng, options.explicit_resample)
+                groups = world.group[ids]
+                probs = choice.probs(groups, world.store[ids], world.congestion)
+                return filtered_moves(rng, probs, sw.row(groups if by_group else None), n)
 
         else:
             mover = model_mover(choice)

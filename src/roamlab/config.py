@@ -77,7 +77,6 @@ SCHEMA = {
     "pool.ratios": ([0.4, 0.25, 0.2, 0.15], "vector"),
     "particles.cases12": (100, "int"),
     "flags.weight_accumulation": (False, "bool"),
-    "flags.explicit_resample": (False, "bool"),
     "flags.random_baseline": (False, "bool"),
     "flags.allow_self_transition": (False, "bool"),
     "flags.count_spawn_as_inflow": (True, "bool"),
@@ -279,7 +278,6 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
         assim_options=AssimOptions(
             particle_count=merged["particles.cases12"],
             weight_accumulation=merged["flags.weight_accumulation"],
-            explicit_resample=merged["flags.explicit_resample"],
             random_baseline=merged["flags.random_baseline"],
             filter_moves=merged["flags.filter_moves"],
             weighted_placement=merged["flags.weighted_placement"],

@@ -250,7 +250,6 @@ def _assignment_bias(cfg: ExperimentConfig, out, roles):
     target = np.array(cfg.truth.group_quotas, dtype=float)
     target /= target.sum()
     result = {"target_composition": target.tolist()}
-    found = False
     for role, key in (("case3", "weighted"), ("case3_random", "random")):
         if role not in roles:
             continue
@@ -258,8 +257,7 @@ def _assignment_bias(cfg: ExperimentConfig, out, roles):
         for r in range(cfg.replicate_count):
             path = replicate_dir(out, role, r) / "assigned_sequences.csv"
             if not path.exists():
-                per_run = []
-                break
+                raise MissingInputError(f"missing {path}; run assimilate first")
             attrs = io.read_assignments(path)[:, 3]
             if len(attrs) == 0:
                 raise io.MalformedTableError(f"{path}: no assignment rows")
@@ -268,11 +266,9 @@ def _assignment_bias(cfg: ExperimentConfig, out, roles):
             counts = np.bincount(attrs, minlength=len(target))
             share = counts / counts.sum()
             per_run.append(float(np.abs(share - target).sum()))
-        if per_run:
-            found = True
-            result[f"{key}_l1_per_run"] = per_run
-            result[f"{key}_l1_mean"] = float(np.mean(per_run))
-    return result if found else None
+        result[f"{key}_l1_per_run"] = per_run
+        result[f"{key}_l1_mean"] = float(np.mean(per_run))
+    return result if len(result) > 1 else None
 
 
 def _checksums(out: Path) -> dict:

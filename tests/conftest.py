@@ -29,6 +29,24 @@ def tiny_cfg():
     return resolve_config({}, dict(TINY_OVERRIDES))
 
 
+
+class FixedCounts(np.random.Generator):
+    """A generator whose multinomial draws are the given candidate counts, one
+    copy per row of pvals; every other draw is a real PCG64 draw.
+
+    It holds the candidate counts of `assimilation.filtered_moves` fixed, so
+    a test can check the weighted pick on its own.
+    """
+
+    def __init__(self, counts, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.counts = np.asarray(counts)
+
+    def multinomial(self, n, pvals, size=None):
+        assert np.all(self.counts.sum(axis=-1) == n)
+        return np.broadcast_to(self.counts, np.shape(pvals)).copy()
+
+
 def make_graph(attractiveness, distance=None):
     a = np.asarray(attractiveness, dtype=float)
     d = unit_distance(a.shape[1]) if distance is None else np.asarray(distance, dtype=float)

@@ -12,14 +12,7 @@ import pytest
 from scipy import stats
 
 from roamlab import io
-from roamlab.assimilation import (
-    ParticleSet,
-    StoreWeightVector,
-    propose_particles,
-    resample_and_select,
-    update_store_weights,
-    weight_particles,
-)
+from roamlab.assimilation import StoreWeightVector, filtered_moves, update_store_weights
 from roamlab.cli import EXIT_OK, main
 from roamlab.config import resolve_config
 from roamlab.experiment import replicate_dir, run_experiment
@@ -27,7 +20,7 @@ from roamlab.metrics import build_od, decode_ngram, discrepancy, ngram_table
 from roamlab.model import BehaviorParams, ChoiceModel, store_utilities
 from roamlab.numerics import log_normalize_rows
 
-from conftest import TINY_OVERRIDES, make_agent, make_graph, make_world, path_rows
+from conftest import TINY_OVERRIDES, FixedCounts, make_agent, make_graph, make_world, path_rows
 
 
 def check(criterion: int, ok: bool, description: str):
@@ -66,11 +59,12 @@ def test_criterion_2_attribute_information_helps(default_experiment):
 
 
 def test_criterion_3_resampling_oracle():
+    # Three candidates, one at each store: the pick follows the weights.
     w = np.array([0.5, 0.3, 0.2])
-    ps = ParticleSet("next-store", np.array([0, 1, 2]), np.log(w))
-    rng = np.random.default_rng(31)
+    rng = FixedCounts([1, 1, 1], seed=31)
     n = 100_000
-    counts = np.bincount([resample_and_select(ps, rng) for _ in range(n)], minlength=3)
+    picks = filtered_moves(rng, np.full((n, 3), 1 / 3), np.log(w), 3)
+    counts = np.bincount(picks, minlength=3)
     sigma = np.sqrt(n * w * (1 - w))
     within = np.all(np.abs(counts - n * w) <= 3 * sigma)
     p = stats.chisquare(counts, f_exp=n * w).pvalue
@@ -134,15 +128,8 @@ def test_criterion_5_uniform_likelihood_is_noop():
 
     rng = np.random.default_rng(51)
     n, chunk = 100_000, 10_000  # one batched move of `chunk` copies of the agent at a time
-    draws = np.concatenate([
-        resample_and_select(
-            weight_particles(
-                propose_particles(world, np.zeros(chunk, dtype=np.int64), choice, 100, rng), sw
-            ),
-            rng,
-        )
-        for _ in range(n // chunk)
-    ])
+    probs = np.tile(expected, (chunk, 1))
+    draws = np.concatenate([filtered_moves(rng, probs, sw.row(), 100) for _ in range(n // chunk)])
     counts = np.bincount(draws, minlength=3)
     cand = expected > 0
     p = stats.chisquare(counts[cand], f_exp=n * expected[cand]).pvalue

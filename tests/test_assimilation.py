@@ -5,26 +5,20 @@ import pytest
 
 from roamlab import assimilation
 from roamlab.assimilation import (
-    NEXT_STORE,
-    SEQUENCE,
     AssimOptions,
-    ParticleSet,
     StoreWeightVector,
-    assign_sequences,
+    filtered_moves,
     place_new_agents,
-    propose_particles,
-    resample_and_select,
     run_assimilation,
     run_baseline,
     update_store_weights,
-    weight_particles,
     weight_sequences,
 )
 from roamlab.model import BehaviorParams, ChoiceModel, completed_paths, path_rows
-from roamlab.numerics import log_normalize_rows
+from roamlab.numerics import categorical, log_normalize_rows
 from roamlab.twin import SequencePool, run_truth, sample_biased_pool
 
-from conftest import agent_path, make_agent, make_graph, make_world, small_sim_config
+from conftest import FixedCounts, agent_path, make_agent, make_graph, make_world, small_sim_config
 
 
 def obs(inflow, groups=1):
@@ -33,6 +27,15 @@ def obs(inflow, groups=1):
     by_attr = np.zeros((groups, len(inflow)), dtype=np.int64)
     by_attr[0] = inflow
     return by_attr
+
+
+def assert_frequencies(draws, probs):
+    """Every category's draw count lies within 3 sigma of its expectation."""
+    probs = np.asarray(probs)
+    n = len(draws)
+    counts = np.bincount(draws, minlength=len(probs))
+    sigma = np.sqrt(n * probs * (1 - probs))
+    assert np.all(np.abs(counts - n * probs) <= 3 * np.maximum(sigma, 1e-9))
 
 
 def softmax_oracle(values):
@@ -87,78 +90,78 @@ class TestStoreWeights:
 
 
 class TestParticleOps:
+    N = 100_000
+
     def frozen_scene(self, attractiveness=(5.0, 5.0, 5.0)):
         choice = ChoiceModel(make_graph([list(attractiveness)]), (BehaviorParams(),))
         world = make_world([make_agent(store=0)], store_count=len(attractiveness))
-        return world, choice, np.array([0])
+        return world, choice
+
+    def pick(self, counts, log_w, seed):
+        """N filtered moves whose candidate counts are all `counts`."""
+        counts = np.asarray(counts)
+        probs = np.full((self.N, len(counts)), 1 / len(counts))
+        return filtered_moves(FixedCounts(counts, seed), probs, log_w, int(counts.sum()))
 
     def test_degenerate_proposal_is_constant(self):
-        world, choice, ids = self.frozen_scene((5.0, 5.0))
-        candidates = propose_particles(world, ids, choice, 50, np.random.default_rng(0))[0]
-        assert len(candidates) == 50
-        assert np.all(candidates == 1)  # only candidate besides the current store
+        world, choice = self.frozen_scene((5.0, 5.0))
+        probs = np.tile(choice.probs(0, 0, world.congestion), (50, 1))
+        log_w = np.log([0.9, 0.1])
+        stores = filtered_moves(np.random.default_rng(0), probs, log_w, 50)
+        assert np.all(stores == 1)  # only candidate besides the current store
 
     def test_proposal_frequencies_match_choice_model(self):
-        world, choice, ids = self.frozen_scene((5.0, 7.0, 6.0, 5.5))
+        # One candidate per move is kept whatever its weight, so the moves
+        # follow the choice model.
+        world, choice = self.frozen_scene((5.0, 7.0, 6.0, 5.5))
         probs = choice.probs(0, 0, world.congestion)
-        n = 100_000
-        candidates = propose_particles(world, ids, choice, n, np.random.default_rng(1))[0]
-        counts = np.bincount(candidates, minlength=4)
-        sigma = np.sqrt(n * probs * (1 - probs))
-        assert np.all(np.abs(counts - n * probs) <= 3 * np.maximum(sigma, 1e-9))
+        log_w = np.log([0.1, 0.6, 0.1, 0.2])
+        stores = filtered_moves(np.random.default_rng(1), np.tile(probs, (self.N, 1)), log_w, 1)
+        assert_frequencies(stores, probs)
 
     def test_uniform_store_weights_leave_particles_unweighted(self):
         sw = StoreWeightVector.uniform(3)
-        out = weight_particles(np.array([0, 1, 2, 1]), sw)
-        assert out.kind == NEXT_STORE
-        np.testing.assert_allclose(out.weights, np.full(4, 0.25), atol=1e-12)
+        assert_frequencies(self.pick([1, 2, 1], sw.row(), seed=0), [0.25, 0.5, 0.25])
 
     def test_weighting_by_store_weights_hand_case(self):
-        sw = StoreWeightVector(step=1, log_w=np.log([0.5, 0.3, 0.2]))
-        out = weight_particles(np.array([0, 1, 2]), sw)
-        np.testing.assert_allclose(out.weights, [0.5, 0.3, 0.2], atol=1e-12)
+        # count times weight: [2, 1, 1] * [0.5, 0.3, 0.2] = [1.0, 0.3, 0.2]
+        picks = self.pick([2, 1, 1], np.log([0.5, 0.3, 0.2]), seed=1)
+        assert_frequencies(picks, [1.0 / 1.5, 0.3 / 1.5, 0.2 / 1.5])
 
     def test_same_store_particles_get_equal_weight(self):
-        sw = StoreWeightVector(step=1, log_w=np.log([0.6, 0.4]))
-        out = weight_particles(np.array([0, 1, 0]), sw)
-        assert out.weights[0] == out.weights[2]
+        # Candidates at one store share its weight, so they count together; a
+        # store without candidates is never picked, whatever its weight.
+        picks = self.pick([2, 0, 1], np.log([0.3, 0.6, 0.1]), seed=2)
+        assert_frequencies(picks, [0.6 / 0.7, 0.0, 0.1 / 0.7])
 
     def test_attribute_variant_uses_group_row(self):
         log_attr = np.log(np.array([[0.9, 0.1], [0.2, 0.8]]))
         sw = StoreWeightVector(step=1, log_w=np.log([0.5, 0.5]), log_w_attr=log_attr)
-        candidates = np.array([0, 1])
-        np.testing.assert_allclose(weight_particles(candidates, sw, groups=0).weights, [0.9, 0.1])
-        np.testing.assert_allclose(weight_particles(candidates, sw, groups=1).weights, [0.2, 0.8])
+        groups = np.arange(self.N) % 2
+        picks = self.pick([1, 1], sw.row(groups), seed=3)
+        assert_frequencies(picks[groups == 0], [0.9, 0.1])
+        assert_frequencies(picks[groups == 1], [0.2, 0.8])
 
     def test_single_particle_always_selected(self):
-        ps = ParticleSet(NEXT_STORE, np.array([7]), np.zeros(1))
-        rng = np.random.default_rng(0)
-        assert all(resample_and_select(ps, rng) == 7 for _ in range(20))
+        rng = np.random.default_rng(4)
+        probs = rng.dirichlet(np.ones(8), size=20)
+        log_w = rng.normal(size=8)
+        only = np.random.default_rng(5).multinomial(1, probs).argmax(axis=1)
+        np.testing.assert_array_equal(
+            filtered_moves(np.random.default_rng(5), probs, log_w, 1), only
+        )
 
     def test_selection_frequencies_match_weights(self):
-        ps = ParticleSet(NEXT_STORE, np.array([0, 1, 2]), np.log([0.5, 0.3, 0.2]))
-        rng = np.random.default_rng(2)
-        n = 100_000
         w = np.array([0.5, 0.3, 0.2])
-        counts = np.bincount([resample_and_select(ps, rng) for _ in range(n)], minlength=3)
-        sigma = np.sqrt(n * w * (1 - w))
-        assert np.all(np.abs(counts - n * w) <= 3 * sigma)
-
-    def test_explicit_resample_matches_marginal_law(self):
-        ps = ParticleSet(NEXT_STORE, np.array([0, 1, 2]), np.log([0.5, 0.3, 0.2]))
-        rng = np.random.default_rng(3)
-        n = 20_000
-        w = np.array([0.5, 0.3, 0.2])
-        counts = np.bincount(
-            [resample_and_select(ps, rng, explicit_resample=True) for _ in range(n)],
-            minlength=3,
-        )
-        sigma = np.sqrt(n * w * (1 - w))
-        assert np.all(np.abs(counts - n * w) <= 3 * sigma)
+        assert_frequencies(self.pick([1, 1, 1], np.log(w), seed=6), w)
 
     def test_all_zero_weights_rejected(self):
+        probs = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+        rng = np.random.default_rng(7)
         with pytest.raises(ValueError, match="zero or non-finite"):
-            ParticleSet(NEXT_STORE, np.array([0, 1]), np.array([-np.inf, -np.inf]))
+            filtered_moves(rng, probs, np.array([-np.inf, -np.inf, 0.0]), 10)
+        with pytest.raises(ValueError, match="zero or non-finite"):
+            filtered_moves(rng, probs, np.array([0.0, np.nan, 0.0]), 10)
 
     def test_placement_follows_store_weights(self):
         sw = StoreWeightVector(step=1, log_w=np.log(softmax_oracle([2, 1, 0])))
@@ -194,25 +197,23 @@ class TestSequenceWeights:
     def test_uniform_store_weights_give_uniform_sequences(self):
         pool = self.pool([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]])
         sw = StoreWeightVector.uniform(18)
-        ps = weight_sequences(pool, sw)
-        assert ps.kind == SEQUENCE
-        np.testing.assert_allclose(ps.weights, np.full(3, 1 / 3), atol=1e-12)
+        np.testing.assert_allclose(weight_sequences(pool, sw), np.full(3, 1 / 3), atol=1e-12)
 
     def test_hand_summed_weights(self):
         # store weights [0.5, 0.3, 0.2]; paths (0,1) and (1,2) sum to 0.8 and
         # 0.5, normalizing to [0.6154, 0.3846]
         pool = self.pool([[0, 1], [1, 2]])
         sw = StoreWeightVector(step=1, log_w=np.log([0.5, 0.3, 0.2]))
-        ps = weight_sequences(pool, sw)
-        np.testing.assert_allclose(ps.weights, [0.8 / 1.3, 0.5 / 1.3], atol=1e-12)
-        np.testing.assert_allclose(ps.weights, [0.6154, 0.3846], atol=1e-4)
+        probs = weight_sequences(pool, sw)
+        np.testing.assert_allclose(probs, [0.8 / 1.3, 0.5 / 1.3], atol=1e-12)
+        np.testing.assert_allclose(probs, [0.6154, 0.3846], atol=1e-4)
 
     def test_duplicate_stores_count_per_visit(self):
         # sum semantics: (0,0) scores 2*w0, strictly more than (0,1) when w0>w1
         pool = self.pool([[0, 0], [0, 1]])
         sw = StoreWeightVector(step=1, log_w=np.log([0.7, 0.3]))
-        ps = weight_sequences(pool, sw)
-        np.testing.assert_allclose(ps.weights, [1.4 / 2.4, 1.0 / 2.4], atol=1e-12)
+        probs = weight_sequences(pool, sw)
+        np.testing.assert_allclose(probs, [1.4 / 2.4, 1.0 / 2.4], atol=1e-12)
 
     @pytest.mark.parametrize("log_w", [
         [-800.0, -801.5, -799.0, -802.25],
@@ -224,15 +225,15 @@ class TestSequenceWeights:
         # path and the pool cannot be weighted; the log-sum-exp keeps them.
         pool = self.pool([[0, 1, 2, 3], [3, 3, 2, 0], [1, 2, 1, 2]])
         log_w = np.array(log_w)
-        ps = weight_sequences(pool, StoreWeightVector(step=1, log_w=log_w))
+        probs = weight_sequences(pool, StoreWeightVector(step=1, log_w=log_w))
         raw = []
         for path in pool.paths.tolist():
             top = max(log_w[s] for s in path)
             raw.append(top + math.log(sum(math.exp(log_w[s] - top) for s in path)))
         top = max(raw)
         z = top + math.log(sum(math.exp(r - top) for r in raw))
-        assert np.all(np.isfinite(ps.log_weights))
-        np.testing.assert_allclose(ps.log_weights, [r - z for r in raw], rtol=0, atol=1e-12)
+        assert np.all(probs > 0)
+        np.testing.assert_allclose(probs, [math.exp(r - z) for r in raw], rtol=1e-12, atol=0)
 
     def test_log_space_matches_linear_sum(self):
         for seed in range(50):
@@ -240,14 +241,19 @@ class TestSequenceWeights:
             pool = self.pool(rng.integers(6, size=(int(rng.integers(1, 30)), 4)))
             sw = StoreWeightVector(step=1, log_w=log_normalize_rows(rng.normal(scale=3.0, size=6)))
             raw = np.exp(sw.log_w)[pool.paths].sum(axis=1)
-            ps = weight_sequences(pool, sw)
-            np.testing.assert_allclose(ps.weights, raw / raw.sum(), rtol=0, atol=1e-12)
+            probs = weight_sequences(pool, sw)
+            np.testing.assert_allclose(probs, raw / raw.sum(), rtol=0, atol=1e-12)
 
     def test_single_entry_always_assigned(self):
         pool = self.pool([[0, 1, 2, 3]])
-        ps = weight_sequences(pool, StoreWeightVector.uniform(4))
-        rng = np.random.default_rng(0)
-        assert np.all(assign_sequences(ps, rng, 10) == 0)
+        probs = weight_sequences(pool, StoreWeightVector.uniform(4))
+        assert np.all(categorical(np.random.default_rng(0), probs, size=10) == 0)
+
+    def test_non_finite_store_weights_rejected(self):
+        pool = self.pool([[0, 1], [1, 2]])
+        sw = StoreWeightVector(step=1, log_w=np.array([np.nan, 0.0, np.nan]))
+        with pytest.raises(ValueError, match="zero or non-finite"):
+            weight_sequences(pool, sw)
 
     def test_random_baseline_is_uniform(self):
         # One seed agent moves at step 1 and goes stationary, which spawns n
@@ -274,13 +280,8 @@ class TestSequenceWeights:
     def test_weighted_assignment_frequencies(self):
         pool = self.pool([[0, 1], [1, 2], [2, 0]])
         sw = StoreWeightVector(step=1, log_w=np.log([0.5, 0.3, 0.2]))
-        ps = weight_sequences(pool, sw)
-        w = ps.weights
-        rng = np.random.default_rng(8)
-        n = 100_000
-        counts = np.bincount(assign_sequences(ps, rng, n), minlength=3)
-        sigma = np.sqrt(n * w * (1 - w))
-        assert np.all(np.abs(counts - n * w) <= 3 * sigma)
+        w = weight_sequences(pool, sw)
+        assert_frequencies(categorical(np.random.default_rng(8), w, size=100_000), w)
 
 
 class TestRunAssimilation:
@@ -423,19 +424,15 @@ class TestRunAssimilation:
         assert set(placed[1]) == {4}
 
     def test_uniform_observations_keep_model_kernel(self):
-        # Flat inflows make the likelihood constant, so propose-weight-select
+        # Flat inflows make the likelihood constant, so the filtered moves
         # must sample the plain choice distribution.
         choice = ChoiceModel(make_graph([[5.0, 6.5, 5.8]]), (BehaviorParams(),))
         world = make_world([make_agent(store=0)], store_count=3)
         expected = choice.probs(0, 0, world.congestion)
         sw = update_store_weights(StoreWeightVector.uniform(3), obs([4, 4, 4]))
-        rng = np.random.default_rng(10)
-        n = 20_000
-        candidates = propose_particles(world, np.zeros(n, dtype=np.int64), choice, 100, rng)
-        draws = resample_and_select(weight_particles(candidates, sw), rng)
-        counts = np.bincount(draws, minlength=3)
-        sigma = np.sqrt(n * expected * (1 - expected))
-        assert np.all(np.abs(counts - n * expected) <= 3 * np.maximum(sigma, 1e-9))
+        probs = np.tile(expected, (20_000, 1))
+        assert_frequencies(filtered_moves(np.random.default_rng(10), probs, sw.row(), 100),
+                           expected)
 
     def test_baseline_ignores_observations(self):
         cfg = small_sim_config()

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -195,6 +196,23 @@ class TestPipeline:
         assert err.startswith("error: ") and str(target) in err
         assert len(err.splitlines()) == 1
 
+    def test_evaluate_on_missing_assignments_exits_4(self, mini_config, tmp_path, capsys):
+        # Without the file, the case-3 assignment bias would drop out of
+        # metrics.json without a word. With case3/001 gone too, case3 is
+        # incomplete and not scored, so case3_random's missing file is the one
+        # evaluate must stop on.
+        out = tmp_path / "out"
+        base = ["--config", str(mini_config), "--out", str(out), "--runs", "2"]
+        assert main(["experiment", *base, "--case", "3", "--jobs", "1"]) == EXIT_OK
+        shutil.rmtree(out / "case3" / "001")
+        target = out / "case3_random" / "000" / "assigned_sequences.csv"
+        target.unlink()
+        capsys.readouterr()
+        assert main(["evaluate", *base]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+        assert len(err.splitlines()) == 1
+
     def test_unusable_output_dir_exits_4(self, mini_config, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -253,7 +271,6 @@ OD_FILE = {"truth": "truth_od.csv", "baseline": "baseline_od.csv"}
     "flag",
     [
         {"flags.weight_accumulation": True},
-        {"flags.explicit_resample": True},
         {"flags.random_baseline": True},
         {"flags.allow_self_transition": True},
         {"flags.count_spawn_as_inflow": False},

@@ -72,6 +72,12 @@ class TestSchemaErrors:
         with pytest.raises(ConfigSchemaError, match="sim.store_cout"):
             resolve_config({"sim.store_cout": 12})
 
+    def test_explicit_resample_is_an_unknown_key(self):
+        # Resampling then picking uniformly has the law of the one weighted
+        # pick, so the switch between them was removed.
+        with pytest.raises(ConfigSchemaError, match="flags.explicit_resample: unknown"):
+            resolve_config({"flags.explicit_resample": True})
+
     def test_type_violation_named(self):
         with pytest.raises(ConfigSchemaError, match="sim.total_agents"):
             resolve_config({"sim.total_agents": "lots"})

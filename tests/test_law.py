@@ -14,14 +14,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from roamlab.assimilation import (
-    NEXT_STORE,
-    ParticleSet,
     StoreWeightVector,
-    assign_sequences,
-    propose_particles,
-    resample_and_select,
+    filtered_moves,
     update_store_weights,
-    weight_particles,
     weight_sequences,
 )
 from roamlab.model import BehaviorParams, ChoiceModel, model_mover
@@ -87,10 +82,9 @@ def filtered_chain_p(case):
     sw = case_weights()
     n = 5
     ids = np.repeat([0, 1], N)
-    candidates = propose_particles(world, ids, choice, n, np.random.default_rng(62))
-    groups = world.group[ids] if case == 2 else None
-    batched = resample_and_select(weight_particles(candidates, sw, groups),
-                                  np.random.default_rng(63))
+    probs = choice.probs(world.group[ids], world.store[ids], world.congestion)
+    log_w = sw.row(world.group[ids] if case == 2 else None)
+    batched = filtered_moves(np.random.default_rng(62), probs, log_w, n)
     rng = np.random.default_rng(64)
     ps = []
     for agent in (0, 1):
@@ -116,49 +110,65 @@ def test_case3_weighted_placement_matches_sequence_law():
         attrs=np.zeros(5, dtype=np.int64),
     )
     sw = case_weights()
-    entries = assign_sequences(weight_sequences(pool, sw), np.random.default_rng(65), N)
+    entries = categorical(np.random.default_rng(65), weight_sequences(pool, sw), size=N)
     probs = reference.sequence_probs(pool.paths.tolist(), sw.log_w)
     assert chi_square_p(np.bincount(entries, minlength=5), probs) > 0.001
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 10_000), st.booleans())
-def test_current_store_never_proposed_unless_allowed(seed, allow_self_transition):
-    rng = np.random.default_rng(seed)
+def random_movers(rng, allow_self_transition):
+    """A random choice model and world with m movers, the last one at the last
+    store, so that some rows exclude their last column. Returns the movers'
+    choice rows and their current stores."""
     s, g, m = int(rng.integers(2, 8)), int(rng.integers(1, 4)), int(rng.integers(1, 12))
     choice = ChoiceModel(make_graph(rng.uniform(0.5, 10, size=(g, s))),
                          [BehaviorParams(omega=float(rng.uniform(-1, 1))) for _ in range(g)],
                          allow_self_transition)
-    agents = [make_agent(group=int(rng.integers(g)), store=int(rng.integers(s)))
-              for _ in range(m)]
+    stores = np.append(rng.integers(s, size=m - 1), s - 1)
+    agents = [make_agent(group=int(rng.integers(g)), store=int(c)) for c in stores]
     world = make_world(agents, store_count=s, quotas=(10,) * g)
     world.congestion = rng.integers(0, 20, size=s)
-    ids = np.arange(m)
-    candidates = propose_particles(world, ids, choice, 30, rng)
-    own = candidates == world.store[ids, None]
-    probs = choice.probs(world.group[ids], world.store[ids], world.congestion)
-    if allow_self_transition:
-        assert np.all(probs[ids, world.store[ids]] > 0)
-    else:
-        assert not own.any()
-        assert np.all(probs[ids, world.store[ids]] == 0.0)
+    return choice.probs(world.group, world.store, world.congestion), world.store
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(0, 10_000), st.booleans())
-def test_one_hot_weight_always_selects_its_store(seed, explicit_resample):
+@given(st.integers(0, 10_000), st.booleans(), st.integers(1, 40))
+def test_current_store_never_proposed_unless_allowed(seed, allow_self_transition, n):
+    """The kernel picks only stores with a non-zero candidate count, however
+    far negative the store log weights run; without self-transitions the
+    current store gets no candidate and is never picked."""
     rng = np.random.default_rng(seed)
-    m, n, s = int(rng.integers(1, 10)), int(rng.integers(1, 20)), int(rng.integers(2, 9))
-    candidates = rng.integers(s, size=(m, n))
-    hot = rng.integers(n, size=m)
-    log_w = np.full((m, n), -np.inf)
-    log_w[np.arange(m), hot] = 0.0
-    picked = resample_and_select(ParticleSet(NEXT_STORE, candidates, log_w), rng,
-                                 explicit_resample)
-    np.testing.assert_array_equal(picked, candidates[np.arange(m), hot])
+    probs, current = random_movers(rng, allow_self_transition)
+    m, s = probs.shape
+    log_w = rng.uniform(-900, 0, size=(m, s))
+    counts = np.random.default_rng(seed + 1).multinomial(n, probs)
+    picked = filtered_moves(np.random.default_rng(seed + 1), probs, log_w, n)
+    assert np.all(counts[np.arange(m), picked] > 0)
+    own = probs[np.arange(m), current]
+    if allow_self_transition:
+        assert np.all(own > 0)
+    else:
+        assert np.all(own == 0.0)
+        assert np.all(counts[np.arange(m), current] == 0)
+        assert not np.any(picked == current)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 20))
+def test_one_hot_weight_always_selects_its_store(seed, n):
+    """A store that is the only one with a non-zero count times weight is
+    always picked, whatever weight the stores without candidates carry."""
+    rng = np.random.default_rng(seed)
+    probs, _ = random_movers(rng, bool(seed % 2))
+    m, s = probs.shape
+    counts = np.random.default_rng(seed + 1).multinomial(n, probs)
+    hot = np.array([rng.choice(np.flatnonzero(row)) for row in counts])
+    log_w = np.where(counts > 0, -np.inf, rng.normal(size=(m, s)))
+    log_w[np.arange(m), hot] = rng.uniform(-800, 0, size=m)
+    picked = filtered_moves(np.random.default_rng(seed + 1), probs, log_w, n)
+    np.testing.assert_array_equal(picked, hot)
     one_hot = np.zeros((m, s))
-    one_hot[np.arange(m), candidates[np.arange(m), hot]] = 1.0
-    np.testing.assert_array_equal(categorical(rng, one_hot), candidates[np.arange(m), hot])
+    one_hot[np.arange(m), hot] = 1.0
+    np.testing.assert_array_equal(categorical(rng, one_hot), hot)
 
 
 @settings(max_examples=50, deadline=None)
@@ -180,8 +190,8 @@ def test_stacked_draws_equal_row_by_row_inverse_cdf(seed, m, k, size):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 50), st.booleans())
-def test_one_dimensional_input_equals_a_single_row(seed, size, explicit_resample):
+@given(st.integers(0, 10_000), st.integers(1, 50))
+def test_one_dimensional_input_equals_a_single_row(seed, size):
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(int(rng.integers(2, 10))))
     assert categorical(np.random.default_rng(seed), p) == (
@@ -189,12 +199,13 @@ def test_one_dimensional_input_equals_a_single_row(seed, size, explicit_resample
     np.testing.assert_array_equal(categorical(np.random.default_rng(seed), p, size=size),
                                   categorical(np.random.default_rng(seed), p[None], size=size)[0])
 
-    candidates, log_w = rng.integers(5, size=size), rng.normal(size=size)
-    single = resample_and_select(ParticleSet(NEXT_STORE, candidates, log_w),
-                                 np.random.default_rng(seed), explicit_resample)
-    stacked = resample_and_select(ParticleSet(NEXT_STORE, candidates[None], log_w[None]),
-                                  np.random.default_rng(seed), explicit_resample)
-    assert single == stacked[0]
+    # A case-1 (S,) weight row filters like the same row given to every mover.
+    probs, _ = random_movers(rng, bool(seed % 2))
+    row = rng.normal(size=probs.shape[1])
+    np.testing.assert_array_equal(
+        filtered_moves(np.random.default_rng(seed), probs, row, size),
+        filtered_moves(np.random.default_rng(seed), probs, np.tile(row, (len(probs), 1)), size),
+    )
 
     _, _, choice, world = two_group_scene(allow_self_transition=bool(seed % 2))
     for agent in range(3):
