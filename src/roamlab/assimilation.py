@@ -151,7 +151,8 @@ class AssimOptions:
 @dataclass
 class AssimRun:
     world: WorldState
-    assignments: np.ndarray  # (R, 4) rows (step, agent_id, entry_id, attr); case 3 only
+    # case 3: one (spawn step, agent_id, entry_id, attr) row per agent, in id order
+    assignments: np.ndarray | None
 
 
 def run_baseline(cfg: SimConfig, rng: np.random.Generator) -> WorldState:
@@ -194,7 +195,6 @@ def run_assimilation(
         )
 
     sw = StoreWeightVector.uniform(cfg.store_count, cfg.group_count)
-    assignments = []  # one (k, 4) block per spawn batch
     weighted = case == 3 and not options.random_baseline  # sequence weights in use
 
     if case == 3:
@@ -212,8 +212,6 @@ def run_assimilation(
             else:
                 entries = rng.integers(pool.size, size=len(ids))
             followed[ids] = entries
-            step = np.full(len(ids), world.step)
-            assignments.append(np.column_stack([step, ids, entries, pool.attrs[entries]]))
             return pool.paths[entries, 0]
 
         def mover(world, ids, rng):
@@ -250,5 +248,10 @@ def run_assimilation(
         if weighted:
             seq = weight_sequences(pool, sw)
         step_world(world, cfg, mover, placer, rng)
-    rows = np.concatenate(assignments) if assignments else np.empty((0, 4), dtype=np.int64)
-    return AssimRun(world=world, assignments=rows)
+    assignments = None
+    if case == 3:
+        n = world.agents_spawned
+        assignments = np.column_stack(
+            [world.entered[:n, 0], np.arange(n), followed[:n], pool.attrs[followed[:n]]]
+        )
+    return AssimRun(world=world, assignments=assignments)

@@ -177,26 +177,36 @@ def _paths_file(role: str) -> str:
 
 
 def _present_roles(cfg: ExperimentConfig, out):
+    """The roles whose OD files exist for every replicate; a role with none is
+    skipped, and a role with only some raises MissingInputError."""
     roles = []
     for role in ["truth", "baseline"] + case_labels(cfg):
-        if all(
-            (replicate_dir(out, role, r) / _od_file(role)).exists()
-            for r in range(cfg.replicate_count)
-        ):
+        paths = [replicate_dir(out, role, r) / _od_file(role)
+                 for r in range(cfg.replicate_count)]
+        missing = [p for p in paths if not p.exists()]
+        if missing and len(missing) < len(paths):
+            raise MissingInputError(f"missing {missing[0]}; {role} is only partly run")
+        if not missing:
             roles.append(role)
     return roles
 
 
 def evaluate(cfg: ExperimentConfig, out) -> dict:
-    """Aggregate whatever roles have complete outputs; write aggregate/ files."""
+    """Aggregate the roles that have run for every replicate; write aggregate/ files.
+
+    A role present for only some replicates, or an OD file that is not one
+    row per cell of the config's (S, S) grid, raises instead of aggregating.
+    """
     out = Path(out)
     roles = _present_roles(cfg, out)
     if "truth" not in roles:
         raise MissingInputError(f"no complete truth outputs under {out}")
     replicates = range(cfg.replicate_count)
 
+    stores = cfg.assim.store_count
     od_runs = {
-        role: [io.read_od(replicate_dir(out, role, r) / _od_file(role)) for r in replicates]
+        role: [io.read_od(replicate_dir(out, role, r) / _od_file(role), stores)
+               for r in replicates]
         for role in roles
     }
     agg = aggregate_runs(od_runs)
@@ -209,7 +219,6 @@ def evaluate(cfg: ExperimentConfig, out) -> dict:
         if role.startswith("case"):
             io.write_mean_od(agg_dir / role / "od_assim_mean.csv", agg["mean_od"][role])
 
-    stores = cfg.assim.store_count
     ngram_means = {
         role: mean_ngram_table(
             ngram_table(io.read_paths(replicate_dir(out, role, r) / _paths_file(role)),

@@ -7,12 +7,14 @@ per cell, in C order, with zero counts written explicitly, so files
 round-trip without shape metadata.
 
 Stage products are read back strictly, each in one numpy pass: the header
-must match exactly and every row must hold one integer per column. A file
-that breaks this raises MalformedTableError naming the file.
+must match exactly and every row must hold one integer per column, and a
+dense count file must hold every cell of its array exactly once. A file that
+breaks this raises MalformedTableError naming the file.
 """
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -85,12 +87,21 @@ def _cells(array):
         yield from ((i, *index, value) for index, value in zip(tail, block.tolist()))
 
 
-def _place(table, shape):
+def _place(path, table, shape):
     """The dense int64 array of the given shape that (index..., value) rows
-    describe; a cell with no row is 0."""
-    array = np.zeros(shape, dtype=np.int64)
-    array[tuple(table[:, :-1].T)] = table[:, -1]
-    return array
+    describe, in any order. Every cell must have exactly one row."""
+    index = table[:, :-1]
+    if np.any(index < 0) or np.any(index >= np.array(shape)):
+        raise MalformedTableError(f"{path}: an index is negative or beyond the {shape} array")
+    cells = np.ravel_multi_index(tuple(index.T), shape)
+    rows = np.bincount(cells, minlength=math.prod(shape))
+    if np.any(rows != 1):
+        bad = int(np.argmax(rows != 1))
+        cell = tuple(int(i) for i in np.unravel_index(bad, shape))
+        raise MalformedTableError(f"{path}: cell {cell} has {rows[bad]} rows, not 1")
+    array = np.empty(math.prod(shape), dtype=np.int64)
+    array[cells] = table[:, -1]
+    return array.reshape(shape)
 
 
 def write_obs_counts(path, observations):
@@ -106,21 +117,18 @@ def write_obs_counts_attr(path, observations):
 def read_observations(counts_path, attr_path) -> np.ndarray:
     """The (T, G, S) observation array from the two count files.
 
-    Cells are placed by their (step, store) and (step, attr, store) indices,
-    so row order does not matter; a cell missing from a file counts 0. The
-    totals file must hold the per-store sums of the attribute file.
+    The totals file sets T and S. Cells are placed by their (step, store) and
+    (step, attr, store) indices, so row order does not matter, but each file
+    must hold every cell of its array once. The totals file must hold the
+    per-store sums of the attribute file.
     """
     totals = _read_table(counts_path, ["step", "store", "count"])
     by_attr = _read_table(attr_path, ["step", "attr", "store", "count"])
     steps, stores = _extent(counts_path, totals, [0, 1])
-    attr_steps, attrs, attr_stores = _extent(attr_path, by_attr, [0, 1, 2])
-    if attr_steps > steps or attr_stores > stores:
-        raise MalformedTableError(
-            f"{attr_path}: indexes step {attr_steps - 1}, store {attr_stores - 1}"
-            f" beyond {counts_path} ({steps} steps, {stores} stores)"
-        )
-    observations = _place(by_attr, (steps, attrs, stores))
-    if not np.array_equal(_place(totals, (steps, stores)), observations.sum(axis=1)):
+    (attrs,) = _extent(attr_path, by_attr, [1])
+    observations = _place(attr_path, by_attr, (steps, attrs, stores))
+    if not np.array_equal(_place(counts_path, totals, (steps, stores)),
+                          observations.sum(axis=1)):
         raise MalformedTableError(
             f"{counts_path}: counts are not the per-store sums of {attr_path}"
         )
@@ -149,10 +157,9 @@ def write_od(path, od: np.ndarray):
     _write_table(path, ["origin", "dest", "count"], _cells(od))
 
 
-def read_od(path) -> np.ndarray:
-    table = _read_table(path, ["origin", "dest", "count"])
-    size = _extent(path, table, [0, 1]).max()
-    return _place(table, (size, size))
+def read_od(path, store_count: int) -> np.ndarray:
+    """The (store_count, store_count) OD matrix; the file must hold every cell once."""
+    return _place(path, _read_table(path, ["origin", "dest", "count"]), (store_count,) * 2)
 
 
 def write_mean_od(path, od: np.ndarray):

@@ -7,9 +7,11 @@ and stop roaming after a fixed number of transitions. Stationary agents are
 periodically replaced by fresh ones until a total-agent budget is spent.
 
 The world is a struct of arrays indexed by agent id, ids being handed out in
-spawn order. Choices read the congestion snapshot taken at the start of each
-step, so the moves of one step are conditionally independent given that
-snapshot and are drawn as one batch.
+spawn order, and it is the run's only record: each agent's visited stores and
+the step it entered each of them stay in its row, so observations, ODs and
+assignments are all read off the arrays after the run. Choices read the
+congestion snapshot taken at the start of each step, so the moves of one step
+are conditionally independent given that snapshot and are drawn as one batch.
 
 Movement and initial placement are pluggable policies so the same stepper
 drives plain model runs and assimilated runs. A mover maps (world, ids, rng)
@@ -17,15 +19,11 @@ to the next store of each listed agent; a placer maps (world, ids, groups,
 rng) to the first store of each freshly spawned agent.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import categorical, log_normalize_rows
-
-
-def _no_entries():
-    return tuple(np.empty(0, dtype=np.int64) for _ in range(3))
 
 
 @dataclass
@@ -90,25 +88,13 @@ def unit_distance(store_count: int) -> np.ndarray:
 
 
 @dataclass
-class StepReport:
-    """What happened during one world step, for observation building.
-
-    moves and spawns are (agent ids, groups, stores) arrays: the store each
-    mover entered, and the store each new agent was placed in, by ascending id.
-    """
-
-    step: int
-    moves: tuple = field(default_factory=_no_entries)
-    spawns: tuple = field(default_factory=_no_entries)
-
-
-@dataclass
 class WorldState:
     """Mutable simulation state advanced by step_world.
 
     Per-agent arrays have one entry per agent of the total budget; the first
     agents_spawned entries are live. path holds each agent's visited stores,
-    padded with -1 after the last one.
+    padded with -1 after the last one, and entered the step at which each of
+    them was entered (its spawn step first), padded the same way.
     """
 
     step: int
@@ -118,12 +104,11 @@ class WorldState:
     transitions: np.ndarray     # (N,) moves made so far
     active: np.ndarray          # (N,) bool: spawned and still roaming
     path: np.ndarray            # (N, max_transitions + 1) visited stores, -1 padded
-    occupancy: np.ndarray       # active agents per store, maintained incrementally
-    congestion: np.ndarray      # occupancy snapshot taken at the start of the step
+    entered: np.ndarray         # (N, max_transitions + 1) entry step of each, -1 padded
+    congestion: np.ndarray      # active agents per store at the start of the step
     agents_spawned: int
     group_quota_remaining: np.ndarray
     stationary_unretired: int = 0
-    last_report: StepReport | None = None
 
 
 @dataclass
@@ -270,7 +255,7 @@ def _draw_dwells(cfg: SimConfig, count: int, rng: np.random.Generator) -> np.nda
 
 
 def _spawn_agents(world, cfg, count, placer, rng):
-    """Spawn up to count agents as one batch; returns their (ids, groups, stores).
+    """Spawn up to count agents as one batch, entering their stores this step.
 
     Each group is drawn uniformly among the groups with quota left after the
     draws before it, so the group draws run one at a time. Placement and dwell
@@ -288,7 +273,7 @@ def _spawn_agents(world, cfg, count, placer, rng):
             eligible = np.flatnonzero(quota > 0)
         groups.append(group)
     if not groups:
-        return _no_entries()
+        return
     groups = np.array(groups, dtype=np.int64)
     ids = np.arange(world.agents_spawned, world.agents_spawned + len(groups))
     stores = np.asarray(placer(world, ids, groups, rng), dtype=np.int64)
@@ -297,18 +282,17 @@ def _spawn_agents(world, cfg, count, placer, rng):
     world.dwell[ids] = _draw_dwells(cfg, len(ids), rng)
     world.active[ids] = True
     world.path[ids, 0] = stores
+    world.entered[ids, 0] = world.step
     world.agents_spawned += len(ids)
-    world.occupancy += np.bincount(stores, minlength=len(world.occupancy))
-    return ids, groups, stores
 
 
 def uniform_placer(world, ids, groups, rng) -> np.ndarray:
-    return rng.integers(len(world.occupancy), size=len(ids))
+    return rng.integers(len(world.congestion), size=len(ids))
 
 
 def new_world(cfg: SimConfig) -> WorldState:
     """An empty world at step 0 with room for the whole agent budget."""
-    n, s = cfg.total_agents, cfg.store_count
+    n = cfg.total_agents
     return WorldState(
         step=0,
         group=np.zeros(n, dtype=np.int64),
@@ -317,8 +301,8 @@ def new_world(cfg: SimConfig) -> WorldState:
         transitions=np.zeros(n, dtype=np.int64),
         active=np.zeros(n, dtype=bool),
         path=np.full((n, cfg.max_transitions + 1), -1, dtype=np.int64),
-        occupancy=np.zeros(s, dtype=np.int64),
-        congestion=np.zeros(s, dtype=np.int64),
+        entered=np.full((n, cfg.max_transitions + 1), -1, dtype=np.int64),
+        congestion=np.zeros(cfg.store_count, dtype=np.int64),
         agents_spawned=0,
         group_quota_remaining=np.array(cfg.group_quotas, dtype=np.int64),
     )
@@ -327,10 +311,7 @@ def new_world(cfg: SimConfig) -> WorldState:
 def init_world(cfg: SimConfig, placer, rng: np.random.Generator) -> WorldState:
     """Spawn the initial population at step 0."""
     world = new_world(cfg)
-    world.last_report = StepReport(step=0)
-    n = min(cfg.initial_agents, cfg.total_agents)
-    world.last_report.spawns = _spawn_agents(world, cfg, n, placer, rng)
-    world.congestion = world.occupancy.copy()
+    _spawn_agents(world, cfg, min(cfg.initial_agents, cfg.total_agents), placer, rng)
     return world
 
 
@@ -342,15 +323,13 @@ def replenish(world: WorldState, cfg: SimConfig, placer, rng: np.random.Generato
     replenish_count new agents are spawned, capped by the total-agent budget.
     Spawned groups are drawn uniformly among groups with remaining quota.
     """
-    report = world.last_report
     while (
         world.stationary_unretired >= cfg.replenish_threshold
         and world.agents_spawned < cfg.total_agents
     ):
         world.stationary_unretired -= cfg.replenish_threshold
         n_new = min(cfg.replenish_count, cfg.total_agents - world.agents_spawned)
-        spawned = _spawn_agents(world, cfg, n_new, placer, rng)
-        report.spawns = tuple(np.concatenate(pair) for pair in zip(report.spawns, spawned))
+        _spawn_agents(world, cfg, n_new, placer, rng)
     return world
 
 
@@ -359,37 +338,31 @@ def step_world(
 ) -> WorldState:
     """Advance the world by one step, in place.
 
-    Active agents count down their dwell. The agents hitting zero (ascending
-    id) get their next stores from one `mover` call against the congestion
-    snapshot; they move there, and either go stationary at the transition cap
-    or all redraw a dwell in one call. Replenishment then runs. The step's
-    entries land in world.last_report.
+    The congestion snapshot counts the active agents per store. Active
+    agents then count down their dwell. The agents hitting zero (ascending
+    id) get their next stores from one `mover` call against the snapshot;
+    they move there, and either go stationary at the transition cap or all
+    redraw a dwell in one call. Replenishment then runs.
     """
     if world.step >= cfg.horizon_steps:
         raise ValueError(f"world already at horizon step {cfg.horizon_steps}")
     world.step += 1
-    world.congestion = world.occupancy.copy()
-    report = StepReport(step=world.step)
-    world.last_report = report
-
     ids = np.flatnonzero(world.active)
+    world.congestion = np.bincount(world.store[ids], minlength=cfg.store_count)
     world.dwell[ids] -= 1
     movers = ids[world.dwell[ids] <= 0]
     if len(movers):
         stores = np.asarray(mover(world, movers, rng), dtype=np.int64)
-        s = len(world.occupancy)
-        world.occupancy -= np.bincount(world.store[movers], minlength=s)
         world.store[movers] = stores
         world.transitions[movers] += 1
         world.path[movers, world.transitions[movers]] = stores
+        world.entered[movers, world.transitions[movers]] = world.step
         done = world.transitions[movers] >= cfg.max_transitions
         finished, going = movers[done], movers[~done]
         world.active[finished] = False
         world.dwell[finished] = 0
         world.stationary_unretired += len(finished)
         world.dwell[going] = _draw_dwells(cfg, len(going), rng)
-        world.occupancy += np.bincount(stores[~done], minlength=s)
-        report.moves = (movers, world.group[movers], stores)
 
     replenish(world, cfg, placer, rng)
     return world

@@ -1,11 +1,12 @@
 """Truth runs and the pseudo-observation products they emit.
 
 A truth world (group-specific attractiveness) is stepped to the horizon with
-the plain choice model. Every store entry (a move arrival, and by default a
-spawn placement) is logged; the observations, one (T+1, G, S) array of
-inflow counts by step, group and store, and a biased sample of completed
-transition sequences are derived from that log. The total inflow of a step
-is the per-store sum over groups, observations.sum(axis=1).
+the plain choice model. The world keeps every agent's visited stores and the
+step it entered each; the observations, one (T+1, G, S) array of inflow
+counts by step, group and store, are counted off those arrays. Every move
+arrival, and by default every spawn placement, is one entry. A biased sample
+of completed transition sequences is drawn from the same paths. The total
+inflow of a step is the per-store sum over groups, observations.sum(axis=1).
 """
 
 from dataclasses import dataclass
@@ -39,26 +40,12 @@ class SequencePool:
         return len(self.attrs)
 
 
-MOVE, SPAWN = 0, 1  # entry kinds in TruthRun.events
-
-
 @dataclass
 class TruthRun:
     world: WorldState
     observations: np.ndarray    # (T+1, G, S) inflow counts by step, group and store
-    events: np.ndarray          # (E, 5) rows (step, agent_id, group, store, kind)
     archive: tuple              # (groups, paths) of agents that finished roaming
     od: np.ndarray              # origin x destination transition counts, all agents
-
-
-def _step_events(world):
-    """The entry events of the world's last step, moves first."""
-    report = world.last_report
-    return np.concatenate([
-        np.column_stack([np.full(len(ids), report.step), ids, groups, stores,
-                         np.full(len(ids), kind)])
-        for kind, (ids, groups, stores) in ((MOVE, report.moves), (SPAWN, report.spawns))
-    ])
 
 
 def run_truth(
@@ -66,26 +53,29 @@ def run_truth(
     rng: np.random.Generator,
     count_spawn_as_inflow: bool = True,
 ) -> TruthRun:
-    """Step the truth world to the horizon and log every store entry.
+    """Step the truth world to the horizon and count its store entries.
 
-    The observations are indexed by step (step 0 holds the initial spawn
-    entries). Completed agents' paths are available from the returned world.
+    The observations are indexed by entry step (step 0 holds the initial spawn
+    entries); position 0 of a path, the spawn placement, is counted only with
+    count_spawn_as_inflow. Completed agents' paths are available from the
+    returned world.
     """
     choice = ChoiceModel(cfg.graph(), cfg.behavior, cfg.allow_self_transition)
     mover = model_mover(choice)
     world = init_world(cfg, uniform_placer, rng)
-    events = [_step_events(world)]
     for _ in range(cfg.horizon_steps):
         step_world(world, cfg, mover, uniform_placer, rng)
-        events.append(_step_events(world))
-    events = np.concatenate(events)
-    counted = events if count_spawn_as_inflow else events[events[:, 4] == MOVE]
+    first = 0 if count_spawn_as_inflow else 1
+    entered = world.entered[: world.agents_spawned, first:]
+    agent, position = np.nonzero(entered >= 0)
     shape = (cfg.horizon_steps + 1, cfg.group_count, cfg.store_count)
-    cells = np.ravel_multi_index((counted[:, 0], counted[:, 2], counted[:, 3]), shape)
+    cells = np.ravel_multi_index(
+        (entered[agent, position], world.group[agent], world.path[agent, position + first]),
+        shape,
+    )
     return TruthRun(
         world=world,
         observations=np.bincount(cells, minlength=np.prod(shape)).reshape(shape),
-        events=events,
         archive=completed_paths(world),
         od=build_od(path_rows(world), cfg.store_count),
     )
@@ -127,18 +117,3 @@ def sample_biased_pool(
         paths=archive_paths[entries].astype(np.int64),
         attrs=groups.astype(np.int64),
     )
-
-
-def rebuild_observations(events, horizon_steps, store_count, group_count,
-                         count_spawn_as_inflow: bool = True):
-    """Reconstruct the observation trajectory from the raw entry-event log.
-
-    A plain loop over the events: the reference that the observations of
-    run_truth are checked against. Returns the same (T+1, G, S) array.
-    """
-    attr = np.zeros((horizon_steps + 1, group_count, store_count), dtype=np.int64)
-    for step, _agent_id, group, store, kind in np.asarray(events).tolist():
-        if kind == SPAWN and not count_spawn_as_inflow:
-            continue
-        attr[step, group, store] += 1
-    return attr

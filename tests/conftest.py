@@ -60,10 +60,11 @@ def make_agent(group=0, store=0, dwell=2, path=None, active=True):
 
 
 def make_world(agents, store_count, quotas=(10, 10, 10, 10), spawned=None, capacity=None):
-    """WorldState holding the given agents as ids 0, 1, ...
+    """WorldState at step 0 holding the given agents as ids 0, 1, ...
 
-    Ids from len(agents) up to `spawned` are spawned agents that have left
-    (no path, inactive); `capacity` is the total-agent budget.
+    Every store of an agent's path counts as entered at step 0. Ids from
+    len(agents) up to `spawned` are spawned agents that have left (no path,
+    inactive); `capacity` is the total-agent budget.
     """
     spawned = len(agents) if spawned is None else spawned
     capacity = max(spawned, 1) if capacity is None else capacity
@@ -79,9 +80,8 @@ def make_world(agents, store_count, quotas=(10, 10, 10, 10), spawned=None, capac
         world.transitions[i] = len(path) - 1
         world.active[i] = a["active"]
         world.path[i, : len(path)] = path
-        if a["active"]:
-            world.occupancy[path[-1]] += 1
-    world.congestion = world.occupancy.copy()
+        world.entered[i, : len(path)] = 0
+    world.congestion = np.bincount(world.store[world.active], minlength=store_count)
     world.agents_spawned = spawned
     return world
 

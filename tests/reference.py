@@ -2,10 +2,14 @@
 
 roamlab draws all movers of a step, and all agents of a spawn batch, in one
 batched call. These kernels state the laws those batches must follow; the law
-tests in test_law.py draw from both and compare the counts.
+tests in test_law.py draw from both and compare the counts. The observation
+oracle counts a finished world's store entries one at a time, the reference
+for the batched count of twin.run_truth.
 """
 
 import math
+
+import numpy as np
 
 
 def choice_probs(graph, behavior, group, current, congestion, allow_self_transition=False):
@@ -49,3 +53,21 @@ def sequence_probs(paths, log_w):
     raw = [sum(math.exp(log_w[s]) for s in path) for path in paths]
     z = sum(raw)
     return [r / z for r in raw]
+
+
+def rebuild_observations(world, horizon_steps, store_count, group_count,
+                         count_spawn_as_inflow=True):
+    """The (T+1, G, S) inflow counts of a finished world, by a plain walk over
+    every spawned agent's path and entry steps: each visited store is one
+    entry at the step it was entered. Position 0, the spawn placement, counts
+    only with count_spawn_as_inflow."""
+    counts = np.zeros((horizon_steps + 1, group_count, store_count), dtype=np.int64)
+    for agent in range(world.agents_spawned):
+        group = int(world.group[agent])
+        stores, steps = world.path[agent].tolist(), world.entered[agent].tolist()
+        for position, (store, step) in enumerate(zip(stores, steps)):
+            if store < 0:
+                break
+            if position > 0 or count_spawn_as_inflow:
+                counts[step, group, store] += 1
+    return counts

@@ -345,6 +345,22 @@ class TestRunAssimilation:
         np.testing.assert_array_equal(path_rows(runs[0].world), path_rows(runs[1].world))
         np.testing.assert_array_equal(runs[0].assignments, runs[1].assignments)
 
+    @pytest.mark.parametrize("random_baseline", [False, True])
+    def test_case3_assigns_one_row_per_agent_at_its_spawn_step(self, random_baseline):
+        _, assim_cfg, truth, pool = self.setup_inputs()
+        run = run_assimilation(
+            assim_cfg, truth.observations, 3, pool=pool, rng=np.random.default_rng(6),
+            options=AssimOptions(random_baseline=random_baseline),
+        )
+        n = run.world.agents_spawned
+        step, agent, entry, attr = run.assignments.T
+        assert run.assignments.shape == (n, 4)
+        np.testing.assert_array_equal(agent, np.arange(n))
+        np.testing.assert_array_equal(step, run.world.entered[:n, 0])
+        assert np.all(step[: assim_cfg.initial_agents] == 0) and np.all(np.diff(step) >= 0)
+        np.testing.assert_array_equal(attr, pool.attrs[entry])
+        np.testing.assert_array_equal(pool.paths[entry, 0], run.world.path[:n, 0])
+
     def test_case3_realized_paths_come_from_pool(self):
         _, assim_cfg, truth, pool = self.setup_inputs()
         run = run_assimilation(

@@ -198,15 +198,52 @@ class TestPipeline:
 
     def test_evaluate_on_missing_assignments_exits_4(self, mini_config, tmp_path, capsys):
         # Without the file, the case-3 assignment bias would drop out of
-        # metrics.json without a word. With case3/001 gone too, case3 is
-        # incomplete and not scored, so case3_random's missing file is the one
-        # evaluate must stop on.
+        # metrics.json without a word. With case3 gone too, case3 is not
+        # scored, so case3_random's missing file is the one evaluate must stop
+        # on.
         out = tmp_path / "out"
         base = ["--config", str(mini_config), "--out", str(out), "--runs", "2"]
         assert main(["experiment", *base, "--case", "3", "--jobs", "1"]) == EXIT_OK
-        shutil.rmtree(out / "case3" / "001")
+        shutil.rmtree(out / "case3")
         target = out / "case3_random" / "000" / "assigned_sequences.csv"
         target.unlink()
+        capsys.readouterr()
+        assert main(["evaluate", *base]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+        assert len(err.splitlines()) == 1
+
+    def test_evaluate_on_partly_run_role_exits_4(self, mini_config, tmp_path, capsys):
+        # Scoring case1 on one replicate of two, or dropping it from
+        # metrics.json beside its stale aggregate files, would both mislead.
+        out = tmp_path / "out"
+        base = ["--config", str(mini_config), "--out", str(out), "--runs", "2"]
+        assert main(["experiment", *base, "--case", "1", "--jobs", "1"]) == EXIT_OK
+        shutil.rmtree(out / "case1" / "001")
+        metrics = (out / "aggregate" / "metrics.json").read_text()
+        capsys.readouterr()
+        assert main(["evaluate", *base]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out / "case1" / "001" / "assim_od.csv") in err
+        assert len(err.splitlines()) == 1
+        assert (out / "aggregate" / "metrics.json").read_text() == metrics
+
+    @pytest.mark.parametrize("scope", ["tree", "one-file"])
+    def test_evaluate_on_od_of_another_store_count_exits_4(
+        self, mini_config, tmp_path, capsys, scope
+    ):
+        out = tmp_path / "out"
+        base = ["--config", str(mini_config), "--out", str(out)]
+        if scope == "tree":
+            other = tmp_path / "other.json"
+            other.write_text(json.dumps({**MINI, "sim.store_count": 24}))
+            assert main(["experiment", "--config", str(other), "--out", str(out),
+                         "--case", "1", "--jobs", "1"]) == EXIT_OK
+            target = out / "truth" / "000" / "truth_od.csv"
+        else:
+            assert main(["experiment", *base, "--case", "1", "--jobs", "1"]) == EXIT_OK
+            target = out / "baseline" / "000" / "baseline_od.csv"
+            io.write_od(target, np.zeros((24, 24), dtype=np.int64))
         capsys.readouterr()
         assert main(["evaluate", *base]) == EXIT_IO
         err = capsys.readouterr().err
@@ -295,5 +332,5 @@ def test_experiment_under_each_ablation_flag(tmp_path, flag):
             groups = np.bincount(starts[:, 1], minlength=sim.group_count)
             assert groups.tolist() == list(sim.group_quotas), role
             assert rows[:, 2].max() <= sim.max_transitions, role
-            od = io.read_od(d / OD_FILE.get(role, "assim_od.csv"))
+            od = io.read_od(d / OD_FILE.get(role, "assim_od.csv"), sim.store_count)
             assert od.sum() == np.count_nonzero(rows[:, 2] > 0), role

@@ -32,7 +32,7 @@ def test_sequence_pool_roundtrip(tmp_path):
 def test_od_roundtrip(tmp_path):
     od = np.arange(16).reshape(4, 4)
     io.write_od(tmp_path / "od.csv", od)
-    np.testing.assert_array_equal(io.read_od(tmp_path / "od.csv"), od)
+    np.testing.assert_array_equal(io.read_od(tmp_path / "od.csv", 4), od)
 
 
 def test_paths_roundtrip(tmp_path):
@@ -134,6 +134,48 @@ def test_totals_must_be_the_per_store_sums_of_the_attr_counts(tmp_path):
     with pytest.raises(io.MalformedTableError, match="per-store sums") as info:
         io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv")
     assert str(tmp_path / "c.csv") in str(info.value)
+
+
+def edit_rows(path, edit):
+    """Rewrite a CSV's data rows (header kept) as edit(rows) gives them."""
+    header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(edit(rows)))
+
+
+CELL_EDITS = {
+    "duplicated": lambda rows: rows + [rows[3]],
+    "missing": lambda rows: rows[:3] + rows[4:],
+}
+
+
+@pytest.mark.parametrize("edit", CELL_EDITS)
+def test_od_file_must_hold_every_cell_once(tmp_path, edit):
+    io.write_od(tmp_path / "od.csv", np.arange(16).reshape(4, 4))
+    edit_rows(tmp_path / "od.csv", CELL_EDITS[edit])
+    with pytest.raises(io.MalformedTableError, match=r"cell \(0, 3\) has [02] rows") as info:
+        io.read_od(tmp_path / "od.csv", 4)
+    assert str(tmp_path / "od.csv") in str(info.value)
+
+
+@pytest.mark.parametrize("name", ["c.csv", "a.csv"])
+@pytest.mark.parametrize("edit", CELL_EDITS)
+def test_observation_files_must_hold_every_cell_once(tmp_path, name, edit):
+    cfg = small_sim_config(store_count=4, horizon_steps=25)
+    truth = run_truth(cfg, np.random.default_rng(1))
+    io.write_obs_counts(tmp_path / "c.csv", truth.observations)
+    io.write_obs_counts_attr(tmp_path / "a.csv", truth.observations)
+    edit_rows(tmp_path / name, CELL_EDITS[edit])
+    with pytest.raises(io.MalformedTableError, match="rows, not 1") as info:
+        io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv")
+    assert str(tmp_path / name) in str(info.value)
+
+
+def test_od_file_must_fit_the_store_count(tmp_path):
+    io.write_od(tmp_path / "od.csv", np.ones((4, 4), dtype=np.int64))
+    with pytest.raises(io.MalformedTableError, match="beyond the \\(3, 3\\) array"):
+        io.read_od(tmp_path / "od.csv", 3)
+    with pytest.raises(io.MalformedTableError, match="rows, not 1"):
+        io.read_od(tmp_path / "od.csv", 5)
 
 
 def test_sequence_pool_entry_ids_must_number_rows(tmp_path):

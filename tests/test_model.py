@@ -10,7 +10,6 @@ from roamlab.model import (
     BehaviorParams,
     ChoiceModel,
     SimConfig,
-    StepReport,
     StoreGraph,
     init_world,
     model_mover,
@@ -173,7 +172,7 @@ class TestStepWorld:
         assert agent_path(world, 0) == [0, 2]
         assert world.transitions[0] == 1
         assert cfg.dwell_min <= world.dwell[0] <= cfg.dwell_max
-        assert [a.tolist() for a in world.last_report.moves] == [[0], [0], [2]]
+        assert world.entered[0].tolist() == [0, 1, -1, -1]
 
     def test_stationary_agent_never_moves(self):
         cfg = small_sim_config()
@@ -195,7 +194,9 @@ class TestStepWorld:
         assert world.transitions[0] == 3
         # one stationary agent; below threshold 2, so nothing spawned
         assert world.stationary_unretired == 1
-        assert world.occupancy.sum() == 0
+        assert world.entered[0].tolist() == [0, 0, 0, 1]
+        step_world(world, cfg, always(0), uniform_placer, np.random.default_rng(0))
+        assert world.congestion.sum() == 0
 
     def test_batch_of_newly_stationary_triggers_spawn(self):
         # 40 agents complete their last transition this step; threshold 40.
@@ -215,23 +216,26 @@ class TestStepWorld:
         step_world(world, cfg, always(0), uniform_placer, np.random.default_rng(1))
         assert world.agents_spawned == 80
         newcomers = np.arange(40, 80)
-        assert world.last_report.spawns[0].tolist() == newcomers.tolist()
+        assert np.all(world.entered[newcomers, 0] == 1)
+        assert np.all(world.entered[newcomers, 1:] == -1)
         assert np.all(world.active[newcomers])
         assert world.stationary_unretired == 0  # batch retired
 
     def test_occupancy_tracks_active_agents(self):
+        # Each step's congestion counts the agents active when the step began,
+        # by the last store of their paths.
         cfg = small_sim_config()
         rng = np.random.default_rng(5)
         graph = cfg.graph()
         mover = model_mover(ChoiceModel(graph, cfg.behavior))
         world = init_world(cfg, uniform_placer, rng)
         for _ in range(cfg.horizon_steps):
-            step_world(world, cfg, mover, uniform_placer, rng)
             expected = np.zeros(cfg.store_count, dtype=np.int64)
             for i in range(world.agents_spawned):
                 if world.active[i]:
                     expected[agent_path(world, i)[-1]] += 1
-            np.testing.assert_array_equal(world.occupancy, expected)
+            step_world(world, cfg, mover, uniform_placer, rng)
+            np.testing.assert_array_equal(world.congestion, expected)
 
     def test_rejects_step_past_horizon(self):
         cfg = small_sim_config(horizon_steps=1)
@@ -255,7 +259,6 @@ class TestReplenish:
         world = make_world([], store_count=3, quotas=(500, 500, 500, 500), spawned=100,
                            capacity=cfg.total_agents)
         world.stationary_unretired = 39
-        world.last_report = StepReport(step=1)
         replenish(world, cfg, uniform_placer, np.random.default_rng(0))
         assert world.agents_spawned == 100
         assert world.stationary_unretired == 39
@@ -270,7 +273,6 @@ class TestReplenish:
         world = make_world([], store_count=3, quotas=(0, 0, 0, 0), spawned=2000,
                            capacity=cfg.total_agents)
         world.stationary_unretired = 77
-        world.last_report = StepReport(step=1)
         replenish(world, cfg, uniform_placer, np.random.default_rng(0))
         assert world.agents_spawned == 2000
         assert world.stationary_unretired == 77
@@ -287,7 +289,6 @@ class TestReplenish:
         world = make_world([], store_count=3, quotas=(0, 3, 0, 0), spawned=1997,
                            capacity=cfg.total_agents)
         world.stationary_unretired = 40
-        world.last_report = StepReport(step=1)
         replenish(world, cfg, uniform_placer, np.random.default_rng(0))
         assert world.agents_spawned == 2000
         assert world.group[1997:].tolist() == [1, 1, 1]
@@ -299,7 +300,6 @@ class TestReplenish:
         world = make_world([], store_count=3, quotas=(40, 40), spawned=20,
                            capacity=cfg.total_agents)
         world.stationary_unretired = 5
-        world.last_report = StepReport(step=1)
         replenish(world, cfg, uniform_placer, np.random.default_rng(0))
         assert world.agents_spawned == 24  # two batches of 2
         assert world.stationary_unretired == 1
@@ -329,6 +329,24 @@ class TestLifecycleRun:
             assert path[-1] == world.store[i]
             assert world.transitions[i] == len(path) - 1
             assert (not world.active[i]) == (world.transitions[i] == cfg.max_transitions)
+
+    def test_entry_steps_fill_the_path_cells(self):
+        cfg = small_sim_config(horizon_steps=80, total_agents=20, group_quotas=(10, 10))
+        world = self.run_to_horizon(cfg)
+        np.testing.assert_array_equal(world.entered >= 0, world.path >= 0)
+        assert world.entered.max() <= cfg.horizon_steps
+
+    def test_entry_gaps_are_dwell_times(self):
+        # An agent leaves a store after one full dwell, drawn in
+        # [dwell_min, dwell_max], whether it spawned or moved there.
+        cfg = small_sim_config(horizon_steps=80, total_agents=20, group_quotas=(10, 10),
+                               dwell_min=2, dwell_max=4)
+        world = self.run_to_horizon(cfg)
+        gaps = set()
+        for i in range(world.agents_spawned):
+            steps = [t for t in world.entered[i].tolist() if t >= 0]
+            gaps.update(b - a for a, b in zip(steps, steps[1:]))
+        assert gaps == {2, 3, 4}
 
     def test_trajectories_are_seed_deterministic(self):
         cfg = small_sim_config(horizon_steps=40)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from reference import rebuild_observations
 
 from roamlab.metrics import build_od
 from roamlab.model import completed_paths, path_rows
-from roamlab.twin import SPAWN, rebuild_observations, run_truth, sample_biased_pool
+from roamlab.twin import run_truth, sample_biased_pool
 
 from conftest import agent_path, small_sim_config
 
@@ -35,8 +36,8 @@ class TestObservations:
         assert truth.observations[0].sum() == cfg.initial_agents
 
     def test_total_inflow_counts_every_entry(self, truth_run):
-        # Counting oracle over the event log: each transition and each spawn
-        # is exactly one entry.
+        # Counting oracle over the paths: each transition and each spawn is
+        # exactly one entry.
         cfg, truth = truth_run
         spawns = truth.world.agents_spawned
         transitions = sum(len(agent_path(truth.world, i)) - 1 for i in range(spawns))
@@ -52,30 +53,26 @@ class TestObservations:
 
     def test_inflow_bounded_by_agents_active_during_step(self, truth_run):
         # Every entry belongs to an agent active at some point within the step:
-        # replay the event log to track the active population independently.
-        from collections import Counter, defaultdict
+        # replay the entry steps to track the active population independently.
+        from collections import Counter
 
         cfg, truth = truth_run
-        moves = Counter()
-        spawned_at = defaultdict(int)
-        completed_at = defaultdict(int)
-        for step, aid, _g, _store, kind in truth.events.tolist():
-            if kind == SPAWN:
-                spawned_at[step] += 1
-            else:
-                moves[aid] += 1
-                if moves[aid] == cfg.max_transitions:
-                    completed_at[step] += 1
+        entered = truth.world.entered[: truth.world.agents_spawned].tolist()
+        spawned_at = Counter(steps[0] for steps in entered)
+        completed_at = Counter(steps[-1] for steps in entered if steps[-1] >= 0)
         active = 0
         for step, counts in enumerate(truth.observations):
             during = active + spawned_at[step]
             assert int(counts.sum()) <= during
             active = during - completed_at[step]
 
-    def test_event_log_replay_reproduces_observations(self, truth_run):
-        cfg, truth = truth_run
+    @pytest.mark.parametrize("count_spawn_as_inflow", [True, False])
+    def test_path_replay_reproduces_observations(self, truth_run, count_spawn_as_inflow):
+        cfg, _ = truth_run
+        truth = run_truth(cfg, np.random.default_rng(42), count_spawn_as_inflow)
         rebuilt = rebuild_observations(
-            truth.events, cfg.horizon_steps, cfg.store_count, cfg.group_count
+            truth.world, cfg.horizon_steps, cfg.store_count, cfg.group_count,
+            count_spawn_as_inflow,
         )
         assert rebuilt.shape == (cfg.horizon_steps + 1, cfg.group_count, cfg.store_count)
         np.testing.assert_array_equal(rebuilt, truth.observations)
