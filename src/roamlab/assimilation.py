@@ -1,15 +1,18 @@
 """Particle-filter assimilation of store-inflow observations.
 
-Three regimes share one machinery. With per-store counts (case 1) each moving
-agent proposes n candidate moves from the choice model, weights them by
-exp(inflow) store likelihoods and keeps one. Only the number of candidates at
-each store matters, so one multinomial count row per agent is drawn and one
-store is picked with probability proportional to count times weight; all
-movers of a step are filtered at once, one row per agent. With
-attribute-tagged counts (case 2) the same runs per behavioral group. With a
-biased sample of whole transition sequences (case 3) the measured sequences
+Three regimes share one machinery and one (G, S) table of store log weights,
+a row per behavioral group built from that group's inflow counts. With
+attribute-tagged counts (case 2) each moving agent proposes n candidate moves
+from the choice model, weights them by exp(inflow) store likelihoods of its
+group's row and keeps one. Only the number of candidates at each store
+matters, so one multinomial count row per agent is drawn and one store is
+picked with probability proportional to count times weight; all movers of a
+step are filtered at once, one row per agent. With per-store counts (case 1)
+the same runs with every group seeing the per-store totals. With a biased
+sample of whole transition sequences (case 3) the measured sequences
 themselves are the particles: new agents draw a sequence weighted by the
-summed store weights along it and then follow that sequence verbatim.
+summed store weights along it, every group again seeing the totals, and then
+follow that sequence verbatim.
 
 All weights are kept in log space and normalized by log-sum-exp.
 """
@@ -32,33 +35,17 @@ from .twin import SequencePool
 
 @dataclass
 class StoreWeightVector:
-    """Normalized per-store log weights for one step, total and per attribute.
+    """Normalized per-store log weights for one step, one row per group.
 
-    step is None for the uniform initial vector (no observation consumed yet).
+    step is None for the uniform initial table (no observation consumed yet).
     """
 
     step: int | None
-    log_w: np.ndarray                 # (S,)
-    log_w_attr: np.ndarray | None = None  # (G, S), rows normalized
+    log_w: np.ndarray  # (G, S), rows normalized
 
     @classmethod
-    def uniform(cls, store_count: int, group_count: int | None = None):
-        log_w = np.full(store_count, -np.log(store_count))
-        attr = None
-        if group_count is not None:
-            attr = np.tile(log_w, (group_count, 1))
-        return cls(step=None, log_w=log_w, log_w_attr=attr)
-
-    def row(self, group=None) -> np.ndarray:
-        """The total row, or the row of each given group (a scalar or an array)."""
-        if group is None:
-            return self.log_w
-        if self.log_w_attr is None:
-            raise ValueError("no per-attribute weights available")
-        return self.log_w_attr[group]
-
-    def weights(self, group=None) -> np.ndarray:
-        return np.exp(self.row(group))
+    def uniform(cls, store_count: int, group_count: int):
+        return cls(step=None, log_w=np.full((group_count, store_count), -np.log(store_count)))
 
 
 def update_store_weights(
@@ -67,19 +54,15 @@ def update_store_weights(
     """Fold one step's inflow counts, a (G, S) row by group and store, into
     the store weights.
 
-    Fresh mode rebuilds the weights from this step alone: log w_j = inflow_j,
-    normalized, where inflow_j is the per-store total over groups.
-    Accumulation mode keeps multiplying the running weights by exp(inflow_j),
-    matching the literal multiplicative update. Attribute rows get the same
-    rule with their own counts. The result is numbered one step past prev.
+    Fresh mode rebuilds each group's row from this step alone: log w_gj =
+    inflow_gj, normalized. Accumulation mode keeps multiplying the running
+    weights by exp(inflow_gj), matching the literal multiplicative update.
+    The result is numbered one step past prev.
     """
-    counts = np.asarray(counts)
     base = prev.log_w if accumulate else 0.0
-    log_w = log_normalize_rows(base + counts.sum(axis=0).astype(float))
-    base_attr = prev.log_w_attr if accumulate and prev.log_w_attr is not None else 0.0
-    attr = log_normalize_rows(base_attr + counts.astype(float))
+    log_w = log_normalize_rows(base + np.asarray(counts).astype(float))
     step = 1 if prev.step is None else prev.step + 1
-    return StoreWeightVector(step=step, log_w=log_w, log_w_attr=attr)
+    return StoreWeightVector(step=step, log_w=log_w)
 
 
 def filtered_moves(
@@ -88,15 +71,15 @@ def filtered_moves(
     """Filter one step's moves: each mover's next store, by candidate counts.
 
     probs is (m, S), the choice row of each mover. log_w holds the store log
-    weights: the (S,) total row for every mover (case 1), or one (m, S) group
-    row per mover (case 2). Each mover proposes n candidates from its row,
-    weights each by its store's likelihood and keeps one. The candidates are
-    exchangeable, so the pick depends on them only through c_j, the number of
-    candidates at store j: c is one multinomial row per mover, and store j is
-    kept with probability c_j w_j / sum_j' c_j' w_j'. Resampling n candidates
-    by weight and keeping one uniformly has the same law. The sum is taken in
-    log space, so far-negative log weights do not underflow, and the cost
-    does not grow with n.
+    weights: one (m, S) row per mover, its group's, or one (S,) row for all.
+    Each mover proposes n candidates from its row, weights each by its
+    store's likelihood and keeps one. The candidates are exchangeable, so the
+    pick depends on them only through c_j, the number of candidates at store
+    j: c is one multinomial row per mover, and store j is kept with
+    probability c_j w_j / sum_j' c_j' w_j'. Resampling n candidates by weight
+    and keeping one uniformly has the same law. The sum is taken in log space,
+    so far-negative log weights do not underflow, and the cost does not grow
+    with n.
 
     Raises ValueError if a row's candidate weights are all zero or non-finite.
     """
@@ -107,19 +90,15 @@ def filtered_moves(
     return categorical(rng, np.exp(log_normalize_rows(log_cw)))
 
 
-def place_new_agents(
-    sw: StoreWeightVector, rng: np.random.Generator, count: int, groups=None
-) -> np.ndarray:
-    """Initial stores for count freshly spawned agents, drawn from the store
-    weights; with groups, agent i draws from the row of groups[i]."""
-    if groups is None:
-        return categorical(rng, sw.weights(), size=count)
-    return categorical(rng, sw.weights(groups))
+def place_new_agents(sw: StoreWeightVector, rng: np.random.Generator, groups) -> np.ndarray:
+    """Initial stores for freshly spawned agents: agent i draws from the
+    store weights of its group, groups[i]."""
+    return categorical(rng, np.exp(sw.log_w[groups]))
 
 
 def weight_sequences(pool: SequencePool, sw: StoreWeightVector) -> np.ndarray:
     """Selection probability of every pool entry, (P,): proportional to the
-    sum of the store weights along its path.
+    sum of the store weights of the entry's group along its path.
 
     The sum (not product) runs over the normalized store weights; repeated
     stores count once per visit. It is taken in log space, as a log-sum-exp of
@@ -129,7 +108,7 @@ def weight_sequences(pool: SequencePool, sw: StoreWeightVector) -> np.ndarray:
 
     Raises ValueError if every entry's weight is zero or non-finite.
     """
-    log_w = sw.log_w[pool.paths]
+    log_w = sw.log_w[pool.attrs[:, None], pool.paths]
     top = log_w.max(axis=1)
     log_sums = top + np.log(np.exp(log_w - top[:, None]).sum(axis=1))
     if not np.isfinite(log_sums.max()):
@@ -178,10 +157,12 @@ def run_assimilation(
 
     observations is the (T+1, G, S) array of inflow counts by step, group and
     store, covering steps 0..horizon; the weights applied during step t come
-    from the inflows observed at step t. Case 3 requires a sequence
-    pool whose paths span the full transition count; its sequence weights are
-    recomputed once per step, when the store weights change. The case-3 random
-    control draws pool entries uniformly and never weights the pool.
+    from the inflows observed at step t. Case 2 weights each group by its own
+    counts; cases 1 and 3 weight every group by the per-store totals. Case 3
+    requires a sequence pool whose paths span the full transition count; its
+    sequence weights are recomputed once per step, when the store weights
+    change. The case-3 random control draws pool entries uniformly and never
+    weights the pool.
     """
     if case not in (1, 2, 3):
         raise ValueError(f"case must be 1, 2, or 3, got {case}")
@@ -192,6 +173,11 @@ def run_assimilation(
         raise ValueError(
             f"observation stream covers {len(observations)} steps,"
             f" horizon needs {cfg.horizon_steps + 1}"
+        )
+    if case != 2:  # every group sees the per-store totals
+        observations = np.broadcast_to(
+            observations.sum(axis=1, keepdims=True),
+            (len(observations), cfg.group_count, observations.shape[2]),
         )
 
     sw = StoreWeightVector.uniform(cfg.store_count, cfg.group_count)
@@ -220,14 +206,13 @@ def run_assimilation(
     else:
         choice = ChoiceModel(cfg.graph(), cfg.behavior, cfg.allow_self_transition)
         n = options.particle_count
-        by_group = case == 2
 
         if options.filter_moves:
 
             def mover(world, ids, rng):
                 groups = world.group[ids]
                 probs = choice.probs(groups, world.store[ids], world.congestion)
-                return filtered_moves(rng, probs, sw.row(groups if by_group else None), n)
+                return filtered_moves(rng, probs, sw.log_w[groups], n)
 
         else:
             mover = model_mover(choice)
@@ -235,7 +220,7 @@ def run_assimilation(
         if options.weighted_placement:
 
             def placer(world, ids, groups, rng):
-                return place_new_agents(sw, rng, len(ids), groups if by_group else None)
+                return place_new_agents(sw, rng, groups)
 
         else:
             placer = uniform_placer

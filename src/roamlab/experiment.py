@@ -29,7 +29,7 @@ from .metrics import (
     ngram_table,
     top_k,
 )
-from .model import path_rows
+from .model import completed_paths, path_rows
 from .seeds import ROLE_CODES, derive_rng
 from .twin import run_truth, sample_biased_pool
 
@@ -54,6 +54,20 @@ def case_labels(cfg: ExperimentConfig):
     return labels
 
 
+def _stem(role: str) -> str:
+    """File name stem of a role's OD and paths files: truth, baseline or assim."""
+    return role if role in ("truth", "baseline") else "assim"
+
+
+def _write_world(cfg: ExperimentConfig, out, role: str, replicate: int, world):
+    """Write a world's <stem>_od.csv and <stem>_paths.csv; return their directory."""
+    d = replicate_dir(out, role, replicate)
+    rows = path_rows(world)
+    io.write_od(d / f"{_stem(role)}_od.csv", build_od(rows, cfg.assim.store_count))
+    io.write_paths(d / f"{_stem(role)}_paths.csv", rows)
+    return d
+
+
 def run_truth_stage(cfg: ExperimentConfig, out, replicate: int):
     """Run one truth replicate and write its observation products."""
     truth = run_truth(
@@ -63,7 +77,7 @@ def run_truth_stage(cfg: ExperimentConfig, out, replicate: int):
     )
     try:
         pool = sample_biased_pool(
-            truth.archive,
+            completed_paths(truth.world),
             cfg.pool_ratios,
             cfg.pool_size,
             derive_rng(cfg.base_seed, replicate, "pool"),
@@ -77,26 +91,23 @@ def run_truth_stage(cfg: ExperimentConfig, out, replicate: int):
     io.write_obs_counts(d / "obs_counts.csv", truth.observations)
     io.write_obs_counts_attr(d / "obs_counts_attr.csv", truth.observations)
     io.write_sequence_pool(d / "sequence_pool.csv", pool)
-    io.write_od(d / "truth_od.csv", truth.od)
-    io.write_paths(d / "truth_paths.csv", path_rows(truth.world))
+    _write_world(cfg, out, "truth", replicate, truth.world)
     return truth, pool
 
 
 def run_baseline_stage(cfg: ExperimentConfig, out, replicate: int):
     """Plain model run in the assimilation environment (no observations)."""
     world = run_baseline(cfg.assim, derive_rng(cfg.base_seed, replicate, "baseline"))
-    d = replicate_dir(out, "baseline", replicate)
-    rows = path_rows(world)
-    io.write_od(d / "baseline_od.csv", build_od(rows, cfg.assim.store_count))
-    io.write_paths(d / "baseline_paths.csv", rows)
+    _write_world(cfg, out, "baseline", replicate, world)
     return world
 
 
 def load_truth_products(cfg: ExperimentConfig, out, replicate: int, need_pool: bool):
     """Read one replicate's observations, and its sequence pool if asked, from disk.
 
-    Products that do not fit cfg (another horizon, store, group or transition
-    count than the run that wrote them) raise MalformedTableError.
+    The readers take their shapes from cfg, so products that do not fit it
+    (another horizon, store, group or transition count than the run that
+    wrote them) raise MalformedTableError.
     """
     sim = cfg.assim
     d = replicate_dir(out, "truth", replicate)
@@ -105,30 +116,17 @@ def load_truth_products(cfg: ExperimentConfig, out, replicate: int, need_pool: b
         raise MissingInputError(
             f"missing observation products under {d}; run generate-obs first"
         )
-    observations = io.read_observations(counts, attr)
-    shape = (sim.horizon_steps + 1, sim.group_count, sim.store_count)
-    if observations.shape != shape:
-        raise io.MalformedTableError(
-            f"{attr}: holds (steps, attrs, stores) {observations.shape},"
-            f" the config needs {shape}"
-        )
+    observations = io.read_observations(
+        counts, attr, (sim.horizon_steps + 1, sim.group_count, sim.store_count)
+    )
     pool = None
     if need_pool:
         pool_path = d / "sequence_pool.csv"
         if not pool_path.exists():
             raise MissingInputError(f"missing {pool_path}; run generate-obs first")
-        pool = io.read_sequence_pool(pool_path)
-        if pool.size == 0 or pool.paths.shape[1] != sim.max_transitions + 1:
-            raise io.MalformedTableError(
-                f"{pool_path}: holds {pool.size} paths of {pool.paths.shape[1]} stores,"
-                f" the config needs paths of {sim.max_transitions + 1}"
-            )
-        if not (np.all((pool.paths >= 0) & (pool.paths < sim.store_count))
-                and np.all((pool.attrs >= 0) & (pool.attrs < sim.group_count))):
-            raise io.MalformedTableError(
-                f"{pool_path}: a store outside 0..{sim.store_count - 1}"
-                f" or an attr outside 0..{sim.group_count - 1}"
-            )
+        pool = io.read_sequence_pool(
+            pool_path, sim.max_transitions + 1, sim.store_count, sim.group_count
+        )
     return observations, pool
 
 
@@ -143,10 +141,7 @@ def run_case_stage(cfg: ExperimentConfig, out, replicate: int, label: str, obser
         rng=derive_rng(cfg.base_seed, replicate, label),
         options=dataclasses.replace(cfg.assim_options, random_baseline=label == "case3_random"),
     )
-    d = replicate_dir(out, label, replicate)
-    rows = path_rows(run.world)
-    io.write_od(d / "assim_od.csv", build_od(rows, cfg.assim.store_count))
-    io.write_paths(d / "assim_paths.csv", rows)
+    d = _write_world(cfg, out, label, replicate, run.world)
     if case == 3:
         io.write_assignments(d / "assigned_sequences.csv", run.assignments)
     return run
@@ -166,22 +161,12 @@ def _run_replicate_job(args):
     return run_replicate(cfg, out, replicate)
 
 
-def _od_file(role: str) -> str:
-    return {"truth": "truth_od.csv", "baseline": "baseline_od.csv"}.get(role, "assim_od.csv")
-
-
-def _paths_file(role: str) -> str:
-    return {"truth": "truth_paths.csv", "baseline": "baseline_paths.csv"}.get(
-        role, "assim_paths.csv"
-    )
-
-
 def _present_roles(cfg: ExperimentConfig, out):
     """The roles whose OD files exist for every replicate; a role with none is
     skipped, and a role with only some raises MissingInputError."""
     roles = []
     for role in ["truth", "baseline"] + case_labels(cfg):
-        paths = [replicate_dir(out, role, r) / _od_file(role)
+        paths = [replicate_dir(out, role, r) / f"{_stem(role)}_od.csv"
                  for r in range(cfg.replicate_count)]
         missing = [p for p in paths if not p.exists()]
         if missing and len(missing) < len(paths):
@@ -205,7 +190,7 @@ def evaluate(cfg: ExperimentConfig, out) -> dict:
 
     stores = cfg.assim.store_count
     od_runs = {
-        role: [io.read_od(replicate_dir(out, role, r) / _od_file(role), stores)
+        role: [io.read_od(replicate_dir(out, role, r) / f"{_stem(role)}_od.csv", stores)
                for r in replicates]
         for role in roles
     }
@@ -221,8 +206,10 @@ def evaluate(cfg: ExperimentConfig, out) -> dict:
 
     ngram_means = {
         role: mean_ngram_table(
-            ngram_table(io.read_paths(replicate_dir(out, role, r) / _paths_file(role)),
-                        stores, NGRAM_N)
+            ngram_table(
+                io.read_paths(replicate_dir(out, role, r) / f"{_stem(role)}_paths.csv", stores),
+                stores, NGRAM_N,
+            )
             for r in replicates
         )
         for role in roles
@@ -267,11 +254,7 @@ def _assignment_bias(cfg: ExperimentConfig, out, roles):
             path = replicate_dir(out, role, r) / "assigned_sequences.csv"
             if not path.exists():
                 raise MissingInputError(f"missing {path}; run assimilate first")
-            attrs = io.read_assignments(path)[:, 3]
-            if len(attrs) == 0:
-                raise io.MalformedTableError(f"{path}: no assignment rows")
-            if attrs.min() < 0 or attrs.max() >= len(target):
-                raise io.MalformedTableError(f"{path}: attr outside 0..{len(target) - 1}")
+            attrs = io.read_assignments(path, len(target))[:, 3]
             counts = np.bincount(attrs, minlength=len(target))
             share = counts / counts.sum()
             per_run.append(float(np.abs(share - target).sum()))

@@ -3,13 +3,14 @@
 All CSV files are UTF-8 with a header row; integers in plain decimal,
 averaged values with six decimal places. Every CSV file is written through
 _write_table. Dense count arrays are written as one row of indices and value
-per cell, in C order, with zero counts written explicitly, so files
-round-trip without shape metadata.
+per cell, in C order, with zero counts written explicitly.
 
-Stage products are read back strictly, each in one numpy pass: the header
-must match exactly and every row must hold one integer per column, and a
-dense count file must hold every cell of its array exactly once. A file that
-breaks this raises MalformedTableError naming the file.
+Stage products are read back strictly, each in one numpy pass, against the
+shapes the config gives the reader: the header must match exactly, every
+row must hold one integer per column, a dense count file must hold every
+cell of its array exactly once, an id column must number its rows 0..R-1 and
+every store and attr must be in range. A file that breaks this raises
+MalformedTableError naming the file.
 """
 
 import csv
@@ -27,40 +28,43 @@ class MalformedTableError(ValueError):
 
 
 def _read_table(path, header):
-    """Rows of an integer stage CSV as an (R, len(header)) int64 array.
-
-    header is the exact list of column names, or a function from the column
-    count found in the file to that list.
-    """
+    """Rows of an integer stage CSV as an (R, len(header)) int64 array;
+    header is the exact list of column names."""
     with open(path, encoding="utf-8") as f:
         found = f.readline().rstrip("\n").split(",")
-        expected = list(header(len(found)) if callable(header) else header)
-        if found != expected:
-            raise MalformedTableError(f"{path}: header {found} is not {expected}")
+        if found != header:
+            raise MalformedTableError(f"{path}: header {found} is not {header}")
         start = f.tell()
         if not f.readline().strip() and not f.read().strip():
-            return np.empty((0, len(expected)), dtype=np.int64)
+            return np.empty((0, len(header)), dtype=np.int64)
         f.seek(start)
         try:
             table = np.loadtxt(f, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
         except ValueError as e:
             reason = str(e).split("; use `usecols`")[0]  # numpy's hint names its own argument
             raise MalformedTableError(f"{path}: {reason}") from e
-    if table.shape[1] != len(expected):
+    if table.shape[1] != len(header):
         raise MalformedTableError(
-            f"{path}: rows hold {table.shape[1]} cells, header names {len(expected)}"
+            f"{path}: rows hold {table.shape[1]} cells, header names {len(header)}"
         )
     return table
 
 
-def _extent(path, table, columns):
-    """1 + the largest value in the given index columns, which must be non-negative."""
+def _numbered(path, table, column, name):
+    """The rows of table ordered by their id, column `column` named `name`,
+    which must number them 0..R-1; a table with no rows is refused."""
     if len(table) == 0:
         raise MalformedTableError(f"{path}: no data rows")
-    index = table[:, columns]
-    if index.min() < 0:
-        raise MalformedTableError(f"{path}: negative index")
-    return index.max(axis=0) + 1
+    table = table[np.argsort(table[:, column], kind="stable")]
+    if not np.array_equal(table[:, column], np.arange(len(table))):
+        raise MalformedTableError(f"{path}: {name} is not a numbering 0..{len(table) - 1}")
+    return table
+
+
+def _check_range(path, what, values, bound):
+    """Refuse the file unless every one of values lies in 0..bound-1."""
+    if values.size and (values.min() < 0 or values.max() >= bound):
+        raise MalformedTableError(f"{path}: {what} outside 0..{bound - 1}")
 
 
 def _write_table(path, header, rows):
@@ -114,20 +118,18 @@ def write_obs_counts_attr(path, observations):
     _write_table(path, ["step", "attr", "store", "count"], _cells(observations))
 
 
-def read_observations(counts_path, attr_path) -> np.ndarray:
-    """The (T, G, S) observation array from the two count files.
+def read_observations(counts_path, attr_path, shape) -> np.ndarray:
+    """The observation array of the given (T, G, S) shape from the two count files.
 
-    The totals file sets T and S. Cells are placed by their (step, store) and
-    (step, attr, store) indices, so row order does not matter, but each file
-    must hold every cell of its array once. The totals file must hold the
-    per-store sums of the attribute file.
+    Cells are placed by their (step, store) and (step, attr, store) indices,
+    so row order does not matter, but each file must hold every cell of its
+    array once. The totals file must hold the per-store sums of the attribute
+    file.
     """
     totals = _read_table(counts_path, ["step", "store", "count"])
     by_attr = _read_table(attr_path, ["step", "attr", "store", "count"])
-    steps, stores = _extent(counts_path, totals, [0, 1])
-    (attrs,) = _extent(attr_path, by_attr, [1])
-    observations = _place(attr_path, by_attr, (steps, attrs, stores))
-    if not np.array_equal(_place(counts_path, totals, (steps, stores)),
+    observations = _place(attr_path, by_attr, shape)
+    if not np.array_equal(_place(counts_path, totals, (shape[0], shape[2])),
                           observations.sum(axis=1)):
         raise MalformedTableError(
             f"{counts_path}: counts are not the per-store sums of {attr_path}"
@@ -141,15 +143,13 @@ def write_sequence_pool(path, pool: SequencePool):
     _write_table(path, header, _rows(table))
 
 
-def read_sequence_pool(path) -> SequencePool:
-    """Pool entries placed by entry_id, which must number the rows 0..P-1."""
-    table = _read_table(
-        path, lambda width: ["entry_id", "attr"] + [f"s{i}" for i in range(width - 2)]
-    )
-    order = np.argsort(table[:, 0], kind="stable")
-    if not np.array_equal(table[order, 0], np.arange(len(table))):
-        raise MalformedTableError(f"{path}: entry_id is not a numbering 0..{len(table) - 1}")
-    table = table[order]
+def read_sequence_pool(path, length: int, store_count: int, group_count: int) -> SequencePool:
+    """Pool entries of paths of `length` stores, placed by entry_id, which
+    must number the rows 0..P-1; every store and attr must be in range."""
+    table = _read_table(path, ["entry_id", "attr"] + [f"s{i}" for i in range(length)])
+    table = _numbered(path, table, 0, "entry_id")
+    _check_range(path, "attr", table[:, 1], group_count)
+    _check_range(path, "a store", table[:, 2:], store_count)
     return SequencePool(paths=table[:, 2:], attrs=table[:, 1])
 
 
@@ -175,12 +175,14 @@ def write_paths(path, rows):
     _write_table(path, ["agent_id", "group", "position", "store"], _rows(rows))
 
 
-def read_paths(path) -> np.ndarray:
+def read_paths(path, store_count: int) -> np.ndarray:
     """Path rows (agent_id, group, position, store), ordered by agent, then position.
 
-    Every agent's positions must run 0, 1, 2, ... and its group must not change.
+    Every agent's positions must run 0, 1, 2, ..., its group must not change
+    and every store must be in 0..store_count-1.
     """
     rows = _read_table(path, ["agent_id", "group", "position", "store"])
+    _check_range(path, "store", rows[:, 3], store_count)
     rows = rows[np.lexsort((rows[:, 2], rows[:, 0]))]
     agent, group, position = rows[:, 0], rows[:, 1], rows[:, 2]
     starts = np.flatnonzero(np.r_[True, agent[1:] != agent[:-1]])
@@ -197,9 +199,13 @@ def write_assignments(path, assignments):
     _write_table(path, ["step", "agent_id", "entry_id", "attr"], _rows(assignments))
 
 
-def read_assignments(path) -> np.ndarray:
-    """Assignment rows (step, agent_id, entry_id, attr) in file order."""
-    return _read_table(path, ["step", "agent_id", "entry_id", "attr"])
+def read_assignments(path, group_count: int) -> np.ndarray:
+    """Assignment rows (step, agent_id, entry_id, attr) ordered by agent_id,
+    which must number the rows 0..R-1; every attr must be in range."""
+    table = _read_table(path, ["step", "agent_id", "entry_id", "attr"])
+    table = _numbered(path, table, 1, "agent_id")
+    _check_range(path, "attr", table[:, 3], group_count)
+    return table
 
 
 def write_ngram_top(path, rows, n: int):

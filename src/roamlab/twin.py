@@ -13,15 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import build_od
 from .model import (
     ChoiceModel,
     SimConfig,
     WorldState,
-    completed_paths,
     init_world,
     model_mover,
-    path_rows,
     step_world,
     uniform_placer,
 )
@@ -44,8 +41,6 @@ class SequencePool:
 class TruthRun:
     world: WorldState
     observations: np.ndarray    # (T+1, G, S) inflow counts by step, group and store
-    archive: tuple              # (groups, paths) of agents that finished roaming
-    od: np.ndarray              # origin x destination transition counts, all agents
 
 
 def run_truth(
@@ -57,8 +52,8 @@ def run_truth(
 
     The observations are indexed by entry step (step 0 holds the initial spawn
     entries); position 0 of a path, the spawn placement, is counted only with
-    count_spawn_as_inflow. Completed agents' paths are available from the
-    returned world.
+    count_spawn_as_inflow. The OD matrix and the completed agents' paths are
+    read off the returned world.
     """
     choice = ChoiceModel(cfg.graph(), cfg.behavior, cfg.allow_self_transition)
     mover = model_mover(choice)
@@ -76,8 +71,6 @@ def run_truth(
     return TruthRun(
         world=world,
         observations=np.bincount(cells, minlength=np.prod(shape)).reshape(shape),
-        archive=completed_paths(world),
-        od=build_od(path_rows(world), cfg.store_count),
     )
 
 

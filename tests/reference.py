@@ -47,10 +47,11 @@ def filtered_move(rng, probs, log_w, n):
     return candidates[draw(rng, [x / z for x in w])]
 
 
-def sequence_probs(paths, log_w):
-    """Selection probability of each pool path: the sum of exp(log_w[s]) over
-    its visits, normalized over the pool."""
-    raw = [sum(math.exp(log_w[s]) for s in path) for path in paths]
+def sequence_probs(paths, rows):
+    """Selection probability of each pool path: the sum of exp(row[s]) over
+    its visits, with row the path's own store log weights (rows[i] for
+    paths[i]), normalized over the pool."""
+    raw = [sum(math.exp(row[s]) for s in path) for path, row in zip(paths, rows)]
     z = sum(raw)
     return [r / z for r in raw]
 

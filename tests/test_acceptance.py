@@ -124,12 +124,12 @@ def test_criterion_5_uniform_likelihood_is_noop():
     world.congestion = np.array([4, 2, 1])
     expected = choice.probs(0, 0, world.congestion)
 
-    sw = update_store_weights(StoreWeightVector.uniform(3), np.array([[3, 3, 3]]))
+    sw = update_store_weights(StoreWeightVector.uniform(3, 1), np.array([[3, 3, 3]]))
 
     rng = np.random.default_rng(51)
     n, chunk = 100_000, 10_000  # one batched move of `chunk` copies of the agent at a time
     probs = np.tile(expected, (chunk, 1))
-    draws = np.concatenate([filtered_moves(rng, probs, sw.row(), 100) for _ in range(n // chunk)])
+    draws = np.concatenate([filtered_moves(rng, probs, sw.log_w[0], 100) for _ in range(n // chunk)])
     counts = np.bincount(draws, minlength=3)
     cand = expected > 0
     p = stats.chisquare(counts[cand], f_exp=n * expected[cand]).pvalue
@@ -152,7 +152,7 @@ def test_criterion_6_lifecycle_accounting(default_experiment):
     for r in range(cfg.replicate_count):
         for role in roles:
             fname = paths_file.get(role, "assim_paths.csv")
-            rows = io.read_paths(replicate_dir(out, role, r) / fname)
+            rows = io.read_paths(replicate_dir(out, role, r) / fname, cfg.assim.store_count)
             starts = rows[rows[:, 2] == 0]  # one row per agent: its first store
             if len(starts) != 2000:
                 spawn_ok = False

@@ -47,43 +47,43 @@ def softmax_oracle(values):
 
 class TestStoreWeights:
     def test_zero_inflow_gives_uniform(self):
-        sw = StoreWeightVector.uniform(18)
+        sw = StoreWeightVector.uniform(18, 1)
         sw = update_store_weights(sw, obs([0] * 18))
-        np.testing.assert_allclose(sw.weights(), np.full(18, 1 / 18), atol=1e-12)
+        np.testing.assert_allclose(np.exp(sw.log_w[0]), np.full(18, 1 / 18), atol=1e-12)
 
     def test_fresh_mode_matches_softmax_oracle(self):
-        sw = StoreWeightVector.uniform(3)
+        sw = StoreWeightVector.uniform(3, 1)
         sw = update_store_weights(sw, obs([2, 1, 0]))
-        np.testing.assert_allclose(sw.weights(), softmax_oracle([2, 1, 0]), atol=1e-4)
-        np.testing.assert_allclose(sw.weights(), [0.6652, 0.2447, 0.0900], atol=1e-4)
+        np.testing.assert_allclose(np.exp(sw.log_w[0]), softmax_oracle([2, 1, 0]), atol=1e-4)
+        np.testing.assert_allclose(np.exp(sw.log_w[0]), [0.6652, 0.2447, 0.0900], atol=1e-4)
 
     def test_accumulation_is_multiplicative(self):
         # w *= exp(inflow) each step: two accumulated steps equal one fresh
         # update with the summed inflows.
-        sw = StoreWeightVector.uniform(4)
+        sw = StoreWeightVector.uniform(4, 1)
         sw = update_store_weights(sw, obs([3, 0, 1, 2]), accumulate=True)
         sw = update_store_weights(sw, obs([0, 4, 1, 0]), accumulate=True)
-        fresh = update_store_weights(StoreWeightVector.uniform(4), obs([3, 4, 2, 2]))
-        np.testing.assert_allclose(sw.weights(), fresh.weights(), atol=1e-12)
+        fresh = update_store_weights(StoreWeightVector.uniform(4, 1), obs([3, 4, 2, 2]))
+        np.testing.assert_allclose(np.exp(sw.log_w), np.exp(fresh.log_w), atol=1e-12)
 
     def test_fresh_mode_forgets_previous_steps(self):
-        sw = StoreWeightVector.uniform(3)
+        sw = StoreWeightVector.uniform(3, 1)
         sw = update_store_weights(sw, obs([9, 0, 0]))
         sw = update_store_weights(sw, obs([0, 0, 0]))
-        np.testing.assert_allclose(sw.weights(), np.full(3, 1 / 3), atol=1e-12)
+        np.testing.assert_allclose(np.exp(sw.log_w[0]), np.full(3, 1 / 3), atol=1e-12)
 
     def test_attribute_rows_normalized_independently(self):
         inflow_by_attr = np.array([[2, 0, 0], [0, 0, 5]], dtype=np.int64)
         sw = update_store_weights(StoreWeightVector.uniform(3, 2), inflow_by_attr)
-        np.testing.assert_allclose(sw.weights(0), softmax_oracle([2, 0, 0]), atol=1e-9)
-        np.testing.assert_allclose(sw.weights(1), softmax_oracle([0, 0, 5]), atol=1e-9)
-        assert abs(sw.weights(0).sum() - 1.0) < 1e-9
+        np.testing.assert_allclose(np.exp(sw.log_w[0]), softmax_oracle([2, 0, 0]), atol=1e-9)
+        np.testing.assert_allclose(np.exp(sw.log_w[1]), softmax_oracle([0, 0, 5]), atol=1e-9)
+        assert abs(np.exp(sw.log_w[0]).sum() - 1.0) < 1e-9
 
     def test_large_inflows_stay_finite(self):
-        sw = StoreWeightVector.uniform(18)
+        sw = StoreWeightVector.uniform(18, 1)
         big = [10_000] + [0] * 17
         sw = update_store_weights(sw, obs(big))
-        w = sw.weights()
+        w = np.exp(sw.log_w[0])
         assert np.all(np.isfinite(w))
         assert abs(w.sum() - 1.0) < 1e-9
         assert w[0] == pytest.approx(1.0)
@@ -120,8 +120,8 @@ class TestParticleOps:
         assert_frequencies(stores, probs)
 
     def test_uniform_store_weights_leave_particles_unweighted(self):
-        sw = StoreWeightVector.uniform(3)
-        assert_frequencies(self.pick([1, 2, 1], sw.row(), seed=0), [0.25, 0.5, 0.25])
+        sw = StoreWeightVector.uniform(3, 1)
+        assert_frequencies(self.pick([1, 2, 1], sw.log_w[0], seed=0), [0.25, 0.5, 0.25])
 
     def test_weighting_by_store_weights_hand_case(self):
         # count times weight: [2, 1, 1] * [0.5, 0.3, 0.2] = [1.0, 0.3, 0.2]
@@ -136,9 +136,9 @@ class TestParticleOps:
 
     def test_attribute_variant_uses_group_row(self):
         log_attr = np.log(np.array([[0.9, 0.1], [0.2, 0.8]]))
-        sw = StoreWeightVector(step=1, log_w=np.log([0.5, 0.5]), log_w_attr=log_attr)
+        sw = StoreWeightVector(step=1, log_w=log_attr)
         groups = np.arange(self.N) % 2
-        picks = self.pick([1, 1], sw.row(groups), seed=3)
+        picks = self.pick([1, 1], sw.log_w[groups], seed=3)
         assert_frequencies(picks[groups == 0], [0.9, 0.1])
         assert_frequencies(picks[groups == 1], [0.2, 0.8])
 
@@ -164,26 +164,26 @@ class TestParticleOps:
             filtered_moves(rng, probs, np.array([0.0, np.nan, 0.0]), 10)
 
     def test_placement_follows_store_weights(self):
-        sw = StoreWeightVector(step=1, log_w=np.log(softmax_oracle([2, 1, 0])))
+        sw = StoreWeightVector(step=1, log_w=np.log([softmax_oracle([2, 1, 0])]))
         rng = np.random.default_rng(4)
         n = 100_000
         w = np.array(softmax_oracle([2, 1, 0]))
-        counts = np.bincount(place_new_agents(sw, rng, n), minlength=3)
+        counts = np.bincount(place_new_agents(sw, rng, np.zeros(n, dtype=int)), minlength=3)
         sigma = np.sqrt(n * w * (1 - w))
         assert np.all(np.abs(counts - n * w) <= 3 * sigma)
 
     def test_placement_degenerate_weight(self):
-        log_w = np.full(6, -np.inf)
-        log_w[5] = 0.0
+        log_w = np.full((1, 6), -np.inf)
+        log_w[0, 5] = 0.0
         sw = StoreWeightVector(step=1, log_w=log_w)
         rng = np.random.default_rng(5)
-        assert np.all(place_new_agents(sw, rng, 20) == 5)
+        assert np.all(place_new_agents(sw, rng, np.zeros(20, dtype=int)) == 5)
 
     def test_placement_uniform_weights(self):
-        sw = StoreWeightVector.uniform(4)
+        sw = StoreWeightVector.uniform(4, 1)
         rng = np.random.default_rng(6)
         n = 40_000
-        counts = np.bincount(place_new_agents(sw, rng, n), minlength=4)
+        counts = np.bincount(place_new_agents(sw, rng, np.zeros(n, dtype=int)), minlength=4)
         sigma = math.sqrt(n * 0.25 * 0.75)
         assert np.all(np.abs(counts - n * 0.25) <= 3 * sigma)
 
@@ -196,14 +196,14 @@ class TestSequenceWeights:
 
     def test_uniform_store_weights_give_uniform_sequences(self):
         pool = self.pool([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]])
-        sw = StoreWeightVector.uniform(18)
+        sw = StoreWeightVector.uniform(18, 1)
         np.testing.assert_allclose(weight_sequences(pool, sw), np.full(3, 1 / 3), atol=1e-12)
 
     def test_hand_summed_weights(self):
         # store weights [0.5, 0.3, 0.2]; paths (0,1) and (1,2) sum to 0.8 and
         # 0.5, normalizing to [0.6154, 0.3846]
         pool = self.pool([[0, 1], [1, 2]])
-        sw = StoreWeightVector(step=1, log_w=np.log([0.5, 0.3, 0.2]))
+        sw = StoreWeightVector(step=1, log_w=np.log([[0.5, 0.3, 0.2]]))
         probs = weight_sequences(pool, sw)
         np.testing.assert_allclose(probs, [0.8 / 1.3, 0.5 / 1.3], atol=1e-12)
         np.testing.assert_allclose(probs, [0.6154, 0.3846], atol=1e-4)
@@ -211,7 +211,7 @@ class TestSequenceWeights:
     def test_duplicate_stores_count_per_visit(self):
         # sum semantics: (0,0) scores 2*w0, strictly more than (0,1) when w0>w1
         pool = self.pool([[0, 0], [0, 1]])
-        sw = StoreWeightVector(step=1, log_w=np.log([0.7, 0.3]))
+        sw = StoreWeightVector(step=1, log_w=np.log([[0.7, 0.3]]))
         probs = weight_sequences(pool, sw)
         np.testing.assert_allclose(probs, [1.4 / 2.4, 1.0 / 2.4], atol=1e-12)
 
@@ -225,7 +225,7 @@ class TestSequenceWeights:
         # path and the pool cannot be weighted; the log-sum-exp keeps them.
         pool = self.pool([[0, 1, 2, 3], [3, 3, 2, 0], [1, 2, 1, 2]])
         log_w = np.array(log_w)
-        probs = weight_sequences(pool, StoreWeightVector(step=1, log_w=log_w))
+        probs = weight_sequences(pool, StoreWeightVector(step=1, log_w=log_w[None]))
         raw = []
         for path in pool.paths.tolist():
             top = max(log_w[s] for s in path)
@@ -239,19 +239,21 @@ class TestSequenceWeights:
         for seed in range(50):
             rng = np.random.default_rng(seed)
             pool = self.pool(rng.integers(6, size=(int(rng.integers(1, 30)), 4)))
-            sw = StoreWeightVector(step=1, log_w=log_normalize_rows(rng.normal(scale=3.0, size=6)))
-            raw = np.exp(sw.log_w)[pool.paths].sum(axis=1)
+            sw = StoreWeightVector(
+                step=1, log_w=log_normalize_rows(rng.normal(scale=3.0, size=(1, 6)))
+            )
+            raw = np.exp(sw.log_w[0])[pool.paths].sum(axis=1)
             probs = weight_sequences(pool, sw)
             np.testing.assert_allclose(probs, raw / raw.sum(), rtol=0, atol=1e-12)
 
     def test_single_entry_always_assigned(self):
         pool = self.pool([[0, 1, 2, 3]])
-        probs = weight_sequences(pool, StoreWeightVector.uniform(4))
+        probs = weight_sequences(pool, StoreWeightVector.uniform(4, 1))
         assert np.all(categorical(np.random.default_rng(0), probs, size=10) == 0)
 
     def test_non_finite_store_weights_rejected(self):
         pool = self.pool([[0, 1], [1, 2]])
-        sw = StoreWeightVector(step=1, log_w=np.array([np.nan, 0.0, np.nan]))
+        sw = StoreWeightVector(step=1, log_w=np.array([[np.nan, 0.0, np.nan]]))
         with pytest.raises(ValueError, match="zero or non-finite"):
             weight_sequences(pool, sw)
 
@@ -279,7 +281,7 @@ class TestSequenceWeights:
 
     def test_weighted_assignment_frequencies(self):
         pool = self.pool([[0, 1], [1, 2], [2, 0]])
-        sw = StoreWeightVector(step=1, log_w=np.log([0.5, 0.3, 0.2]))
+        sw = StoreWeightVector(step=1, log_w=np.log([[0.5, 0.3, 0.2]]))
         w = weight_sequences(pool, sw)
         assert_frequencies(categorical(np.random.default_rng(8), w, size=100_000), w)
 
@@ -314,6 +316,26 @@ class TestRunAssimilation:
             np.random.default_rng(seed + 1),
         )
         return truth_cfg, assim_cfg, truth, pool
+
+    @pytest.mark.parametrize("accumulate", [False, True])
+    def test_case1_is_case2_on_totals_seen_by_every_group(self, accumulate):
+        # Case 1 weights every group by the per-store totals: at one seed it
+        # writes the same world as case 2 given those totals as each group's
+        # counts.
+        _, assim_cfg, truth, _ = self.setup_inputs()
+        totals = truth.observations.sum(axis=1, keepdims=True)
+        options = AssimOptions(particle_count=7, weight_accumulation=accumulate)
+        case1, case2 = (
+            run_assimilation(assim_cfg, observations, case, rng=np.random.default_rng(8),
+                             options=options).world
+            for case, observations in [
+                (1, truth.observations),
+                (2, np.broadcast_to(totals, truth.observations.shape)),
+            ]
+        )
+        assert case1.agents_spawned == case2.agents_spawned
+        np.testing.assert_array_equal(path_rows(case1), path_rows(case2))
+        np.testing.assert_array_equal(case1.entered, case2.entered)
 
     def test_case3_requires_pool(self):
         _, assim_cfg, truth, _ = self.setup_inputs()
@@ -445,9 +467,9 @@ class TestRunAssimilation:
         choice = ChoiceModel(make_graph([[5.0, 6.5, 5.8]]), (BehaviorParams(),))
         world = make_world([make_agent(store=0)], store_count=3)
         expected = choice.probs(0, 0, world.congestion)
-        sw = update_store_weights(StoreWeightVector.uniform(3), obs([4, 4, 4]))
+        sw = update_store_weights(StoreWeightVector.uniform(3, 1), obs([4, 4, 4]))
         probs = np.tile(expected, (20_000, 1))
-        assert_frequencies(filtered_moves(np.random.default_rng(10), probs, sw.row(), 100),
+        assert_frequencies(filtered_moves(np.random.default_rng(10), probs, sw.log_w[0], 100),
                            expected)
 
     def test_baseline_ignores_observations(self):

@@ -144,6 +144,23 @@ class TestPipeline:
         assert err.startswith("error: ") and str(target) in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("store", [99, -1])
+    def test_evaluate_on_paths_with_store_out_of_range_exits_4(
+        self, mini_config, tmp_path, capsys, store
+    ):
+        out = tmp_path / "out"
+        base = ["--config", str(mini_config), "--out", str(out)]
+        assert main(["experiment", *base, "--case", "1", "--jobs", "1"]) == EXIT_OK
+        target = out / "case1" / "000" / "assim_paths.csv"
+        rows = target.read_text().splitlines(keepends=True)
+        rows[-1] = rows[-1].rsplit(",", 1)[0] + f",{store}\n"  # the last row's store
+        target.write_text("".join(rows))
+        capsys.readouterr()
+        assert main(["evaluate", *base]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+        assert len(err.splitlines()) == 1
+
     def test_assimilate_on_truncated_attr_counts_exits_4(self, mini_config, tmp_path, capsys):
         out = tmp_path / "out"
         base = ["--config", str(mini_config), "--out", str(out)]
@@ -194,6 +211,20 @@ class TestPipeline:
         assert main(["evaluate", *base]) == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(target) in err
+        assert len(err.splitlines()) == 1
+
+    def test_evaluate_on_duplicated_assignment_rows_exits_4(self, mini_config, tmp_path, capsys):
+        # Scoring a repeated block of rows would shift the composition.
+        out = tmp_path / "out"
+        base = ["--config", str(mini_config), "--out", str(out)]
+        assert main(["experiment", *base, "--case", "3", "--jobs", "1"]) == EXIT_OK
+        target = out / "case3" / "000" / "assigned_sequences.csv"
+        lines = target.read_text().splitlines(keepends=True)
+        target.write_text("".join(lines + lines[1:11]))
+        capsys.readouterr()
+        assert main(["evaluate", *base]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err and "agent_id" in err
         assert len(err.splitlines()) == 1
 
     def test_evaluate_on_missing_assignments_exits_4(self, mini_config, tmp_path, capsys):
@@ -302,6 +333,11 @@ class TestPipeline:
 
 PATHS_FILE = {"truth": "truth_paths.csv", "baseline": "baseline_paths.csv"}
 OD_FILE = {"truth": "truth_od.csv", "baseline": "baseline_od.csv"}
+FLAG_CHECKSUMS = Path(__file__).parent / "golden" / "tiny_flag_checksums.json"
+
+
+def flag_id(flag):
+    return "-".join(f"{k}={v}" for k, v in flag.items())
 
 
 @pytest.mark.parametrize(
@@ -314,9 +350,15 @@ OD_FILE = {"truth": "truth_od.csv", "baseline": "baseline_od.csv"}
         {"flags.filter_moves": False},
         {"flags.weighted_placement": False},
     ],
-    ids=lambda flag: "-".join(f"{k}={v}" for k, v in flag.items()),
+    ids=flag_id,
 )
 def test_experiment_under_each_ablation_flag(tmp_path, flag):
+    """Each flag's tiny tree is sound and byte-identical to its golden tree.
+
+    golden/tiny_flag_checksums.json maps each test id to the `checksums`
+    entry of the run_manifest.json this run writes; like
+    golden/tiny_checksums.json, it changes only with the RNG consumption.
+    """
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**TINY_OVERRIDES, **flag}))
     out = tmp_path / "out"
@@ -326,7 +368,7 @@ def test_experiment_under_each_ablation_flag(tmp_path, flag):
     for role in ["truth", "baseline", *case_labels(cfg)]:
         for r in range(cfg.replicate_count):
             d = replicate_dir(out, role, r)
-            rows = io.read_paths(d / PATHS_FILE.get(role, "assim_paths.csv"))
+            rows = io.read_paths(d / PATHS_FILE.get(role, "assim_paths.csv"), sim.store_count)
             starts = rows[rows[:, 2] == 0]  # one row per agent: its first store
             assert len(starts) == sim.total_agents, role
             groups = np.bincount(starts[:, 1], minlength=sim.group_count)
@@ -334,3 +376,5 @@ def test_experiment_under_each_ablation_flag(tmp_path, flag):
             assert rows[:, 2].max() <= sim.max_transitions, role
             od = io.read_od(d / OD_FILE.get(role, "assim_od.csv"), sim.store_count)
             assert od.sum() == np.count_nonzero(rows[:, 2] > 0), role
+    checksums = io.read_json(out / "run_manifest.json")["checksums"]
+    assert checksums == io.read_json(FLAG_CHECKSUMS)[flag_id(flag)]

@@ -67,9 +67,11 @@ class TestStages:
         run_case_stage(cfg, tmp_path, 0, "case3", observations, pool)
         d = replicate_dir(tmp_path, "case3", 0)
         assert (d / "assim_od.csv").exists()
-        assignments = io.read_assignments(d / "assigned_sequences.csv")
-        pool = io.read_sequence_pool(replicate_dir(tmp_path, "truth", 0) / "sequence_pool.csv")
-        rows = io.read_paths(d / "assim_paths.csv")
+        sim = cfg.assim
+        assignments = io.read_assignments(d / "assigned_sequences.csv", sim.group_count)
+        pool = io.read_sequence_pool(replicate_dir(tmp_path, "truth", 0) / "sequence_pool.csv",
+                                     sim.max_transitions + 1, sim.store_count, sim.group_count)
+        rows = io.read_paths(d / "assim_paths.csv", sim.store_count)
         entry_of = dict(zip(assignments[:, 1], assignments[:, 2]))
         followed = np.array([entry_of[aid] for aid in rows[:, 0]])
         np.testing.assert_array_equal(rows[:, 3], pool.paths[followed, rows[:, 2]])

@@ -14,7 +14,7 @@ def test_observation_roundtrip(tmp_path):
     truth = run_truth(cfg, np.random.default_rng(1))
     io.write_obs_counts(tmp_path / "c.csv", truth.observations)
     io.write_obs_counts_attr(tmp_path / "a.csv", truth.observations)
-    back = io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv")
+    back = io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv", truth.observations.shape)
     assert back.dtype == np.int64
     np.testing.assert_array_equal(back, truth.observations)
 
@@ -24,7 +24,7 @@ def test_sequence_pool_roundtrip(tmp_path):
         paths=np.array([[0, 1, 2, 3], [3, 2, 1, 0]]), attrs=np.array([2, 0])
     )
     io.write_sequence_pool(tmp_path / "pool.csv", pool)
-    back = io.read_sequence_pool(tmp_path / "pool.csv")
+    back = io.read_sequence_pool(tmp_path / "pool.csv", 4, 4, 3)
     np.testing.assert_array_equal(back.paths, pool.paths)
     np.testing.assert_array_equal(back.attrs, pool.attrs)
 
@@ -38,30 +38,32 @@ def test_od_roundtrip(tmp_path):
 def test_paths_roundtrip(tmp_path):
     triples = [(0, 1, (4, 2, 0)), (1, 3, (5,)), (2, 0, (1, 1, 2, 3))]
     io.write_paths(tmp_path / "p.csv", path_rows(triples))
-    back = io.read_paths(tmp_path / "p.csv")
+    back = io.read_paths(tmp_path / "p.csv", 6)
     assert back.dtype == np.int64
     np.testing.assert_array_equal(back, path_rows(triples))
 
 
 def test_assignments_roundtrip(tmp_path):
-    rows = [(0, 5, 12, 3), (7, 40, 399, 0)]
+    rows = [(0, 0, 12, 3), (7, 1, 399, 0)]
     io.write_assignments(tmp_path / "s.csv", rows)
-    back = io.read_assignments(tmp_path / "s.csv")
+    back = io.read_assignments(tmp_path / "s.csv", 4)
     assert back.dtype == np.int64
     np.testing.assert_array_equal(back, rows)
 
 
 def test_header_only_files_parse_to_zero_rows(tmp_path):
+    # A paths file may hold no rows; an assignment file numbers its rows from
+    # 0, so it must hold at least one.
     io.write_paths(tmp_path / "p.csv", [])
     io.write_assignments(tmp_path / "s.csv", [])
-    (tmp_path / "blank.csv").write_text("step,agent_id,entry_id,attr\n\n \n")
+    (tmp_path / "blank.csv").write_text("agent_id,group,position,store\n\n \n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        paths = io.read_paths(tmp_path / "p.csv")
-        assignments = io.read_assignments(tmp_path / "s.csv")
-        blank = io.read_assignments(tmp_path / "blank.csv")
+        paths = io.read_paths(tmp_path / "p.csv", 4)
+        blank = io.read_paths(tmp_path / "blank.csv", 4)
+        with pytest.raises(io.MalformedTableError, match="no data rows"):
+            io.read_assignments(tmp_path / "s.csv", 4)
     assert paths.shape == (0, 4)
-    assert assignments.shape == (0, 4)
     assert blank.shape == (0, 4)
 
 
@@ -76,7 +78,7 @@ def test_paths_read_in_agent_and_position_order_whatever_the_row_order(tmp_path)
     triples = [(0, 1, (4, 2, 0)), (1, 3, (5,)), (2, 0, (1, 1, 2, 3)), (3, 2, (0, 1))]
     io.write_paths(tmp_path / "p.csv", path_rows(triples))
     shuffle_rows(tmp_path / "p.csv", 3)
-    np.testing.assert_array_equal(io.read_paths(tmp_path / "p.csv"), path_rows(triples))
+    np.testing.assert_array_equal(io.read_paths(tmp_path / "p.csv", 6), path_rows(triples))
 
 
 def test_observations_placed_by_index_whatever_the_row_order(tmp_path):
@@ -86,7 +88,7 @@ def test_observations_placed_by_index_whatever_the_row_order(tmp_path):
     io.write_obs_counts_attr(tmp_path / "a.csv", truth.observations)
     shuffle_rows(tmp_path / "c.csv", 4)
     shuffle_rows(tmp_path / "a.csv", 5)
-    back = io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv")
+    back = io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv", truth.observations.shape)
     np.testing.assert_array_equal(back, truth.observations)
 
 
@@ -105,13 +107,15 @@ PATHS_HEADER = "agent_id,group,position,store\n"
         (PATHS_HEADER + "0,0,0,1\n0,0,2,3\n", "positions"),
         (PATHS_HEADER + "0,0,0,1\n0,0,0,1\n", "positions"),
         (PATHS_HEADER + "0,0,0,1\n0,1,1,2\n", "group"),
+        (PATHS_HEADER + "0,0,0,1\n0,0,1,4\n", "store outside"),
+        (PATHS_HEADER + "0,0,0,-1\n", "store outside"),
     ],
 )
 def test_malformed_paths_file_refused_naming_it(tmp_path, text, reason):
     path = tmp_path / "p.csv"
     path.write_text(text)
     with pytest.raises(io.MalformedTableError, match=reason) as info:
-        io.read_paths(path)
+        io.read_paths(path, 4)
     assert str(path) in str(info.value)
 
 
@@ -119,7 +123,7 @@ def test_observation_files_must_agree_on_extent(tmp_path):
     (tmp_path / "c.csv").write_text("step,store,count\n0,0,1\n0,1,0\n")
     (tmp_path / "a.csv").write_text("step,attr,store,count\n0,0,0,1\n1,0,1,0\n")
     with pytest.raises(io.MalformedTableError, match="beyond"):
-        io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv")
+        io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv", (1, 1, 2))
 
 
 def test_totals_must_be_the_per_store_sums_of_the_attr_counts(tmp_path):
@@ -132,7 +136,7 @@ def test_totals_must_be_the_per_store_sums_of_the_attr_counts(tmp_path):
     rows[7] = f"{step},{store},{int(count) + 1}\n"
     (tmp_path / "c.csv").write_text(header + "".join(rows))
     with pytest.raises(io.MalformedTableError, match="per-store sums") as info:
-        io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv")
+        io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv", truth.observations.shape)
     assert str(tmp_path / "c.csv") in str(info.value)
 
 
@@ -166,7 +170,7 @@ def test_observation_files_must_hold_every_cell_once(tmp_path, name, edit):
     io.write_obs_counts_attr(tmp_path / "a.csv", truth.observations)
     edit_rows(tmp_path / name, CELL_EDITS[edit])
     with pytest.raises(io.MalformedTableError, match="rows, not 1") as info:
-        io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv")
+        io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv", truth.observations.shape)
     assert str(tmp_path / name) in str(info.value)
 
 
@@ -181,7 +185,50 @@ def test_od_file_must_fit_the_store_count(tmp_path):
 def test_sequence_pool_entry_ids_must_number_rows(tmp_path):
     (tmp_path / "pool.csv").write_text("entry_id,attr,s0,s1\n0,0,1,2\n2,1,2,3\n")
     with pytest.raises(io.MalformedTableError, match="entry_id"):
-        io.read_sequence_pool(tmp_path / "pool.csv")
+        io.read_sequence_pool(tmp_path / "pool.csv", 2, 4, 2)
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("entry_id,attr,s0,s1,s2\n0,0,1,2,3\n", "header"),
+        ("entry_id,attr,s0,s1\n", "no data rows"),
+        ("entry_id,attr,s0,s1\n0,0,1,2\n1,2,2,3\n", "attr outside"),
+        ("entry_id,attr,s0,s1\n0,0,1,4\n", "store outside"),
+        ("entry_id,attr,s0,s1\n0,0,-1,2\n", "store outside"),
+    ],
+)
+def test_sequence_pool_must_fit_the_config(tmp_path, text, reason):
+    path = tmp_path / "pool.csv"
+    path.write_text(text)
+    with pytest.raises(io.MalformedTableError, match=reason) as info:
+        io.read_sequence_pool(path, 2, 4, 2)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        ([(0, 0, 3, 1), (0, 1, 4, 0), (0, 1, 4, 0)], "agent_id"),
+        ([(0, 0, 3, 1), (0, 2, 4, 0)], "agent_id"),
+        ([(0, 0, 3, 1), (0, 1, 4, 2)], "attr outside"),
+        ([(0, 0, 3, -1)], "attr outside"),
+    ],
+    ids=["duplicated", "gap", "attr-2", "attr-negative"],
+)
+def test_assignments_must_number_agents_and_fit_the_groups(tmp_path, rows, reason):
+    path = tmp_path / "s.csv"
+    io.write_assignments(path, rows)
+    with pytest.raises(io.MalformedTableError, match=reason) as info:
+        io.read_assignments(path, 2)
+    assert str(path) in str(info.value)
+
+
+def test_assignments_read_in_agent_order_whatever_the_row_order(tmp_path):
+    rows = [(0, 0, 12, 3), (0, 1, 7, 0), (3, 2, 9, 1), (5, 3, 12, 3)]
+    io.write_assignments(tmp_path / "s.csv", rows)
+    shuffle_rows(tmp_path / "s.csv", 6)
+    np.testing.assert_array_equal(io.read_assignments(tmp_path / "s.csv", 4), rows)
 
 
 def test_mean_od_fixed_precision(tmp_path):

@@ -59,9 +59,12 @@ def two_sample_p(a, b, k):
     return stats.chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue
 
 
-def case_weights():
-    """Store weights after one observed step, total and per group."""
+def case_weights(case):
+    """Store weights after one observed step: each group's own counts (case
+    2), or the per-store totals for every group (cases 1 and 3)."""
     by_attr = np.array([[3, 0, 1, 2, 0], [0, 2, 0, 0, 3]])
+    if case != 2:
+        by_attr = np.broadcast_to(by_attr.sum(axis=0), by_attr.shape)
     return update_store_weights(StoreWeightVector.uniform(5, 2), by_attr)
 
 
@@ -79,18 +82,18 @@ def test_plain_moves_match_per_agent_law():
 def filtered_chain_p(case):
     """p of batched case-`case` moves against the per-agent chain, per agent."""
     graph, behavior, choice, world = two_group_scene()
-    sw = case_weights()
+    sw = case_weights(case)
     n = 5
     ids = np.repeat([0, 1], N)
     probs = choice.probs(world.group[ids], world.store[ids], world.congestion)
-    log_w = sw.row(world.group[ids] if case == 2 else None)
+    log_w = sw.log_w[world.group[ids]]
     batched = filtered_moves(np.random.default_rng(62), probs, log_w, n)
     rng = np.random.default_rng(64)
     ps = []
     for agent in (0, 1):
         probs = reference.choice_probs(graph, behavior, world.group[agent], world.store[agent],
                                        world.congestion)
-        log_w = sw.row(world.group[agent] if case == 2 else None)
+        log_w = sw.log_w[world.group[agent]]
         chain = [reference.filtered_move(rng, probs, log_w, n) for _ in range(N)]
         ps.append(two_sample_p(batched[ids == agent], chain, 5))
     return ps
@@ -109,10 +112,25 @@ def test_case3_weighted_placement_matches_sequence_law():
         paths=np.array([[0, 1, 2, 3], [4, 4, 1, 0], [2, 3, 4, 1], [1, 1, 1, 1], [3, 0, 3, 0]]),
         attrs=np.zeros(5, dtype=np.int64),
     )
-    sw = case_weights()
+    sw = case_weights(3)
     entries = categorical(np.random.default_rng(65), weight_sequences(pool, sw), size=N)
-    probs = reference.sequence_probs(pool.paths.tolist(), sw.log_w)
+    probs = reference.sequence_probs(pool.paths.tolist(), sw.log_w[pool.attrs])
     assert chi_square_p(np.bincount(entries, minlength=5), probs) > 0.001
+
+
+def test_sequence_weights_use_each_entrys_group_row():
+    # Case-2 rows differ by group, so the same path scores differently under
+    # each group's row; entries 0 and 1 share a path, as do entries 2 and 3.
+    pool = SequencePool(
+        paths=np.array([[0, 1, 2, 3], [0, 1, 2, 3], [4, 4, 1, 0], [4, 4, 1, 0], [2, 3, 4, 1]]),
+        attrs=np.array([0, 1, 0, 1, 1]),
+    )
+    sw = case_weights(2)
+    assert not np.allclose(sw.log_w[0], sw.log_w[1])
+    entries = categorical(np.random.default_rng(66), weight_sequences(pool, sw), size=N)
+    probs = reference.sequence_probs(pool.paths.tolist(), sw.log_w[pool.attrs])
+    assert chi_square_p(np.bincount(entries, minlength=5), probs) > 0.001
+    np.testing.assert_allclose(weight_sequences(pool, sw), probs, rtol=0, atol=1e-12)
 
 
 def random_movers(rng, allow_self_transition):
