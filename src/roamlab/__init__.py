@@ -18,7 +18,7 @@ from .assimilation import (
 )
 from .config import ExperimentConfig, resolve_config, validate_config
 from .metrics import aggregate_runs, build_od, decode_ngram, discrepancy, ngram_table, top_k
-from .model import BehaviorParams, ChoiceModel, SimConfig, StoreGraph, step_world
+from .model import BehaviorParams, ChoiceModel, SimConfig, step_world
 from .twin import SequencePool, run_truth, sample_biased_pool
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "ExperimentConfig",
     "SequencePool",
     "SimConfig",
-    "StoreGraph",
     "StoreWeightVector",
     "aggregate_runs",
     "build_od",

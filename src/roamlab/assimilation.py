@@ -21,15 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    ChoiceModel,
-    SimConfig,
-    WorldState,
-    init_world,
-    model_mover,
-    step_world,
-    uniform_placer,
-)
+from .model import ChoiceModel, SimConfig, WorldState, model_mover, run_world, uniform_placer
 from .numerics import categorical, log_normalize_rows
 from .twin import SequencePool
 
@@ -136,12 +128,7 @@ class AssimRun:
 
 def run_baseline(cfg: SimConfig, rng: np.random.Generator) -> WorldState:
     """Plain model run without any observation input."""
-    choice = ChoiceModel(cfg.graph(), cfg.behavior, cfg.allow_self_transition)
-    mover = model_mover(choice)
-    world = init_world(cfg, uniform_placer, rng)
-    for _ in range(cfg.horizon_steps):
-        step_world(world, cfg, mover, uniform_placer, rng)
-    return world
+    return run_world(cfg, model_mover(ChoiceModel(cfg)), uniform_placer, rng)
 
 
 def run_assimilation(
@@ -153,16 +140,18 @@ def run_assimilation(
     rng: np.random.Generator,
     options: AssimOptions | None = None,
 ) -> AssimRun:
-    """Advance the assimilation world to the horizon under one regime.
+    """Run the assimilation world to the horizon under one regime.
 
     observations is the (T+1, G, S) array of inflow counts by step, group and
-    store, covering steps 0..horizon; the weights applied during step t come
-    from the inflows observed at step t. Case 2 weights each group by its own
-    counts; cases 1 and 3 weight every group by the per-store totals. Case 3
-    requires a sequence pool whose paths span the full transition count; its
-    sequence weights are recomputed once per step, when the store weights
-    change. The case-3 random control draws pool entries uniformly and never
-    weights the pool.
+    store, covering steps 0..horizon. The store weights of every step are
+    built from them before the run: weights[0] is uniform, since no
+    observation has been consumed when the initial population is placed, and
+    weights[t], applied during step t, folds in the inflows observed at step
+    t. Case 2 weights each group by its own counts; cases 1 and 3 weight
+    every group by the per-store totals. Case 3 requires a sequence pool
+    whose paths span the full transition count; each spawn batch weights it
+    once, by the store weights of its step. The case-3 random control draws
+    pool entries uniformly and never weights the pool.
     """
     if case not in (1, 2, 3):
         raise ValueError(f"case must be 1, 2, or 3, got {case}")
@@ -179,9 +168,10 @@ def run_assimilation(
             observations.sum(axis=1, keepdims=True),
             (len(observations), cfg.group_count, observations.shape[2]),
         )
-
-    sw = StoreWeightVector.uniform(cfg.store_count, cfg.group_count)
-    weighted = case == 3 and not options.random_baseline  # sequence weights in use
+    weights = [StoreWeightVector.uniform(cfg.store_count, cfg.group_count)]
+    for t in range(1, cfg.horizon_steps + 1):
+        weights.append(update_store_weights(weights[-1], observations[t],
+                                            accumulate=options.weight_accumulation))
 
     if case == 3:
         if pool.paths.shape[1] != cfg.max_transitions + 1:
@@ -190,13 +180,13 @@ def run_assimilation(
                 f" expected {cfg.max_transitions + 1}"
             )
         followed = np.zeros(cfg.total_agents, dtype=np.int64)  # pool entry of each agent
-        seq = weight_sequences(pool, sw) if weighted else None
 
         def placer(world, ids, groups, rng):
-            if weighted:
-                entries = categorical(rng, seq, size=len(ids))
-            else:
+            if options.random_baseline:
                 entries = rng.integers(pool.size, size=len(ids))
+            else:
+                seq = weight_sequences(pool, weights[world.step])
+                entries = categorical(rng, seq, size=len(ids))
             followed[ids] = entries
             return pool.paths[entries, 0]
 
@@ -204,7 +194,7 @@ def run_assimilation(
             return pool.paths[followed[ids], world.transitions[ids] + 1]
 
     else:
-        choice = ChoiceModel(cfg.graph(), cfg.behavior, cfg.allow_self_transition)
+        choice = ChoiceModel(cfg)
         n = options.particle_count
 
         if options.filter_moves:
@@ -212,7 +202,7 @@ def run_assimilation(
             def mover(world, ids, rng):
                 groups = world.group[ids]
                 probs = choice.probs(groups, world.store[ids], world.congestion)
-                return filtered_moves(rng, probs, sw.log_w[groups], n)
+                return filtered_moves(rng, probs, weights[world.step].log_w[groups], n)
 
         else:
             mover = model_mover(choice)
@@ -220,19 +210,12 @@ def run_assimilation(
         if options.weighted_placement:
 
             def placer(world, ids, groups, rng):
-                return place_new_agents(sw, rng, groups)
+                return place_new_agents(weights[world.step], rng, groups)
 
         else:
             placer = uniform_placer
 
-    # Initial population: no observation has been consumed yet, so cases 1-2
-    # place uniformly (sw is uniform) and case 3 draws uniformly from the pool.
-    world = init_world(cfg, placer, rng)
-    for t in range(1, cfg.horizon_steps + 1):
-        sw = update_store_weights(sw, observations[t], accumulate=options.weight_accumulation)
-        if weighted:
-            seq = weight_sequences(pool, sw)
-        step_world(world, cfg, mover, placer, rng)
+    world = run_world(cfg, mover, placer, rng)
     assignments = None
     if case == 3:
         n = world.agents_spawned

@@ -70,8 +70,8 @@ def _overrides(args) -> dict:
     if args.seed is not None:
         ov["experiment.base_seed"] = args.seed
     if getattr(args, "case", None) is not None:
-        case = args.case
-        ov["experiment.cases"] = "all" if case == "all" else [int(case)]
+        case = args.case  # anything but a number or "all" fails the schema check
+        ov["experiment.cases"] = [int(case)] if case.isdecimal() else case
     if getattr(args, "jobs", None) is not None:
         ov["experiment.jobs"] = args.jobs
     if getattr(args, "random_baseline", False):

@@ -110,6 +110,13 @@ def _type_error(key, expected, value):
     return ConfigSchemaError(f"{key}: expected {expected}, got {value!r}")
 
 
+def _numbers(value) -> bool:
+    """True for a list of ints and floats (bools excluded)."""
+    return isinstance(value, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    )
+
+
 def _check_type(key, value, kind):
     if kind == "int":
         if not isinstance(value, int) or isinstance(value, bool):
@@ -121,23 +128,20 @@ def _check_type(key, value, kind):
         if not isinstance(value, bool):
             raise _type_error(key, "boolean", value)
     elif kind == "number_or_list":
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not ok and isinstance(value, list):
-            ok = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-        if not ok:
+        if not _numbers(value if isinstance(value, list) else [value]):
             raise _type_error(key, "number or list of numbers", value)
     elif kind == "vector":
-        if not isinstance(value, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-        ):
+        if not _numbers(value):
             raise _type_error(key, "list of numbers", value)
     elif kind == "vector_or_null":
         if value is not None:
             _check_type(key, value, "vector")
     elif kind == "matrix_or_null":
-        if value is not None:
-            if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
-                raise _type_error(key, "nested list (matrix) or null", value)
+        if value is not None and not (
+            isinstance(value, list) and value
+            and all(_numbers(r) and len(r) == len(value[0]) for r in value)
+        ):
+            raise _type_error(key, "matrix (rows of numbers, all one length) or null", value)
     elif kind == "cases":
         if value == "all":
             return
@@ -218,7 +222,7 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
         if key.startswith("sim.") and SCHEMA[key][1] == "int"
     }
 
-    def build_sim(attractiveness, label):
+    def build_sim(attractiveness, role):
         sim = SimConfig(
             **counts,
             group_quotas=tuple(quotas),
@@ -230,11 +234,14 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
         try:
             sim.validate()
         except ValueError as e:
-            raise ConfigSchemaError(f"{label}: {e}") from e
+            # validate names the SimConfig field first; name its config key
+            field = str(e).partition(":")[0]
+            key = f"{role}.{field}" if field == "attractiveness" else f"sim.{field}"
+            raise ConfigSchemaError(f"{key}{str(e)[len(field):]}") from e
         return sim
 
-    truth_cfg = build_sim(truth_a, "sim (truth environment)")
-    assim_cfg = build_sim(assim_a, "sim (assimilation environment)")
+    truth_cfg = build_sim(truth_a, "truth")
+    assim_cfg = build_sim(assim_a, "assim")
 
     replicates = merged["experiment.replicates"]
     if replicates < 1:

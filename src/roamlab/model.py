@@ -13,10 +13,10 @@ assignments are all read off the arrays after the run. Choices read the
 congestion snapshot taken at the start of each step, so the moves of one step
 are conditionally independent given that snapshot and are drawn as one batch.
 
-Movement and initial placement are pluggable policies so the same stepper
-drives plain model runs and assimilated runs. A mover maps (world, ids, rng)
-to the next store of each listed agent; a placer maps (world, ids, groups,
-rng) to the first store of each freshly spawned agent.
+Movement and initial placement are pluggable policies, so one loop,
+run_world, drives the truth, baseline and assimilated runs. A mover maps
+(world, ids, rng) to the next store of each listed agent; a placer maps
+(world, ids, groups, rng) to the first store of each freshly spawned agent.
 """
 
 from dataclasses import dataclass
@@ -24,45 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import categorical, log_normalize_rows
-
-
-@dataclass
-class StoreGraph:
-    """Stores, pairwise distances, and per-group attractiveness.
-
-    distance: (S, S) symmetric, zero diagonal. attractiveness: (G, S), all
-    entries positive.
-    """
-
-    distance: np.ndarray
-    attractiveness: np.ndarray
-
-    def __post_init__(self):
-        self.distance = np.asarray(self.distance, dtype=float)
-        self.attractiveness = np.asarray(self.attractiveness, dtype=float)
-        s = self.store_count
-        if s < 2:
-            raise ValueError("store_count must be >= 2")
-        if self.distance.shape != (s, s):
-            raise ValueError(f"distance must be ({s}, {s}), got {self.distance.shape}")
-        if np.any(self.distance < 0):
-            raise ValueError("distances must be non-negative")
-        if np.any(np.diag(self.distance) != 0):
-            raise ValueError("distance diagonal must be zero")
-        if not np.allclose(self.distance, self.distance.T):
-            raise ValueError("distance matrix must be symmetric")
-        if self.attractiveness.ndim != 2 or self.attractiveness.shape[1] != s:
-            raise ValueError("attractiveness must be (group_count, store_count)")
-        if np.any(self.attractiveness <= 0):
-            raise ValueError("attractiveness entries must be positive")
-
-    @property
-    def store_count(self) -> int:
-        return self.attractiveness.shape[1]
-
-    @property
-    def group_count(self) -> int:
-        return self.attractiveness.shape[0]
 
 
 @dataclass(frozen=True)
@@ -115,9 +76,11 @@ class WorldState:
 class SimConfig:
     """One simulation environment: lifecycle constants plus the store graph.
 
-    Defaults: 18 stores, 2000 agents in four groups of 500, 100 initial
-    agents, replenishment in batches of 40, dwell of 2-3 steps, 3 transitions
-    per agent, 200 steps.
+    validate() holds every invariant and must pass before the config is used:
+    attractiveness is (G, S) and positive; distance is (S, S), non-negative
+    and symmetric, with a zero diagonal. Defaults: 18 stores, 2000 agents in
+    four groups of 500, 100 initial agents, replenishment in batches of 40,
+    dwell of 2-3 steps, 3 transitions per agent, 200 steps.
     """
 
     store_count: int = 18
@@ -144,8 +107,10 @@ class SimConfig:
         self.group_quotas = tuple(int(q) for q in self.group_quotas)
 
     def validate(self):
-        """Raise ValueError naming the offending field on any invariant breach."""
-        if self.store_count < 2:
+        """Cast the matrices to float and raise ValueError naming the
+        offending field on any invariant breach."""
+        s, g = self.store_count, self.group_count
+        if s < 2:
             raise ValueError("store_count: must be >= 2")
         if self.horizon_steps < 1:
             raise ValueError("horizon_steps: must be >= 1")
@@ -161,46 +126,45 @@ class SimConfig:
             raise ValueError("max_transitions: must be >= 1")
         if self.replenish_threshold < 1 or self.replenish_count < 1:
             raise ValueError("replenish_threshold/replenish_count: must be >= 1")
-        if len(self.group_quotas) != self.group_count:
-            raise ValueError(
-                f"group_quotas: expected {self.group_count} entries, got {len(self.group_quotas)}"
-            )
+        if len(self.group_quotas) != g:
+            raise ValueError(f"group_quotas: expected {g} entries, got {len(self.group_quotas)}")
         if sum(self.group_quotas) != self.total_agents:
             raise ValueError(
                 f"group_quotas: sum {sum(self.group_quotas)} != total_agents {self.total_agents}"
             )
         if any(q < 0 for q in self.group_quotas):
             raise ValueError("group_quotas: entries must be >= 0")
-        if len(self.behavior) != self.group_count:
-            raise ValueError(
-                f"behavior: expected {self.group_count} parameter sets, got {len(self.behavior)}"
-            )
+        if len(self.behavior) != g:
+            raise ValueError(f"behavior: expected {g} parameter sets, got {len(self.behavior)}")
         if self.attractiveness is None:
             raise ValueError("attractiveness: required")
-        self.graph()  # shape/positivity checks live in StoreGraph
+        a = self.attractiveness = np.asarray(self.attractiveness, dtype=float)
+        d = self.distance = np.asarray(self.distance, dtype=float)
+        if a.shape != (g, s):
+            raise ValueError(f"attractiveness: expected shape ({g}, {s}), got {a.shape}")
+        if not np.all((a > 0) & np.isfinite(a)):
+            raise ValueError("attractiveness: entries must be finite and positive")
+        if d.shape != (s, s):
+            raise ValueError(f"distance: expected shape ({s}, {s}), got {d.shape}")
+        if not np.all(d >= 0):
+            raise ValueError("distance: entries must be non-negative")
+        if np.any(np.diag(d) != 0):
+            raise ValueError("distance: diagonal must be zero")
+        if not np.allclose(d, d.T):
+            raise ValueError("distance: matrix must be symmetric")
         return self
 
-    def graph(self) -> StoreGraph:
-        a = np.asarray(self.attractiveness, dtype=float)
-        if a.shape != (self.group_count, self.store_count):
-            raise ValueError(
-                f"attractiveness: expected shape ({self.group_count}, {self.store_count}),"
-                f" got {a.shape}"
-            )
-        return StoreGraph(distance=self.distance, attractiveness=a)
 
-
-def store_utilities(
-    graph: StoreGraph, params: BehaviorParams, group: int, congestion: np.ndarray
-) -> np.ndarray:
-    """Per-store utility: k*(A_j + spillover_j) + omega*congestion_j.
+def store_utilities(cfg: SimConfig, group: int, congestion: np.ndarray) -> np.ndarray:
+    """Per-store utility of one group: k*(A_j + spillover_j) + omega*congestion_j.
 
     spillover_j sums every other store's attractiveness decayed by
     (1 + d)^-lambda; the candidate restriction is applied later, so the sum
     always runs over all j' != j.
     """
-    a = graph.attractiveness[group]
-    decay = (1.0 + graph.distance) ** (-params.lam)
+    params = cfg.behavior[group]
+    a = cfg.attractiveness[group]
+    decay = (1.0 + cfg.distance) ** (-params.lam)
     np.fill_diagonal(decay, 0.0)
     spill = decay @ a
     return params.k * (a + spill) + params.omega * congestion
@@ -209,23 +173,15 @@ def store_utilities(
 class ChoiceModel:
     """Next-store distribution with the static utility part precomputed.
 
-    One instance per (graph, behavior) pair; per-call work is a row gather, a
+    One instance per validated environment; per-call work is a row gather, a
     vector add and a log-normalisation over the candidate stores.
     """
 
-    def __init__(self, graph: StoreGraph, behavior, allow_self_transition: bool = False):
-        self.graph = graph
-        self.behavior = tuple(behavior)
-        self.allow_self_transition = allow_self_transition
-        if len(self.behavior) != graph.group_count:
-            raise ValueError("behavior: one BehaviorParams per group required")
-        self._static = np.stack(
-            [
-                store_utilities(graph, p, g, np.zeros(graph.store_count))
-                for g, p in enumerate(self.behavior)
-            ]
-        )
-        self._omega = np.array([p.omega for p in self.behavior])
+    def __init__(self, cfg: SimConfig):
+        self.allow_self_transition = cfg.allow_self_transition
+        zero = np.zeros(cfg.store_count)
+        self._static = np.stack([store_utilities(cfg, g, zero) for g in range(cfg.group_count)])
+        self._omega = np.array([p.omega for p in cfg.behavior])
 
     def log_probs(self, group, current_store, congestion: np.ndarray) -> np.ndarray:
         """Log choice probabilities over all stores; excluded stores get -inf.
@@ -365,6 +321,14 @@ def step_world(
         world.dwell[going] = _draw_dwells(cfg, len(going), rng)
 
     replenish(world, cfg, placer, rng)
+    return world
+
+
+def run_world(cfg: SimConfig, mover, placer, rng: np.random.Generator) -> WorldState:
+    """Spawn the initial population, then step the world to the horizon."""
+    world = init_world(cfg, placer, rng)
+    for _ in range(cfg.horizon_steps):
+        step_world(world, cfg, mover, placer, rng)
     return world
 
 

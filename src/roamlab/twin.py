@@ -13,15 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    ChoiceModel,
-    SimConfig,
-    WorldState,
-    init_world,
-    model_mover,
-    step_world,
-    uniform_placer,
-)
+from .model import ChoiceModel, SimConfig, WorldState, model_mover, run_world, uniform_placer
 from .numerics import categorical
 
 
@@ -55,11 +47,7 @@ def run_truth(
     count_spawn_as_inflow. The OD matrix and the completed agents' paths are
     read off the returned world.
     """
-    choice = ChoiceModel(cfg.graph(), cfg.behavior, cfg.allow_self_transition)
-    mover = model_mover(choice)
-    world = init_world(cfg, uniform_placer, rng)
-    for _ in range(cfg.horizon_steps):
-        step_world(world, cfg, mover, uniform_placer, rng)
+    world = run_world(cfg, model_mover(ChoiceModel(cfg)), uniform_placer, rng)
     first = 0 if count_spawn_as_inflow else 1
     entered = world.entered[: world.agents_spawned, first:]
     agent, position = np.nonzero(entered >= 0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from roamlab.config import resolve_config
-from roamlab.model import BehaviorParams, SimConfig, StoreGraph, new_world, unit_distance
+from roamlab.model import BehaviorParams, SimConfig, new_world
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run.
 settings.register_profile("ci", derandomize=True)
@@ -47,10 +47,15 @@ class FixedCounts(np.random.Generator):
         return np.broadcast_to(self.counts, np.shape(pvals)).copy()
 
 
-def make_graph(attractiveness, distance=None):
-    a = np.asarray(attractiveness, dtype=float)
-    d = unit_distance(a.shape[1]) if distance is None else np.asarray(distance, dtype=float)
-    return StoreGraph(distance=d, attractiveness=a)
+def make_graph(attractiveness, distance=None, behavior=(), allow_self_transition=False):
+    """A validated SimConfig holding one store graph: one agent per group,
+    default behavior unless given, unit distances unless given."""
+    g, s = np.shape(attractiveness)
+    return SimConfig(
+        store_count=s, total_agents=g, initial_agents=g, group_count=g, group_quotas=(1,) * g,
+        behavior=tuple(behavior), attractiveness=attractiveness, distance=distance,
+        allow_self_transition=allow_self_transition,
+    ).validate()
 
 
 def make_agent(group=0, store=0, dwell=2, path=None, active=True):

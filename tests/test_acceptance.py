@@ -86,25 +86,25 @@ def test_criterion_4_softmax_properties():
         d = rng.uniform(0.0, 5.0, size=(s, s))
         d = (d + d.T) / 2
         np.fill_diagonal(d, 0.0)
-        graph = make_graph(a, d)
         params = BehaviorParams(
             omega=float(rng.uniform(-1, 1)),
             k=float(rng.uniform(-2, 2)),
             lam=float(rng.uniform(0, 8)),
         )
         congestion = rng.integers(0, 50, size=s)
+        graph = make_graph(a, d, behavior=(params,))
 
-        p = ChoiceModel(graph, (params,)).probs(0, int(rng.integers(s)), congestion)
+        p = ChoiceModel(graph).probs(0, int(rng.integers(s)), congestion)
         worst_sum = max(worst_sum, abs(p.sum() - 1.0))
 
-        u = store_utilities(graph, params, 0, congestion.astype(float))
+        u = store_utilities(graph, 0, congestion.astype(float))
         c = float(rng.uniform(-50, 50))
         worst_shift = max(
             worst_shift, float(np.max(np.abs(log_normalize_rows(u + c) - log_normalize_rows(u))))
         )
 
     sym_graph = make_graph([[5.0] * 18])
-    p = ChoiceModel(sym_graph, (BehaviorParams(),)).probs(0, 4, np.full(18, 7))
+    p = ChoiceModel(sym_graph).probs(0, 4, np.full(18, 7))
     candidates = p[np.arange(18) != 4]
     exact_uniform = bool(np.all(candidates == candidates[0]))
 
@@ -119,7 +119,7 @@ def test_criterion_4_softmax_properties():
 
 def test_criterion_5_uniform_likelihood_is_noop():
     graph = make_graph([[5.0, 5.0, 5.0]])
-    choice = ChoiceModel(graph, (BehaviorParams(),))
+    choice = ChoiceModel(graph)
     world = make_world([make_agent(store=0)], store_count=3)
     world.congestion = np.array([4, 2, 1])
     expected = choice.probs(0, 0, world.congestion)

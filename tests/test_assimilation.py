@@ -93,7 +93,7 @@ class TestParticleOps:
     N = 100_000
 
     def frozen_scene(self, attractiveness=(5.0, 5.0, 5.0)):
-        choice = ChoiceModel(make_graph([list(attractiveness)]), (BehaviorParams(),))
+        choice = ChoiceModel(make_graph([list(attractiveness)]))
         world = make_world([make_agent(store=0)], store_count=len(attractiveness))
         return world, choice
 
@@ -395,10 +395,11 @@ class TestRunAssimilation:
             assigned = pool.paths[entry_of[agent_id]]
             assert tuple(path) == tuple(assigned[: len(path)])
 
-    def test_case3_weights_pool_once_per_step(self, monkeypatch):
-        # The store weights change once per step, so the pool is reweighted
-        # once for the uniform start vector and once after each update, not
-        # once per spawned agent.
+    def test_case3_weights_pool_once_per_spawn_batch(self, monkeypatch):
+        # Each spawn batch weights the pool once, by the store weights of the
+        # step it spawns at: the uniform table (step None) for the initial
+        # population, the table of step t for a batch spawned at step t. The
+        # batches after the initial one each hold replenish_count agents.
         _, assim_cfg, truth, pool = self.setup_inputs()
         calls = []
 
@@ -410,8 +411,10 @@ class TestRunAssimilation:
         run = run_assimilation(
             assim_cfg, truth.observations, 3, pool=pool, rng=np.random.default_rng(6)
         )
-        assert run.world.agents_spawned > assim_cfg.horizon_steps + 1
-        assert calls == [None, *range(1, assim_cfg.horizon_steps + 1)]
+        n = run.world.agents_spawned
+        firsts = list(range(assim_cfg.initial_agents, n, assim_cfg.replenish_count))
+        assert len(firsts) > 1 and n > len(firsts) + 1
+        assert calls == [None, *run.world.entered[firsts, 0].tolist()]
 
     def test_random_control_never_weights_the_pool(self, monkeypatch):
         _, assim_cfg, truth, pool = self.setup_inputs()
@@ -464,7 +467,7 @@ class TestRunAssimilation:
     def test_uniform_observations_keep_model_kernel(self):
         # Flat inflows make the likelihood constant, so the filtered moves
         # must sample the plain choice distribution.
-        choice = ChoiceModel(make_graph([[5.0, 6.5, 5.8]]), (BehaviorParams(),))
+        choice = ChoiceModel(make_graph([[5.0, 6.5, 5.8]]))
         world = make_world([make_agent(store=0)], store_count=3)
         expected = choice.probs(0, 0, world.congestion)
         sw = update_store_weights(StoreWeightVector.uniform(3, 1), obs([4, 4, 4]))

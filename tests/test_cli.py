@@ -64,6 +64,13 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG_SCHEMA
         assert "group_quotas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["abc", "4", "1.5"])
+    def test_bad_case_exits_3_naming_key(self, capsys, tmp_path, case):
+        out = tmp_path / "out"
+        assert main(["experiment", "--case", case, "--out", str(out)]) == EXIT_CONFIG_SCHEMA
+        assert capsys.readouterr().err.startswith("error: experiment.cases: ")
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_minimal_experiment_tree(self, mini_config, tmp_path, capsys):
@@ -378,3 +385,33 @@ def test_experiment_under_each_ablation_flag(tmp_path, flag):
             assert od.sum() == np.count_nonzero(rows[:, 2] > 0), role
     checksums = io.read_json(out / "run_manifest.json")["checksums"]
     assert checksums == io.read_json(FLAG_CHECKSUMS)[flag_id(flag)]
+
+
+def test_traced_experiment_runs_every_hooked_entry_point(tmp_path):
+    """The benchmark's span tracer runs a tiny experiment to completion.
+
+    perfbench/tracecli.py wraps roamlab's entry points from outside and reads
+    their arguments and results after each call; a renamed entry point or a
+    changed signature fails here instead of in a benchmark run.
+    """
+    root = Path(__file__).resolve().parents[1]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**TINY_OVERRIDES, "experiment.replicates": 1}))
+    span_dir = tmp_path / "spans"
+    src = str(Path(roamlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracecli.py"), str(span_dir), "experiment",
+         "--config", str(path), "--out", str(tmp_path / "out"), "--jobs", "1"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    files = sorted(span_dir.glob("spans-*.json"))
+    assert files
+    names = {span[2] for f in files for span in json.loads(f.read_text())["spans"]}
+    assert {
+        "model.ChoiceModel.log_probs", "model.ChoiceModel.sample", "model.step_world",
+        "twin.run_truth", "assimilation.run_baseline", "assimilation.run_assimilation",
+        "assimilation.update_store_weights", "assimilation.weight_sequences",
+    } <= names

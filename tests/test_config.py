@@ -104,6 +104,43 @@ class TestSchemaErrors:
         with pytest.raises(ConfigSchemaError, match="experiment.cases"):
             resolve_config({"experiment.cases": [1, 9]})
 
+    @pytest.mark.parametrize(
+        "key, matrix",
+        [
+            ("sim.distance", [[0, 1], [1]]),
+            ("sim.distance", [[0, 1], [1, "far"]]),
+            ("truth.attractiveness", [[5.0] * 18] * 3 + [[5.0] * 17]),
+            ("assim.attractiveness", [[5.0] * 18] * 3 + [[5.0] * 19]),
+        ],
+        ids=["ragged-distance", "string-distance", "ragged-truth", "ragged-assim"],
+    )
+    def test_malformed_matrix_named(self, key, matrix):
+        with pytest.raises(ConfigSchemaError, match=rf"^{key}: expected matrix"):
+            resolve_config({key: matrix})
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"sim.distance": [[0, 1], [2, 0]]}, "sim.distance: matrix must be symmetric"),
+            ({"sim.distance": [[1, 1], [1, 0]]}, "sim.distance: diagonal must be zero"),
+            ({"sim.distance": [[0, -1], [-1, 0]]}, "sim.distance: entries must be non-negative"),
+            ({"sim.distance": [[0, 1, 1]] * 3}, r"sim.distance: expected shape \(2, 2\)"),
+            ({"truth.attractiveness": [[5, 5]] * 3 + [[5, 0]]},
+             "truth.attractiveness: entries must be finite and positive"),
+            ({"assim.attractiveness": [[5, 5]] * 3}, r"assim.attractiveness: expected shape \(4, 2\)"),
+        ],
+        ids=["asymmetric", "diagonal", "negative", "shape", "zero-attractiveness", "short-table"],
+    )
+    def test_invalid_environment_names_its_key(self, raw, message):
+        two_stores = {
+            "sim.store_count": 2,
+            "sim.distance": [[0, 1], [1, 0]],
+            "truth.attractiveness": [[5, 5]] * 4,
+            "assim.attractiveness": [[5, 5]] * 4,
+        }
+        with pytest.raises(ConfigSchemaError, match=f"^{message}"):
+            resolve_config({**two_stores, **raw})
+
     def test_uneven_default_quota_split_requires_explicit_quotas(self):
         with pytest.raises(ConfigSchemaError, match="sim.group_quotas"):
             resolve_config({"sim.total_agents": 2001})

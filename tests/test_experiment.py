@@ -21,6 +21,7 @@ from roamlab.seeds import ROLE_CODES, derive_rng, derive_seed
 from conftest import TINY_OVERRIDES
 
 GOLDEN_CHECKSUMS = Path(__file__).parent / "golden" / "tiny_checksums.json"
+DEFAULT_CHECKSUMS = Path(__file__).parent / "golden" / "default_checksums.json"
 
 
 class TestSeeds:
@@ -136,3 +137,20 @@ class TestManifest:
         run_experiment(cfg, tmp_path)
         checksums = io.read_json(tmp_path / "run_manifest.json")["checksums"]
         assert checksums == io.read_json(GOLDEN_CHECKSUMS)
+
+    def test_default_tree_matches_golden_checksums(self, tmp_path):
+        """The default-scale tree of one replicate is byte-identical to the
+        golden tree.
+
+        golden/default_checksums.json is the `checksums` entry of the
+        run_manifest.json that `roamlab experiment --runs 1 --seed 7 --jobs 1`
+        writes under the default config (18 stores, 2000 agents, 200 steps,
+        all cases). It changes only with the RNG consumption, like
+        golden/tiny_checksums.json.
+        """
+        cfg = resolve_config(
+            {}, {"experiment.replicates": 1, "experiment.base_seed": 7, "experiment.jobs": 1}
+        )
+        run_experiment(cfg, tmp_path)
+        checksums = io.read_json(tmp_path / "run_manifest.json")["checksums"]
+        assert checksums == io.read_json(DEFAULT_CHECKSUMS)

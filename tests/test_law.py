@@ -38,8 +38,8 @@ def two_group_scene(allow_self_transition=False):
     d = (d + d.T) / 2
     np.fill_diagonal(d, 0.0)
     behavior = (BehaviorParams(omega=0.05), BehaviorParams(omega=-0.1, k=0.8, lam=2.0))
-    graph = make_graph(a, d)
-    choice = ChoiceModel(graph, behavior, allow_self_transition)
+    graph = make_graph(a, d, behavior, allow_self_transition)
+    choice = ChoiceModel(graph)
     agents = [make_agent(group=0, store=0), make_agent(group=1, store=2),
               make_agent(group=0, store=4)]
     world = make_world(agents, store_count=5, quotas=(10, 10))
@@ -138,9 +138,11 @@ def random_movers(rng, allow_self_transition):
     store, so that some rows exclude their last column. Returns the movers'
     choice rows and their current stores."""
     s, g, m = int(rng.integers(2, 8)), int(rng.integers(1, 4)), int(rng.integers(1, 12))
-    choice = ChoiceModel(make_graph(rng.uniform(0.5, 10, size=(g, s))),
-                         [BehaviorParams(omega=float(rng.uniform(-1, 1))) for _ in range(g)],
-                         allow_self_transition)
+    choice = ChoiceModel(make_graph(
+        rng.uniform(0.5, 10, size=(g, s)),
+        behavior=[BehaviorParams(omega=float(rng.uniform(-1, 1))) for _ in range(g)],
+        allow_self_transition=allow_self_transition,
+    ))
     stores = np.append(rng.integers(s, size=m - 1), s - 1)
     agents = [make_agent(group=int(rng.integers(g)), store=int(c)) for c in stores]
     world = make_world(agents, store_count=s, quotas=(10,) * g)

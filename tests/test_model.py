@@ -10,15 +10,14 @@ from roamlab.model import (
     BehaviorParams,
     ChoiceModel,
     SimConfig,
-    StoreGraph,
     init_world,
     model_mover,
     path_rows,
     replenish,
+    run_world,
     step_world,
     store_utilities,
     uniform_placer,
-    unit_distance,
 )
 
 from conftest import agent_path, make_agent, make_graph, make_world, small_sim_config
@@ -28,17 +27,17 @@ def params(omega=0.0, k=1.0, lam=6.0):
     return BehaviorParams(omega=omega, k=k, lam=lam)
 
 
-def kernel_probs(graph, pm, store, congestion=None, allow_self_transition=False):
+def kernel_probs(attractiveness, pm, store, congestion=None, allow_self_transition=False):
     """ChoiceModel.probs for a one-group graph; zero congestion by default."""
-    model = ChoiceModel(graph, (pm,), allow_self_transition)
+    cfg = make_graph(attractiveness, behavior=(pm,), allow_self_transition=allow_self_transition)
     if congestion is None:
-        congestion = np.zeros(graph.store_count, dtype=np.int64)
-    return model.probs(0, store, congestion)
+        congestion = np.zeros(cfg.store_count, dtype=np.int64)
+    return ChoiceModel(cfg).probs(0, store, congestion)
 
 
 class TestChoiceProbabilities:
     def test_symmetric_stores_are_uniform(self):
-        p = kernel_probs(make_graph([[5.0, 5.0, 5.0]]), params(), store=0)
+        p = kernel_probs([[5.0, 5.0, 5.0]], params(), store=0)
         assert p[0] == 0.0
         # identical utilities give bit-identical probabilities
         assert p[1] == p[2]
@@ -47,53 +46,53 @@ class TestChoiceProbabilities:
     def test_hand_computed_utilities(self):
         # Independent scalar evaluation: u_j = A_j + sum_{j'!=j} A_j'/(1+d)^lam,
         # agent at store 2, so the normalization runs over stores {0, 1}.
-        graph = make_graph([[5.0, 10.0, 5.0]])
+        a = [[5.0, 10.0, 5.0]]
         u0 = 5.0 + (10.0 + 5.0) / 2.0**6
         u1 = 10.0 + (5.0 + 5.0) / 2.0**6
         e0, e1 = math.exp(u0), math.exp(u1)
         expected = np.array([e0 / (e0 + e1), e1 / (e0 + e1), 0.0])
-        p = kernel_probs(graph, params(), store=2)
+        p = kernel_probs(a, params(), store=2)
         np.testing.assert_allclose(p, expected, atol=1e-12)
 
     def test_shift_invariance_via_occupancy(self):
         # Raising every store's occupancy by the same amount shifts all
         # utilities by a constant, which the normalization must ignore.
         rng = np.random.default_rng(7)
-        graph = make_graph(rng.uniform(1, 10, size=(1, 6)))
+        a = rng.uniform(1, 10, size=(1, 6))
         pm = params(omega=0.5)
         congestion_a = rng.integers(0, 30, size=6)
-        pa = kernel_probs(graph, pm, store=3, congestion=congestion_a)
-        pb = kernel_probs(graph, pm, store=3, congestion=congestion_a + 17)
+        pa = kernel_probs(a, pm, store=3, congestion=congestion_a)
+        pb = kernel_probs(a, pm, store=3, congestion=congestion_a + 17)
         np.testing.assert_allclose(np.log(pa[pa > 0]), np.log(pb[pb > 0]), atol=1e-12)
 
     def test_omega_zero_ignores_occupancy(self):
-        graph = make_graph([[2.0, 7.0, 4.0, 6.0]])
-        p0 = kernel_probs(graph, params(omega=0.0), store=1)
-        p1 = kernel_probs(graph, params(omega=0.0), store=1, congestion=np.array([90, 0, 50, 3]))
+        a = [[2.0, 7.0, 4.0, 6.0]]
+        p0 = kernel_probs(a, params(omega=0.0), store=1)
+        p1 = kernel_probs(a, params(omega=0.0), store=1, congestion=np.array([90, 0, 50, 3]))
         np.testing.assert_array_equal(p0, p1)
 
     def test_allow_self_transition_includes_current_store(self):
-        graph = make_graph([[5.0, 5.0, 5.0]])
-        p = kernel_probs(graph, params(), store=0, allow_self_transition=True)
+        a = [[5.0, 5.0, 5.0]]
+        p = kernel_probs(a, params(), store=0, allow_self_transition=True)
         assert p[0] > 0
         assert abs(p.sum() - 1.0) < 1e-9
 
     def test_rejects_non_finite_utilities(self):
-        graph = make_graph([[5.0, 5.0, 1e308]])
+        a = [[5.0, 5.0, 1e308]]
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-            kernel_probs(graph, params(k=1e308), store=0)
+            kernel_probs(a, params(k=1e308), store=0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
     def test_probabilities_sum_to_one(self, seed):
         rng = np.random.default_rng(seed)
         s = int(rng.integers(2, 20))
-        graph = make_graph(rng.uniform(0.1, 20.0, size=(1, s)))
+        a = rng.uniform(0.1, 20.0, size=(1, s))
         store = int(rng.integers(s))
         congestion = rng.integers(0, 40, size=s)
         pm = params(omega=float(rng.uniform(-1, 1)), k=float(rng.uniform(-2, 2)),
                     lam=float(rng.uniform(0, 8)))
-        p = kernel_probs(graph, pm, store=store, congestion=congestion)
+        p = kernel_probs(a, pm, store=store, congestion=congestion)
         assert abs(p.sum() - 1.0) < 1e-9
         assert p[store] == 0.0
 
@@ -106,10 +105,10 @@ class TestChoiceProbabilities:
         a = rng.uniform(0.5, 10.0, size=(1, s))
         pm = params(omega=0.0, k=float(rng.uniform(0, 3)), lam=float(rng.uniform(0, 8)))
         j = int(rng.integers(1, s))
-        p_before = kernel_probs(make_graph(a), pm, store=0)
+        p_before = kernel_probs(a, pm, store=0)
         a2 = a.copy()
         a2[0, j] += bump
-        p_after = kernel_probs(make_graph(a2), pm, store=0)
+        p_after = kernel_probs(a2, pm, store=0)
         assert p_after[j] >= p_before[j] - 1e-12
 
 
@@ -125,8 +124,8 @@ class TestChoiceModel:
         d = (d + d.T) / 2
         np.fill_diagonal(d, 0.0)
         behavior = (params(omega=0.01), params(omega=0.3, k=0.7, lam=2.0))
-        graph = make_graph(a, d)
-        model = ChoiceModel(graph, behavior)
+        graph = make_graph(a, d, behavior)
+        model = ChoiceModel(graph)
         congestion = rng.integers(0, 25, size=7)
         groups, currents = np.repeat([0, 1], 7), np.tile(np.arange(7), 2)
         batched = model.probs(groups, currents, congestion)
@@ -138,8 +137,8 @@ class TestChoiceModel:
             np.testing.assert_allclose(batched[row], expected, rtol=1e-12, atol=1e-15)
 
     def test_static_part_excludes_self_spillover(self):
-        graph = make_graph([[3.0, 4.0]])
-        u = store_utilities(graph, params(lam=1.0), 0, np.zeros(2))
+        graph = make_graph([[3.0, 4.0]], behavior=(params(lam=1.0),))
+        u = store_utilities(graph, 0, np.zeros(2))
         np.testing.assert_allclose(u, [3.0 + 4.0 / 2.0, 4.0 + 3.0 / 2.0])
 
 
@@ -226,8 +225,7 @@ class TestStepWorld:
         # by the last store of their paths.
         cfg = small_sim_config()
         rng = np.random.default_rng(5)
-        graph = cfg.graph()
-        mover = model_mover(ChoiceModel(graph, cfg.behavior))
+        mover = model_mover(ChoiceModel(cfg))
         world = init_world(cfg, uniform_placer, rng)
         for _ in range(cfg.horizon_steps):
             expected = np.zeros(cfg.store_count, dtype=np.int64)
@@ -307,12 +305,8 @@ class TestReplenish:
 
 class TestLifecycleRun:
     def run_to_horizon(self, cfg, seed=11):
-        rng = np.random.default_rng(seed)
-        mover = model_mover(ChoiceModel(cfg.graph(), cfg.behavior))
-        world = init_world(cfg, uniform_placer, rng)
-        for _ in range(cfg.horizon_steps):
-            step_world(world, cfg, mover, uniform_placer, rng)
-        return world
+        mover = model_mover(ChoiceModel(cfg))
+        return run_world(cfg, mover, uniform_placer, np.random.default_rng(seed))
 
     def test_accounting_and_path_bounds(self):
         cfg = small_sim_config(horizon_steps=80, total_agents=20, group_quotas=(10, 10))
@@ -359,20 +353,15 @@ class TestLifecycleRun:
 
 class TestValidation:
     def test_graph_invariants(self):
+        # SimConfig.validate holds every graph invariant, alongside the lifecycle ones.
         with pytest.raises(ValueError, match="symmetric"):
-            StoreGraph(
-                distance=np.array([[0.0, 1.0], [2.0, 0.0]]),
-                attractiveness=np.full((1, 2), 5.0),
-            )
+            small_sim_config(store_count=2, distance=[[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="diagonal"):
-            StoreGraph(
-                distance=np.array([[1.0, 1.0], [1.0, 0.0]]),
-                attractiveness=np.full((1, 2), 5.0),
-            )
+            small_sim_config(store_count=2, distance=[[1.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="positive"):
-            StoreGraph(distance=unit_distance(2), attractiveness=np.array([[5.0, 0.0]]))
+            small_sim_config(store_count=2, attractiveness=[[5.0, 0.0], [5.0, 5.0]])
         with pytest.raises(ValueError, match="store_count"):
-            StoreGraph(distance=np.zeros((1, 1)), attractiveness=np.array([[5.0]]))
+            small_sim_config(store_count=1)
 
     def test_behavior_params_invariants(self):
         with pytest.raises(ValueError):
