@@ -179,6 +179,8 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
 
     g = merged["sim.group_count"]
     s = merged["sim.store_count"]
+    if g < 1:
+        raise ConfigSchemaError(f"sim.group_count: must be >= 1, got {g}")
 
     quotas = merged["sim.group_quotas"]
     if quotas is None:

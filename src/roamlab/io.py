@@ -1,8 +1,10 @@
 """CSV/JSON serialization of runs, observation products, and aggregates.
 
-All CSV files are UTF-8 with a header row; integers in plain decimal,
-averaged values with six decimal places. Every CSV file is written through
-_write_table. Dense count arrays are written as one row of indices and value
+All CSV files are UTF-8 with a header row and \r\n line ends; integers in
+plain decimal, averaged values with six decimal places. Every CSV file is
+written through one %-template writer, _write_table, which formats a whole
+2-D array 4096 rows at a time, byte for byte as csv.writer would write the
+same rows. Dense count arrays are written as one row of indices and value
 per cell, in C order, with zero counts written explicitly.
 
 Stage products are read back strictly, each in one numpy pass, against the
@@ -13,7 +15,6 @@ every store and attr must be in range. A file that breaks this raises
 MalformedTableError naming the file.
 """
 
-import csv
 import json
 import math
 from pathlib import Path
@@ -67,28 +68,24 @@ def _check_range(path, what, values, bound):
         raise MalformedTableError(f"{path}: {what} outside 0..{bound - 1}")
 
 
-def _write_table(path, header, rows):
-    """Write a CSV with the given header row, then every row of the iterable rows."""
+def _write_table(path, header, table, line=None):
+    """Write a CSV with the given header row, then one line per row of the
+    2-D array table, formatted by the %-template line: comma-separated
+    conversions, one per column ("%d" in every column by default)."""
+    table = np.asarray(table).reshape(-1, len(header))
+    line = (",".join(["%d"] * len(header)) if line is None else line) + "\r\n"
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _rows(table):
-    """The rows of a 2-D array as lists, converted 4096 rows at a time."""
-    table = np.asarray(table)
-    for start in range(0, len(table), 4096):
-        yield from table[start : start + 4096].tolist()
+        f.write(",".join(header) + "\r\n")
+        for start in range(0, len(table), 4096):
+            block = table[start : start + 4096]
+            f.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _cells(array):
     """(index..., value) rows of every cell of a dense array, in C order."""
     array = np.asarray(array)
-    tail = list(np.ndindex(array.shape[1:]))
-    for i, block in enumerate(array.reshape(len(array), -1)):
-        yield from ((i, *index, value) for index, value in zip(tail, block.tolist()))
+    return np.column_stack([*np.indices(array.shape).reshape(array.ndim, -1), array.ravel()])
 
 
 def _place(path, table, shape):
@@ -140,7 +137,7 @@ def read_observations(counts_path, attr_path, shape) -> np.ndarray:
 def write_sequence_pool(path, pool: SequencePool):
     table = np.column_stack([np.arange(pool.size), pool.attrs, pool.paths])
     header = ["entry_id", "attr"] + [f"s{i}" for i in range(pool.paths.shape[1])]
-    _write_table(path, header, _rows(table))
+    _write_table(path, header, table)
 
 
 def read_sequence_pool(path, length: int, store_count: int, group_count: int) -> SequencePool:
@@ -163,16 +160,13 @@ def read_od(path, store_count: int) -> np.ndarray:
 
 
 def write_mean_od(path, od: np.ndarray):
-    _write_table(
-        path, ["origin", "dest", "mean_count"],
-        ((o, d, f"{mean:.6f}") for o, d, mean in _cells(od)),
-    )
+    _write_table(path, ["origin", "dest", "mean_count"], _cells(od), "%d,%d,%.6f")
 
 
 def write_paths(path, rows):
     """rows: (R, 4) path rows (agent_id, group, position, store), one per
     visited store, as model.path_rows gives them."""
-    _write_table(path, ["agent_id", "group", "position", "store"], _rows(rows))
+    _write_table(path, ["agent_id", "group", "position", "store"], rows)
 
 
 def read_paths(path, store_count: int) -> np.ndarray:
@@ -196,7 +190,7 @@ def read_paths(path, store_count: int) -> np.ndarray:
 
 def write_assignments(path, assignments):
     """assignments: (R, 4) rows (step, agent_id, entry_id, attr)."""
-    _write_table(path, ["step", "agent_id", "entry_id", "attr"], _rows(assignments))
+    _write_table(path, ["step", "agent_id", "entry_id", "attr"], assignments)
 
 
 def read_assignments(path, group_count: int) -> np.ndarray:
@@ -213,7 +207,8 @@ def write_ngram_top(path, rows, n: int):
     _write_table(
         path,
         ["rank"] + [f"s{i}" for i in range(n)] + ["freq_truth", "freq_assim", "freq_baseline"],
-        ([rank, *gram, f"{ft:.6f}", f"{fa:.6f}", f"{fb:.6f}"] for rank, gram, ft, fa, fb in rows),
+        np.array([[rank, *gram, *freqs] for rank, gram, *freqs in rows], dtype=float),
+        ",".join(["%d"] * (n + 1) + ["%.6f"] * 3),
     )
 
 

@@ -114,6 +114,10 @@ class SimConfig:
             raise ValueError("store_count: must be >= 2")
         if self.horizon_steps < 1:
             raise ValueError("horizon_steps: must be >= 1")
+        if self.total_agents < 1:
+            raise ValueError(f"total_agents: must be >= 1, got {self.total_agents}")
+        if self.initial_agents < 1:
+            raise ValueError(f"initial_agents: must be >= 1, got {self.initial_agents}")
         if self.initial_agents > self.total_agents:
             raise ValueError(
                 f"initial_agents: {self.initial_agents} exceeds total_agents {self.total_agents}"
@@ -214,23 +218,25 @@ def _spawn_agents(world, cfg, count, placer, rng):
     """Spawn up to count agents as one batch, entering their stores this step.
 
     Each group is drawn uniformly among the groups with quota left after the
-    draws before it, so the group draws run one at a time. Placement and dwell
+    draws before it. No quota can run out before the last draw of a run of
+    min(left, smallest eligible quota) draws, so each such run is one
+    rng.integers call, which with PCG64 yields the same values, and leaves the
+    same generator state, as the draws made one at a time. Placement and dwell
     are then drawn for the whole batch, one call each.
     """
     quota = world.group_quota_remaining
     eligible = np.flatnonzero(quota > 0)
-    groups = []
-    for _ in range(count):
-        if len(eligible) == 0:
-            break
-        group = int(eligible[rng.integers(len(eligible))])
-        quota[group] -= 1
-        if quota[group] == 0:
-            eligible = np.flatnonzero(quota > 0)
-        groups.append(group)
-    if not groups:
+    runs, left = [], count
+    while left > 0 and len(eligible):
+        run = min(left, int(quota[eligible].min()))
+        drawn = eligible[rng.integers(len(eligible), size=run)]
+        quota -= np.bincount(drawn, minlength=len(quota))
+        eligible = np.flatnonzero(quota > 0)
+        runs.append(drawn)
+        left -= run
+    if not runs:
         return
-    groups = np.array(groups, dtype=np.int64)
+    groups = np.concatenate(runs)
     ids = np.arange(world.agents_spawned, world.agents_spawned + len(groups))
     stores = np.asarray(placer(world, ids, groups, rng), dtype=np.int64)
     world.group[ids] = groups

@@ -4,9 +4,13 @@ roamlab draws all movers of a step, and all agents of a spawn batch, in one
 batched call. These kernels state the laws those batches must follow; the law
 tests in test_law.py draw from both and compare the counts. The observation
 oracle counts a finished world's store entries one at a time, the reference
-for the batched count of twin.run_truth.
+for the batched count of twin.run_truth. The spawn oracle draws a batch's
+groups one agent at a time, the reference for the quota-safe runs of
+model._spawn_agents, and the CSV oracle writes rows through csv.writer, the
+reference for the bytes of every io.write_*.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -72,3 +76,35 @@ def rebuild_observations(world, horizon_steps, store_count, group_count,
             if position > 0 or count_spawn_as_inflow:
                 counts[step, group, store] += 1
     return counts
+
+
+def spawn_groups(quota, count, rng):
+    """The groups of a spawn batch of up to count agents, drawn one at a time,
+    each uniformly among the groups with quota left; quota is spent in place."""
+    eligible = np.flatnonzero(quota > 0)
+    groups = []
+    for _ in range(count):
+        if len(eligible) == 0:
+            break
+        group = int(eligible[rng.integers(len(eligible))])
+        quota[group] -= 1
+        if quota[group] == 0:
+            eligible = np.flatnonzero(quota > 0)
+        groups.append(group)
+    return groups
+
+
+def cell_rows(array):
+    """(index..., value) rows of every cell of a dense array, in C order."""
+    array = np.asarray(array)
+    return [(*index, value) for index, value in zip(np.ndindex(array.shape), array.ravel().tolist())]
+
+
+def csv_bytes(path, header, rows):
+    """The bytes csv.writer writes for the header row, then every row."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+    with open(path, "rb") as f:
+        return f.read()

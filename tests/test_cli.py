@@ -64,6 +64,17 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG_SCHEMA
         assert "group_quotas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate-config", "experiment"])
+    @pytest.mark.parametrize("raw", [{"sim.group_count": 0}, {"sim.initial_agents": -5},
+                                     {"sim.total_agents": 0, "sim.initial_agents": 0}])
+    def test_counts_below_one_exit_3_naming_key(self, capsys, tmp_path, command, raw):
+        path, out = tmp_path / "c.json", tmp_path / "out"
+        path.write_text(json.dumps(raw))
+        extra = [] if command == "validate-config" else ["--out", str(out)]
+        assert main([command, "--config", str(path), *extra]) == EXIT_CONFIG_SCHEMA
+        assert capsys.readouterr().err.startswith(f"error: {next(iter(raw))}: must be >= 1")
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["abc", "4", "1.5"])
     def test_bad_case_exits_3_naming_key(self, capsys, tmp_path, case):
         out = tmp_path / "out"

@@ -141,6 +141,24 @@ class TestSchemaErrors:
         with pytest.raises(ConfigSchemaError, match=f"^{message}"):
             resolve_config({**two_stores, **raw})
 
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"sim.group_count": 0}, "sim.group_count"),
+            ({"sim.group_count": -3, "sim.group_quotas": []}, "sim.group_count"),
+            ({"sim.initial_agents": -5}, "sim.initial_agents"),
+            ({"sim.initial_agents": 0}, "sim.initial_agents"),
+            ({"sim.total_agents": 0}, "sim.total_agents"),
+            ({"sim.total_agents": 0, "sim.initial_agents": 0}, "sim.total_agents"),
+            ({"sim.total_agents": -4}, "sim.total_agents"),
+        ],
+        ids=["no-groups", "negative-groups", "negative-initial", "no-initial", "no-agents",
+             "no-agents-no-initial", "negative-agents"],
+    )
+    def test_counts_below_one_named(self, raw, key):
+        with pytest.raises(ConfigSchemaError, match=rf"^{key}: must be >= 1"):
+            resolve_config(raw)
+
     def test_uneven_default_quota_split_requires_explicit_quotas(self):
         with pytest.raises(ConfigSchemaError, match="sim.group_quotas"):
             resolve_config({"sim.total_agents": 2001})

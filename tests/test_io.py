@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import reference
 
 from roamlab import io
 from roamlab.twin import SequencePool, run_truth
@@ -237,6 +238,74 @@ def test_mean_od_fixed_precision(tmp_path):
     assert lines[0] == "origin,dest,mean_count"
     assert lines[1] == "0,0,0.333333"
     assert lines[4] == "1,1,0.000000"
+
+
+INTS = np.random.default_rng(5).integers(-50, 10**6, size=(10_000, 4))  # 3 writer blocks
+MEAN_OD = np.array([[5e-7, 2.0000005, 1 / 3], [1e6 + 0.25, -5e-7, 0.0], [2.5e-6, 7.0, 1e-7]])
+NGRAM_ROWS = [
+    (1, (4, 0, 17), np.float64(46.5), np.float64(1 / 3), 0.0),
+    (2, (0, 3, 1), np.float64(5e-7), np.float64(2.0000005), np.float64(1e6 + 0.25)),
+]
+
+
+def pool_rows(pool):
+    return [(i, a, *p) for i, (a, p) in enumerate(zip(pool.attrs.tolist(), pool.paths.tolist()))]
+
+
+def fixed(rows):
+    """Rows as the writers formatted their averages: every float cell in .6f."""
+    return [[f"{x:.6f}" if isinstance(x, float) else x for x in row] for row in rows]
+
+
+# (writer call, header, the rows csv.writer was given for it)
+WRITER_CASES = {
+    "obs_counts": (
+        lambda p: io.write_obs_counts(p, INTS[:60].reshape(5, 3, 16)),
+        ["step", "store", "count"], reference.cell_rows(INTS[:60].reshape(5, 3, 16).sum(axis=1))),
+    "obs_counts_no_steps": (
+        lambda p: io.write_obs_counts(p, np.zeros((0, 4, 3), dtype=np.int64)),
+        ["step", "store", "count"], []),
+    "obs_counts_attr": (
+        lambda p: io.write_obs_counts_attr(p, INTS[:60].reshape(5, 3, 16)),
+        ["step", "attr", "store", "count"], reference.cell_rows(INTS[:60].reshape(5, 3, 16))),
+    "od": (
+        lambda p: io.write_od(p, INTS[:4].reshape(4, 4)),
+        ["origin", "dest", "count"], reference.cell_rows(INTS[:4].reshape(4, 4))),
+    "od_empty": (
+        lambda p: io.write_od(p, np.zeros((0, 0), dtype=np.int64)),
+        ["origin", "dest", "count"], []),
+    "mean_od": (
+        lambda p: io.write_mean_od(p, MEAN_OD),
+        ["origin", "dest", "mean_count"], fixed(reference.cell_rows(MEAN_OD))),
+    "sequence_pool": (
+        lambda p: io.write_sequence_pool(p, SequencePool(paths=INTS[:7, :3], attrs=INTS[:7, 3])),
+        ["entry_id", "attr", "s0", "s1", "s2"],
+        pool_rows(SequencePool(paths=INTS[:7, :3], attrs=INTS[:7, 3]))),
+    "paths": (
+        lambda p: io.write_paths(p, INTS),
+        ["agent_id", "group", "position", "store"], INTS.tolist()),
+    "paths_empty": (
+        lambda p: io.write_paths(p, np.zeros((0, 4), dtype=np.int64)),
+        ["agent_id", "group", "position", "store"], []),
+    "assignments": (
+        lambda p: io.write_assignments(p, INTS[:9]),
+        ["step", "agent_id", "entry_id", "attr"], INTS[:9].tolist()),
+    "ngram_top": (
+        lambda p: io.write_ngram_top(p, NGRAM_ROWS, 3),
+        ["rank", "s0", "s1", "s2", "freq_truth", "freq_assim", "freq_baseline"],
+        fixed([(rank, *gram, *freqs) for rank, gram, *freqs in NGRAM_ROWS])),
+    "ngram_top_empty": (
+        lambda p: io.write_ngram_top(p, [], 2),
+        ["rank", "s0", "s1", "freq_truth", "freq_assim", "freq_baseline"], []),
+}
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_writer_bytes_match_csv_writer(tmp_path, case):
+    write, header, rows = WRITER_CASES[case]
+    write(tmp_path / "got.csv")
+    expected = reference.csv_bytes(tmp_path / "expected.csv", header, rows)
+    assert (tmp_path / "got.csv").read_bytes() == expected
 
 
 def test_json_roundtrip(tmp_path):

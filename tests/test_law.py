@@ -9,7 +9,8 @@ the properties that hold draw by draw.
 
 import numpy as np
 import reference
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -19,7 +20,14 @@ from roamlab.assimilation import (
     update_store_weights,
     weight_sequences,
 )
-from roamlab.model import BehaviorParams, ChoiceModel, model_mover
+from roamlab.model import (
+    BehaviorParams,
+    ChoiceModel,
+    SimConfig,
+    _spawn_agents,
+    model_mover,
+    new_world,
+)
 from roamlab.numerics import categorical
 from roamlab.twin import SequencePool
 
@@ -232,3 +240,42 @@ def test_one_dimensional_input_equals_a_single_row(seed, size):
         g, c = world.group[agent], world.store[agent]
         np.testing.assert_array_equal(choice.log_probs(g, c, world.congestion),
                                       choice.log_probs([g], [c], world.congestion)[0])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 1000, 2**31 + 5])
+def test_one_integers_call_equals_scalar_draws(k):
+    # The law _spawn_agents relies on: with PCG64, d draws below k in one call
+    # are the d scalar draws, and leave the generator where they leave it,
+    # also between scalar draws of other bounds.
+    batched, scalar = np.random.default_rng(k), np.random.default_rng(k)
+    for d in (1, 5, 64):
+        np.testing.assert_array_equal(batched.integers(k, size=d),
+                                      [scalar.integers(k) for _ in range(d)])
+        assert batched.integers(3 + d) == scalar.integers(3 + d)
+    assert batched.random() == scalar.random()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000), st.lists(st.integers(0, 12), min_size=1, max_size=6),
+       st.integers(0, 50))
+@example(seed=1, quotas=[0, 9, 0], count=5)       # one eligible group
+@example(seed=2, quotas=[2, 9, 4], count=12)      # quotas run out mid-batch
+@example(seed=3, quotas=[1, 0, 2], count=10)      # budget smaller than count
+@example(seed=4, quotas=[0, 0], count=3)          # nothing left to spawn
+def test_spawn_runs_match_one_at_a_time_draws(seed, quotas, count):
+    cfg = SimConfig(store_count=2, total_agents=sum(quotas), group_count=len(quotas),
+                    group_quotas=quotas)
+    world = new_world(cfg)
+    after_groups = []
+
+    def placer(world, ids, groups, rng):
+        after_groups.append(rng.random())
+        return np.zeros(len(ids), dtype=np.int64)
+
+    rng = np.random.default_rng(seed)
+    _spawn_agents(world, cfg, count, placer, rng)
+    oracle_rng, quota = np.random.default_rng(seed), np.array(quotas)
+    expected = reference.spawn_groups(quota, count, oracle_rng)
+    assert world.group[: world.agents_spawned].tolist() == expected
+    np.testing.assert_array_equal(world.group_quota_remaining, quota)
+    assert (after_groups or [rng.random()])[0] == oracle_rng.random()
