@@ -195,10 +195,11 @@ class ChoiceModel:
         """
         group = np.asarray(group)
         u = self._static[group] + self._omega[group][..., None] * congestion
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise ValueError("non-finite store utilities; check behavior params")
         if not self.allow_self_transition:
-            np.put_along_axis(u, np.asarray(current_store)[..., None], -np.inf, axis=-1)
+            rows = u.reshape(-1, u.shape[-1])  # a view: u is a fresh C-ordered array
+            rows[np.arange(len(rows)), np.ravel(current_store)] = -np.inf
         return log_normalize_rows(u)
 
     def probs(self, group, current_store, congestion: np.ndarray) -> np.ndarray:
@@ -315,11 +316,12 @@ def step_world(
     movers = ids[world.dwell[ids] <= 0]
     if len(movers):
         stores = np.asarray(mover(world, movers, rng), dtype=np.int64)
+        moves = world.transitions[movers] + 1
         world.store[movers] = stores
-        world.transitions[movers] += 1
-        world.path[movers, world.transitions[movers]] = stores
-        world.entered[movers, world.transitions[movers]] = world.step
-        done = world.transitions[movers] >= cfg.max_transitions
+        world.transitions[movers] = moves
+        world.path[movers, moves] = stores
+        world.entered[movers, moves] = world.step
+        done = moves >= cfg.max_transitions
         finished, going = movers[done], movers[~done]
         world.active[finished] = False
         world.dwell[finished] = 0
