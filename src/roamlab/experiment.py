@@ -289,8 +289,9 @@ def run_experiment(cfg: ExperimentConfig, out) -> dict:
     t0 = time.perf_counter()
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = cfg.jobs or os.cpu_count() or 1
-    jobs = min(jobs, cfg.replicate_count)
+    # the CPUs this process may run on, where the platform can tell
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(cfg.jobs or cpus or 1, cfg.replicate_count)
     work = [(cfg, out, r) for r in range(cfg.replicate_count)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

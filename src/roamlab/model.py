@@ -156,6 +156,12 @@ class SimConfig:
             raise ValueError("distance: diagonal must be zero")
         if not np.allclose(d, d.T):
             raise ValueError("distance: matrix must be symmetric")
+        # utilities are linear in congestion, which runs from 0 to total_agents
+        for field, c in (("k", 0), ("omega", self.total_agents)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = [store_utilities(self, group, np.full(s, c)) for group in range(g)]
+            if not np.isfinite(u).all():
+                raise ValueError(f"{field}: store utilities are not finite at congestion {c}")
         return self
 
 

@@ -20,18 +20,14 @@ def log_normalize_rows(v: np.ndarray) -> np.ndarray:
 def categorical(rng: np.random.Generator, probs: np.ndarray, size: int | None = None):
     """Inverse-CDF draws from one probability vector, or from each row of a stack.
 
-    probs is (K,) or (m, K). Without size this returns one index for a vector
-    and one index per row for a stack; with size it returns `size` indices
-    (per row). One uniform per draw, so the stream consumption is independent
-    of the category count. Each uniform is scaled by its row's CDF total, so
-    the last category with non-zero probability is reached without clamping,
-    and a zero-probability category is never drawn.
-
-    Every draw is one branchless binary search, run for all draws of all rows
-    at once: each row's CDF is padded with +inf to a power-of-two width, and
-    the count of its entries <= u, the index drawn, is built up bit by bit
-    (u < total, so that count is at most K - 1 and never reaches the padding).
-    That is O(log K) time and O(1) memory per draw.
+    probs is (K,) or (m, K). Without size this returns one index (an int) for
+    a vector and one index per row for a stack; with size it returns `size`
+    indices (per row). One uniform per draw, scaled by its row's CDF total;
+    the index drawn is the count of CDF entries <= u, so the last category
+    with non-zero probability is reached without clamping, and a
+    zero-probability category is never drawn. A vector, which can be a whole
+    sequence pool, is searched with np.searchsorted; each row of a stack, a
+    few stores per agent, is compared with its uniforms entry by entry.
 
     Raises ValueError on a NaN or negative entry, or a row that sums more than
     1e-9 away from 1.
@@ -39,22 +35,13 @@ def categorical(rng: np.random.Generator, probs: np.ndarray, size: int | None = 
     p = np.asarray(probs, dtype=float)
     if not np.all(p >= 0):  # also false for NaN
         raise ValueError("probabilities must be non-negative numbers")
-    rows = p.reshape(-1, p.shape[-1])
-    m, k = rows.shape
-    width = 1 << (k - 1).bit_length()
-    cdf = np.full((m, width), np.inf)
-    np.cumsum(rows, axis=-1, out=cdf[:, :k])
-    total = cdf[:, k - 1 : k]
+    cdf = np.cumsum(p, axis=-1)
+    total = cdf[..., -1:]
     if np.any(np.abs(total - 1.0) > 1e-9):
         raise ValueError("probabilities must sum to 1 (within 1e-9)")
-    u = rng.random((m, 1 if size is None else size)) * total
-    flat = cdf.ravel()
-    start = np.arange(0, m * width, width)[:, None]
-    pos, step = np.broadcast_to(start, u.shape), width >> 1
-    while step:
-        pos = pos + step * (flat.take(pos + (step - 1)) <= u)
-        step >>= 1
-    idx = (pos - start).reshape(p.shape[:-1] + u.shape[-1:])
-    if size is not None:
-        return idx
-    return int(idx[0]) if p.ndim == 1 else idx[..., 0]
+    if p.ndim == 1:
+        idx = np.searchsorted(cdf, rng.random(1 if size is None else size) * total, side="right")
+        return int(idx[0]) if size is None else idx
+    u = rng.random((len(p), 1 if size is None else size)) * total
+    idx = np.count_nonzero(cdf[:, None, :] <= u[:, :, None], axis=-1)
+    return idx[:, 0] if size is None else idx

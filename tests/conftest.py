@@ -47,6 +47,23 @@ class FixedCounts(np.random.Generator):
         return np.broadcast_to(self.counts, np.shape(pvals)).copy()
 
 
+class FixedUniforms(np.random.Generator):
+    """A generator whose uniform draws are the given values, shaped as asked;
+    every other draw is a real PCG64 draw.
+
+    It puts the uniforms of `numerics.categorical` where a test wants them,
+    such as exactly on a CDF entry.
+    """
+
+    def __init__(self, uniforms, seed=0):
+        super().__init__(np.random.PCG64(seed))
+        self.uniforms = np.asarray(uniforms, dtype=float)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        assert self.uniforms.size == np.prod(size)
+        return self.uniforms.reshape(size).copy()
+
+
 def make_graph(attractiveness, distance=None, behavior=(), allow_self_transition=False):
     """A validated SimConfig holding one store graph: one agent per group,
     default behavior unless given, unit distances unless given."""

@@ -7,7 +7,8 @@ oracle counts a finished world's store entries one at a time, the reference
 for the batched count of twin.run_truth. The spawn oracle draws a batch's
 groups one agent at a time, the reference for the quota-safe runs of
 model._spawn_agents, and the CSV oracle writes rows through csv.writer, the
-reference for the bytes of every io.write_*.
+reference for the bytes of every io.write_*. The inverse-CDF oracle picks the
+index numerics.categorical must draw for a given uniform, with no numpy search.
 """
 
 import csv
@@ -32,14 +33,20 @@ def choice_probs(graph, behavior, group, current, congestion, allow_self_transit
     return [math.exp(u[j] - top) / z if j in u else 0.0 for j in stores]
 
 
+def inverse_cdf(probs, u):
+    """The index numerics.categorical draws from a list of probabilities for
+    the uniform u: u is scaled by the running total, and the index is the
+    count of running sums <= u * total."""
+    sums, total = [], 0.0
+    for p in probs:
+        total += p
+        sums.append(total)
+    return sum(1 for s in sums if s <= u * total)
+
+
 def draw(rng, probs):
     """One inverse-CDF draw from a list of probabilities."""
-    u, acc = rng.random(), 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return i
-    return max(i for i, p in enumerate(probs) if p > 0)  # u beyond a rounded-down total
+    return inverse_cdf(probs, rng.random())
 
 
 def filtered_move(rng, probs, log_w, n):

@@ -75,6 +75,18 @@ class TestValidateConfig:
         assert capsys.readouterr().err.startswith(f"error: {next(iter(raw))}: must be >= 1")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate-config", "experiment"])
+    @pytest.mark.parametrize("raw", [{"sim.k": 1e308}, {"sim.k": -1e308}, {"sim.omega": 1e308}])
+    def test_non_finite_utilities_exit_3_naming_key(self, capsys, tmp_path, command, raw):
+        path, out = tmp_path / "u.json", tmp_path / "out"
+        path.write_text(json.dumps({**MINI, **raw}))
+        extra = [] if command == "validate-config" else ["--out", str(out)]
+        assert main([command, "--config", str(path), *extra]) == EXIT_CONFIG_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {next(iter(raw))}: store utilities are not finite")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["abc", "4", "1.5"])
     def test_bad_case_exits_3_naming_key(self, capsys, tmp_path, case):
         out = tmp_path / "out"

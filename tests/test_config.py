@@ -128,8 +128,12 @@ class TestSchemaErrors:
             ({"truth.attractiveness": [[5, 5]] * 3 + [[5, 0]]},
              "truth.attractiveness: entries must be finite and positive"),
             ({"assim.attractiveness": [[5, 5]] * 3}, r"assim.attractiveness: expected shape \(4, 2\)"),
+            ({"sim.k": 1e308}, "sim.k: store utilities are not finite at congestion 0"),
+            ({"sim.k": -1e308}, "sim.k: store utilities are not finite at congestion 0"),
+            ({"sim.omega": 1e308}, "sim.omega: store utilities are not finite at congestion 2000"),
         ],
-        ids=["asymmetric", "diagonal", "negative", "shape", "zero-attractiveness", "short-table"],
+        ids=["asymmetric", "diagonal", "negative", "shape", "zero-attractiveness", "short-table",
+             "huge-k", "huge-negative-k", "huge-omega"],
     )
     def test_invalid_environment_names_its_key(self, raw, message):
         two_stores = {

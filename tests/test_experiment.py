@@ -1,9 +1,10 @@
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from roamlab import io
+from roamlab import experiment, io
 from roamlab.config import resolve_config
 from roamlab.experiment import (
     MissingInputError,
@@ -112,6 +113,23 @@ class TestManifest:
         assert manifest["config"]["sim.total_agents"] == 200
         assert manifest["seed_derivation"]["role_codes"]["truth"] == 0
         assert manifest["wall_time_s"] > 0
+
+    def test_default_jobs_count_only_the_cpus_this_process_may_use(self, tmp_path, monkeypatch):
+        class PoolOpened(Exception):
+            pass
+
+        def recording_pool(max_workers):
+            opened.append(max_workers)
+            raise PoolOpened
+
+        opened = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", recording_pool)
+        cfg = resolve_config({}, {**TINY_OVERRIDES, "experiment.replicates": 8})
+        with pytest.raises(PoolOpened):
+            run_experiment(cfg, tmp_path)
+        assert opened == [3]
 
     def test_parallel_and_serial_runs_agree(self, tmp_path):
         serial = resolve_config({}, {**TINY_OVERRIDES, "experiment.jobs": 1})

@@ -78,9 +78,13 @@ class TestChoiceProbabilities:
         assert abs(p.sum() - 1.0) < 1e-9
 
     def test_rejects_non_finite_utilities(self):
-        a = [[5.0, 5.0, 1e308]]
+        # validate refuses a k whose utilities overflow at congestion 0 ...
+        with pytest.raises(ValueError, match="^k: store utilities are not finite"):
+            make_graph([[5.0, 5.0, 1e308]], behavior=(params(k=1e308),))
+        # ... and log_probs a congestion beyond the agent budget that overflows them
+        cfg = make_graph([[5.0, 5.0, 5.0]], behavior=(params(omega=1e300),))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-            kernel_probs(a, params(k=1e308), store=0)
+            ChoiceModel(cfg).probs(0, 0, np.array([0.0, 1e10, 0.0]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from roamlab.numerics import categorical, log_normalize_rows
 
+from conftest import FixedUniforms
+
 finite_vec = st.lists(
     st.floats(-200, 200, allow_nan=False, allow_infinity=False), min_size=1, max_size=20
 ).map(np.array)
@@ -99,3 +101,20 @@ def test_categorical_each_row_draws_from_its_own_row():
     assert per_row.shape == (3, n)
     for row, got in zip(rows, per_row):
         assert np.all(row[got] > 0)
+
+
+@pytest.mark.parametrize("u, drawn", [(0.0, 1), (0.5, 3)], ids=["u-zero", "u-on-cdf-entry"])
+def test_categorical_vector_skips_zero_categories_at_cdf_edges(u, drawn):
+    # CDF 0, 0.5, 0.5, 1: the index is the count of entries <= u, so u = 0
+    # passes the leading zero category and u = 0.5 the one after index 1
+    probs = np.array([0.0, 0.5, 0.0, 0.5])
+    assert categorical(FixedUniforms([u]), probs) == drawn
+    np.testing.assert_array_equal(categorical(FixedUniforms([u] * 3), probs, size=3), [drawn] * 3)
+
+
+def test_categorical_stack_skips_zero_categories_at_cdf_edges():
+    # row CDFs 0, 0.5, 0.5, 1 and 0, 0.25, 0.25, 1
+    rows = np.array([[0.0, 0.5, 0.0, 0.5], [0.0, 0.25, 0.0, 0.75]])
+    np.testing.assert_array_equal(categorical(FixedUniforms([0.0, 0.25]), rows), [1, 3])
+    np.testing.assert_array_equal(
+        categorical(FixedUniforms([[0.5, 0.0], [0.0, 0.25]]), rows, size=2), [[3, 1], [1, 3]])
