@@ -9,12 +9,13 @@ versus uniform 5) and in seed derivation.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assimilation import AssimOptions
-from .model import BehaviorParams, SimConfig, unit_distance
+from .model import COUNT_LEAST, BehaviorParams, SimConfig, unit_distance
 
 
 class ConfigError(Exception):
@@ -49,39 +50,32 @@ def uniform_attractiveness(group_count: int = 4, store_count: int = 18) -> np.nd
     return np.full((group_count, store_count), UNIFORM_ATTRACTIVENESS)
 
 
-# key -> (default, value kind). "number" accepts int or float; "matrix"/"vector"
-# accept nested lists; None defaults are resolved contextually.
+# key -> (default, kind, least). Null is accepted exactly where the default is
+# null. Numbers must be finite, and least (None: no bound) bounds an int, a
+# number or every entry of a list or matrix.
 SCHEMA = {
-    "experiment.replicates": (30, "int"),
-    "experiment.base_seed": (12345, "int"),
-    "experiment.cases": ([1, 2, 3], "cases"),
-    "experiment.jobs": (None, "int_or_null"),
-    "sim.store_count": (18, "int"),
-    "sim.total_agents": (2000, "int"),
-    "sim.initial_agents": (100, "int"),
-    "sim.replenish_threshold": (40, "int"),
-    "sim.replenish_count": (40, "int"),
-    "sim.max_transitions": (3, "int"),
-    "sim.dwell_min": (2, "int"),
-    "sim.dwell_max": (3, "int"),
-    "sim.horizon_steps": (200, "int"),
-    "sim.group_count": (4, "int"),
-    "sim.group_quotas": (None, "vector_or_null"),
-    "sim.omega": (0.005, "number_or_list"),
-    "sim.k": (1.0, "number_or_list"),
-    "sim.lambda": (6.0, "number_or_list"),
-    "sim.distance": (None, "matrix_or_null"),
-    "truth.attractiveness": (None, "matrix_or_null"),
-    "assim.attractiveness": (None, "matrix_or_null"),
-    "pool.size": (400, "int"),  # case-3 particle count: the pool entries are the particles
-    "pool.ratios": ([0.4, 0.25, 0.2, 0.15], "vector"),
-    "particles.cases12": (100, "int"),
-    "flags.weight_accumulation": (False, "bool"),
-    "flags.random_baseline": (False, "bool"),
-    "flags.allow_self_transition": (False, "bool"),
-    "flags.count_spawn_as_inflow": (True, "bool"),
-    "flags.filter_moves": (True, "bool"),
-    "flags.weighted_placement": (True, "bool"),
+    "experiment.replicates": (30, "int", 1),
+    "experiment.base_seed": (12345, "int", 0),
+    "experiment.cases": ([1, 2, 3], "cases", None),
+    "experiment.jobs": (None, "int", 1),
+    # the integer sim.* keys are named after the SimConfig fields they set
+    **{f"sim.{f}": (getattr(SimConfig, f), "int", least) for f, least in COUNT_LEAST.items()},
+    "sim.group_quotas": (None, "ints", 0),
+    "sim.omega": (0.005, "number_or_list", None),
+    "sim.k": (1.0, "number_or_list", None),
+    "sim.lambda": (6.0, "number_or_list", 0),
+    "sim.distance": (None, "matrix", None),
+    "truth.attractiveness": (None, "matrix", None),
+    "assim.attractiveness": (None, "matrix", None),
+    "pool.size": (400, "int", 1),  # case-3 particle count: the pool entries are the particles
+    "pool.ratios": ([0.4, 0.25, 0.2, 0.15], "numbers", 0),
+    "particles.cases12": (100, "int", 1),
+    "flags.weight_accumulation": (False, "bool", None),
+    "flags.random_baseline": (False, "bool", None),
+    "flags.allow_self_transition": (False, "bool", None),
+    "flags.count_spawn_as_inflow": (True, "bool", None),
+    "flags.filter_moves": (True, "bool", None),
+    "flags.weighted_placement": (True, "bool", None),
 }
 
 # Fields that change run content; everything else (parallelism) is excluded
@@ -110,43 +104,53 @@ def _type_error(key, expected, value):
     return ConfigSchemaError(f"{key}: expected {expected}, got {value!r}")
 
 
-def _numbers(value) -> bool:
-    """True for a list of ints and floats (bools excluded)."""
-    return isinstance(value, list) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    )
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_type(key, value, kind):
-    if kind == "int":
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise _type_error(key, "integer", value)
-    elif kind == "int_or_null":
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-            raise _type_error(key, "integer or null", value)
-    elif kind == "bool":
-        if not isinstance(value, bool):
-            raise _type_error(key, "boolean", value)
-    elif kind == "number_or_list":
-        if not _numbers(value if isinstance(value, list) else [value]):
-            raise _type_error(key, "number or list of numbers", value)
-    elif kind == "vector":
-        if not _numbers(value):
-            raise _type_error(key, "list of numbers", value)
-    elif kind == "vector_or_null":
-        if value is not None:
-            _check_type(key, value, "vector")
-    elif kind == "matrix_or_null":
-        if value is not None and not (
-            isinstance(value, list) and value
-            and all(_numbers(r) and len(r) == len(value[0]) for r in value)
-        ):
-            raise _type_error(key, "matrix (rows of numbers, all one length) or null", value)
-    elif kind == "cases":
-        if value == "all":
-            return
-        if not isinstance(value, list) or not all(v in (1, 2, 3) for v in value):
+def _is_number(v) -> bool:
+    """True for an int or a finite float (bools excluded)."""
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+# kind -> (description, test of one entry)
+KINDS = {
+    "int": ("integer", _is_int),
+    "bool": ("boolean", lambda v: isinstance(v, bool)),
+    "number_or_list": ("finite number or list of finite numbers", _is_number),
+    "ints": ("list of integers", _is_int),
+    "numbers": ("list of finite numbers", _is_number),
+    "matrix": ("matrix (rows of finite numbers, all one length)", _is_number),
+}
+
+
+def _entries(kind, value):
+    """The entries of a value of the kind, or None if its shape is wrong."""
+    if kind == "matrix":
+        rows = isinstance(value, list) and value and all(
+            isinstance(r, list) and len(r) == len(value[0]) for r in value
+        )
+        return [v for r in value for v in r] if rows else None
+    if isinstance(value, list):
+        return value if kind in ("ints", "numbers", "number_or_list") else None
+    return None if kind in ("ints", "numbers") else [value]
+
+
+def _check(key, value):
+    """Raise ConfigSchemaError naming key unless value fits its SCHEMA row."""
+    default, kind, least = SCHEMA[key]
+    if value is None and default is None:
+        return
+    if kind == "cases":
+        if value != "all" and not (isinstance(value, list) and all(v in (1, 2, 3) for v in value)):
             raise _type_error(key, 'list drawn from [1, 2, 3] or "all"', value)
+        return
+    expected, is_entry = KINDS[kind]
+    entries = _entries(kind, value)
+    if entries is None or not all(is_entry(v) for v in entries):
+        raise _type_error(key, expected + (" or null" if default is None else ""), value)
+    if least is not None and any(v < least for v in entries):
+        raise ConfigSchemaError(f"{key}: must be >= {least}, got {value!r}")
 
 
 def load_raw(path) -> dict:
@@ -168,19 +172,17 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
 
     Raises ConfigSchemaError naming the offending key on any violation.
     """
-    merged = {k: default for k, (default, _) in SCHEMA.items()}
+    merged = {k: row[0] for k, row in SCHEMA.items()}
     for source in (raw or {}), (overrides or {}):
         for key, value in source.items():
             if key not in SCHEMA:
                 raise ConfigSchemaError(f"{key}: unknown config key")
             merged[key] = value
     for key, value in merged.items():
-        _check_type(key, value, SCHEMA[key][1])
+        _check(key, value)
 
     g = merged["sim.group_count"]
     s = merged["sim.store_count"]
-    if g < 1:
-        raise ConfigSchemaError(f"sim.group_count: must be >= 1, got {g}")
 
     quotas = merged["sim.group_quotas"]
     if quotas is None:
@@ -191,7 +193,6 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
                 f" does not split evenly over {g} groups"
             )
         quotas = [total // g] * g
-    quotas = [int(q) for q in quotas]
 
     def per_group(key):
         v = merged[key]
@@ -202,12 +203,7 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
         return [float(v)] * g
 
     omegas, ks, lams = per_group("sim.omega"), per_group("sim.k"), per_group("sim.lambda")
-    try:
-        behavior = tuple(
-            BehaviorParams(omega=o, k=k, lam=l) for o, k, l in zip(omegas, ks, lams)
-        )
-    except ValueError as e:
-        raise ConfigSchemaError(f"sim.omega/sim.k/sim.lambda: {e}") from e
+    behavior = tuple(BehaviorParams(omega=o, k=k, lam=l) for o, k, l in zip(omegas, ks, lams))
 
     distance = merged["sim.distance"]
     distance = unit_distance(s) if distance is None else np.asarray(distance, dtype=float)
@@ -217,12 +213,7 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
     assim_a = merged["assim.attractiveness"]
     assim_a = uniform_attractiveness(g, s) if assim_a is None else np.asarray(assim_a, dtype=float)
 
-    # the integer sim.* keys are named after the SimConfig fields they set
-    counts = {
-        key.removeprefix("sim."): value
-        for key, value in merged.items()
-        if key.startswith("sim.") and SCHEMA[key][1] == "int"
-    }
+    counts = {field: merged[f"sim.{field}"] for field in COUNT_LEAST}
 
     def build_sim(attractiveness, role):
         sim = SimConfig(
@@ -245,26 +236,14 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
     truth_cfg = build_sim(truth_a, "truth")
     assim_cfg = build_sim(assim_a, "assim")
 
-    replicates = merged["experiment.replicates"]
-    if replicates < 1:
-        raise ConfigSchemaError(f"experiment.replicates: must be >= 1, got {replicates}")
-    jobs = merged["experiment.jobs"]
-    if jobs is not None and jobs < 1:
-        raise ConfigSchemaError(f"experiment.jobs: must be >= 1, got {jobs}")
     cases = merged["experiment.cases"]
     cases = (1, 2, 3) if cases == "all" else tuple(sorted(set(cases)))
 
     ratios = [float(r) for r in merged["pool.ratios"]]
     if len(ratios) != g:
         raise ConfigSchemaError(f"pool.ratios: expected {g} entries, got {len(ratios)}")
-    if abs(sum(ratios) - 1.0) > 1e-9 or any(r < 0 for r in ratios):
-        raise ConfigSchemaError(f"pool.ratios: must be non-negative and sum to 1, got {ratios}")
-    if merged["pool.size"] < 1:
-        raise ConfigSchemaError(f"pool.size: must be >= 1, got {merged['pool.size']}")
-    if merged["particles.cases12"] < 1:
-        raise ConfigSchemaError(
-            f"particles.cases12: must be >= 1, got {merged['particles.cases12']}"
-        )
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigSchemaError(f"pool.ratios: must sum to 1, got {ratios}")
 
     resolved = dict(merged)
     resolved["sim.group_quotas"] = quotas
@@ -278,9 +257,9 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
         truth=truth_cfg,
         assim=assim_cfg,
         cases=cases,
-        replicate_count=replicates,
+        replicate_count=merged["experiment.replicates"],
         base_seed=merged["experiment.base_seed"],
-        jobs=jobs,
+        jobs=merged["experiment.jobs"],
         pool_size=merged["pool.size"],
         pool_ratios=tuple(ratios),
         count_spawn_as_inflow=merged["flags.count_spawn_as_inflow"],

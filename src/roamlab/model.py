@@ -72,6 +72,13 @@ class WorldState:
     stationary_unretired: int = 0
 
 
+# least value of each integer SimConfig field; the sim.* config key named
+# after a field is checked against the same value
+COUNT_LEAST = {"store_count": 2} | dict.fromkeys((
+    "total_agents", "initial_agents", "replenish_threshold", "replenish_count",
+    "max_transitions", "dwell_min", "dwell_max", "horizon_steps", "group_count"), 1)
+
+
 @dataclass
 class SimConfig:
     """One simulation environment: lifecycle constants plus the store graph.
@@ -110,26 +117,15 @@ class SimConfig:
         """Cast the matrices to float and raise ValueError naming the
         offending field on any invariant breach."""
         s, g = self.store_count, self.group_count
-        if s < 2:
-            raise ValueError("store_count: must be >= 2")
-        if self.horizon_steps < 1:
-            raise ValueError("horizon_steps: must be >= 1")
-        if self.total_agents < 1:
-            raise ValueError(f"total_agents: must be >= 1, got {self.total_agents}")
-        if self.initial_agents < 1:
-            raise ValueError(f"initial_agents: must be >= 1, got {self.initial_agents}")
+        for field, least in COUNT_LEAST.items():
+            if getattr(self, field) < least:
+                raise ValueError(f"{field}: must be >= {least}, got {getattr(self, field)}")
         if self.initial_agents > self.total_agents:
             raise ValueError(
                 f"initial_agents: {self.initial_agents} exceeds total_agents {self.total_agents}"
             )
         if self.dwell_min > self.dwell_max:
             raise ValueError(f"dwell_min: {self.dwell_min} exceeds dwell_max {self.dwell_max}")
-        if self.dwell_min < 1:
-            raise ValueError("dwell_min: must be >= 1")
-        if self.max_transitions < 1:
-            raise ValueError("max_transitions: must be >= 1")
-        if self.replenish_threshold < 1 or self.replenish_count < 1:
-            raise ValueError("replenish_threshold/replenish_count: must be >= 1")
         if len(self.group_quotas) != g:
             raise ValueError(f"group_quotas: expected {g} entries, got {len(self.group_quotas)}")
         if sum(self.group_quotas) != self.total_agents:

@@ -11,7 +11,7 @@ import pytest
 import roamlab
 from roamlab import io
 from roamlab.cli import EXIT_CONFIG_READ, EXIT_CONFIG_SCHEMA, EXIT_IO, EXIT_OK, main
-from roamlab.config import resolve_config
+from roamlab.config import SCHEMA, resolve_config
 from roamlab.experiment import case_labels, replicate_dir
 
 from conftest import TINY_OVERRIDES
@@ -66,7 +66,8 @@ class TestValidateConfig:
 
     @pytest.mark.parametrize("command", ["validate-config", "experiment"])
     @pytest.mark.parametrize("raw", [{"sim.group_count": 0}, {"sim.initial_agents": -5},
-                                     {"sim.total_agents": 0, "sim.initial_agents": 0}])
+                                     {"sim.total_agents": 0, "sim.initial_agents": 0},
+                                     {"sim.replenish_count": 0}])
     def test_counts_below_one_exit_3_naming_key(self, capsys, tmp_path, command, raw):
         path, out = tmp_path / "c.json", tmp_path / "out"
         path.write_text(json.dumps(raw))
@@ -84,6 +85,32 @@ class TestValidateConfig:
         assert main([command, "--config", str(path), *extra]) == EXIT_CONFIG_SCHEMA
         err = capsys.readouterr().err
         assert err.startswith(f"error: {next(iter(raw))}: store utilities are not finite")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate-config", "experiment"])
+    @pytest.mark.parametrize(
+        "raw, flags",
+        [
+            ({"experiment.base_seed": -1}, []),
+            ({}, ["--seed", "-1"]),
+            ({"sim.store_count": -1}, []),
+            # truncated, these quotas would sum to MINI's 100 agents
+            ({"sim.group_quotas": [0.5, 0.5, 49, 51]}, []),
+            ({"sim.lambda": -1}, []),
+            ({"sim.k": float("nan")}, []),
+        ],
+        ids=["negative-seed", "negative-seed-flag", "negative-stores", "fractional-quotas",
+             "negative-lambda", "nan-k"],
+    )
+    def test_bad_value_exits_3_naming_its_key(self, capsys, tmp_path, command, raw, flags):
+        path, out = tmp_path / "b.json", tmp_path / "out"
+        path.write_text(json.dumps({**MINI, **raw}))
+        extra = [] if command == "validate-config" else ["--out", str(out), "--jobs", "1"]
+        assert main([command, "--config", str(path), *flags, *extra]) == EXIT_CONFIG_SCHEMA
+        err = capsys.readouterr().err
+        key = next(iter(raw), "experiment.base_seed")
+        assert err.startswith(f"error: {key}: ")
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
@@ -368,6 +395,45 @@ FLAG_CHECKSUMS = Path(__file__).parent / "golden" / "tiny_flag_checksums.json"
 
 def flag_id(flag):
     return "-".join(f"{k}={v}" for k, v in flag.items())
+
+
+def _contract_cases():
+    """Every int key at its least value and one either side, and at its MINI
+    value (else its default) and one either side; then bad list entries."""
+    cases = []
+    for key, (default, kind, least) in SCHEMA.items():
+        if kind == "int":
+            base = MINI.get(key, default)
+            near = [least - 1, least, least + 1] + ([] if base is None else [base - 1, base + 1])
+            cases += [{key: v} for v in dict.fromkeys(near)]
+    return cases + [
+        {"sim.group_quotas": [0.5, 0.5, 1000, 1000]},
+        {"sim.group_quotas": [0.5, 0.5, 49, 51]},
+        {"sim.group_quotas": [-1, 51, 25, 25]},
+        {"sim.lambda": -1},
+        {"sim.lambda": [6, 6, -1, 6]},
+        {"sim.k": float("nan")},
+        {"sim.omega": float("inf")},
+        {"pool.ratios": [1.5, -0.5, 0, 0]},
+    ]
+
+
+@pytest.mark.parametrize(
+    "raw", _contract_cases(), ids=lambda raw: ",".join(f"{k}={v}" for k, v in raw.items())
+)
+def test_accepted_config_never_ends_experiment_in_a_traceback(tmp_path, capsys, raw):
+    # A config that validate-config accepts either runs or is refused by a
+    # one-line error with a documented exit code; an escaping exception fails.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**MINI, **raw}))
+    if main(["validate-config", "--config", str(path)]) != EXIT_OK:
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        return
+    capsys.readouterr()
+    rc = main(["experiment", "--config", str(path), "--out", str(tmp_path / "out"),
+               "--jobs", "1"])
+    assert rc in (EXIT_OK, EXIT_CONFIG_SCHEMA, EXIT_IO)
+    assert rc == EXIT_OK or len(capsys.readouterr().err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

@@ -155,13 +155,40 @@ class TestSchemaErrors:
             ({"sim.total_agents": 0}, "sim.total_agents"),
             ({"sim.total_agents": 0, "sim.initial_agents": 0}, "sim.total_agents"),
             ({"sim.total_agents": -4}, "sim.total_agents"),
+            ({"sim.replenish_count": 0}, "sim.replenish_count"),
         ],
         ids=["no-groups", "negative-groups", "negative-initial", "no-initial", "no-agents",
-             "no-agents-no-initial", "negative-agents"],
+             "no-agents-no-initial", "negative-agents", "no-replenish-count"],
     )
     def test_counts_below_one_named(self, raw, key):
         with pytest.raises(ConfigSchemaError, match=rf"^{key}: must be >= 1"):
             resolve_config(raw)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"experiment.base_seed": -1}, "experiment.base_seed: must be >= 0, got -1"),
+            ({"sim.store_count": -1}, "sim.store_count: must be >= 2, got -1"),
+            ({"sim.group_quotas": [0.5, 0.5, 1000, 1000]},
+             "sim.group_quotas: expected list of integers or null"),
+            ({"sim.lambda": -1}, "sim.lambda: must be >= 0, got -1"),
+            ({"sim.k": float("nan")}, "sim.k: expected finite number"),
+            ({"sim.omega": [0.0, 0.0, float("inf"), 0.0]}, "sim.omega: expected finite number"),
+            ({"pool.ratios": [1.5, -0.5, 0, 0]}, "pool.ratios: must be >= 0"),
+            ({"sim.distance": [[0, float("inf")], [float("inf"), 0]]},
+             r"sim.distance: expected matrix \(rows of finite numbers"),
+        ],
+        ids=["negative-seed", "negative-stores", "fractional-quotas", "negative-lambda", "nan-k",
+             "infinite-omega", "negative-ratio", "infinite-distance"],
+    )
+    def test_bad_value_named_by_its_own_key(self, raw, message):
+        with pytest.raises(ConfigSchemaError, match=f"^{message}"):
+            resolve_config(raw)
+
+    def test_null_accepted_only_where_it_is_the_default(self):
+        assert resolve_config({"experiment.jobs": None}).jobs is None
+        with pytest.raises(ConfigSchemaError, match="^pool.size: expected integer, got None"):
+            resolve_config({"pool.size": None})
 
     def test_uneven_default_quota_split_requires_explicit_quotas(self):
         with pytest.raises(ConfigSchemaError, match="sim.group_quotas"):
