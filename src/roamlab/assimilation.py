@@ -17,6 +17,8 @@ follow that sequence verbatim.
 All weights are kept in log space and normalized by log-sum-exp.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 
 import numpy as np

@@ -10,7 +10,6 @@ import sys
 import uuid
 from pathlib import Path
 
-from . import experiment, io
 from .config import ConfigReadError, ConfigSchemaError, load_raw, resolve_config
 
 EXIT_OK = 0
@@ -46,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("assimilate", help="run assimilation cases against stored observations")
     _add_common(p)
-    p.add_argument("--case", default="all", help="1, 2, 3, or all")
+    p.add_argument("--case", help="1, 2, 3, or all (default: the config's experiment.cases)")
     p.add_argument("--random-baseline", action="store_true",
                    help="case 3 only: assign sequences uniformly instead of by likelihood")
 
@@ -55,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="full pipeline: truth, baseline, cases, aggregate")
     _add_common(p)
-    p.add_argument("--case", default="all", help="1, 2, 3, or all")
+    p.add_argument("--case", help="1, 2, 3, or all (default: the config's experiment.cases)")
     p.add_argument("--jobs", type=int, default=None, help="parallel replicate workers")
     p.add_argument("--random-baseline", action="store_true",
                    help="case 3 only: assign sequences uniformly instead of by likelihood")
@@ -111,6 +110,8 @@ def main(argv=None) -> int:
     if args.command == "validate-config":
         print(json.dumps(cfg.resolved, indent=2, sort_keys=True))
         return EXIT_OK
+
+    from . import experiment, io  # imported here: validate-config needs neither
 
     try:
         _check_out_dir(args.out)

@@ -142,7 +142,9 @@ def _check(key, value):
     if value is None and default is None:
         return
     if kind == "cases":
-        if value != "all" and not (isinstance(value, list) and all(v in (1, 2, 3) for v in value)):
+        if value != "all" and not (
+            isinstance(value, list) and all(_is_int(v) and v in (1, 2, 3) for v in value)
+        ):
             raise _type_error(key, 'list drawn from [1, 2, 3] or "all"', value)
         return
     expected, is_entry = KINDS[kind]

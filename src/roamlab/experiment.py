@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,19 +20,13 @@ import numpy as np
 from . import io
 from .assimilation import run_assimilation, run_baseline
 from .config import ConfigSchemaError, ExperimentConfig, config_hash
-from .metrics import (
-    aggregate_runs,
-    build_od,
-    decode_ngram,
-    mean_ngram_table,
-    ngram_table,
-    top_k,
-)
+from .metrics import aggregate_runs, build_od, decode_ngram, ngram_table, top_k
 from .model import completed_paths, path_rows
 from .seeds import ROLE_CODES, derive_rng
 from .twin import run_truth, sample_biased_pool
 
 NGRAM_N = 3
+CASE3_ROLES = ("case3", "case3_random")  # the roles that write assigned_sequences.csv
 
 
 class MissingInputError(Exception):
@@ -147,13 +140,50 @@ def run_case_stage(cfg: ExperimentConfig, out, replicate: int, label: str, obser
     return run
 
 
-def run_replicate(cfg: ExperimentConfig, out, replicate: int):
-    """Full pipeline for one replicate, chaining stages in memory."""
+def _summary(cfg: ExperimentConfig, rows, od, assignments=None):
+    """What evaluate scores of one role's replicate, from its path rows, OD
+    matrix and, for case 3, assignment rows: (OD matrix, 3-gram table, group
+    counts of the assigned sequences or None)."""
+    groups = (None if assignments is None
+              else np.bincount(assignments[:, 3], minlength=cfg.assim.group_count))
+    return od, ngram_table(rows, cfg.assim.store_count, NGRAM_N), groups
+
+
+class Summaries:
+    """Replicate summaries, each a dict role -> _summary, folded in replicate
+    order: per role, every OD matrix, the running sum of the 3-gram tables and
+    every group count."""
+
+    def __init__(self):
+        self.od, self.ngrams, self.groups = {}, {}, {}
+
+    def fold(self, summaries):
+        for summary in summaries:
+            for role, (od, ngrams, groups) in summary.items():
+                self.od.setdefault(role, []).append(od)
+                self.ngrams[role] = self.ngrams.get(role, 0) + ngrams
+                if groups is not None:
+                    self.groups.setdefault(role, []).append(groups)
+        return self
+
+
+def run_replicate(cfg: ExperimentConfig, out, replicate: int) -> dict:
+    """Full pipeline for one replicate, chaining stages in memory; return its
+    summary, role -> _summary of the rows the stages wrote."""
+
+    def summary(world, assignments=None):
+        rows = path_rows(world)
+        return _summary(cfg, rows, build_od(rows, cfg.assim.store_count), assignments)
+
     truth, pool = run_truth_stage(cfg, out, replicate)
-    run_baseline_stage(cfg, out, replicate)
+    summaries = {
+        "truth": summary(truth.world),
+        "baseline": summary(run_baseline_stage(cfg, out, replicate)),
+    }
     for label in case_labels(cfg):
-        run_case_stage(cfg, out, replicate, label, truth.observations, pool)
-    return replicate
+        run = run_case_stage(cfg, out, replicate, label, truth.observations, pool)
+        summaries[label] = summary(run.world, run.assignments)
+    return summaries
 
 
 def _run_replicate_job(args):
@@ -176,25 +206,49 @@ def _present_roles(cfg: ExperimentConfig, out):
     return roles
 
 
-def evaluate(cfg: ExperimentConfig, out) -> dict:
-    """Aggregate the roles that have run for every replicate; write aggregate/ files.
+def _read_summary(cfg: ExperimentConfig, out, replicate: int, roles) -> dict:
+    """One replicate's summary of the given roles, read back from its files."""
+    sim, summary = cfg.assim, {}
+    for role in roles:
+        d = replicate_dir(out, role, replicate)
+        od = io.read_od(d / f"{_stem(role)}_od.csv", sim.store_count)
+        rows = io.read_paths(d / f"{_stem(role)}_paths.csv", sim.store_count)
+        assignments = None
+        if role in CASE3_ROLES:
+            path = d / "assigned_sequences.csv"
+            if not path.exists():
+                raise MissingInputError(f"missing {path}; run assimilate first")
+            assignments = io.read_assignments(path, sim.group_count)
+        summary[role] = _summary(cfg, rows, od, assignments)
+    return summary
 
-    A role present for only some replicates, or an OD file that is not one
-    row per cell of the config's (S, S) grid, raises instead of aggregating.
+
+def _read_summaries(cfg: ExperimentConfig, out) -> Summaries:
+    """The Summaries of the roles that have run for every replicate under out.
+
+    A role present for only some replicates, a run without truth, or a file
+    that does not fit the config's shapes raises instead of being scored.
     """
-    out = Path(out)
     roles = _present_roles(cfg, out)
     if "truth" not in roles:
         raise MissingInputError(f"no complete truth outputs under {out}")
-    replicates = range(cfg.replicate_count)
+    return Summaries().fold(
+        _read_summary(cfg, out, r, roles) for r in range(cfg.replicate_count)
+    )
 
+
+def evaluate(cfg: ExperimentConfig, out, summaries: Summaries | None = None) -> dict:
+    """Score the replicate summaries and write the aggregate/ files.
+
+    Without summaries, the roles that have run for every replicate are read
+    back from the files under out (see _read_summaries).
+    """
+    out = Path(out)
+    if summaries is None:
+        summaries = _read_summaries(cfg, out)
+    roles = list(summaries.od)
     stores = cfg.assim.store_count
-    od_runs = {
-        role: [io.read_od(replicate_dir(out, role, r) / f"{_stem(role)}_od.csv", stores)
-               for r in replicates]
-        for role in roles
-    }
-    agg = aggregate_runs(od_runs)
+    agg = aggregate_runs(summaries.od)
 
     agg_dir = out / "aggregate"
     io.write_mean_od(agg_dir / "od_truth_mean.csv", agg["mean_od"]["truth"])
@@ -204,16 +258,7 @@ def evaluate(cfg: ExperimentConfig, out) -> dict:
         if role.startswith("case"):
             io.write_mean_od(agg_dir / role / "od_assim_mean.csv", agg["mean_od"][role])
 
-    ngram_means = {
-        role: mean_ngram_table(
-            ngram_table(
-                io.read_paths(replicate_dir(out, role, r) / f"{_stem(role)}_paths.csv", stores),
-                stores, NGRAM_N,
-            )
-            for r in replicates
-        )
-        for role in roles
-    }
+    ngram_means = {role: summaries.ngrams[role] / len(summaries.od[role]) for role in roles}
     leaders = top_k(ngram_means["truth"], 20)
     baseline = ngram_means.get("baseline")
     for role in roles:
@@ -234,30 +279,23 @@ def evaluate(cfg: ExperimentConfig, out) -> dict:
         },
     }
 
-    bias = _assignment_bias(cfg, out, roles)
+    bias = _assignment_bias(cfg, summaries.groups)
     if bias:
         payload["case3_assignment_bias"] = bias
     io.write_json(agg_dir / "metrics.json", payload)
     return payload
 
 
-def _assignment_bias(cfg: ExperimentConfig, out, roles):
-    """L1 distance of assigned-sequence attribute shares from the quota shares."""
+def _assignment_bias(cfg: ExperimentConfig, groups: dict):
+    """L1 distance of assigned-sequence attribute shares from the quota shares;
+    groups maps a case-3 role to the group counts of each replicate."""
     target = np.array(cfg.truth.group_quotas, dtype=float)
     target /= target.sum()
     result = {"target_composition": target.tolist()}
-    for role, key in (("case3", "weighted"), ("case3_random", "random")):
-        if role not in roles:
+    for role, key in zip(CASE3_ROLES, ("weighted", "random")):
+        if role not in groups:
             continue
-        per_run = []
-        for r in range(cfg.replicate_count):
-            path = replicate_dir(out, role, r) / "assigned_sequences.csv"
-            if not path.exists():
-                raise MissingInputError(f"missing {path}; run assimilate first")
-            attrs = io.read_assignments(path, len(target))[:, 3]
-            counts = np.bincount(attrs, minlength=len(target))
-            share = counts / counts.sum()
-            per_run.append(float(np.abs(share - target).sum()))
+        per_run = [float(np.abs(counts / counts.sum() - target).sum()) for counts in groups[role]]
         result[f"{key}_l1_per_run"] = per_run
         result[f"{key}_l1_mean"] = float(np.mean(per_run))
     return result if len(result) > 1 else None
@@ -284,8 +322,20 @@ def write_manifest(cfg: ExperimentConfig, out, wall_time_s: float):
     return payload
 
 
+def ProcessPoolExecutor(*args, **kwargs):
+    """concurrent.futures.ProcessPoolExecutor, imported on its first use: the
+    import, multiprocessing with it, would cost every command that runs no pool."""
+    from concurrent.futures import ProcessPoolExecutor as executor
+
+    return executor(*args, **kwargs)
+
+
 def run_experiment(cfg: ExperimentConfig, out) -> dict:
-    """The full pipeline over all replicates, then aggregation and manifest."""
+    """The full pipeline over all replicates, then aggregation and manifest.
+
+    Each replicate's summary is folded in as it finishes, so evaluate scores
+    the run without reading back what the replicates wrote.
+    """
     t0 = time.perf_counter()
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
@@ -293,12 +343,12 @@ def run_experiment(cfg: ExperimentConfig, out) -> dict:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(cfg.jobs or cpus or 1, cfg.replicate_count)
     work = [(cfg, out, r) for r in range(cfg.replicate_count)]
+    summaries = Summaries()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(_run_replicate_job, work))
+            summaries.fold(pool.map(_run_replicate_job, work))
     else:
-        for item in work:
-            _run_replicate_job(item)
-    summary = evaluate(cfg, out)
+        summaries.fold(map(_run_replicate_job, work))
+    summary = evaluate(cfg, out, summaries)
     write_manifest(cfg, out, wall_time_s=time.perf_counter() - t0)
     return summary

@@ -19,6 +19,8 @@ run_world, drives the truth, baseline and assimilated runs. A mover maps
 (world, ids, groups, rng) to the first store of each freshly spawned agent.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,11 +109,9 @@ class SimConfig:
     allow_self_transition: bool = False
 
     def __post_init__(self):
-        if self.distance is None:
-            self.distance = unit_distance(self.store_count)
         if not self.behavior:
             self.behavior = tuple(BehaviorParams() for _ in range(self.group_count))
-        self.group_quotas = tuple(int(q) for q in self.group_quotas)
+        self.group_quotas = tuple(self.group_quotas)
 
     def validate(self):
         """Cast the matrices to float and raise ValueError naming the
@@ -128,6 +128,9 @@ class SimConfig:
             raise ValueError(f"dwell_min: {self.dwell_min} exceeds dwell_max {self.dwell_max}")
         if len(self.group_quotas) != g:
             raise ValueError(f"group_quotas: expected {g} entries, got {len(self.group_quotas)}")
+        if not all(isinstance(q, (int, np.integer)) and not isinstance(q, bool)
+                   for q in self.group_quotas):
+            raise ValueError(f"group_quotas: entries must be integers, got {self.group_quotas}")
         if sum(self.group_quotas) != self.total_agents:
             raise ValueError(
                 f"group_quotas: sum {sum(self.group_quotas)} != total_agents {self.total_agents}"
@@ -138,6 +141,8 @@ class SimConfig:
             raise ValueError(f"behavior: expected {g} parameter sets, got {len(self.behavior)}")
         if self.attractiveness is None:
             raise ValueError("attractiveness: required")
+        if self.distance is None:
+            self.distance = unit_distance(s)
         a = self.attractiveness = np.asarray(self.attractiveness, dtype=float)
         d = self.distance = np.asarray(self.distance, dtype=float)
         if a.shape != (g, s):

@@ -4,6 +4,8 @@ All weight vectors in this package live in log space until the moment a
 probability is actually needed; normalization is a log-sum-exp shift.
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 

@@ -1,5 +1,7 @@
 """Deterministic RNG derivation: one independent stream per (replicate, role)."""
 
+from __future__ import annotations
+
 import numpy as np
 
 ROLES = ("truth", "pool", "baseline", "case1", "case2", "case3", "case3_random")

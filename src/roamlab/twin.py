@@ -9,6 +9,8 @@ of completed transition sequences is drawn from the same paths. The total
 inflow of a step is the per-store sum over groups, observations.sum(axis=1).
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 
 import numpy as np

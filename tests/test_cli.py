@@ -99,9 +99,12 @@ class TestValidateConfig:
             ({"sim.group_quotas": [0.5, 0.5, 49, 51]}, []),
             ({"sim.lambda": -1}, []),
             ({"sim.k": float("nan")}, []),
+            # each compares equal to case 1, but is no case number
+            ({"experiment.cases": [True]}, []),
+            ({"experiment.cases": [1.0]}, []),
         ],
         ids=["negative-seed", "negative-seed-flag", "negative-stores", "fractional-quotas",
-             "negative-lambda", "nan-k"],
+             "negative-lambda", "nan-k", "bool-case", "float-case"],
     )
     def test_bad_value_exits_3_naming_its_key(self, capsys, tmp_path, command, raw, flags):
         path, out = tmp_path / "b.json", tmp_path / "out"
@@ -173,6 +176,25 @@ class TestPipeline:
         staged, expected = tree(out), tree(whole)
         assert sorted(staged) == sorted(expected)
         assert [name for name in expected if staged[name] != expected[name]] == []
+
+    @pytest.mark.parametrize(
+        "commands, cases",
+        [
+            ([["experiment", "--jobs", "1"]], ["case1"]),
+            ([["generate-obs"], ["baseline"], ["assimilate"], ["evaluate"]], ["case1"]),
+            ([["experiment", "--jobs", "1", "--case", "2"]], ["case2"]),
+        ],
+        ids=["experiment", "staged", "flag-overrides"],
+    )
+    def test_config_cases_run_unless_the_case_flag_is_given(self, tmp_path, commands, cases):
+        path, out = tmp_path / "c.json", tmp_path / "out"
+        path.write_text(json.dumps({**MINI, "experiment.cases": [1]}))
+        for command in commands:
+            assert main([*command, "--config", str(path), "--out", str(out)]) == EXIT_OK
+        roles = sorted(p.name for p in out.iterdir() if p.is_dir())
+        assert roles == sorted(["aggregate", "baseline", "truth", *cases])
+        metrics = json.loads((out / "aggregate" / "metrics.json").read_text())
+        assert sorted(metrics["discrepancy"]) == sorted(["baseline", *cases])
 
     def test_assimilate_without_truth_products_exits_4(self, mini_config, tmp_path, capsys):
         rc = main(
@@ -476,31 +498,74 @@ def test_experiment_under_each_ablation_flag(tmp_path, flag):
     assert checksums == io.read_json(FLAG_CHECKSUMS)[flag_id(flag)]
 
 
-def test_traced_experiment_runs_every_hooked_entry_point(tmp_path):
+def _env_with_src():
+    """os.environ with this roamlab's source tree first on PYTHONPATH."""
+    src = str(Path(roamlab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_traced_experiment_runs_every_hooked_entry_point(tmp_path, jobs):
     """The benchmark's span tracer runs a tiny experiment to completion.
 
     perfbench/tracecli.py wraps roamlab's entry points from outside and reads
     their arguments and results after each call; a renamed entry point or a
-    changed signature fails here instead of in a benchmark run.
+    changed signature fails here instead of in a benchmark run. With two jobs
+    the pool workers write span files too, which they do only after the
+    tracer's pool initializer has run in them.
     """
     root = Path(__file__).resolve().parents[1]
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**TINY_OVERRIDES, "experiment.replicates": 1}))
+    path.write_text(json.dumps({**TINY_OVERRIDES, "experiment.replicates": jobs}))
     span_dir = tmp_path / "spans"
-    src = str(Path(roamlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "tracecli.py"), str(span_dir), "experiment",
-         "--config", str(path), "--out", str(tmp_path / "out"), "--jobs", "1"],
-        capture_output=True, text=True, env=env,
+         "--config", str(path), "--out", str(tmp_path / "out"), "--jobs", str(jobs)],
+        capture_output=True, text=True, env=_env_with_src(),
     )
     assert proc.returncode == EXIT_OK, proc.stderr
-    files = sorted(span_dir.glob("spans-*.json"))
-    assert files
-    names = {span[2] for f in files for span in json.loads(f.read_text())["spans"]}
+    payloads = [json.loads(f.read_text()) for f in sorted(span_dir.glob("spans-*.json"))]
+    assert payloads
+    names = {span[2] for payload in payloads for span in payload["spans"]}
     assert {
         "model.ChoiceModel.log_probs", "model.ChoiceModel.sample", "model.step_world",
         "twin.run_truth", "assimilation.run_baseline", "assimilation.run_assimilation",
         "assimilation.update_store_weights", "assimilation.weight_sequences",
     } <= names
+    if jobs > 1:
+        assert len({payload["pid"] for payload in payloads}) > 1
+
+
+# Modules each command must not load: the process pool only opens for two or
+# more jobs, no RNG is drawn in validate-config or evaluate, and validate-config
+# runs no pipeline stage.
+@pytest.mark.parametrize(
+    "command, unused",
+    [
+        (["validate-config"], {"concurrent.futures.process", "numpy.random", "roamlab.experiment"}),
+        (["evaluate"], {"concurrent.futures.process", "numpy.random"}),
+        (["experiment", "--jobs", "1"], {"concurrent.futures.process"}),
+    ],
+    ids=["validate-config", "evaluate", "experiment-jobs1"],
+)
+def test_commands_load_only_the_modules_they_use(mini_config, tmp_path, command, unused):
+    out = tmp_path / "out"
+    if command[0] == "evaluate":
+        assert main(["experiment", "--config", str(mini_config), "--out", str(out),
+                     "--jobs", "1"]) == EXIT_OK
+    if command[0] != "validate-config":
+        command = [*command, "--out", str(out)]
+    script = (
+        "import json, sys\n"
+        "from roamlab.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(json.dumps([rc, sorted(sys.modules)]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *command, "--config", str(mini_config)],
+        capture_output=True, text=True, env=_env_with_src(),
+    )
+    rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == EXIT_OK, proc.stderr
+    assert unused.isdisjoint(loaded)

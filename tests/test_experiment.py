@@ -1,4 +1,5 @@
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,24 @@ class TestManifest:
         with pytest.raises(PoolOpened):
             run_experiment(cfg, tmp_path)
         assert opened == [3]
+
+    def test_evaluate_rescores_what_experiment_scored_in_its_workers(self, tmp_path):
+        # experiment scores the summaries its workers hand back; the evaluate
+        # command reads the same replicates back from their files.
+        cfg = resolve_config({}, {**TINY_OVERRIDES, "experiment.jobs": 2})
+        assert cfg.replicate_count == 2 and cfg.cases == (1, 2, 3)
+        run_experiment(cfg, tmp_path)
+        agg = tmp_path / "aggregate"
+
+        def files():
+            return {p.relative_to(agg).as_posix(): p.read_bytes()
+                    for p in agg.rglob("*") if p.is_file()}
+
+        scored = files()
+        assert len(scored) == 1 + 2 + 4 * 2  # metrics.json, truth and baseline, 2 per case role
+        shutil.rmtree(agg)
+        evaluate(cfg, tmp_path)
+        assert files() == scored
 
     def test_parallel_and_serial_runs_agree(self, tmp_path):
         serial = resolve_config({}, {**TINY_OVERRIDES, "experiment.jobs": 1})

@@ -366,6 +366,8 @@ class TestValidation:
             small_sim_config(store_count=2, attractiveness=[[5.0, 0.0], [5.0, 5.0]])
         with pytest.raises(ValueError, match="store_count"):
             small_sim_config(store_count=1)
+        with pytest.raises(ValueError, match="^store_count: must be >= 2"):
+            SimConfig(store_count=-1).validate()
 
     def test_behavior_params_invariants(self):
         with pytest.raises(ValueError):
@@ -378,5 +380,7 @@ class TestValidation:
             small_sim_config(dwell_min=4, dwell_max=3)
         with pytest.raises(ValueError, match="group_quotas"):
             small_sim_config(group_quotas=(3, 3))
+        with pytest.raises(ValueError, match="^group_quotas: entries must be integers"):
+            small_sim_config(group_quotas=(4.5, 4.5))  # (4, 4) if truncated: 8 agents
         with pytest.raises(ValueError, match="initial_agents"):
             small_sim_config(initial_agents=100, total_agents=8)
