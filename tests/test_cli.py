@@ -566,6 +566,7 @@ def test_commands_load_only_the_modules_they_use(mini_config, tmp_path, command,
         [sys.executable, "-c", script, *command, "--config", str(mini_config)],
         capture_output=True, text=True, env=_env_with_src(),
     )
+    assert proc.returncode == 0, proc.stderr
     rc, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert rc == EXIT_OK, proc.stderr
     assert unused.isdisjoint(loaded)
