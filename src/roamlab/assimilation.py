@@ -121,13 +121,6 @@ class AssimOptions:
     weighted_placement: bool = True    # weight-driven spawn placement (cases 1-2)
 
 
-@dataclass
-class AssimRun:
-    world: WorldState
-    # case 3: one (spawn step, agent_id, entry_id, attr) row per agent, in id order
-    assignments: np.ndarray | None
-
-
 def run_baseline(cfg: SimConfig, rng: np.random.Generator) -> WorldState:
     """Plain model run without any observation input."""
     return run_world(cfg, model_mover(ChoiceModel(cfg)), uniform_placer, rng)
@@ -141,8 +134,9 @@ def run_assimilation(
     *,
     rng: np.random.Generator,
     options: AssimOptions | None = None,
-) -> AssimRun:
-    """Run the assimilation world to the horizon under one regime.
+) -> tuple[WorldState, np.ndarray | None]:
+    """Run the assimilation world to the horizon under one regime; return
+    (world, assignments).
 
     observations is the (T+1, G, S) array of inflow counts by step, group and
     store, covering steps 0..horizon. The store weights of every step are
@@ -154,6 +148,9 @@ def run_assimilation(
     whose paths span the full transition count; each spawn batch weights it
     once, by the store weights of its step. The case-3 random control draws
     pool entries uniformly and never weights the pool.
+
+    assignments is None in cases 1 and 2; in case 3 it holds one (spawn
+    step, agent_id, entry_id, attr) row per spawned agent, in id order.
     """
     if case not in (1, 2, 3):
         raise ValueError(f"case must be 1, 2, or 3, got {case}")
@@ -224,4 +221,4 @@ def run_assimilation(
         assignments = np.column_stack(
             [world.entered[:n, 0], np.arange(n), followed[:n], pool.attrs[followed[:n]]]
         )
-    return AssimRun(world=world, assignments=assignments)
+    return world, assignments

@@ -1,7 +1,8 @@
 """Command-line interface for the roaming twin-experiment laboratory.
 
 Exit codes: 0 success, 2 unreadable config, 3 schema violation,
-4 unusable output directory, or stage inputs that are missing or malformed.
+4 a filesystem error (OSError) such as an unusable output path, or stage
+inputs that are missing or malformed.
 """
 
 import argparse
@@ -141,10 +142,7 @@ def main(argv=None) -> int:
     except ConfigSchemaError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG_SCHEMA
-    except PermissionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except (experiment.MissingInputError, io.MalformedTableError) as e:
+    except (OSError, experiment.MissingInputError, io.MalformedTableError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

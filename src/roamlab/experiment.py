@@ -52,25 +52,40 @@ def _stem(role: str) -> str:
     return role if role in ("truth", "baseline") else "assim"
 
 
-def _write_world(cfg: ExperimentConfig, out, role: str, replicate: int, world):
-    """Write a world's <stem>_od.csv and <stem>_paths.csv; return their directory."""
+def _summary(cfg: ExperimentConfig, rows, od, assignments=None):
+    """What evaluate scores of one role's replicate, from its path rows, OD
+    matrix and, for case 3, assignment rows: (OD matrix, 3-gram table, group
+    counts of the assigned sequences or None)."""
+    groups = (None if assignments is None
+              else np.bincount(assignments[:, 3], minlength=cfg.assim.group_count))
+    return od, ngram_table(rows, cfg.assim.store_count, NGRAM_N), groups
+
+
+def _write_world(cfg: ExperimentConfig, out, role: str, replicate: int, world, assignments=None):
+    """Write a world's <stem>_od.csv and <stem>_paths.csv, and with case-3
+    assignments its assigned_sequences.csv; return the _summary of the arrays
+    written, the one _read_summary reads back from those files."""
     d = replicate_dir(out, role, replicate)
     rows = path_rows(world)
-    io.write_od(d / f"{_stem(role)}_od.csv", build_od(rows, cfg.assim.store_count))
+    od = build_od(rows, cfg.assim.store_count)
+    io.write_od(d / f"{_stem(role)}_od.csv", od)
     io.write_paths(d / f"{_stem(role)}_paths.csv", rows)
-    return d
+    if assignments is not None:
+        io.write_assignments(d / "assigned_sequences.csv", assignments)
+    return _summary(cfg, rows, od, assignments)
 
 
 def run_truth_stage(cfg: ExperimentConfig, out, replicate: int):
-    """Run one truth replicate and write its observation products."""
-    truth = run_truth(
+    """Run one truth replicate and write its observation products; return
+    (observations, pool, the truth world's _summary)."""
+    world, observations = run_truth(
         cfg.truth,
         derive_rng(cfg.base_seed, replicate, "truth"),
         count_spawn_as_inflow=cfg.count_spawn_as_inflow,
     )
     try:
         pool = sample_biased_pool(
-            completed_paths(truth.world),
+            completed_paths(world),
             cfg.pool_ratios,
             cfg.pool_size,
             derive_rng(cfg.base_seed, replicate, "pool"),
@@ -81,18 +96,17 @@ def run_truth_stage(cfg: ExperimentConfig, out, replicate: int):
             f" its transitions within sim.horizon_steps={cfg.truth.horizon_steps}"
         ) from e
     d = replicate_dir(out, "truth", replicate)
-    io.write_obs_counts(d / "obs_counts.csv", truth.observations)
-    io.write_obs_counts_attr(d / "obs_counts_attr.csv", truth.observations)
+    io.write_obs_counts(d / "obs_counts.csv", observations)
+    io.write_obs_counts_attr(d / "obs_counts_attr.csv", observations)
     io.write_sequence_pool(d / "sequence_pool.csv", pool)
-    _write_world(cfg, out, "truth", replicate, truth.world)
-    return truth, pool
+    return observations, pool, _write_world(cfg, out, "truth", replicate, world)
 
 
 def run_baseline_stage(cfg: ExperimentConfig, out, replicate: int):
-    """Plain model run in the assimilation environment (no observations)."""
+    """Plain model run in the assimilation environment (no observations);
+    return its _summary."""
     world = run_baseline(cfg.assim, derive_rng(cfg.base_seed, replicate, "baseline"))
-    _write_world(cfg, out, "baseline", replicate, world)
-    return world
+    return _write_world(cfg, out, "baseline", replicate, world)
 
 
 def load_truth_products(cfg: ExperimentConfig, out, replicate: int, need_pool: bool):
@@ -124,9 +138,10 @@ def load_truth_products(cfg: ExperimentConfig, out, replicate: int, need_pool: b
 
 
 def run_case_stage(cfg: ExperimentConfig, out, replicate: int, label: str, observations, pool):
-    """Run one assimilation variant on the given truth products (pool: case 3 only)."""
+    """Run one assimilation variant on the given truth products (pool: case 3
+    only); return its _summary."""
     case = 3 if label.startswith("case3") else int(label[-1])
-    run = run_assimilation(
+    world, assignments = run_assimilation(
         cfg.assim,
         observations,
         case,
@@ -134,19 +149,7 @@ def run_case_stage(cfg: ExperimentConfig, out, replicate: int, label: str, obser
         rng=derive_rng(cfg.base_seed, replicate, label),
         options=dataclasses.replace(cfg.assim_options, random_baseline=label == "case3_random"),
     )
-    d = _write_world(cfg, out, label, replicate, run.world)
-    if case == 3:
-        io.write_assignments(d / "assigned_sequences.csv", run.assignments)
-    return run
-
-
-def _summary(cfg: ExperimentConfig, rows, od, assignments=None):
-    """What evaluate scores of one role's replicate, from its path rows, OD
-    matrix and, for case 3, assignment rows: (OD matrix, 3-gram table, group
-    counts of the assigned sequences or None)."""
-    groups = (None if assignments is None
-              else np.bincount(assignments[:, 3], minlength=cfg.assim.group_count))
-    return od, ngram_table(rows, cfg.assim.store_count, NGRAM_N), groups
+    return _write_world(cfg, out, label, replicate, world, assignments)
 
 
 class Summaries:
@@ -169,20 +172,11 @@ class Summaries:
 
 def run_replicate(cfg: ExperimentConfig, out, replicate: int) -> dict:
     """Full pipeline for one replicate, chaining stages in memory; return its
-    summary, role -> _summary of the rows the stages wrote."""
-
-    def summary(world, assignments=None):
-        rows = path_rows(world)
-        return _summary(cfg, rows, build_od(rows, cfg.assim.store_count), assignments)
-
-    truth, pool = run_truth_stage(cfg, out, replicate)
-    summaries = {
-        "truth": summary(truth.world),
-        "baseline": summary(run_baseline_stage(cfg, out, replicate)),
-    }
+    summary, role -> the _summary of what each stage wrote."""
+    observations, pool, truth = run_truth_stage(cfg, out, replicate)
+    summaries = {"truth": truth, "baseline": run_baseline_stage(cfg, out, replicate)}
     for label in case_labels(cfg):
-        run = run_case_stage(cfg, out, replicate, label, truth.observations, pool)
-        summaries[label] = summary(run.world, run.assignments)
+        summaries[label] = run_case_stage(cfg, out, replicate, label, observations, pool)
     return summaries
 
 

@@ -217,8 +217,3 @@ def write_json(path, payload):
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def read_json(path):
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)

@@ -31,23 +31,18 @@ class SequencePool:
         return len(self.attrs)
 
 
-@dataclass
-class TruthRun:
-    world: WorldState
-    observations: np.ndarray    # (T+1, G, S) inflow counts by step, group and store
-
-
 def run_truth(
     cfg: SimConfig,
     rng: np.random.Generator,
     count_spawn_as_inflow: bool = True,
-) -> TruthRun:
+) -> tuple[WorldState, np.ndarray]:
     """Step the truth world to the horizon and count its store entries.
 
-    The observations are indexed by entry step (step 0 holds the initial spawn
-    entries); position 0 of a path, the spawn placement, is counted only with
-    count_spawn_as_inflow. The OD matrix and the completed agents' paths are
-    read off the returned world.
+    Returns (world, observations), observations being the (T+1, G, S) array
+    of inflow counts by step, group and store. They are indexed by entry step
+    (step 0 holds the initial spawn entries); position 0 of a path, the spawn
+    placement, is counted only with count_spawn_as_inflow. The OD matrix and
+    the completed agents' paths are read off the world.
     """
     world = run_world(cfg, model_mover(ChoiceModel(cfg)), uniform_placer, rng)
     first = 0 if count_spawn_as_inflow else 1
@@ -58,10 +53,7 @@ def run_truth(
         (entered[agent, position], world.group[agent], world.path[agent, position + first]),
         shape,
     )
-    return TruthRun(
-        world=world,
-        observations=np.bincount(cells, minlength=np.prod(shape)).reshape(shape),
-    )
+    return world, np.bincount(cells, minlength=np.prod(shape)).reshape(shape)
 
 
 def sample_biased_pool(

@@ -269,11 +269,11 @@ class TestSequenceWeights:
         )
         pool = self.pool([[0, 1], [1, 2], [2, 3], [3, 0]])
         observations = np.array([obs([0, 0, 0, 0]), obs([2, 0, 0, 0])])
-        run = run_assimilation(
+        _, assignments = run_assimilation(
             cfg, observations, 3, pool=pool, rng=np.random.default_rng(7),
             options=AssimOptions(random_baseline=True),
         )
-        spawned = run.assignments[run.assignments[:, 0] == 1, 2]
+        spawned = assignments[assignments[:, 0] == 1, 2]
         assert len(spawned) == n
         counts = np.bincount(spawned, minlength=4)
         sigma = math.sqrt(n * 0.25 * 0.75)
@@ -310,27 +310,27 @@ class TestRunAssimilation:
             horizon_steps=50,
             attractiveness=np.full((2, 5), 5.0),
         )
-        truth = run_truth(truth_cfg, np.random.default_rng(seed))
+        world, observations = run_truth(truth_cfg, np.random.default_rng(seed))
         pool = sample_biased_pool(
-            completed_paths(truth.world), [0.6, 0.4], 30,
+            completed_paths(world), [0.6, 0.4], 30,
             np.random.default_rng(seed + 1),
         )
-        return truth_cfg, assim_cfg, truth, pool
+        return truth_cfg, assim_cfg, observations, pool
 
     @pytest.mark.parametrize("accumulate", [False, True])
     def test_case1_is_case2_on_totals_seen_by_every_group(self, accumulate):
         # Case 1 weights every group by the per-store totals: at one seed it
         # writes the same world as case 2 given those totals as each group's
         # counts.
-        _, assim_cfg, truth, _ = self.setup_inputs()
-        totals = truth.observations.sum(axis=1, keepdims=True)
+        _, assim_cfg, observations, _ = self.setup_inputs()
+        totals = observations.sum(axis=1, keepdims=True)
         options = AssimOptions(particle_count=7, weight_accumulation=accumulate)
-        case1, case2 = (
-            run_assimilation(assim_cfg, observations, case, rng=np.random.default_rng(8),
-                             options=options).world
-            for case, observations in [
-                (1, truth.observations),
-                (2, np.broadcast_to(totals, truth.observations.shape)),
+        (case1, _), (case2, _) = (
+            run_assimilation(assim_cfg, fed, case, rng=np.random.default_rng(8),
+                             options=options)
+            for case, fed in [
+                (1, observations),
+                (2, np.broadcast_to(totals, observations.shape)),
             ]
         )
         assert case1.agents_spawned == case2.agents_spawned
@@ -338,60 +338,60 @@ class TestRunAssimilation:
         np.testing.assert_array_equal(case1.entered, case2.entered)
 
     def test_case3_requires_pool(self):
-        _, assim_cfg, truth, _ = self.setup_inputs()
+        _, assim_cfg, observations, _ = self.setup_inputs()
         with pytest.raises(ValueError, match="pool"):
             run_assimilation(
-                assim_cfg, truth.observations, 3, pool=None, rng=np.random.default_rng(0)
+                assim_cfg, observations, 3, pool=None, rng=np.random.default_rng(0)
             )
 
     def test_invalid_case_rejected(self):
-        _, assim_cfg, truth, _ = self.setup_inputs()
+        _, assim_cfg, observations, _ = self.setup_inputs()
         with pytest.raises(ValueError, match="case"):
-            run_assimilation(assim_cfg, truth.observations, 4, rng=np.random.default_rng(0))
+            run_assimilation(assim_cfg, observations, 4, rng=np.random.default_rng(0))
 
     def test_short_observation_stream_rejected(self):
-        _, assim_cfg, truth, _ = self.setup_inputs()
+        _, assim_cfg, observations, _ = self.setup_inputs()
         with pytest.raises(ValueError, match="observation stream"):
             run_assimilation(
-                assim_cfg, truth.observations[:10], 1, rng=np.random.default_rng(0)
+                assim_cfg, observations[:10], 1, rng=np.random.default_rng(0)
             )
 
     def test_runs_are_seed_deterministic(self):
-        _, assim_cfg, truth, pool = self.setup_inputs()
-        runs = [
+        _, assim_cfg, observations, pool = self.setup_inputs()
+        (world_a, assignments_a), (world_b, assignments_b) = (
             run_assimilation(
-                assim_cfg, truth.observations, 3, pool=pool, rng=np.random.default_rng(5)
+                assim_cfg, observations, 3, pool=pool, rng=np.random.default_rng(5)
             )
             for _ in range(2)
-        ]
-        np.testing.assert_array_equal(path_rows(runs[0].world), path_rows(runs[1].world))
-        np.testing.assert_array_equal(runs[0].assignments, runs[1].assignments)
+        )
+        np.testing.assert_array_equal(path_rows(world_a), path_rows(world_b))
+        np.testing.assert_array_equal(assignments_a, assignments_b)
 
     @pytest.mark.parametrize("random_baseline", [False, True])
     def test_case3_assigns_one_row_per_agent_at_its_spawn_step(self, random_baseline):
-        _, assim_cfg, truth, pool = self.setup_inputs()
-        run = run_assimilation(
-            assim_cfg, truth.observations, 3, pool=pool, rng=np.random.default_rng(6),
+        _, assim_cfg, observations, pool = self.setup_inputs()
+        world, assignments = run_assimilation(
+            assim_cfg, observations, 3, pool=pool, rng=np.random.default_rng(6),
             options=AssimOptions(random_baseline=random_baseline),
         )
-        n = run.world.agents_spawned
-        step, agent, entry, attr = run.assignments.T
-        assert run.assignments.shape == (n, 4)
+        n = world.agents_spawned
+        step, agent, entry, attr = assignments.T
+        assert assignments.shape == (n, 4)
         np.testing.assert_array_equal(agent, np.arange(n))
-        np.testing.assert_array_equal(step, run.world.entered[:n, 0])
+        np.testing.assert_array_equal(step, world.entered[:n, 0])
         assert np.all(step[: assim_cfg.initial_agents] == 0) and np.all(np.diff(step) >= 0)
         np.testing.assert_array_equal(attr, pool.attrs[entry])
-        np.testing.assert_array_equal(pool.paths[entry, 0], run.world.path[:n, 0])
+        np.testing.assert_array_equal(pool.paths[entry, 0], world.path[:n, 0])
 
     def test_case3_realized_paths_come_from_pool(self):
-        _, assim_cfg, truth, pool = self.setup_inputs()
-        run = run_assimilation(
-            assim_cfg, truth.observations, 3, pool=pool, rng=np.random.default_rng(6)
+        _, assim_cfg, observations, pool = self.setup_inputs()
+        world, assignments = run_assimilation(
+            assim_cfg, observations, 3, pool=pool, rng=np.random.default_rng(6)
         )
-        entry_of = {aid: e for _, aid, e, _ in run.assignments.tolist()}
-        assert len(entry_of) == run.world.agents_spawned
-        for agent_id in range(run.world.agents_spawned):
-            path = agent_path(run.world, agent_id)
+        entry_of = {aid: e for _, aid, e, _ in assignments.tolist()}
+        assert len(entry_of) == world.agents_spawned
+        for agent_id in range(world.agents_spawned):
+            path = agent_path(world, agent_id)
             assigned = pool.paths[entry_of[agent_id]]
             assert tuple(path) == tuple(assigned[: len(path)])
 
@@ -400,7 +400,7 @@ class TestRunAssimilation:
         # step it spawns at: the uniform table (step None) for the initial
         # population, the table of step t for a batch spawned at step t. The
         # batches after the initial one each hold replenish_count agents.
-        _, assim_cfg, truth, pool = self.setup_inputs()
+        _, assim_cfg, observations, pool = self.setup_inputs()
         calls = []
 
         def counting(pool, sw):
@@ -408,33 +408,33 @@ class TestRunAssimilation:
             return weight_sequences(pool, sw)
 
         monkeypatch.setattr(assimilation, "weight_sequences", counting)
-        run = run_assimilation(
-            assim_cfg, truth.observations, 3, pool=pool, rng=np.random.default_rng(6)
+        world, _ = run_assimilation(
+            assim_cfg, observations, 3, pool=pool, rng=np.random.default_rng(6)
         )
-        n = run.world.agents_spawned
+        n = world.agents_spawned
         firsts = list(range(assim_cfg.initial_agents, n, assim_cfg.replenish_count))
         assert len(firsts) > 1 and n > len(firsts) + 1
-        assert calls == [None, *run.world.entered[firsts, 0].tolist()]
+        assert calls == [None, *world.entered[firsts, 0].tolist()]
 
     def test_random_control_never_weights_the_pool(self, monkeypatch):
-        _, assim_cfg, truth, pool = self.setup_inputs()
+        _, assim_cfg, observations, pool = self.setup_inputs()
 
         def refuse(pool, sw):
             raise AssertionError("the random control weighted the sequence pool")
 
         monkeypatch.setattr(assimilation, "weight_sequences", refuse)
-        run = run_assimilation(
-            assim_cfg, truth.observations, 3, pool=pool, rng=np.random.default_rng(6),
+        world, _ = run_assimilation(
+            assim_cfg, observations, 3, pool=pool, rng=np.random.default_rng(6),
             options=AssimOptions(random_baseline=True),
         )
-        assert run.world.agents_spawned > assim_cfg.horizon_steps + 1
+        assert world.agents_spawned > assim_cfg.horizon_steps + 1
 
     def test_case3_pool_length_mismatch_rejected(self):
-        _, assim_cfg, truth, _ = self.setup_inputs()
+        _, assim_cfg, observations, _ = self.setup_inputs()
         bad = SequencePool(paths=np.zeros((4, 2), dtype=np.int64), attrs=np.zeros(4, dtype=int))
         with pytest.raises(ValueError, match="pool paths"):
             run_assimilation(
-                assim_cfg, truth.observations, 3, pool=bad, rng=np.random.default_rng(0)
+                assim_cfg, observations, 3, pool=bad, rng=np.random.default_rng(0)
             )
 
     def test_case2_places_each_group_by_its_own_row(self):
@@ -453,13 +453,13 @@ class TestRunAssimilation:
         observations = np.zeros((121, 2, 5), dtype=np.int64)
         observations[:, 0, 0] = 30
         observations[:, 1, 4] = 30
-        run = run_assimilation(
+        world, _ = run_assimilation(
             assim_cfg, observations, 2, rng=np.random.default_rng(9),
             options=AssimOptions(filter_moves=False),
         )
         placed = {0: [], 1: []}
-        for agent_id in range(10, run.world.agents_spawned):  # skip the initial population
-            placed[int(run.world.group[agent_id])].append(int(run.world.path[agent_id, 0]))
+        for agent_id in range(10, world.agents_spawned):  # skip the initial population
+            placed[int(world.group[agent_id])].append(int(world.path[agent_id, 0]))
         # exp(30) likelihood concentrates essentially all mass on one store
         assert set(placed[0]) == {0}
         assert set(placed[1]) == {4}

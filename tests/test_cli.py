@@ -369,6 +369,31 @@ class TestPipeline:
         assert rc == EXIT_IO
         assert "not writable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "before, command, blocked",
+        [
+            ([], ["experiment", "--runs", "2", "--jobs", "1"], "baseline/001"),
+            ([], ["experiment", "--runs", "2", "--jobs", "2"], "baseline/001"),
+            (["generate-obs"], ["assimilate", "--case", "1"], "case1/000"),
+        ],
+        ids=["experiment-jobs1", "experiment-jobs2", "assimilate"],
+    )
+    def test_file_blocking_a_replicate_dir_exits_4(
+        self, mini_config, tmp_path, capsys, before, command, blocked
+    ):
+        out = tmp_path / "out"
+        base = ["--config", str(mini_config), "--out", str(out)]
+        if before:
+            assert main([*before, *base]) == EXIT_OK
+        blocker = out / blocked
+        blocker.parent.mkdir(parents=True, exist_ok=True)
+        blocker.write_text("x")
+        capsys.readouterr()
+        assert main([*command, *base]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err
+        assert len(err.splitlines()) == 1
+
     def test_random_baseline_flag_skips_weighted_case3(self, mini_config, tmp_path):
         out = tmp_path / "rb"
         rc = main(
@@ -494,8 +519,8 @@ def test_experiment_under_each_ablation_flag(tmp_path, flag):
             assert rows[:, 2].max() <= sim.max_transitions, role
             od = io.read_od(d / OD_FILE.get(role, "assim_od.csv"), sim.store_count)
             assert od.sum() == np.count_nonzero(rows[:, 2] > 0), role
-    checksums = io.read_json(out / "run_manifest.json")["checksums"]
-    assert checksums == io.read_json(FLAG_CHECKSUMS)[flag_id(flag)]
+    checksums = json.loads((out / "run_manifest.json").read_text())["checksums"]
+    assert checksums == json.loads(FLAG_CHECKSUMS.read_text())[flag_id(flag)]
 
 
 def _env_with_src():

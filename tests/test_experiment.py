@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 from pathlib import Path
@@ -89,8 +90,8 @@ class TestStages:
             evaluate(cfg, tmp_path)
 
     def test_evaluate_handles_partial_roles(self, cfg, tmp_path):
-        truth, _ = run_truth_stage(cfg, tmp_path, 0)
-        run_case_stage(cfg, tmp_path, 0, "case1", truth.observations, None)
+        observations, _, _ = run_truth_stage(cfg, tmp_path, 0)
+        run_case_stage(cfg, tmp_path, 0, "case1", observations, None)
         summary = evaluate(cfg, tmp_path)
         assert set(summary["discrepancy"]) == {"case1"}
         assert (tmp_path / "aggregate" / "case1" / "od_assim_mean.csv").exists()
@@ -103,7 +104,7 @@ class TestManifest:
             {}, {**TINY_OVERRIDES, "experiment.replicates": 1, "experiment.jobs": 1}
         )
         run_experiment(cfg, tmp_path)
-        manifest = io.read_json(tmp_path / "run_manifest.json")
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         on_disk = {
             p.relative_to(tmp_path).as_posix()
             for p in tmp_path.rglob("*")
@@ -134,7 +135,9 @@ class TestManifest:
 
     def test_evaluate_rescores_what_experiment_scored_in_its_workers(self, tmp_path):
         # experiment scores the summaries its workers hand back; the evaluate
-        # command reads the same replicates back from their files.
+        # command reads the same replicates back from their files. Both hold
+        # the same arrays: OD matrix, whole 3-gram table and, for case 3, the
+        # group counts of the assigned sequences.
         cfg = resolve_config({}, {**TINY_OVERRIDES, "experiment.jobs": 2})
         assert cfg.replicate_count == 2 and cfg.cases == (1, 2, 3)
         run_experiment(cfg, tmp_path)
@@ -150,13 +153,27 @@ class TestManifest:
         evaluate(cfg, tmp_path)
         assert files() == scored
 
+        roles = ["truth", "baseline", *case_labels(cfg)]
+        for r in range(cfg.replicate_count):
+            handed = experiment.run_replicate(cfg, tmp_path / "again", r)
+            read = experiment._read_summary(cfg, tmp_path, r, roles)
+            assert list(handed) == roles
+            for role in roles:
+                (od, ngrams, groups), (od_read, ngrams_read, groups_read) = handed[role], read[role]
+                np.testing.assert_array_equal(od, od_read)
+                np.testing.assert_array_equal(ngrams, ngrams_read)
+                if role in experiment.CASE3_ROLES:
+                    np.testing.assert_array_equal(groups, groups_read)
+                else:
+                    assert groups is None and groups_read is None
+
     def test_parallel_and_serial_runs_agree(self, tmp_path):
         serial = resolve_config({}, {**TINY_OVERRIDES, "experiment.jobs": 1})
         parallel = resolve_config({}, {**TINY_OVERRIDES, "experiment.jobs": 2})
         run_experiment(serial, tmp_path / "serial")
         run_experiment(parallel, tmp_path / "parallel")
-        a = io.read_json(tmp_path / "serial" / "run_manifest.json")["checksums"]
-        b = io.read_json(tmp_path / "parallel" / "run_manifest.json")["checksums"]
+        a = json.loads((tmp_path / "serial" / "run_manifest.json").read_text())["checksums"]
+        b = json.loads((tmp_path / "parallel" / "run_manifest.json").read_text())["checksums"]
         assert a == b
 
 
@@ -172,8 +189,8 @@ class TestManifest:
         """
         cfg = resolve_config({}, {**TINY_OVERRIDES, "experiment.jobs": 1})
         run_experiment(cfg, tmp_path)
-        checksums = io.read_json(tmp_path / "run_manifest.json")["checksums"]
-        assert checksums == io.read_json(GOLDEN_CHECKSUMS)
+        checksums = json.loads((tmp_path / "run_manifest.json").read_text())["checksums"]
+        assert checksums == json.loads(GOLDEN_CHECKSUMS.read_text())
 
     def test_default_tree_matches_golden_checksums(self, tmp_path):
         """The default-scale tree of one replicate is byte-identical to the
@@ -189,5 +206,5 @@ class TestManifest:
             {}, {"experiment.replicates": 1, "experiment.base_seed": 7, "experiment.jobs": 1}
         )
         run_experiment(cfg, tmp_path)
-        checksums = io.read_json(tmp_path / "run_manifest.json")["checksums"]
-        assert checksums == io.read_json(DEFAULT_CHECKSUMS)
+        checksums = json.loads((tmp_path / "run_manifest.json").read_text())["checksums"]
+        assert checksums == json.loads(DEFAULT_CHECKSUMS.read_text())

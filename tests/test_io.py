@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -12,12 +13,12 @@ from conftest import path_rows, small_sim_config
 
 def test_observation_roundtrip(tmp_path):
     cfg = small_sim_config(store_count=4, horizon_steps=25)
-    truth = run_truth(cfg, np.random.default_rng(1))
-    io.write_obs_counts(tmp_path / "c.csv", truth.observations)
-    io.write_obs_counts_attr(tmp_path / "a.csv", truth.observations)
-    back = io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv", truth.observations.shape)
+    _, observations = run_truth(cfg, np.random.default_rng(1))
+    io.write_obs_counts(tmp_path / "c.csv", observations)
+    io.write_obs_counts_attr(tmp_path / "a.csv", observations)
+    back = io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv", observations.shape)
     assert back.dtype == np.int64
-    np.testing.assert_array_equal(back, truth.observations)
+    np.testing.assert_array_equal(back, observations)
 
 
 def test_sequence_pool_roundtrip(tmp_path):
@@ -84,13 +85,13 @@ def test_paths_read_in_agent_and_position_order_whatever_the_row_order(tmp_path)
 
 def test_observations_placed_by_index_whatever_the_row_order(tmp_path):
     cfg = small_sim_config(store_count=4, horizon_steps=25)
-    truth = run_truth(cfg, np.random.default_rng(1))
-    io.write_obs_counts(tmp_path / "c.csv", truth.observations)
-    io.write_obs_counts_attr(tmp_path / "a.csv", truth.observations)
+    _, observations = run_truth(cfg, np.random.default_rng(1))
+    io.write_obs_counts(tmp_path / "c.csv", observations)
+    io.write_obs_counts_attr(tmp_path / "a.csv", observations)
     shuffle_rows(tmp_path / "c.csv", 4)
     shuffle_rows(tmp_path / "a.csv", 5)
-    back = io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv", truth.observations.shape)
-    np.testing.assert_array_equal(back, truth.observations)
+    back = io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv", observations.shape)
+    np.testing.assert_array_equal(back, observations)
 
 
 PATHS_HEADER = "agent_id,group,position,store\n"
@@ -129,15 +130,15 @@ def test_observation_files_must_agree_on_extent(tmp_path):
 
 def test_totals_must_be_the_per_store_sums_of_the_attr_counts(tmp_path):
     cfg = small_sim_config(store_count=4, horizon_steps=25)
-    truth = run_truth(cfg, np.random.default_rng(1))
-    io.write_obs_counts(tmp_path / "c.csv", truth.observations)
-    io.write_obs_counts_attr(tmp_path / "a.csv", truth.observations)
+    _, observations = run_truth(cfg, np.random.default_rng(1))
+    io.write_obs_counts(tmp_path / "c.csv", observations)
+    io.write_obs_counts_attr(tmp_path / "a.csv", observations)
     header, *rows = (tmp_path / "c.csv").read_text().splitlines(keepends=True)
     step, store, count = rows[7].split(",")
     rows[7] = f"{step},{store},{int(count) + 1}\n"
     (tmp_path / "c.csv").write_text(header + "".join(rows))
     with pytest.raises(io.MalformedTableError, match="per-store sums") as info:
-        io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv", truth.observations.shape)
+        io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv", observations.shape)
     assert str(tmp_path / "c.csv") in str(info.value)
 
 
@@ -166,12 +167,12 @@ def test_od_file_must_hold_every_cell_once(tmp_path, edit):
 @pytest.mark.parametrize("edit", CELL_EDITS)
 def test_observation_files_must_hold_every_cell_once(tmp_path, name, edit):
     cfg = small_sim_config(store_count=4, horizon_steps=25)
-    truth = run_truth(cfg, np.random.default_rng(1))
-    io.write_obs_counts(tmp_path / "c.csv", truth.observations)
-    io.write_obs_counts_attr(tmp_path / "a.csv", truth.observations)
+    _, observations = run_truth(cfg, np.random.default_rng(1))
+    io.write_obs_counts(tmp_path / "c.csv", observations)
+    io.write_obs_counts_attr(tmp_path / "a.csv", observations)
     edit_rows(tmp_path / name, CELL_EDITS[edit])
     with pytest.raises(io.MalformedTableError, match="rows, not 1") as info:
-        io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv", truth.observations.shape)
+        io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv", observations.shape)
     assert str(tmp_path / name) in str(info.value)
 
 
@@ -311,4 +312,4 @@ def test_writer_bytes_match_csv_writer(tmp_path, case):
 def test_json_roundtrip(tmp_path):
     payload = {"b": [1, 2], "a": {"x": 0.5}}
     io.write_json(tmp_path / "m.json", payload)
-    assert io.read_json(tmp_path / "m.json") == payload
+    assert json.loads((tmp_path / "m.json").read_text(encoding="utf-8")) == payload

@@ -21,72 +21,72 @@ def truth_run():
         horizon_steps=80,
         attractiveness=np.array([[5.0, 7.0, 5.0, 5.0, 5.0], [5.0, 5.0, 5.0, 8.0, 5.0]]),
     )
-    return cfg, run_truth(cfg, np.random.default_rng(42))
+    return (cfg, *run_truth(cfg, np.random.default_rng(42)))
 
 
 class TestObservations:
     def test_quiet_first_step_has_zero_inflow(self):
         # dwell is at least 2, so nobody moves (and nobody spawns) at step 1
         cfg = small_sim_config(horizon_steps=2)
-        truth = run_truth(cfg, np.random.default_rng(0))
-        assert truth.observations[1].sum() == 0
+        _, observations = run_truth(cfg, np.random.default_rng(0))
+        assert observations[1].sum() == 0
 
     def test_step_zero_counts_initial_spawns(self, truth_run):
-        cfg, truth = truth_run
-        assert truth.observations[0].sum() == cfg.initial_agents
+        cfg, _, observations = truth_run
+        assert observations[0].sum() == cfg.initial_agents
 
     def test_total_inflow_counts_every_entry(self, truth_run):
         # Counting oracle over the paths: each transition and each spawn is
         # exactly one entry.
-        cfg, truth = truth_run
-        spawns = truth.world.agents_spawned
-        transitions = sum(len(agent_path(truth.world, i)) - 1 for i in range(spawns))
-        assert int(truth.observations.sum()) == transitions + spawns
+        cfg, world, observations = truth_run
+        spawns = world.agents_spawned
+        transitions = sum(len(agent_path(world, i)) - 1 for i in range(spawns))
+        assert int(observations.sum()) == transitions + spawns
 
     def test_spawns_excluded_when_flag_off(self):
         cfg = small_sim_config(horizon_steps=40)
-        with_spawns = run_truth(cfg, np.random.default_rng(1), count_spawn_as_inflow=True)
-        without = run_truth(cfg, np.random.default_rng(1), count_spawn_as_inflow=False)
-        total_with = int(with_spawns.observations.sum())
-        total_without = int(without.observations.sum())
-        assert total_with - total_without == without.world.agents_spawned
+        _, with_spawns = run_truth(cfg, np.random.default_rng(1), count_spawn_as_inflow=True)
+        world, without = run_truth(cfg, np.random.default_rng(1), count_spawn_as_inflow=False)
+        total_with = int(with_spawns.sum())
+        total_without = int(without.sum())
+        assert total_with - total_without == world.agents_spawned
 
     def test_inflow_bounded_by_agents_active_during_step(self, truth_run):
         # Every entry belongs to an agent active at some point within the step:
         # replay the entry steps to track the active population independently.
         from collections import Counter
 
-        cfg, truth = truth_run
-        entered = truth.world.entered[: truth.world.agents_spawned].tolist()
+        cfg, world, observations = truth_run
+        entered = world.entered[: world.agents_spawned].tolist()
         spawned_at = Counter(steps[0] for steps in entered)
         completed_at = Counter(steps[-1] for steps in entered if steps[-1] >= 0)
         active = 0
-        for step, counts in enumerate(truth.observations):
+        for step, counts in enumerate(observations):
             during = active + spawned_at[step]
             assert int(counts.sum()) <= during
             active = during - completed_at[step]
 
     @pytest.mark.parametrize("count_spawn_as_inflow", [True, False])
     def test_path_replay_reproduces_observations(self, truth_run, count_spawn_as_inflow):
-        cfg, _ = truth_run
-        truth = run_truth(cfg, np.random.default_rng(42), count_spawn_as_inflow)
+        cfg, _, _ = truth_run
+        world, observations = run_truth(cfg, np.random.default_rng(42), count_spawn_as_inflow)
         rebuilt = rebuild_observations(
-            truth.world, cfg.horizon_steps, cfg.store_count, cfg.group_count,
+            world, cfg.horizon_steps, cfg.store_count, cfg.group_count,
             count_spawn_as_inflow,
         )
         assert rebuilt.shape == (cfg.horizon_steps + 1, cfg.group_count, cfg.store_count)
-        np.testing.assert_array_equal(rebuilt, truth.observations)
+        np.testing.assert_array_equal(rebuilt, observations)
 
     def test_archive_bounded_by_total_agents(self, truth_run):
-        cfg, truth = truth_run
-        groups, paths = completed_paths(truth.world)
+        cfg, world, _ = truth_run
+        groups, paths = completed_paths(world)
         assert len(groups) == len(paths) <= cfg.total_agents
         assert paths.shape[1] == cfg.max_transitions + 1 and np.all(paths >= 0)
 
     def test_od_margins_match_independent_path_counts(self, truth_run):
-        cfg, truth = truth_run
-        paths = [agent_path(truth.world, i) for i in range(truth.world.agents_spawned)]
-        od = build_od(path_rows(truth.world), cfg.store_count)
+        cfg, world, _ = truth_run
+        paths = [agent_path(world, i) for i in range(world.agents_spawned)]
+        od = build_od(path_rows(world), cfg.store_count)
         departures = np.zeros(cfg.store_count, dtype=int)
         arrivals = np.zeros(cfg.store_count, dtype=int)
         for p in paths:
