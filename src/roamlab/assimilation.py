@@ -200,7 +200,7 @@ def run_assimilation(
 
             def mover(world, ids, rng):
                 groups = world.group[ids]
-                probs = choice.probs(groups, world.store[ids], world.congestion)
+                probs = choice.probs(groups, world.stores(ids), world.congestion)
                 return filtered_moves(rng, probs, weights[world.step].log_w[groups], n)
 
         else:

@@ -114,7 +114,7 @@ def load_truth_products(cfg: ExperimentConfig, out, replicate: int, need_pool: b
 
     The readers take their shapes from cfg, so products that do not fit it
     (another horizon, store, group or transition count than the run that
-    wrote them) raise MalformedTableError.
+    wrote them) raise MalformedTableError, as does a pool of another size.
     """
     sim = cfg.assim
     d = replicate_dir(out, "truth", replicate)
@@ -134,6 +134,8 @@ def load_truth_products(cfg: ExperimentConfig, out, replicate: int, need_pool: b
         pool = io.read_sequence_pool(
             pool_path, sim.max_transitions + 1, sim.store_count, sim.group_count
         )
+        if pool.size != cfg.pool_size:
+            raise io.MalformedTableError(f"{pool_path}: {pool.size} entries, not {cfg.pool_size}")
     return observations, pool
 
 
@@ -201,18 +203,24 @@ def _present_roles(cfg: ExperimentConfig, out):
 
 
 def _read_summary(cfg: ExperimentConfig, out, replicate: int, roles) -> dict:
-    """One replicate's summary of the given roles, read back from its files."""
+    """One replicate's summary of the given roles, read back from its files,
+    which must agree with each other as _write_world writes them."""
     sim, summary = cfg.assim, {}
     for role in roles:
         d = replicate_dir(out, role, replicate)
-        od = io.read_od(d / f"{_stem(role)}_od.csv", sim.store_count)
-        rows = io.read_paths(d / f"{_stem(role)}_paths.csv", sim.store_count)
+        od_path, paths_path = d / f"{_stem(role)}_od.csv", d / f"{_stem(role)}_paths.csv"
+        od = io.read_od(od_path, sim.store_count)
+        rows = io.read_paths(paths_path, sim.store_count)
+        if not np.array_equal(build_od(rows, sim.store_count), od):
+            raise io.MalformedTableError(f"{paths_path}: its moves do not give {od_path}")
         assignments = None
         if role in CASE3_ROLES:
             path = d / "assigned_sequences.csv"
             if not path.exists():
                 raise MissingInputError(f"missing {path}; run assimilate first")
             assignments = io.read_assignments(path, sim.group_count)
+            if len(assignments) != np.count_nonzero(rows[:, 2] == 0):
+                raise io.MalformedTableError(f"{path}: not one row per agent of {paths_path}")
         summary[role] = _summary(cfg, rows, od, assignments)
     return summary
 

@@ -67,12 +67,6 @@ def top_k(table: np.ndarray, k: int):
     return [(int(c), table[c]) for c in ranked]
 
 
-def mean_ngram_table(tables) -> np.ndarray:
-    """Element-wise mean frequency over per-run tables."""
-    tables = list(tables)
-    return np.sum(tables, axis=0) / len(tables)
-
-
 def aggregate_runs(od_runs: dict, truth_label: str = "truth") -> dict:
     """Average per-run OD matrices and summarize discrepancies against truth.
 

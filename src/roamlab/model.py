@@ -9,9 +9,10 @@ periodically replaced by fresh ones until a total-agent budget is spent.
 The world is a struct of arrays indexed by agent id, ids being handed out in
 spawn order, and it is the run's only record: each agent's visited stores and
 the step it entered each of them stay in its row, so observations, ODs and
-assignments are all read off the arrays after the run. Choices read the
-congestion snapshot taken at the start of each step, so the moves of one step
-are conditionally independent given that snapshot and are drawn as one batch.
+assignments are all read off the arrays after the run, as are an agent's
+current store, path[transitions], and status: it roams while transitions <
+max_transitions. Choices read the congestion snapshot taken at the start of
+each step, so its moves are conditionally independent, drawn as one batch.
 
 Movement and initial placement are pluggable policies, so one loop,
 run_world, drives the truth, baseline and assimilated runs. A mover maps
@@ -62,16 +63,18 @@ class WorldState:
 
     step: int
     group: np.ndarray           # (N,) behavioral group
-    store: np.ndarray           # (N,) current store
     dwell: np.ndarray           # (N,) steps left in the current store
     transitions: np.ndarray     # (N,) moves made so far
-    active: np.ndarray          # (N,) bool: spawned and still roaming
     path: np.ndarray            # (N, max_transitions + 1) visited stores, -1 padded
     entered: np.ndarray         # (N, max_transitions + 1) entry step of each, -1 padded
-    congestion: np.ndarray      # active agents per store at the start of the step
+    congestion: np.ndarray      # roaming agents per store at the start of the step
     agents_spawned: int
     group_quota_remaining: np.ndarray
     stationary_unretired: int = 0
+
+    def stores(self, ids):
+        """The current store of each listed agent: the last of its path."""
+        return self.path[ids, self.transitions[ids]]
 
 
 # least value of each integer SimConfig field; the sim.* config key named
@@ -248,9 +251,7 @@ def _spawn_agents(world, cfg, count, placer, rng):
     ids = np.arange(world.agents_spawned, world.agents_spawned + len(groups))
     stores = np.asarray(placer(world, ids, groups, rng), dtype=np.int64)
     world.group[ids] = groups
-    world.store[ids] = stores
     world.dwell[ids] = _draw_dwells(cfg, len(ids), rng)
-    world.active[ids] = True
     world.path[ids, 0] = stores
     world.entered[ids, 0] = world.step
     world.agents_spawned += len(ids)
@@ -266,10 +267,8 @@ def new_world(cfg: SimConfig) -> WorldState:
     return WorldState(
         step=0,
         group=np.zeros(n, dtype=np.int64),
-        store=np.zeros(n, dtype=np.int64),
         dwell=np.zeros(n, dtype=np.int64),
         transitions=np.zeros(n, dtype=np.int64),
-        active=np.zeros(n, dtype=bool),
         path=np.full((n, cfg.max_transitions + 1), -1, dtype=np.int64),
         entered=np.full((n, cfg.max_transitions + 1), -1, dtype=np.int64),
         congestion=np.zeros(cfg.store_count, dtype=np.int64),
@@ -281,7 +280,7 @@ def new_world(cfg: SimConfig) -> WorldState:
 def init_world(cfg: SimConfig, placer, rng: np.random.Generator) -> WorldState:
     """Spawn the initial population at step 0."""
     world = new_world(cfg)
-    _spawn_agents(world, cfg, min(cfg.initial_agents, cfg.total_agents), placer, rng)
+    _spawn_agents(world, cfg, cfg.initial_agents, placer, rng)
     return world
 
 
@@ -308,7 +307,7 @@ def step_world(
 ) -> WorldState:
     """Advance the world by one step, in place.
 
-    The congestion snapshot counts the active agents per store. Active
+    The congestion snapshot counts the roaming agents per store. Roaming
     agents then count down their dwell. The agents hitting zero (ascending
     id) get their next stores from one `mover` call against the snapshot;
     they move there, and either go stationary at the transition cap or all
@@ -317,22 +316,18 @@ def step_world(
     if world.step >= cfg.horizon_steps:
         raise ValueError(f"world already at horizon step {cfg.horizon_steps}")
     world.step += 1
-    ids = np.flatnonzero(world.active)
-    world.congestion = np.bincount(world.store[ids], minlength=cfg.store_count)
+    ids = np.flatnonzero(world.transitions[: world.agents_spawned] < cfg.max_transitions)
+    world.congestion = np.bincount(world.stores(ids), minlength=cfg.store_count)
     world.dwell[ids] -= 1
     movers = ids[world.dwell[ids] <= 0]
     if len(movers):
         stores = np.asarray(mover(world, movers, rng), dtype=np.int64)
         moves = world.transitions[movers] + 1
-        world.store[movers] = stores
         world.transitions[movers] = moves
         world.path[movers, moves] = stores
         world.entered[movers, moves] = world.step
-        done = moves >= cfg.max_transitions
-        finished, going = movers[done], movers[~done]
-        world.active[finished] = False
-        world.dwell[finished] = 0
-        world.stationary_unretired += len(finished)
+        going = movers[moves < cfg.max_transitions]
+        world.stationary_unretired += len(movers) - len(going)
         world.dwell[going] = _draw_dwells(cfg, len(going), rng)
 
     replenish(world, cfg, placer, rng)
@@ -351,7 +346,7 @@ def model_mover(choice: ChoiceModel):
     """Movement policy that samples directly from the choice model."""
 
     def mover(world, ids, rng):
-        return choice.sample(world.group[ids], world.store[ids], world.congestion, rng)
+        return choice.sample(world.group[ids], world.stores(ids), world.congestion, rng)
 
     return mover
 

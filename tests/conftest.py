@@ -75,18 +75,19 @@ def make_graph(attractiveness, distance=None, behavior=(), allow_self_transition
     ).validate()
 
 
-def make_agent(group=0, store=0, dwell=2, path=None, active=True):
-    """One agent for make_world: its visited stores end at its current store."""
-    return {"group": group, "path": [store] if path is None else list(path),
-            "dwell": dwell, "active": active}
+def make_agent(group=0, store=0, dwell=2, path=None):
+    """One agent for make_world: its visited stores end at its current store,
+    and it roams unless it has made every transition."""
+    return {"group": group, "path": [store] if path is None else list(path), "dwell": dwell}
 
 
 def make_world(agents, store_count, quotas=(10, 10, 10, 10), spawned=None, capacity=None):
     """WorldState at step 0 holding the given agents as ids 0, 1, ...
 
     Every store of an agent's path counts as entered at step 0. Ids from
-    len(agents) up to `spawned` are spawned agents that have left (no path,
-    inactive); `capacity` is the total-agent budget.
+    len(agents) up to `spawned` are spawned agents that have left: no path,
+    and every transition made, so they do not roam. `capacity` is the
+    total-agent budget.
     """
     spawned = len(agents) if spawned is None else spawned
     capacity = max(spawned, 1) if capacity is None else capacity
@@ -97,13 +98,14 @@ def make_world(agents, store_count, quotas=(10, 10, 10, 10), spawned=None, capac
     for i, a in enumerate(agents):
         path = a["path"]
         world.group[i] = a["group"]
-        world.store[i] = path[-1]
         world.dwell[i] = a["dwell"]
         world.transitions[i] = len(path) - 1
-        world.active[i] = a["active"]
         world.path[i, : len(path)] = path
         world.entered[i, : len(path)] = 0
-    world.congestion = np.bincount(world.store[world.active], minlength=store_count)
+    most = world.path.shape[1] - 1  # the transition cap
+    world.transitions[len(agents) : spawned] = most
+    roaming = np.flatnonzero(world.transitions[:spawned] < most)
+    world.congestion = np.bincount(world.stores(roaming), minlength=store_count)
     world.agents_spawned = spawned
     return world
 

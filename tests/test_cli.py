@@ -223,6 +223,32 @@ class TestPipeline:
         assert err.startswith("error: ") and str(target) in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "case, name, keep, command",
+        [
+            ("1", "case1/000/assim_paths.csv", lambda rows: rows // 2, "evaluate"),
+            ("3", "case3/000/assigned_sequences.csv", lambda rows: rows - 10, "evaluate"),
+            ("3", "truth/000/sequence_pool.csv", lambda rows: rows - 10, "assimilate"),
+        ],
+        ids=["paths-half", "assignments-short", "pool-short"],
+    )
+    def test_file_cut_at_a_row_boundary_exits_4(
+        self, mini_config, tmp_path, capsys, case, name, keep, command
+    ):
+        # Every row left is whole, so only the files beside it can tell the cut.
+        out = tmp_path / "out"
+        base = ["--config", str(mini_config), "--out", str(out)]
+        assert main(["experiment", *base, "--case", case, "--jobs", "1"]) == EXIT_OK
+        target = out / name
+        header, *rows = target.read_text().splitlines(keepends=True)
+        target.write_text("".join([header, *rows[: keep(len(rows))]]))
+        capsys.readouterr()
+        args = [command, *base] + (["--case", case] if command == "assimilate" else [])
+        assert main(args) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("store", [99, -1])
     def test_evaluate_on_paths_with_store_out_of_range_exits_4(
         self, mini_config, tmp_path, capsys, store

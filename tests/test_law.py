@@ -81,7 +81,7 @@ def test_plain_moves_match_per_agent_law():
     ids = np.repeat([0, 1, 2], N)
     stores = model_mover(choice)(world, ids, np.random.default_rng(61))
     for agent in range(3):
-        probs = reference.choice_probs(graph, behavior, world.group[agent], world.store[agent],
+        probs = reference.choice_probs(graph, behavior, world.group[agent], world.stores(agent),
                                        world.congestion)
         counts = np.bincount(stores[ids == agent], minlength=5)
         assert chi_square_p(counts, probs) > 0.001
@@ -93,13 +93,13 @@ def filtered_chain_p(case):
     sw = case_weights(case)
     n = 5
     ids = np.repeat([0, 1], N)
-    probs = choice.probs(world.group[ids], world.store[ids], world.congestion)
+    probs = choice.probs(world.group[ids], world.stores(ids), world.congestion)
     log_w = sw.log_w[world.group[ids]]
     batched = filtered_moves(np.random.default_rng(62), probs, log_w, n)
     rng = np.random.default_rng(64)
     ps = []
     for agent in (0, 1):
-        probs = reference.choice_probs(graph, behavior, world.group[agent], world.store[agent],
+        probs = reference.choice_probs(graph, behavior, world.group[agent], world.stores(agent),
                                        world.congestion)
         log_w = sw.log_w[world.group[agent]]
         chain = [reference.filtered_move(rng, probs, log_w, n) for _ in range(N)]
@@ -155,7 +155,8 @@ def random_movers(rng, allow_self_transition):
     agents = [make_agent(group=int(rng.integers(g)), store=int(c)) for c in stores]
     world = make_world(agents, store_count=s, quotas=(10,) * g)
     world.congestion = rng.integers(0, 20, size=s)
-    return choice.probs(world.group, world.store, world.congestion), world.store
+    current = world.stores(np.arange(m))
+    return choice.probs(world.group, current, world.congestion), current
 
 
 @settings(max_examples=50, deadline=None)
@@ -234,7 +235,7 @@ def test_one_dimensional_input_equals_a_single_row(seed, size):
 
     _, _, choice, world = two_group_scene(allow_self_transition=bool(seed % 2))
     for agent in range(3):
-        g, c = world.group[agent], world.store[agent]
+        g, c = world.group[agent], world.stores(agent)
         np.testing.assert_array_equal(choice.log_probs(g, c, world.congestion),
                                       choice.log_probs([g], [c], world.congestion)[0])
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roamlab.experiment import Summaries
 from roamlab.metrics import (
     aggregate_runs,
     build_od,
     decode_ngram,
     discrepancy,
-    mean_ngram_table,
     ngram_table,
     top_k,
 )
@@ -144,7 +144,9 @@ class TestNgrams:
     def test_mean_table_averages_missing_as_zero(self):
         t1 = table_of([[0, 1]] * 4, 3, 2)
         t2 = table_of([[0, 1]] * 2 + [[1, 2]] * 2, 3, 2)
-        mean = mean_ngram_table([t1, t2])
+        # evaluate's mean: the running sum Summaries folds, over the replicates
+        summaries = Summaries().fold({"case1": (np.zeros((3, 3)), t, None)} for t in (t1, t2))
+        mean = summaries.ngrams["case1"] / len(summaries.od["case1"])
         assert mean[1] == 3.0  # code of (0, 1)
         assert mean[5] == 1.0  # code of (1, 2)
         assert np.count_nonzero(mean) == 2

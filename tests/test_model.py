@@ -6,6 +6,8 @@ import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import roamlab.model
+from roamlab.experiment import case_labels, run_replicate
 from roamlab.model import (
     BehaviorParams,
     ChoiceModel,
@@ -179,22 +181,21 @@ class TestStepWorld:
 
     def test_stationary_agent_never_moves(self):
         cfg = small_sim_config()
-        agent = make_agent(path=[0, 1, 2, 0], dwell=0, active=False)
+        agent = make_agent(path=[0, 1, 2, 0], dwell=0)
         world = make_world([agent], store_count=3, quotas=(4, 4), spawned=4,
                            capacity=cfg.total_agents)
         world.stationary_unretired = 1
         for _ in range(5):
             step_world(world, cfg, always(1), uniform_placer, np.random.default_rng(0))
         assert agent_path(world, 0) == [0, 1, 2, 0]
-        assert not world.active[0]
+        assert world.transitions[0] == cfg.max_transitions
 
     def test_final_transition_marks_stationary(self):
         cfg = small_sim_config()
         world = make_world([make_agent(path=[0, 1, 2], dwell=1)], store_count=3, quotas=(4, 4),
                            spawned=4, capacity=cfg.total_agents)
         step_world(world, cfg, always(0), uniform_placer, np.random.default_rng(0))
-        assert not world.active[0]
-        assert world.transitions[0] == 3
+        assert world.transitions[0] == 3 == cfg.max_transitions
         # one stationary agent; below threshold 2, so nothing spawned
         assert world.stationary_unretired == 1
         assert world.entered[0].tolist() == [0, 0, 0, 1]
@@ -221,7 +222,7 @@ class TestStepWorld:
         newcomers = np.arange(40, 80)
         assert np.all(world.entered[newcomers, 0] == 1)
         assert np.all(world.entered[newcomers, 1:] == -1)
-        assert np.all(world.active[newcomers])
+        assert np.all(world.transitions[newcomers] == 0)
         assert world.stationary_unretired == 0  # batch retired
 
     def test_occupancy_tracks_active_agents(self):
@@ -234,10 +235,33 @@ class TestStepWorld:
         for _ in range(cfg.horizon_steps):
             expected = np.zeros(cfg.store_count, dtype=np.int64)
             for i in range(world.agents_spawned):
-                if world.active[i]:
+                if world.transitions[i] < cfg.max_transitions:
                     expected[agent_path(world, i)[-1]] += 1
             step_world(world, cfg, mover, uniform_placer, rng)
             np.testing.assert_array_equal(world.congestion, expected)
+
+    def test_world_record_holds_after_every_step_of_every_role(self, tiny_cfg, tmp_path,
+                                                               monkeypatch):
+        # Truth, baseline and every case step through run_world, which looks
+        # step_world up at each call; the wrapper checks the record around it.
+        calls = []
+
+        def checked(world, cfg, mover, placer, rng):
+            n = world.agents_spawned
+            roaming = np.count_nonzero(world.transitions[:n] < cfg.max_transitions)
+            step_world(world, cfg, mover, placer, rng)
+            n = world.agents_spawned
+            np.testing.assert_array_equal(world.transitions[:n],
+                                          np.count_nonzero(world.path[:n] >= 0, axis=1) - 1)
+            entered = world.entered[:n]
+            assert np.all(np.diff(entered, axis=1)[entered[:, 1:] >= 0] >= 0)
+            assert world.congestion.sum() == roaming
+            calls.append(world.step)
+
+        monkeypatch.setattr(roamlab.model, "step_world", checked)
+        summary = run_replicate(tiny_cfg, tmp_path, 0)
+        assert sorted(summary) == sorted(["truth", "baseline", *case_labels(tiny_cfg)])
+        assert calls == list(range(1, tiny_cfg.assim.horizon_steps + 1)) * len(summary)
 
     def test_rejects_step_past_horizon(self):
         cfg = small_sim_config(horizon_steps=1)
@@ -317,16 +341,15 @@ class TestLifecycleRun:
         world = self.run_to_horizon(cfg)
         n = world.agents_spawned
         assert n <= cfg.total_agents
-        assert np.all(world.path[n:] == -1) and not np.any(world.active[n:])
+        assert np.all(world.path[n:] == -1) and not np.any(world.transitions[n:])
         spawned_by_group = np.bincount(world.group[:n], minlength=cfg.group_count)
         for g, q in enumerate(cfg.group_quotas):
             assert spawned_by_group[g] <= q
         for i in range(n):
             path = agent_path(world, i)
             assert len(path) <= cfg.max_transitions + 1
-            assert path[-1] == world.store[i]
+            assert path[-1] == world.stores(i)
             assert world.transitions[i] == len(path) - 1
-            assert (not world.active[i]) == (world.transitions[i] == cfg.max_transitions)
 
     def test_entry_steps_fill_the_path_cells(self):
         cfg = small_sim_config(horizon_steps=80, total_agents=20, group_quotas=(10, 10))
