@@ -11,7 +11,7 @@ import sys
 import uuid
 from pathlib import Path
 
-from .config import ConfigReadError, ConfigSchemaError, load_raw, resolve_config
+from .config import ConfigReadError, ConfigSchemaError, validate_config
 
 EXIT_OK = 0
 EXIT_CONFIG_READ = 2
@@ -79,11 +79,6 @@ def _overrides(args) -> dict:
     return ov
 
 
-def _resolve(args):
-    raw = load_raw(args.config) if args.config is not None else {}
-    return resolve_config(raw, _overrides(args))
-
-
 def _check_out_dir(out: Path):
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -97,7 +92,7 @@ def _check_out_dir(out: Path):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve(args)
+        cfg = validate_config(args.config, _overrides(args))
     except ConfigReadError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG_READ

@@ -276,9 +276,9 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
     )
 
 
-def validate_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Load, default-fill, and validate a config file."""
-    return resolve_config(load_raw(path), overrides)
+def validate_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
+    """Load, default-fill, and validate a config file; the defaults without one."""
+    return resolve_config(load_raw(path) if path is not None else {}, overrides)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

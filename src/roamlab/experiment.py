@@ -303,10 +303,16 @@ def _assignment_bias(cfg: ExperimentConfig, groups: dict):
     return result if len(result) > 1 else None
 
 
-def _checksums(out: Path) -> dict:
+def _checksums(cfg: ExperimentConfig, out: Path) -> dict:
+    """sha256 of each file this config's run writes; files an earlier run left
+    under out (other cases, more replicates) are not listed."""
+    labels = case_labels(cfg)
+    dirs = [replicate_dir(out, role, r) for role in ["truth", "baseline", *labels]
+            for r in range(cfg.replicate_count)] + [out / "aggregate" / label for label in labels]
+    files = [p for d in dirs for p in d.rglob("*")] + list((out / "aggregate").glob("*"))
     sums = {}
-    for p in sorted(out.rglob("*")):
-        if p.is_file() and p.name != "run_manifest.json":
+    for p in sorted(files):
+        if p.is_file():
             sums[p.relative_to(out).as_posix()] = hashlib.sha256(p.read_bytes()).hexdigest()
     return sums
 
@@ -317,7 +323,7 @@ def write_manifest(cfg: ExperimentConfig, out, wall_time_s: float):
         "config": cfg.resolved,
         "config_hash": config_hash(cfg),
         "seed_derivation": {"base_seed": cfg.base_seed, "role_codes": ROLE_CODES},
-        "checksums": _checksums(out),
+        "checksums": _checksums(cfg, out),
         "wall_time_s": wall_time_s,
     }
     io.write_json(out / "run_manifest.json", payload)

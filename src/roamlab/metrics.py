@@ -18,12 +18,7 @@ def build_od(rows, store_count: int) -> np.ndarray:
     rows: (R, 4) path rows (agent_id, group, position, store) ordered by
     agent, then position, as io.read_paths and model.path_rows give them.
     """
-    agent, store = rows[:, 0], rows[:, 3]
-    within = agent[1:] == agent[:-1]
-    codes = store[:-1][within] * store_count + store[1:][within]
-    return np.bincount(codes, minlength=store_count * store_count).reshape(
-        store_count, store_count
-    )
+    return ngram_table(rows, store_count, 2).reshape(store_count, store_count)
 
 
 def discrepancy(a: np.ndarray, b: np.ndarray) -> float:

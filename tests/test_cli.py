@@ -590,11 +590,12 @@ def test_traced_experiment_runs_every_hooked_entry_point(tmp_path, jobs):
 
 # Modules each command must not load: the process pool only opens for two or
 # more jobs, no RNG is drawn in validate-config or evaluate, and validate-config
-# runs no pipeline stage.
+# runs no pipeline stage and scores nothing.
 @pytest.mark.parametrize(
     "command, unused",
     [
-        (["validate-config"], {"concurrent.futures.process", "numpy.random", "roamlab.experiment"}),
+        (["validate-config"], {"concurrent.futures.process", "numpy.random", "roamlab.experiment",
+                               "roamlab.metrics"}),
         (["evaluate"], {"concurrent.futures.process", "numpy.random"}),
         (["experiment", "--jobs", "1"], {"concurrent.futures.process"}),
     ],
@@ -621,3 +622,12 @@ def test_commands_load_only_the_modules_they_use(mini_config, tmp_path, command,
     rc, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert rc == EXIT_OK, proc.stderr
     assert unused.isdisjoint(loaded)
+
+
+def test_bare_import_loads_no_submodule_and_no_numpy():
+    script = "import json, sys, roamlab\nprint(json.dumps(sorted(sys.modules)))\n"
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=_env_with_src())
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert [m for m in loaded if m.split(".")[0] in ("roamlab", "numpy")] == ["roamlab"]

@@ -116,6 +116,20 @@ class TestManifest:
         assert manifest["seed_derivation"]["role_codes"]["truth"] == 0
         assert manifest["wall_time_s"] > 0
 
+    def test_checksums_skip_files_an_earlier_run_left(self, tmp_path):
+        # case 1 with one replicate, run into the tree of an all-cases run with
+        # two replicates, lists what it lists in an empty tree; the older
+        # files stay on disk
+        run_experiment(resolve_config({}, {**TINY_OVERRIDES, "experiment.jobs": 1}), tmp_path / "a")
+        cfg = resolve_config({}, {**TINY_OVERRIDES, "experiment.replicates": 1,
+                                  "experiment.jobs": 1, "experiment.cases": [1]})
+        for out in (tmp_path / "a", tmp_path / "b"):
+            run_experiment(cfg, out)
+        stale, fresh = (json.loads((tmp_path / d / "run_manifest.json").read_text())["checksums"]
+                        for d in ("a", "b"))
+        assert stale == fresh
+        assert (tmp_path / "a" / "case2").is_dir() and (tmp_path / "a" / "truth" / "001").is_dir()
+
     def test_default_jobs_count_only_the_cpus_this_process_may_use(self, tmp_path, monkeypatch):
         class PoolOpened(Exception):
             pass
