@@ -8,7 +8,6 @@ inputs that are missing or malformed.
 import argparse
 import json
 import sys
-import uuid
 from pathlib import Path
 
 from .config import ConfigReadError, ConfigSchemaError, validate_config
@@ -79,16 +78,6 @@ def _overrides(args) -> dict:
     return ov
 
 
-def _check_out_dir(out: Path):
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        probe = out / f".write_probe_{uuid.uuid4().hex}"
-        probe.touch()
-        probe.unlink()
-    except OSError as e:
-        raise PermissionError(f"output directory {out} is not writable: {e}") from e
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -110,7 +99,6 @@ def main(argv=None) -> int:
     from . import experiment, io  # imported here: validate-config needs neither
 
     try:
-        _check_out_dir(args.out)
         if args.command == "generate-obs":
             for r in range(cfg.replicate_count):
                 experiment.run_truth_stage(cfg, args.out, r)
@@ -137,7 +125,7 @@ def main(argv=None) -> int:
     except ConfigSchemaError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG_SCHEMA
-    except (OSError, experiment.MissingInputError, io.MalformedTableError) as e:
+    except (OSError, io.MalformedTableError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

@@ -9,13 +9,13 @@ versus uniform 5) and in seed derivation.
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assimilation import AssimOptions
-from .model import COUNT_LEAST, BehaviorParams, SimConfig, unit_distance
+from .model import COUNT_LEAST, BehaviorParams, SimConfig
 
 
 class ConfigError(Exception):
@@ -51,8 +51,8 @@ def uniform_attractiveness(group_count: int = 4, store_count: int = 18) -> np.nd
 
 
 # key -> (default, kind, least). Null is accepted exactly where the default is
-# null. Numbers must be finite, and least (None: no bound) bounds an int, a
-# number or every entry of a list or matrix.
+# null. Ints must fit int64 and numbers must be finite as floats, and least
+# (None: no bound) bounds an int, a number or every entry of a list or matrix.
 SCHEMA = {
     "experiment.replicates": (30, "int", 1),
     "experiment.base_seed": (12345, "int", 0),
@@ -105,12 +105,14 @@ def _type_error(key, expected, value):
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    """True for an int that fits int64 (bools excluded)."""
+    return isinstance(v, int) and not isinstance(v, bool) and -(2**63) <= v < 2**63
 
 
 def _is_number(v) -> bool:
-    """True for an int or a finite float (bools excluded)."""
-    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+    """True for an int or float no larger in magnitude than the largest finite
+    float (bools, inf and nan excluded)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 # kind -> (description, test of one entry)
@@ -162,7 +164,8 @@ def load_raw(path) -> dict:
             raw = json.load(f)
     except OSError as e:
         raise ConfigReadError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    # bad JSON or UTF-8, an int over Python's digit limit, or nesting past its stack
+    except (ValueError, RecursionError) as e:
         raise ConfigReadError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigSchemaError("config root must be a JSON object of dotted keys")
@@ -207,23 +210,18 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
     omegas, ks, lams = per_group("sim.omega"), per_group("sim.k"), per_group("sim.lambda")
     behavior = tuple(BehaviorParams(omega=o, k=k, lam=l) for o, k, l in zip(omegas, ks, lams))
 
-    distance = merged["sim.distance"]
-    distance = unit_distance(s) if distance is None else np.asarray(distance, dtype=float)
-
-    truth_a = merged["truth.attractiveness"]
-    truth_a = truth_attractiveness(g, s) if truth_a is None else np.asarray(truth_a, dtype=float)
-    assim_a = merged["assim.attractiveness"]
-    assim_a = uniform_attractiveness(g, s) if assim_a is None else np.asarray(assim_a, dtype=float)
-
     counts = {field: merged[f"sim.{field}"] for field in COUNT_LEAST}
 
-    def build_sim(attractiveness, role):
+    def build_sim(role, default_attractiveness):
+        attractiveness = merged[f"{role}.attractiveness"]
+        if attractiveness is None:
+            attractiveness = default_attractiveness(g, s)
         sim = SimConfig(
             **counts,
             group_quotas=tuple(quotas),
             behavior=behavior,
             attractiveness=attractiveness,
-            distance=distance,
+            distance=merged["sim.distance"],
             allow_self_transition=merged["flags.allow_self_transition"],
         )
         try:
@@ -235,8 +233,8 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
             raise ConfigSchemaError(f"{key}{str(e)[len(field):]}") from e
         return sim
 
-    truth_cfg = build_sim(truth_a, "truth")
-    assim_cfg = build_sim(assim_a, "assim")
+    truth_cfg = build_sim("truth", truth_attractiveness)
+    assim_cfg = build_sim("assim", uniform_attractiveness)
 
     cases = merged["experiment.cases"]
     cases = (1, 2, 3) if cases == "all" else tuple(sorted(set(cases)))
@@ -249,9 +247,9 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
 
     resolved = dict(merged)
     resolved["sim.group_quotas"] = quotas
-    resolved["sim.distance"] = distance.tolist()
-    resolved["truth.attractiveness"] = truth_a.tolist()
-    resolved["assim.attractiveness"] = assim_a.tolist()
+    resolved["sim.distance"] = truth_cfg.distance.tolist()
+    resolved["truth.attractiveness"] = truth_cfg.attractiveness.tolist()
+    resolved["assim.attractiveness"] = assim_cfg.attractiveness.tolist()
     resolved["experiment.cases"] = list(cases)
     resolved["pool.ratios"] = ratios
 

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import os
 import time
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ NGRAM_N = 3
 CASE3_ROLES = ("case3", "case3_random")  # the roles that write assigned_sequences.csv
 
 
-class MissingInputError(Exception):
+class MissingInputError(FileNotFoundError):
     """A pipeline stage needs files an earlier stage has not produced."""
 
 
@@ -76,29 +77,35 @@ def _write_world(cfg: ExperimentConfig, out, role: str, replicate: int, world, a
 
 
 def run_truth_stage(cfg: ExperimentConfig, out, replicate: int):
-    """Run one truth replicate and write its observation products; return
-    (observations, pool, the truth world's _summary)."""
+    """Run one truth replicate and write its observation products, the
+    sequence pool only when case 3 runs; return (observations, pool or None,
+    the truth world's _summary)."""
     world, observations = run_truth(
         cfg.truth,
         derive_rng(cfg.base_seed, replicate, "truth"),
         count_spawn_as_inflow=cfg.count_spawn_as_inflow,
     )
-    try:
-        pool = sample_biased_pool(
-            completed_paths(world),
-            cfg.pool_ratios,
-            cfg.pool_size,
-            derive_rng(cfg.base_seed, replicate, "pool"),
-        )
-    except ValueError as e:
-        raise ConfigSchemaError(
-            f"pool.ratios: {e} in replicate {replicate}; no agent of that group finished"
-            f" its transitions within sim.horizon_steps={cfg.truth.horizon_steps}"
-        ) from e
+    pool = None
+    if 3 in cfg.cases:
+        try:
+            pool = sample_biased_pool(
+                completed_paths(world),
+                cfg.pool_ratios,
+                cfg.pool_size,
+                derive_rng(cfg.base_seed, replicate, "pool"),
+            )
+        except ValueError as e:
+            raise ConfigSchemaError(
+                f"pool.ratios: {e} in replicate {replicate}; no agent of that group finished"
+                f" its transitions within sim.horizon_steps={cfg.truth.horizon_steps}"
+            ) from e
     d = replicate_dir(out, "truth", replicate)
     io.write_obs_counts(d / "obs_counts.csv", observations)
     io.write_obs_counts_attr(d / "obs_counts_attr.csv", observations)
-    io.write_sequence_pool(d / "sequence_pool.csv", pool)
+    if pool is None:  # no pool of an earlier truth run may pass for this one's
+        (d / "sequence_pool.csv").unlink(missing_ok=True)
+    else:
+        io.write_sequence_pool(d / "sequence_pool.csv", pool)
     return observations, pool, _write_world(cfg, out, "truth", replicate, world)
 
 
@@ -130,7 +137,9 @@ def load_truth_products(cfg: ExperimentConfig, out, replicate: int, need_pool: b
     if need_pool:
         pool_path = d / "sequence_pool.csv"
         if not pool_path.exists():
-            raise MissingInputError(f"missing {pool_path}; run generate-obs first")
+            raise MissingInputError(
+                f"missing {pool_path}; run generate-obs with 3 in experiment.cases first"
+            )
         pool = io.read_sequence_pool(
             pool_path, sim.max_transitions + 1, sim.store_count, sim.group_count
         )
@@ -180,11 +189,6 @@ def run_replicate(cfg: ExperimentConfig, out, replicate: int) -> dict:
     for label in case_labels(cfg):
         summaries[label] = run_case_stage(cfg, out, replicate, label, observations, pool)
     return summaries
-
-
-def _run_replicate_job(args):
-    cfg, out, replicate = args
-    return run_replicate(cfg, out, replicate)
 
 
 def _present_roles(cfg: ExperimentConfig, out):
@@ -350,13 +354,13 @@ def run_experiment(cfg: ExperimentConfig, out) -> dict:
     # the CPUs this process may run on, where the platform can tell
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(cfg.jobs or cpus or 1, cfg.replicate_count)
-    work = [(cfg, out, r) for r in range(cfg.replicate_count)]
+    args = repeat(cfg), repeat(out), range(cfg.replicate_count)
     summaries = Summaries()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries.fold(pool.map(_run_replicate_job, work))
+            summaries.fold(pool.map(run_replicate, *args))
     else:
-        summaries.fold(map(_run_replicate_job, work))
+        summaries.fold(map(run_replicate, *args))
     summary = evaluate(cfg, out, summaries)
     write_manifest(cfg, out, wall_time_s=time.perf_counter() - t0)
     return summary

@@ -127,6 +127,17 @@ class SimConfig:
             raise ValueError(
                 f"initial_agents: {self.initial_agents} exceeds total_agents {self.total_agents}"
             )
+        t, c, n = self.replenish_threshold, self.replenish_count, self.initial_agents
+        # replenishment k fires only once k * t agents have gone stationary, of
+        # the n + (k - 1) * c spawned before it; that margin is linear in k, so
+        # the first k it falls short at is 1, none, or the first past (n - c) / (t - c)
+        k = 1 if n < t else (n - c) // (t - c) + 1 if t > c else None
+        if k is not None and n + (k - 1) * c < self.total_agents:
+            raise ValueError(
+                f"replenish_threshold: replenishment stops after {n + (k - 1) * c} of"
+                f" total_agents {self.total_agents} agents spawn: replenishment {k}"
+                f" needs {k * t} stationary agents"
+            )
         if self.dwell_min > self.dwell_max:
             raise ValueError(f"dwell_min: {self.dwell_min} exceeds dwell_max {self.dwell_max}")
         if len(self.group_quotas) != g:

@@ -52,6 +52,52 @@ class TestValidateConfig:
         path.write_text("{oops")
         assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG_READ
 
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"sim.k": "\xe9"}', b'{"sim.k": ' + b"9" * 5000 + b"}",
+         b'{"sim.k": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"],
+        ids=["not-utf8", "integer-past-the-digit-limit", "nested-past-the-stack"],
+    )
+    def test_undecodable_file_exits_2(self, capsys, tmp_path, content):
+        path = tmp_path / "c.json"
+        path.write_bytes(content)
+        assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG_READ
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {path} is not valid JSON")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "raw",
+        [{"sim.omega": 10**400}, {"sim.k": [1, 1, -(10**400), 1]}, {"sim.lambda": 10**400},
+         {"sim.distance": [[0] * 18] * 17 + [[10**400] * 17 + [0]]},
+         {"truth.attractiveness": [[5] * 17 + [10**400]] * 4},
+         {"assim.attractiveness": [[5] * 17 + [10**400]] * 4},
+         {"pool.ratios": [10**400, 0, 0, 0]}, {"sim.total_agents": 10**400},
+         {"experiment.base_seed": 2**63}],
+        ids=["omega", "k", "lambda", "distance", "truth-attractiveness",
+             "assim-attractiveness", "ratios", "total-agents", "base-seed"],
+    )
+    def test_number_too_large_exits_3_naming_key(self, capsys, tmp_path, raw):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {next(iter(raw))}: expected ")
+        assert len(err.splitlines()) == 1
+
+    def test_lifecycle_that_cannot_spend_its_budget_exits_3(self, capsys, tmp_path):
+        # one agent can never make the two stationary agents the first
+        # replenishment waits for, so three of the four agents never spawn
+        path, out = tmp_path / "l.json", tmp_path / "out"
+        path.write_text(json.dumps({"sim.total_agents": 4, "sim.initial_agents": 1,
+                                    "sim.replenish_threshold": 2, "sim.replenish_count": 1}))
+        assert main(["experiment", "--config", str(path), "--out", str(out),
+                     "--case", "1", "--runs", "1", "--jobs", "1"]) == EXIT_CONFIG_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("error: sim.replenish_threshold: replenishment stops after 1 of")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_unknown_key_exits_3_naming_key(self, capsys, tmp_path):
         path = tmp_path / "k.json"
         path.write_text(json.dumps({"sim.stores": 9}))
@@ -135,7 +181,7 @@ class TestPipeline:
         assert rc == EXIT_OK
         assert (out / "truth" / "000" / "obs_counts.csv").exists()
         assert (out / "truth" / "000" / "obs_counts_attr.csv").exists()
-        assert (out / "truth" / "000" / "sequence_pool.csv").exists()
+        assert not (out / "truth" / "000" / "sequence_pool.csv").exists()  # case 3 only
         assert (out / "truth" / "000" / "truth_od.csv").exists()
         assert (out / "truth" / "000" / "truth_paths.csv").exists()
         assert (out / "baseline" / "000" / "baseline_od.csv").exists()
@@ -389,11 +435,20 @@ class TestPipeline:
     def test_unusable_output_dir_exits_4(self, mini_config, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")
-        rc = main(
-            ["baseline", "--config", str(mini_config), "--out", str(blocker / "sub")]
-        )
-        assert rc == EXIT_IO
-        assert "not writable" in capsys.readouterr().err
+        for command in ("baseline", "generate-obs"):
+            rc = main([command, "--config", str(mini_config), "--out", str(blocker / "sub")])
+            assert rc == EXIT_IO
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(blocker / "sub") in err
+            assert len(err.splitlines()) == 1
+
+    def test_evaluate_of_missing_dir_exits_4_creating_nothing(self, mini_config, tmp_path, capsys):
+        out = tmp_path / "missing"
+        assert main(["evaluate", "--config", str(mini_config), "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "before, command, blocked",
@@ -443,6 +498,28 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: pool.ratios: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [["experiment", "--case", "1"], ["experiment", "--case", "2"], ["generate-obs"]],
+    )
+    def test_horizon_too_short_for_pool_is_no_error_without_case_3(self, tmp_path, command):
+        # the sequence pool is drawn only for case 3, so no run without it
+        # needs a completed path
+        path, out = tmp_path / "short.json", tmp_path / "out"
+        path.write_text(json.dumps({"sim.horizon_steps": 5, "experiment.replicates": 1,
+                                    "experiment.cases": [1, 2]}))
+        assert main([*command, "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert (out / "truth" / "000" / "obs_counts.csv").exists()
+        assert not (out / "truth" / "000" / "sequence_pool.csv").exists()
+
+    def test_truth_rerun_without_case_3_removes_an_earlier_pool(self, mini_config, tmp_path):
+        out = tmp_path / "out"
+        base = ["--config", str(mini_config), "--out", str(out), "--jobs", "1"]
+        assert main(["experiment", *base, "--case", "3"]) == EXIT_OK
+        assert (out / "truth" / "000" / "sequence_pool.csv").exists()
+        assert main(["experiment", *base, "--case", "1"]) == EXIT_OK
+        assert not (out / "truth" / "000" / "sequence_pool.csv").exists()
 
     def test_console_entry_point(self, tmp_path):
         path = tmp_path / "empty.json"

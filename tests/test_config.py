@@ -185,6 +185,38 @@ class TestSchemaErrors:
         with pytest.raises(ConfigSchemaError, match=f"^{message}"):
             resolve_config(raw)
 
+    def test_ints_must_fit_int64(self):
+        assert resolve_config({"experiment.base_seed": 2**63 - 1}).base_seed == 2**63 - 1
+        with pytest.raises(ConfigSchemaError, match="^experiment.base_seed: expected integer"):
+            resolve_config({"experiment.base_seed": 2**63})
+        with pytest.raises(ConfigSchemaError, match="^sim.group_quotas: expected list of integers"):
+            resolve_config({"sim.group_quotas": [2**64, 0, 0, 0]})
+
+    def test_numbers_must_be_finite_as_floats(self):
+        largest = int(np.finfo(float).max)
+        assert resolve_config({"sim.lambda": largest}).truth.behavior[0].lam == largest
+        with pytest.raises(ConfigSchemaError, match="^sim.lambda: expected finite number"):
+            resolve_config({"sim.lambda": largest + 2**971})
+
+    @pytest.mark.parametrize(
+        "initial, threshold, count, total, stops_after",
+        [(1, 2, 1, 4, 1), (10, 5, 4, 35, 34), (40, 50, 10, 200, 40)],
+    )
+    def test_lifecycle_that_cannot_spend_its_budget_named(
+        self, initial, threshold, count, total, stops_after
+    ):
+        raw = {"sim.initial_agents": initial, "sim.replenish_threshold": threshold,
+               "sim.replenish_count": count, "sim.total_agents": total,
+               "sim.group_quotas": [total, 0, 0, 0]}
+        with pytest.raises(
+            ConfigSchemaError,
+            match=f"^sim.replenish_threshold: replenishment stops after {stops_after} of",
+        ):
+            resolve_config(raw)
+        # a budget of the agents it does spawn is spent
+        resolve_config({**raw, "sim.total_agents": stops_after,
+                        "sim.group_quotas": [stops_after, 0, 0, 0]})
+
     def test_null_accepted_only_where_it_is_the_default(self):
         assert resolve_config({"experiment.jobs": None}).jobs is None
         with pytest.raises(ConfigSchemaError, match="^pool.size: expected integer, got None"):

@@ -407,3 +407,5 @@ class TestValidation:
             small_sim_config(group_quotas=(4.5, 4.5))  # (4, 4) if truncated: 8 agents
         with pytest.raises(ValueError, match="initial_agents"):
             small_sim_config(initial_agents=100, total_agents=8)
+        with pytest.raises(ValueError, match="^replenish_threshold: replenishment stops after 4 of"):
+            small_sim_config(replenish_threshold=5)
