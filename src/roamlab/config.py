@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assimilation import AssimOptions
-from .model import COUNT_LEAST, BehaviorParams, SimConfig
+from .model import COUNT_LEAST, SimConfig
 
 
 class ConfigError(Exception):
@@ -58,12 +58,12 @@ SCHEMA = {
     "experiment.base_seed": (12345, "int", 0),
     "experiment.cases": ([1, 2, 3], "cases", None),
     "experiment.jobs": (None, "int", 1),
-    # the integer sim.* keys are named after the SimConfig fields they set
+    # each sim.* key but sim.lambda (field lam) is named after the SimConfig field it sets
     **{f"sim.{f}": (getattr(SimConfig, f), "int", least) for f, least in COUNT_LEAST.items()},
     "sim.group_quotas": (None, "ints", 0),
-    "sim.omega": (0.005, "number_or_list", None),
-    "sim.k": (1.0, "number_or_list", None),
-    "sim.lambda": (6.0, "number_or_list", 0),
+    "sim.omega": (SimConfig.omega, "number_or_list", None),
+    "sim.k": (SimConfig.k, "number_or_list", None),
+    "sim.lambda": (SimConfig.lam, "number_or_list", 0),
     "sim.distance": (None, "matrix", None),
     "truth.attractiveness": (None, "matrix", None),
     "assim.attractiveness": (None, "matrix", None),
@@ -145,9 +145,9 @@ def _check(key, value):
         return
     if kind == "cases":
         if value != "all" and not (
-            isinstance(value, list) and all(_is_int(v) and v in (1, 2, 3) for v in value)
+            isinstance(value, list) and value and all(_is_int(v) and v in (1, 2, 3) for v in value)
         ):
-            raise _type_error(key, 'list drawn from [1, 2, 3] or "all"', value)
+            raise _type_error(key, 'non-empty list drawn from [1, 2, 3] or "all"', value)
         return
     expected, is_entry = KINDS[kind]
     entries = _entries(kind, value)
@@ -199,17 +199,6 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
             )
         quotas = [total // g] * g
 
-    def per_group(key):
-        v = merged[key]
-        if isinstance(v, list):
-            if len(v) != g:
-                raise ConfigSchemaError(f"{key}: expected {g} entries, got {len(v)}")
-            return [float(x) for x in v]
-        return [float(v)] * g
-
-    omegas, ks, lams = per_group("sim.omega"), per_group("sim.k"), per_group("sim.lambda")
-    behavior = tuple(BehaviorParams(omega=o, k=k, lam=l) for o, k, l in zip(omegas, ks, lams))
-
     counts = {field: merged[f"sim.{field}"] for field in COUNT_LEAST}
 
     def build_sim(role, default_attractiveness):
@@ -219,7 +208,9 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
         sim = SimConfig(
             **counts,
             group_quotas=tuple(quotas),
-            behavior=behavior,
+            omega=merged["sim.omega"],
+            k=merged["sim.k"],
+            lam=merged["sim.lambda"],
             attractiveness=attractiveness,
             distance=merged["sim.distance"],
             allow_self_transition=merged["flags.allow_self_transition"],
@@ -229,7 +220,8 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
         except ValueError as e:
             # validate names the SimConfig field first; name its config key
             field = str(e).partition(":")[0]
-            key = f"{role}.{field}" if field == "attractiveness" else f"sim.{field}"
+            key = {"attractiveness": f"{role}.attractiveness", "lam": "sim.lambda"}.get(
+                field, f"sim.{field}")
             raise ConfigSchemaError(f"{key}{str(e)[len(field):]}") from e
         return sim
 

@@ -10,9 +10,9 @@ per cell, in C order, with zero counts written explicitly.
 Stage products are read back strictly, each in one numpy pass, against the
 shapes the config gives the reader: the header must match exactly, every
 row must hold one integer per column, a dense count file must hold every
-cell of its array exactly once, an id column must number its rows 0..R-1 and
-every store and attr must be in range. A file that breaks this raises
-MalformedTableError naming the file.
+cell of its array exactly once, an id column must number its rows 0..R-1,
+every store and attr must be in range and no observed count may be
+negative. A file that breaks this raises MalformedTableError naming the file.
 """
 
 import json
@@ -120,12 +120,14 @@ def read_observations(counts_path, attr_path, shape) -> np.ndarray:
 
     Cells are placed by their (step, store) and (step, attr, store) indices,
     so row order does not matter, but each file must hold every cell of its
-    array once. The totals file must hold the per-store sums of the attribute
-    file.
+    array once. No count may be negative, and the totals file must hold the
+    per-store sums of the attribute file.
     """
     totals = _read_table(counts_path, ["step", "store", "count"])
     by_attr = _read_table(attr_path, ["step", "attr", "store", "count"])
     observations = _place(attr_path, by_attr, shape)
+    if np.any(observations < 0):
+        raise MalformedTableError(f"{attr_path}: a count is negative")
     if not np.array_equal(_place(counts_path, totals, (shape[0], shape[2])),
                           observations.sum(axis=1)):
         raise MalformedTableError(

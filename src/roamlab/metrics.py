@@ -62,16 +62,17 @@ def top_k(table: np.ndarray, k: int):
     return [(int(c), table[c]) for c in ranked]
 
 
-def aggregate_runs(od_runs: dict, truth_label: str = "truth") -> dict:
+def aggregate_runs(od_runs: dict) -> dict:
     """Average per-run OD matrices and summarize discrepancies against truth.
 
-    od_runs maps a label to one OD matrix per replicate; every label must
-    supply the same replicate count. Two averaging orders are reported for
-    each non-truth label: mean of per-run discrepancies (with sample std),
-    and the discrepancy of the element-wise mean matrices.
+    od_runs maps each label, "truth" among them, to one OD matrix per
+    replicate; every label must supply the same replicate count. Two
+    averaging orders are reported for each non-truth label: mean of per-run
+    discrepancies (with sample std), and the discrepancy of the element-wise
+    mean matrices.
     """
-    if truth_label not in od_runs:
-        raise ValueError(f"od_runs must contain the {truth_label!r} label")
+    if "truth" not in od_runs:
+        raise ValueError("od_runs must contain the 'truth' label")
     counts = {label: len(runs) for label, runs in od_runs.items()}
     if len(set(counts.values())) != 1:
         raise ValueError(f"unequal replicate counts: {counts}")
@@ -80,16 +81,16 @@ def aggregate_runs(od_runs: dict, truth_label: str = "truth") -> dict:
         label: np.mean([np.asarray(od, dtype=float) for od in runs], axis=0)
         for label, runs in od_runs.items()
     }
-    truth_runs = od_runs[truth_label]
+    truth_runs = od_runs["truth"]
     result = {"mean_od": mean_od, "labels": {}}
     for label, runs in od_runs.items():
-        if label == truth_label:
+        if label == "truth":
             continue
         per_run = [discrepancy(od, t_od) for od, t_od in zip(runs, truth_runs)]
         result["labels"][label] = {
             "discrepancy_per_run": per_run,
             "discrepancy_mean": float(np.mean(per_run)),
             "discrepancy_std": float(np.std(per_run, ddof=1)) if len(per_run) > 1 else 0.0,
-            "discrepancy_of_mean_od": discrepancy(mean_od[label], mean_od[truth_label]),
+            "discrepancy_of_mean_od": discrepancy(mean_od[label], mean_od["truth"]),
         }
     return result

@@ -29,21 +29,6 @@ import numpy as np
 from .numerics import categorical, log_normalize_rows
 
 
-@dataclass(frozen=True)
-class BehaviorParams:
-    """Choice-model coefficients for one behavioral group."""
-
-    omega: float = 0.005  # congestion sensitivity
-    k: float = 1.0        # utility scale
-    lam: float = 6.0      # distance decay exponent
-
-    def __post_init__(self):
-        if not np.isfinite(self.omega) or not np.isfinite(self.k):
-            raise ValueError("omega and k must be finite")
-        if not np.isfinite(self.lam) or self.lam < 0:
-            raise ValueError("lambda must be finite and >= 0")
-
-
 def unit_distance(store_count: int) -> np.ndarray:
     """Complete graph with unit edges: d=1 everywhere off the diagonal."""
     d = np.ones((store_count, store_count))
@@ -90,9 +75,11 @@ class SimConfig:
 
     validate() holds every invariant and must pass before the config is used:
     attractiveness is (G, S) and positive; distance is (S, S), non-negative
-    and symmetric, with a zero diagonal. Defaults: 18 stores, 2000 agents in
-    four groups of 500, 100 initial agents, replenishment in batches of 40,
-    dwell of 2-3 steps, 3 transitions per agent, 200 steps.
+    and symmetric, with a zero diagonal; omega, k and lam are each a number
+    or one finite value per group, lam >= 0, and every utility is finite.
+    Defaults: 18 stores, 2000 agents in four groups of 500, 100 initial
+    agents, replenishment in batches of 40, dwell of 2-3 steps, 3
+    transitions per agent, 200 steps, omega 0.005, k 1 and lam 6.
     """
 
     store_count: int = 18
@@ -106,19 +93,16 @@ class SimConfig:
     horizon_steps: int = 200
     group_count: int = 4
     group_quotas: tuple = (500, 500, 500, 500)
-    behavior: tuple = ()            # one BehaviorParams per group
+    omega: float | np.ndarray = 0.005  # congestion sensitivity; (G,) once validated
+    k: float | np.ndarray = 1.0        # utility scale; (G,) once validated
+    lam: float | np.ndarray = 6.0      # distance decay exponent; (G,) once validated
     attractiveness: np.ndarray | None = None  # (G, S); required
     distance: np.ndarray | None = None        # (S, S); unit complete graph if omitted
     allow_self_transition: bool = False
 
-    def __post_init__(self):
-        if not self.behavior:
-            self.behavior = tuple(BehaviorParams() for _ in range(self.group_count))
-        self.group_quotas = tuple(self.group_quotas)
-
     def validate(self):
-        """Cast the matrices to float and raise ValueError naming the
-        offending field on any invariant breach."""
+        """Cast the matrices and choice coefficients to float arrays and raise
+        ValueError naming the offending field on any invariant breach."""
         s, g = self.store_count, self.group_count
         for field, least in COUNT_LEAST.items():
             if getattr(self, field) < least:
@@ -151,8 +135,6 @@ class SimConfig:
             )
         if any(q < 0 for q in self.group_quotas):
             raise ValueError("group_quotas: entries must be >= 0")
-        if len(self.behavior) != g:
-            raise ValueError(f"behavior: expected {g} parameter sets, got {len(self.behavior)}")
         if self.attractiveness is None:
             raise ValueError("attractiveness: required")
         if self.distance is None:
@@ -171,28 +153,36 @@ class SimConfig:
             raise ValueError("distance: diagonal must be zero")
         if not np.allclose(d, d.T):
             raise ValueError("distance: matrix must be symmetric")
+        for field in ("omega", "k", "lam"):
+            v = np.asarray(getattr(self, field), dtype=float)
+            v = np.full(g, v) if v.ndim == 0 else v
+            if v.shape != (g,):
+                raise ValueError(f"{field}: expected {g} entries, got {v.size}")
+            if not np.isfinite(v).all():
+                raise ValueError(f"{field}: entries must be finite, got {v}")
+            setattr(self, field, v)
+        if np.any(self.lam < 0):
+            raise ValueError(f"lam: entries must be >= 0, got {self.lam}")
         # utilities are linear in congestion, which runs from 0 to total_agents
         for field, c in (("k", 0), ("omega", self.total_agents)):
             with np.errstate(over="ignore", invalid="ignore"):
-                u = [store_utilities(self, group, np.full(s, c)) for group in range(g)]
+                u = store_utilities(self, np.full(s, c))
             if not np.isfinite(u).all():
                 raise ValueError(f"{field}: store utilities are not finite at congestion {c}")
         return self
 
 
-def store_utilities(cfg: SimConfig, group: int, congestion: np.ndarray) -> np.ndarray:
-    """Per-store utility of one group: k*(A_j + spillover_j) + omega*congestion_j.
+def store_utilities(cfg: SimConfig, congestion: np.ndarray) -> np.ndarray:
+    """(G, S) per-store utility of every group: k*(A_j + spillover_j) + omega*congestion_j.
 
     spillover_j sums every other store's attractiveness decayed by
     (1 + d)^-lambda; the candidate restriction is applied later, so the sum
     always runs over all j' != j.
     """
-    params = cfg.behavior[group]
-    a = cfg.attractiveness[group]
-    decay = (1.0 + cfg.distance) ** (-params.lam)
-    np.fill_diagonal(decay, 0.0)
-    spill = decay @ a
-    return params.k * (a + spill) + params.omega * congestion
+    s = cfg.store_count
+    decay = np.where(np.eye(s, dtype=bool), 0.0, (1.0 + cfg.distance) ** -cfg.lam[:, None, None])
+    spill = (decay @ cfg.attractiveness[..., None])[..., 0]
+    return cfg.k[:, None] * (cfg.attractiveness + spill) + cfg.omega[:, None] * congestion
 
 
 class ChoiceModel:
@@ -204,9 +194,8 @@ class ChoiceModel:
 
     def __init__(self, cfg: SimConfig):
         self.allow_self_transition = cfg.allow_self_transition
-        zero = np.zeros(cfg.store_count)
-        self._static = np.stack([store_utilities(cfg, g, zero) for g in range(cfg.group_count)])
-        self._omega = np.array([p.omega for p in cfg.behavior])
+        self._static = store_utilities(cfg, np.zeros(cfg.store_count))
+        self._omega = cfg.omega
 
     def log_probs(self, group, current_store, congestion: np.ndarray) -> np.ndarray:
         """Log choice probabilities over all stores; excluded stores get -inf.
@@ -217,7 +206,7 @@ class ChoiceModel:
         group = np.asarray(group)
         u = self._static[group] + self._omega[group][..., None] * congestion
         if not np.isfinite(u).all():
-            raise ValueError("non-finite store utilities; check behavior params")
+            raise ValueError("non-finite store utilities; check sim.omega and sim.k")
         if not self.allow_self_transition:
             rows = u.reshape(-1, u.shape[-1])  # a view: u is a fresh C-ordered array
             rows[np.arange(len(rows)), np.ravel(current_store)] = -np.inf

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from roamlab.config import resolve_config
-from roamlab.model import BehaviorParams, SimConfig, new_world
+from roamlab.model import SimConfig, new_world
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run.
 settings.register_profile("ci", derandomize=True)
@@ -64,14 +64,14 @@ class FixedUniforms(np.random.Generator):
         return self.uniforms.reshape(size).copy()
 
 
-def make_graph(attractiveness, distance=None, behavior=(), allow_self_transition=False):
+def make_graph(attractiveness, distance=None, allow_self_transition=False, **coefficients):
     """A validated SimConfig holding one store graph: one agent per group,
-    default behavior unless given, unit distances unless given."""
+    the default omega, k and lam unless given, unit distances unless given."""
     g, s = np.shape(attractiveness)
     return SimConfig(
         store_count=s, total_agents=g, initial_agents=g, group_count=g, group_quotas=(1,) * g,
-        behavior=tuple(behavior), attractiveness=attractiveness, distance=distance,
-        allow_self_transition=allow_self_transition,
+        attractiveness=attractiveness, distance=distance,
+        allow_self_transition=allow_self_transition, **coefficients,
     ).validate()
 
 
@@ -139,7 +139,6 @@ def small_sim_config(**kw):
         horizon_steps=30,
         group_count=2,
         group_quotas=(4, 4),
-        behavior=(BehaviorParams(), BehaviorParams()),
     )
     defaults.update(kw)
     defaults.setdefault(

@@ -17,14 +17,16 @@ import math
 import numpy as np
 
 
-def choice_probs(graph, behavior, group, current, congestion, allow_self_transition=False):
+def choice_probs(graph, group, current, congestion, allow_self_transition=False):
     """Next-store probabilities of one agent, with math.exp over the utilities
-    u_j = k*(A_gj + sum_{j'!=j} A_gj' * (1 + d_jj')^-lam) + omega*c_j."""
-    a, d, pm = graph.attractiveness[group], graph.distance, behavior[group]
+    u_j = k*(A_gj + sum_{j'!=j} A_gj' * (1 + d_jj')^-lam) + omega*c_j, with the
+    group's coefficients read off the validated graph."""
+    a, d = graph.attractiveness[group], graph.distance
+    omega, k, lam = (float(getattr(graph, f)[group]) for f in ("omega", "k", "lam"))
     stores = range(len(a))
     u = {
-        j: pm.k * (a[j] + sum(a[jp] * (1.0 + d[j, jp]) ** -pm.lam for jp in stores if jp != j))
-        + pm.omega * float(congestion[j])
+        j: k * (a[j] + sum(a[jp] * (1.0 + d[j, jp]) ** -lam for jp in stores if jp != j))
+        + omega * float(congestion[j])
         for j in stores
         if allow_self_transition or j != current
     }

@@ -17,7 +17,7 @@ from roamlab.cli import EXIT_OK, main
 from roamlab.config import resolve_config
 from roamlab.experiment import replicate_dir, run_experiment
 from roamlab.metrics import build_od, decode_ngram, discrepancy, ngram_table
-from roamlab.model import BehaviorParams, ChoiceModel, store_utilities
+from roamlab.model import ChoiceModel, store_utilities
 from roamlab.numerics import log_normalize_rows
 
 from conftest import TINY_OVERRIDES, FixedCounts, make_agent, make_graph, make_world, path_rows
@@ -86,18 +86,18 @@ def test_criterion_4_softmax_properties():
         d = rng.uniform(0.0, 5.0, size=(s, s))
         d = (d + d.T) / 2
         np.fill_diagonal(d, 0.0)
-        params = BehaviorParams(
+        params = dict(
             omega=float(rng.uniform(-1, 1)),
             k=float(rng.uniform(-2, 2)),
             lam=float(rng.uniform(0, 8)),
         )
         congestion = rng.integers(0, 50, size=s)
-        graph = make_graph(a, d, behavior=(params,))
+        graph = make_graph(a, d, **params)
 
         p = ChoiceModel(graph).probs(0, int(rng.integers(s)), congestion)
         worst_sum = max(worst_sum, abs(p.sum() - 1.0))
 
-        u = store_utilities(graph, 0, congestion.astype(float))
+        u = store_utilities(graph, congestion.astype(float))[0]
         c = float(rng.uniform(-50, 50))
         worst_shift = max(
             worst_shift, float(np.max(np.abs(log_normalize_rows(u + c) - log_normalize_rows(u))))

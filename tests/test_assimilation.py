@@ -14,7 +14,7 @@ from roamlab.assimilation import (
     update_store_weights,
     weight_sequences,
 )
-from roamlab.model import BehaviorParams, ChoiceModel, completed_paths, path_rows
+from roamlab.model import ChoiceModel, completed_paths, path_rows
 from roamlab.numerics import categorical, log_normalize_rows
 from roamlab.twin import SequencePool, run_truth, sample_biased_pool
 
@@ -265,7 +265,7 @@ class TestSequenceWeights:
         cfg = small_sim_config(
             store_count=4, max_transitions=1, dwell_min=1, dwell_max=1, horizon_steps=1,
             total_agents=n + 1, initial_agents=1, replenish_threshold=1, replenish_count=n,
-            group_count=1, group_quotas=(n + 1,), behavior=(BehaviorParams(),),
+            group_count=1, group_quotas=(n + 1,),
         )
         pool = self.pool([[0, 1], [1, 2], [2, 3], [3, 0]])
         observations = np.array([obs([0, 0, 0, 0]), obs([2, 0, 0, 0])])

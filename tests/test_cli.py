@@ -148,9 +148,10 @@ class TestValidateConfig:
             # each compares equal to case 1, but is no case number
             ({"experiment.cases": [True]}, []),
             ({"experiment.cases": [1.0]}, []),
+            ({"experiment.cases": []}, []),
         ],
         ids=["negative-seed", "negative-seed-flag", "negative-stores", "fractional-quotas",
-             "negative-lambda", "nan-k", "bool-case", "float-case"],
+             "negative-lambda", "nan-k", "bool-case", "float-case", "empty-cases"],
     )
     def test_bad_value_exits_3_naming_its_key(self, capsys, tmp_path, command, raw, flags):
         path, out = tmp_path / "b.json", tmp_path / "out"
@@ -324,6 +325,24 @@ class TestPipeline:
         assert err.startswith("error: ") and str(target) in err
         assert len(err.splitlines()) == 1
         assert not (out / "case1").exists()
+
+    def test_assimilate_on_negative_count_exits_4(self, mini_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        base = ["--config", str(mini_config), "--out", str(out)]
+        assert main(["generate-obs", *base]) == EXIT_OK
+        rep = out / "truth" / "000"
+        target = rep / "obs_counts_attr.csv"
+        obs = np.loadtxt(target, dtype=np.int64, delimiter=",", skiprows=1)[:, 3]
+        obs = obs.reshape(-1, 4, 18)  # the file's cells in C order
+        obs[5, 0, 0] = -7
+        io.write_obs_counts_attr(target, obs)
+        io.write_obs_counts(rep / "obs_counts.csv", obs)  # totals still its per-store sums
+        capsys.readouterr()
+        assert main(["assimilate", *base]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err and "negative" in err
+        assert len(err.splitlines()) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["truth"]
 
     @pytest.mark.parametrize(
         "case, override",

@@ -31,8 +31,8 @@ class TestDefaults:
         assert cfg.pool_size == 400
         assert cfg.pool_ratios == (0.4, 0.25, 0.2, 0.15)
         assert cfg.assim_options.particle_count == 100
-        for p in cfg.truth.behavior:
-            assert (p.omega, p.k, p.lam) == (0.005, 1.0, 6.0)
+        for field, value in (("omega", 0.005), ("k", 1.0), ("lam", 6.0)):
+            np.testing.assert_array_equal(getattr(cfg.truth, field), [value] * 4)
 
     def test_truth_attractiveness_table(self):
         a = truth_attractiveness()
@@ -177,13 +177,23 @@ class TestSchemaErrors:
             ({"pool.ratios": [1.5, -0.5, 0, 0]}, "pool.ratios: must be >= 0"),
             ({"sim.distance": [[0, float("inf")], [float("inf"), 0]]},
              r"sim.distance: expected matrix \(rows of finite numbers"),
+            ({"experiment.cases": []}, "experiment.cases: expected non-empty list"),
         ],
         ids=["negative-seed", "negative-stores", "fractional-quotas", "negative-lambda", "nan-k",
-             "infinite-omega", "negative-ratio", "infinite-distance"],
+             "infinite-omega", "negative-ratio", "infinite-distance", "empty-cases"],
     )
     def test_bad_value_named_by_its_own_key(self, raw, message):
         with pytest.raises(ConfigSchemaError, match=f"^{message}"):
             resolve_config(raw)
+
+    @pytest.mark.parametrize("key, field", [("sim.omega", "omega"), ("sim.k", "k"),
+                                            ("sim.lambda", "lam")])
+    def test_coefficient_list_needs_one_entry_per_group(self, key, field):
+        with pytest.raises(ConfigSchemaError, match=f"^{key}: expected 4 entries, got 2"):
+            resolve_config({key: [0.1, 0.2]})
+        cfg = resolve_config({key: [0.5, 1, 2, 3]})
+        for sim in (cfg.truth, cfg.assim):
+            np.testing.assert_array_equal(getattr(sim, field), [0.5, 1.0, 2.0, 3.0])
 
     def test_ints_must_fit_int64(self):
         assert resolve_config({"experiment.base_seed": 2**63 - 1}).base_seed == 2**63 - 1
@@ -194,7 +204,7 @@ class TestSchemaErrors:
 
     def test_numbers_must_be_finite_as_floats(self):
         largest = int(np.finfo(float).max)
-        assert resolve_config({"sim.lambda": largest}).truth.behavior[0].lam == largest
+        assert resolve_config({"sim.lambda": largest}).truth.lam[0] == largest
         with pytest.raises(ConfigSchemaError, match="^sim.lambda: expected finite number"):
             resolve_config({"sim.lambda": largest + 2**971})
 

@@ -21,7 +21,6 @@ from roamlab.assimilation import (
     weight_sequences,
 )
 from roamlab.model import (
-    BehaviorParams,
     ChoiceModel,
     SimConfig,
     _spawn_agents,
@@ -45,14 +44,14 @@ def two_group_scene(allow_self_transition=False):
     d = rng.uniform(0, 2, size=(5, 5))
     d = (d + d.T) / 2
     np.fill_diagonal(d, 0.0)
-    behavior = (BehaviorParams(omega=0.05), BehaviorParams(omega=-0.1, k=0.8, lam=2.0))
-    graph = make_graph(a, d, behavior, allow_self_transition)
+    graph = make_graph(a, d, allow_self_transition, omega=[0.05, -0.1], k=[1.0, 0.8],
+                       lam=[6.0, 2.0])
     choice = ChoiceModel(graph)
     agents = [make_agent(group=0, store=0), make_agent(group=1, store=2),
               make_agent(group=0, store=4)]
     world = make_world(agents, store_count=5, quotas=(10, 10))
     world.congestion = np.array([6, 0, 3, 9, 1])
-    return graph, behavior, choice, world
+    return graph, choice, world
 
 
 def chi_square_p(counts, probs):
@@ -77,11 +76,11 @@ def case_weights(case):
 
 
 def test_plain_moves_match_per_agent_law():
-    graph, behavior, choice, world = two_group_scene()
+    graph, choice, world = two_group_scene()
     ids = np.repeat([0, 1, 2], N)
     stores = model_mover(choice)(world, ids, np.random.default_rng(61))
     for agent in range(3):
-        probs = reference.choice_probs(graph, behavior, world.group[agent], world.stores(agent),
+        probs = reference.choice_probs(graph, world.group[agent], world.stores(agent),
                                        world.congestion)
         counts = np.bincount(stores[ids == agent], minlength=5)
         assert chi_square_p(counts, probs) > 0.001
@@ -89,7 +88,7 @@ def test_plain_moves_match_per_agent_law():
 
 def filtered_chain_p(case):
     """p of batched case-`case` moves against the per-agent chain, per agent."""
-    graph, behavior, choice, world = two_group_scene()
+    graph, choice, world = two_group_scene()
     sw = case_weights(case)
     n = 5
     ids = np.repeat([0, 1], N)
@@ -99,7 +98,7 @@ def filtered_chain_p(case):
     rng = np.random.default_rng(64)
     ps = []
     for agent in (0, 1):
-        probs = reference.choice_probs(graph, behavior, world.group[agent], world.stores(agent),
+        probs = reference.choice_probs(graph, world.group[agent], world.stores(agent),
                                        world.congestion)
         log_w = sw.log_w[world.group[agent]]
         chain = [reference.filtered_move(rng, probs, log_w, n) for _ in range(N)]
@@ -148,7 +147,7 @@ def random_movers(rng, allow_self_transition):
     s, g, m = int(rng.integers(2, 8)), int(rng.integers(1, 4)), int(rng.integers(1, 12))
     choice = ChoiceModel(make_graph(
         rng.uniform(0.5, 10, size=(g, s)),
-        behavior=[BehaviorParams(omega=float(rng.uniform(-1, 1))) for _ in range(g)],
+        omega=rng.uniform(-1, 1, size=g),
         allow_self_transition=allow_self_transition,
     ))
     stores = np.append(rng.integers(s, size=m - 1), s - 1)
@@ -233,7 +232,7 @@ def test_one_dimensional_input_equals_a_single_row(seed, size):
         filtered_moves(np.random.default_rng(seed), probs, np.tile(row, (len(probs), 1)), size),
     )
 
-    _, _, choice, world = two_group_scene(allow_self_transition=bool(seed % 2))
+    _, choice, world = two_group_scene(allow_self_transition=bool(seed % 2))
     for agent in range(3):
         g, c = world.group[agent], world.stores(agent)
         np.testing.assert_array_equal(choice.log_probs(g, c, world.congestion),

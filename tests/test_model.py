@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import roamlab.model
 from roamlab.experiment import case_labels, run_replicate
 from roamlab.model import (
-    BehaviorParams,
     ChoiceModel,
     SimConfig,
     init_world,
@@ -26,12 +25,12 @@ from conftest import agent_path, make_agent, make_graph, make_world, small_sim_c
 
 
 def params(omega=0.0, k=1.0, lam=6.0):
-    return BehaviorParams(omega=omega, k=k, lam=lam)
+    return {"omega": omega, "k": k, "lam": lam}
 
 
 def kernel_probs(attractiveness, pm, store, congestion=None, allow_self_transition=False):
     """ChoiceModel.probs for a one-group graph; zero congestion by default."""
-    cfg = make_graph(attractiveness, behavior=(pm,), allow_self_transition=allow_self_transition)
+    cfg = make_graph(attractiveness, allow_self_transition=allow_self_transition, **pm)
     if congestion is None:
         congestion = np.zeros(cfg.store_count, dtype=np.int64)
     return ChoiceModel(cfg).probs(0, store, congestion)
@@ -82,9 +81,9 @@ class TestChoiceProbabilities:
     def test_rejects_non_finite_utilities(self):
         # validate refuses a k whose utilities overflow at congestion 0 ...
         with pytest.raises(ValueError, match="^k: store utilities are not finite"):
-            make_graph([[5.0, 5.0, 1e308]], behavior=(params(k=1e308),))
+            make_graph([[5.0, 5.0, 1e308]], **params(k=1e308))
         # ... and log_probs a congestion beyond the agent budget that overflows them
-        cfg = make_graph([[5.0, 5.0, 5.0]], behavior=(params(omega=1e300),))
+        cfg = make_graph([[5.0, 5.0, 5.0]], **params(omega=1e300))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
             ChoiceModel(cfg).probs(0, 0, np.array([0.0, 1e10, 0.0]))
 
@@ -129,23 +128,22 @@ class TestChoiceModel:
         d = rng.uniform(0, 4, size=(7, 7))
         d = (d + d.T) / 2
         np.fill_diagonal(d, 0.0)
-        behavior = (params(omega=0.01), params(omega=0.3, k=0.7, lam=2.0))
-        graph = make_graph(a, d, behavior)
+        graph = make_graph(a, d, omega=[0.01, 0.3], k=[1.0, 0.7], lam=[6.0, 2.0])
         model = ChoiceModel(graph)
         congestion = rng.integers(0, 25, size=7)
         groups, currents = np.repeat([0, 1], 7), np.tile(np.arange(7), 2)
         batched = model.probs(groups, currents, congestion)
         for row, (group, current) in enumerate(zip(groups, currents)):
-            expected = reference.choice_probs(graph, behavior, group, current, congestion)
+            expected = reference.choice_probs(graph, group, current, congestion)
             np.testing.assert_allclose(
                 model.probs(group, current, congestion), expected, rtol=1e-12, atol=1e-15
             )
             np.testing.assert_allclose(batched[row], expected, rtol=1e-12, atol=1e-15)
 
     def test_static_part_excludes_self_spillover(self):
-        graph = make_graph([[3.0, 4.0]], behavior=(params(lam=1.0),))
-        u = store_utilities(graph, 0, np.zeros(2))
-        np.testing.assert_allclose(u, [3.0 + 4.0 / 2.0, 4.0 + 3.0 / 2.0])
+        graph = make_graph([[3.0, 4.0]], lam=1.0)
+        u = store_utilities(graph, np.zeros(2))
+        np.testing.assert_allclose(u, [[3.0 + 4.0 / 2.0, 4.0 + 3.0 / 2.0]])
 
 
 def always(store):
@@ -393,10 +391,10 @@ class TestValidation:
             SimConfig(store_count=-1).validate()
 
     def test_behavior_params_invariants(self):
-        with pytest.raises(ValueError):
-            BehaviorParams(lam=-1.0)
-        with pytest.raises(ValueError):
-            BehaviorParams(k=float("nan"))
+        with pytest.raises(ValueError, match="^lam: entries must be >= 0"):
+            small_sim_config(lam=-1.0)
+        with pytest.raises(ValueError, match="^k: entries must be finite"):
+            small_sim_config(k=float("nan"))
 
     def test_sim_config_invariants(self):
         with pytest.raises(ValueError, match="dwell_min"):
