@@ -88,9 +88,6 @@ def main(argv=None) -> int:
     except ConfigSchemaError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG_SCHEMA
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG_SCHEMA
 
     if args.command == "validate-config":
         print(json.dumps(cfg.resolved, indent=2, sort_keys=True))
@@ -110,9 +107,7 @@ def main(argv=None) -> int:
         elif args.command == "assimilate":
             labels = experiment.case_labels(cfg)
             for r in range(cfg.replicate_count):
-                observations, pool = experiment.load_truth_products(
-                    cfg, args.out, r, need_pool=3 in cfg.cases
-                )
+                observations, pool = experiment.load_truth_products(cfg, args.out, r)
                 for label in labels:
                     experiment.run_case_stage(cfg, args.out, r, label, observations, pool)
             print(f"wrote {', '.join(labels)} for {cfg.replicate_count} replicate(s)")

@@ -10,12 +10,12 @@ versus uniform 5) and in seed derivation.
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .assimilation import AssimOptions
-from .model import COUNT_LEAST, SimConfig
+from .model import COUNT_LEAST, SimConfig, unit_distance
 
 
 class ConfigError(Exception):
@@ -50,6 +50,9 @@ def uniform_attractiveness(group_count: int = 4, store_count: int = 18) -> np.nd
     return np.full((group_count, store_count), UNIFORM_ATTRACTIVENESS)
 
 
+# the AssimOptions switches, each set by the config key flags.<field>
+ASSIM_FLAGS = [f.name for f in fields(AssimOptions) if f.name != "particle_count"]
+
 # key -> (default, kind, least). Null is accepted exactly where the default is
 # null. Ints must fit int64 and numbers must be finite as floats, and least
 # (None: no bound) bounds an int, a number or every entry of a list or matrix.
@@ -69,13 +72,10 @@ SCHEMA = {
     "assim.attractiveness": (None, "matrix", None),
     "pool.size": (400, "int", 1),  # case-3 particle count: the pool entries are the particles
     "pool.ratios": ([0.4, 0.25, 0.2, 0.15], "numbers", 0),
-    "particles.cases12": (100, "int", 1),
-    "flags.weight_accumulation": (False, "bool", None),
-    "flags.random_baseline": (False, "bool", None),
-    "flags.allow_self_transition": (False, "bool", None),
+    "particles.cases12": (AssimOptions.particle_count, "int", 1),
+    **{f"flags.{f}": (getattr(AssimOptions, f), "bool", None) for f in ASSIM_FLAGS},
+    "flags.allow_self_transition": (SimConfig.allow_self_transition, "bool", None),
     "flags.count_spawn_as_inflow": (True, "bool", None),
-    "flags.filter_moves": (True, "bool", None),
-    "flags.weighted_placement": (True, "bool", None),
 }
 
 # Fields that change run content; everything else (parallelism) is excluded
@@ -197,14 +197,23 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
                 f"sim.group_quotas: required because sim.total_agents {total}"
                 f" does not split evenly over {g} groups"
             )
-        quotas = [total // g] * g
+        try:
+            quotas = [total // g] * g
+        except MemoryError as e:
+            raise ConfigSchemaError(f"sim.group_count: {g} groups are too many to allocate") from e
 
     counts = {field: merged[f"sim.{field}"] for field in COUNT_LEAST}
 
     def build_sim(role, default_attractiveness):
-        attractiveness = merged[f"{role}.attractiveness"]
-        if attractiveness is None:
-            attractiveness = default_attractiveness(g, s)
+        attractiveness, distance = merged[f"{role}.attractiveness"], merged["sim.distance"]
+        try:  # numpy refuses a table past the address space with ValueError
+            if attractiveness is None:
+                attractiveness = default_attractiveness(g, s)
+            if distance is None:
+                distance = unit_distance(s)
+        except (MemoryError, ValueError) as e:
+            raise ConfigSchemaError(
+                f"sim.store_count: {s} stores are too many for the default tables: {e}") from e
         sim = SimConfig(
             **counts,
             group_quotas=tuple(quotas),
@@ -212,7 +221,7 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
             k=merged["sim.k"],
             lam=merged["sim.lambda"],
             attractiveness=attractiveness,
-            distance=merged["sim.distance"],
+            distance=distance,
             allow_self_transition=merged["flags.allow_self_transition"],
         )
         try:
@@ -256,12 +265,7 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
         pool_ratios=tuple(ratios),
         count_spawn_as_inflow=merged["flags.count_spawn_as_inflow"],
         assim_options=AssimOptions(
-            particle_count=merged["particles.cases12"],
-            weight_accumulation=merged["flags.weight_accumulation"],
-            random_baseline=merged["flags.random_baseline"],
-            filter_moves=merged["flags.filter_moves"],
-            weighted_placement=merged["flags.weighted_placement"],
-        ),
+            merged["particles.cases12"], **{f: merged[f"flags.{f}"] for f in ASSIM_FLAGS}),
         resolved=resolved,
     )
 

@@ -116,8 +116,8 @@ def run_baseline_stage(cfg: ExperimentConfig, out, replicate: int):
     return _write_world(cfg, out, "baseline", replicate, world)
 
 
-def load_truth_products(cfg: ExperimentConfig, out, replicate: int, need_pool: bool):
-    """Read one replicate's observations, and its sequence pool if asked, from disk.
+def load_truth_products(cfg: ExperimentConfig, out, replicate: int):
+    """Read one replicate's observations, and its sequence pool if case 3 runs, from disk.
 
     The readers take their shapes from cfg, so products that do not fit it
     (another horizon, store, group or transition count than the run that
@@ -134,7 +134,7 @@ def load_truth_products(cfg: ExperimentConfig, out, replicate: int, need_pool: b
         counts, attr, (sim.horizon_steps + 1, sim.group_count, sim.store_count)
     )
     pool = None
-    if need_pool:
+    if 3 in cfg.cases:
         pool_path = d / "sequence_pool.csv"
         if not pool_path.exists():
             raise MissingInputError(
@@ -247,64 +247,50 @@ def evaluate(cfg: ExperimentConfig, out, summaries: Summaries | None = None) -> 
     """Score the replicate summaries and write the aggregate/ files.
 
     Without summaries, the roles that have run for every replicate are read
-    back from the files under out (see _read_summaries).
+    back from the files under out (see _read_summaries). Truth and baseline
+    get their mean OD; each case its mean OD and 3-gram table, and a case-3
+    role the L1 distance of its assigned sequences' group shares from the
+    quota shares.
     """
     out = Path(out)
     if summaries is None:
         summaries = _read_summaries(cfg, out)
-    roles = list(summaries.od)
     stores = cfg.assim.store_count
     agg = aggregate_runs(summaries.od)
-
-    agg_dir = out / "aggregate"
-    io.write_mean_od(agg_dir / "od_truth_mean.csv", agg["mean_od"]["truth"])
-    if "baseline" in roles:
-        io.write_mean_od(agg_dir / "od_baseline_mean.csv", agg["mean_od"]["baseline"])
-    for role in roles:
-        if role.startswith("case"):
-            io.write_mean_od(agg_dir / role / "od_assim_mean.csv", agg["mean_od"][role])
-
-    ngram_means = {role: summaries.ngrams[role] / len(summaries.od[role]) for role in roles}
+    ngram_means = {role: summaries.ngrams[role] / len(runs) for role, runs in summaries.od.items()}
     leaders = top_k(ngram_means["truth"], 20)
     baseline = ngram_means.get("baseline")
-    for role in roles:
+    target = np.array(cfg.truth.group_quotas, dtype=float)
+    target /= target.sum()
+    bias = {"target_composition": target.tolist()}
+
+    agg_dir = out / "aggregate"
+    for role, mean_od in agg["mean_od"].items():
         if not role.startswith("case"):
+            io.write_mean_od(agg_dir / f"od_{role}_mean.csv", mean_od)
             continue
+        io.write_mean_od(agg_dir / role / "od_assim_mean.csv", mean_od)
         rows = [
             (rank, decode_ngram(code, stores, NGRAM_N), ft, ngram_means[role][code],
              0.0 if baseline is None else baseline[code])
             for rank, (code, ft) in enumerate(leaders, start=1)
         ]
         io.write_ngram_top(agg_dir / role / "ngram_top20.csv", rows, NGRAM_N)
+        if role in summaries.groups:
+            key = "random" if role == "case3_random" else "weighted"
+            per_run = [float(np.abs(c / c.sum() - target).sum()) for c in summaries.groups[role]]
+            bias[f"{key}_l1_per_run"] = per_run
+            bias[f"{key}_l1_mean"] = float(np.mean(per_run))
 
     payload = {
         "replicates": cfg.replicate_count,
         "config_hash": config_hash(cfg),
-        "discrepancy": {
-            role: stats for role, stats in sorted(agg["labels"].items())
-        },
+        "discrepancy": agg["labels"],
     }
-
-    bias = _assignment_bias(cfg, summaries.groups)
-    if bias:
+    if len(bias) > 1:
         payload["case3_assignment_bias"] = bias
     io.write_json(agg_dir / "metrics.json", payload)
     return payload
-
-
-def _assignment_bias(cfg: ExperimentConfig, groups: dict):
-    """L1 distance of assigned-sequence attribute shares from the quota shares;
-    groups maps a case-3 role to the group counts of each replicate."""
-    target = np.array(cfg.truth.group_quotas, dtype=float)
-    target /= target.sum()
-    result = {"target_composition": target.tolist()}
-    for role, key in zip(CASE3_ROLES, ("weighted", "random")):
-        if role not in groups:
-            continue
-        per_run = [float(np.abs(counts / counts.sum() - target).sum()) for counts in groups[role]]
-        result[f"{key}_l1_per_run"] = per_run
-        result[f"{key}_l1_mean"] = float(np.mean(per_run))
-    return result if len(result) > 1 else None
 
 
 def _checksums(cfg: ExperimentConfig, out: Path) -> dict:

@@ -34,13 +34,12 @@ def ngram_table(rows, store_count: int, n: int = 3) -> np.ndarray:
     """Count every contiguous n-store window of every agent's path, by code.
 
     rows: (R, 4) path rows (agent_id, group, position, store) ordered by
-    agent, then position, as io.read_paths returns them.
+    agent, then position, every store in 0..store_count-1, as io.read_paths
+    and model.path_rows give them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     agent, store = rows[:, 0], rows[:, 3]
-    if len(store) and (store.min() < 0 or store.max() >= store_count):
-        raise ValueError(f"store index outside 0..{store_count - 1}")
     windows = max(len(store) - n + 1, 0)
     codes = np.zeros(windows, dtype=np.int64)
     for j in range(n):

@@ -149,9 +149,15 @@ class TestValidateConfig:
             ({"experiment.cases": [True]}, []),
             ({"experiment.cases": [1.0]}, []),
             ({"experiment.cases": []}, []),
+            # default tables no allocator builds: 8 EB of quotas, and numpy
+            # refuses the (4, 2**62) attractiveness and (2**40, 2**40) distance
+            ({"sim.group_count": 10**18, "sim.total_agents": 10**18, "sim.group_quotas": None}, []),
+            ({"sim.store_count": 2**62}, []),
+            ({"sim.store_count": 2**40, "truth.attractiveness": [[1.0, 1.0]] * 4}, []),
         ],
         ids=["negative-seed", "negative-seed-flag", "negative-stores", "fractional-quotas",
-             "negative-lambda", "nan-k", "bool-case", "float-case", "empty-cases"],
+             "negative-lambda", "nan-k", "bool-case", "float-case", "empty-cases",
+             "oversized-groups", "oversized-stores", "oversized-distance"],
     )
     def test_bad_value_exits_3_naming_its_key(self, capsys, tmp_path, command, raw, flags):
         path, out = tmp_path / "b.json", tmp_path / "out"

@@ -178,9 +178,17 @@ class TestSchemaErrors:
             ({"sim.distance": [[0, float("inf")], [float("inf"), 0]]},
              r"sim.distance: expected matrix \(rows of finite numbers"),
             ({"experiment.cases": []}, "experiment.cases: expected non-empty list"),
+            # default tables no allocator builds: 8 EB of quotas, and numpy
+            # refuses the (4, 2**62) attractiveness and (2**40, 2**40) distance
+            ({"sim.total_agents": 10**18, "sim.group_count": 10**18},
+             "sim.group_count: 1000000000000000000 groups are too many"),
+            ({"sim.store_count": 2**62}, "sim.store_count: 4611686018427387904 stores are too many"),
+            ({"sim.store_count": 2**40, "truth.attractiveness": [[1.0, 1.0]] * 4},
+             "sim.store_count: 1099511627776 stores are too many"),
         ],
         ids=["negative-seed", "negative-stores", "fractional-quotas", "negative-lambda", "nan-k",
-             "infinite-omega", "negative-ratio", "infinite-distance", "empty-cases"],
+             "infinite-omega", "negative-ratio", "infinite-distance", "empty-cases",
+             "oversized-groups", "oversized-stores", "oversized-distance"],
     )
     def test_bad_value_named_by_its_own_key(self, raw, message):
         with pytest.raises(ConfigSchemaError, match=f"^{message}"):

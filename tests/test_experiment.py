@@ -67,7 +67,7 @@ class TestStages:
 
     def test_case_stage_reads_products_from_disk(self, cfg, tmp_path):
         run_truth_stage(cfg, tmp_path, 0)
-        observations, pool = load_truth_products(cfg, tmp_path, 0, need_pool=True)
+        observations, pool = load_truth_products(cfg, tmp_path, 0)
         run_case_stage(cfg, tmp_path, 0, "case3", observations, pool)
         d = replicate_dir(tmp_path, "case3", 0)
         assert (d / "assim_od.csv").exists()
@@ -82,7 +82,7 @@ class TestStages:
 
     def test_case_stage_without_truth_products_raises(self, cfg, tmp_path):
         with pytest.raises(MissingInputError, match="generate-obs"):
-            load_truth_products(cfg, tmp_path, 0, need_pool=False)
+            load_truth_products(cfg, tmp_path, 0)
 
     def test_evaluate_requires_truth(self, cfg, tmp_path):
         run_baseline_stage(cfg, tmp_path, 0)

@@ -176,10 +176,6 @@ class TestNgrams:
         assert as_dict(table_of([[0, 1], [2, 3]], 4, 3), 4) == {}
         assert as_dict(table_of([[0, 1], [2, 3]], 4, 2), 4, 2) == {(0, 1): 1, (2, 3): 1}
 
-    def test_store_outside_code_range_rejected(self):
-        with pytest.raises(ValueError, match="store index"):
-            table_of([[0, 1, 3]], 3)
-
 
 class TestAggregateRuns:
     def test_identical_runs_have_zero_std(self):
