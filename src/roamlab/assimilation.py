@@ -29,34 +29,23 @@ from .twin import SequencePool
 
 @dataclass
 class StoreWeightVector:
-    """Normalized per-store log weights for one step, one row per group.
+    """One step's normalized store log weights, a row per group."""
 
-    step is None for the uniform initial table (no observation consumed yet).
-    """
-
-    step: int | None
+    step: int
     log_w: np.ndarray  # (G, S), rows normalized
 
-    @classmethod
-    def uniform(cls, store_count: int, group_count: int):
-        return cls(step=None, log_w=np.full((group_count, store_count), -np.log(store_count)))
 
-
-def update_store_weights(
-    prev: StoreWeightVector, counts, accumulate: bool = False
-) -> StoreWeightVector:
-    """Fold one step's inflow counts, a (G, S) row by group and store, into
-    the store weights.
-
-    Fresh mode rebuilds each group's row from this step alone: log w_gj =
-    inflow_gj, normalized. Accumulation mode keeps multiplying the running
-    weights by exp(inflow_gj), matching the literal multiplicative update.
-    The result is numbered one step past prev.
-    """
-    base = prev.log_w if accumulate else 0.0
-    log_w = log_normalize_rows(base + np.asarray(counts).astype(float))
-    step = 1 if prev.step is None else prev.step + 1
-    return StoreWeightVector(step=step, log_w=log_w)
+def store_weights(observations, accumulate: bool = False) -> np.ndarray:
+    """Every step's store log weights, (T+1, G, S), from the inflow counts by
+    step, group and store: row t normalizes the counts of step t, or with
+    accumulate their sum over steps 1..t, which is the literal update
+    w *= exp(inflow) of every step up to t, normalizing being shift-invariant.
+    Row 0 normalizes zero counts, so it is uniform."""
+    counts = np.array(observations)  # a copy: row 0 is zeroed in it
+    counts[0] = 0
+    if accumulate:
+        counts = counts.cumsum(axis=0)
+    return log_normalize_rows(counts.astype(float))
 
 
 def filtered_moves(
@@ -140,14 +129,14 @@ def run_assimilation(
 
     observations is the (T+1, G, S) array of inflow counts by step, group and
     store, covering steps 0..horizon. The store weights of every step are
-    built from them before the run: weights[0] is uniform, since no
-    observation has been consumed when the initial population is placed, and
-    weights[t], applied during step t, folds in the inflows observed at step
-    t. Case 2 weights each group by its own counts; cases 1 and 3 weight
-    every group by the per-store totals. Case 3 requires a sequence pool
-    whose paths span the full transition count; each spawn batch weights it
-    once, by the store weights of its step. The case-3 random control draws
-    pool entries uniformly and never weights the pool.
+    built from them in one store_weights call before the run: weights[0] is
+    uniform, since no observation has been consumed when the initial
+    population is placed, and weights[t], applied during step t, takes in the
+    inflows observed at step t. Case 2 weights each group by its own counts;
+    cases 1 and 3 weight every group by the per-store totals. Case 3 requires
+    a sequence pool whose paths span the full transition count; each spawn
+    batch weights it once, by the store weights of its step. The case-3
+    random control draws pool entries uniformly and never weights the pool.
 
     assignments is None in cases 1 and 2; in case 3 it holds one (spawn
     step, agent_id, entry_id, attr) row per spawned agent, in id order.
@@ -163,14 +152,11 @@ def run_assimilation(
             f" horizon needs {cfg.horizon_steps + 1}"
         )
     if case != 2:  # every group sees the per-store totals
-        observations = np.broadcast_to(
-            observations.sum(axis=1, keepdims=True),
-            (len(observations), cfg.group_count, observations.shape[2]),
-        )
-    weights = [StoreWeightVector.uniform(cfg.store_count, cfg.group_count)]
-    for t in range(1, cfg.horizon_steps + 1):
-        weights.append(update_store_weights(weights[-1], observations[t],
-                                            accumulate=options.weight_accumulation))
+        observations = observations.sum(axis=1, keepdims=True).repeat(cfg.group_count, axis=1)
+    # one record per step only because the benchmark tracer's note on
+    # weight_sequences reads the step off it
+    weights = [StoreWeightVector(t, log_w) for t, log_w in
+               enumerate(store_weights(observations, options.weight_accumulation))]
 
     if case == 3:
         if pool.paths.shape[1] != cfg.max_transitions + 1:

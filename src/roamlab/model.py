@@ -216,10 +216,6 @@ class ChoiceModel:
         # exp(-inf) leaves exact zeros on excluded stores
         return np.exp(self.log_probs(group, current_store, congestion))
 
-    def sample(self, group, current_store, congestion, rng):
-        """One next store per agent (a scalar for scalar inputs)."""
-        return categorical(rng, self.probs(group, current_store, congestion))
-
 
 def _draw_dwells(cfg: SimConfig, count: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(cfg.dwell_min, cfg.dwell_max + 1, size=count)
@@ -262,15 +258,29 @@ def uniform_placer(world, ids, groups, rng) -> np.ndarray:
 
 
 def new_world(cfg: SimConfig) -> WorldState:
-    """An empty world at step 0 with room for the whole agent budget."""
-    n = cfg.total_agents
+    """An empty world at step 0 with room for the whole agent budget.
+
+    Raises ConfigSchemaError naming the config key that sized an array no
+    allocator can build: sim.total_agents for the per-agent arrays, and
+    sim.max_transitions for the per-agent paths.
+    """
+    n, width = cfg.total_agents, cfg.max_transitions + 1
+    key = "sim.total_agents"
+    try:  # numpy refuses an array past the address space with ValueError
+        group, dwell, transitions = (np.zeros(n, dtype=np.int64) for _ in range(3))
+        key = "sim.max_transitions"
+        path, entered = (np.full((n, width), -1, dtype=np.int64) for _ in range(2))
+    except (MemoryError, ValueError) as e:
+        from .config import ConfigSchemaError  # imported here: config imports this module
+        raise ConfigSchemaError(f"{key}: {n} agents with {width} path entries each"
+                                f" are too many to allocate: {e}") from e
     return WorldState(
         step=0,
-        group=np.zeros(n, dtype=np.int64),
-        dwell=np.zeros(n, dtype=np.int64),
-        transitions=np.zeros(n, dtype=np.int64),
-        path=np.full((n, cfg.max_transitions + 1), -1, dtype=np.int64),
-        entered=np.full((n, cfg.max_transitions + 1), -1, dtype=np.int64),
+        group=group,
+        dwell=dwell,
+        transitions=transitions,
+        path=path,
+        entered=entered,
         congestion=np.zeros(cfg.store_count, dtype=np.int64),
         agents_spawned=0,
         group_quota_remaining=np.array(cfg.group_quotas, dtype=np.int64),
@@ -346,7 +356,8 @@ def model_mover(choice: ChoiceModel):
     """Movement policy that samples directly from the choice model."""
 
     def mover(world, ids, rng):
-        return choice.sample(world.group[ids], world.stores(ids), world.congestion, rng)
+        probs = choice.probs(world.group[ids], world.stores(ids), world.congestion)
+        return categorical(rng, probs)
 
     return mover
 

@@ -68,6 +68,10 @@ def sample_biased_pool(
     its group from `ratios`, then a uniform path of that group; draws are
     without replacement within a group until it is exhausted, then with
     replacement.
+
+    Raises ValueError if a group with a positive ratio has no archived path,
+    and ConfigSchemaError naming pool.size, the config key that sets
+    pool_size, if no allocator can build a pool of that size.
     """
     ratios = np.asarray(ratios, dtype=float)
     if abs(ratios.sum() - 1.0) > 1e-9 or np.any(ratios < 0):
@@ -78,8 +82,13 @@ def sample_biased_pool(
         if r > 0 and len(members[g]) == 0:
             raise ValueError(f"group {g} has ratio {r} but no archived paths")
 
-    groups = categorical(rng, ratios, size=pool_size)
-    entries = np.empty(pool_size, dtype=np.int64)
+    try:  # numpy refuses an array past the address space with ValueError
+        groups = categorical(rng, ratios, size=pool_size)
+        entries = np.empty(pool_size, dtype=np.int64)
+    except (MemoryError, ValueError) as e:
+        from .config import ConfigSchemaError  # imported here: config imports twin
+        raise ConfigSchemaError(
+            f"pool.size: {pool_size} entries are too many to allocate: {e}") from e
     for g, of_group in enumerate(members):
         slots = np.flatnonzero(groups == g)
         if len(slots) == 0:

@@ -9,12 +9,16 @@ groups one agent at a time, the reference for the quota-safe runs of
 model._spawn_agents, and the CSV oracle writes rows through csv.writer, the
 reference for the bytes of every io.write_*. The inverse-CDF oracle picks the
 index numerics.categorical must draw for a given uniform, with no numpy search.
+The store-weight fold builds the weights one step at a time, the reference for
+the one-call assimilation.store_weights.
 """
 
 import csv
 import math
 
 import numpy as np
+
+from roamlab.numerics import log_normalize_rows
 
 
 def choice_probs(graph, group, current, congestion, allow_self_transition=False):
@@ -67,6 +71,19 @@ def sequence_probs(paths, rows):
     raw = [sum(math.exp(row[s]) for s in path) for path, row in zip(paths, rows)]
     z = sum(raw)
     return [r / z for r in raw]
+
+
+def fold_store_weights(observations, accumulate=False):
+    """The (T+1, G, S) store log weights of (T+1, G, S) inflow counts, folded
+    in one step at a time: step 0 is uniform, and each later step normalizes
+    its own counts, or with accumulate the previous step's log weights plus
+    its counts, which multiplies the running weights by exp(inflow)."""
+    steps, groups, stores = np.shape(observations)
+    weights = [np.full((groups, stores), -np.log(stores))]
+    for counts in observations[1:]:
+        base = weights[-1] if accumulate else 0.0
+        weights.append(log_normalize_rows(base + np.asarray(counts).astype(float)))
+    return np.stack(weights)
 
 
 def rebuild_observations(world, horizon_steps, store_count, group_count,

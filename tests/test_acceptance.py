@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 from roamlab import io
-from roamlab.assimilation import StoreWeightVector, filtered_moves, update_store_weights
+from roamlab.assimilation import filtered_moves, store_weights
 from roamlab.cli import EXIT_OK, main
 from roamlab.config import resolve_config
 from roamlab.experiment import replicate_dir, run_experiment
@@ -124,12 +124,12 @@ def test_criterion_5_uniform_likelihood_is_noop():
     world.congestion = np.array([4, 2, 1])
     expected = choice.probs(0, 0, world.congestion)
 
-    sw = update_store_weights(StoreWeightVector.uniform(3, 1), np.array([[3, 3, 3]]))
+    log_w = store_weights(np.array([[[0, 0, 0]], [[3, 3, 3]]]))[1]
 
     rng = np.random.default_rng(51)
     n, chunk = 100_000, 10_000  # one batched move of `chunk` copies of the agent at a time
     probs = np.tile(expected, (chunk, 1))
-    draws = np.concatenate([filtered_moves(rng, probs, sw.log_w[0], 100) for _ in range(n // chunk)])
+    draws = np.concatenate([filtered_moves(rng, probs, log_w[0], 100) for _ in range(n // chunk)])
     counts = np.bincount(draws, minlength=3)
     cand = expected > 0
     p = stats.chisquare(counts[cand], f_exp=n * expected[cand]).pvalue

@@ -11,7 +11,7 @@ from roamlab.assimilation import (
     place_new_agents,
     run_assimilation,
     run_baseline,
-    update_store_weights,
+    store_weights,
     weight_sequences,
 )
 from roamlab.model import ChoiceModel, completed_paths, path_rows
@@ -27,6 +27,11 @@ def obs(inflow, groups=1):
     by_attr = np.zeros((groups, len(inflow)), dtype=np.int64)
     by_attr[0] = inflow
     return by_attr
+
+
+def steps(*counts):
+    """A (T+1, G, S) count array: a zero step 0, then one step per (G, S) count."""
+    return np.stack([np.zeros_like(counts[0]), *counts])
 
 
 def assert_frequencies(draws, probs):
@@ -47,43 +52,36 @@ def softmax_oracle(values):
 
 class TestStoreWeights:
     def test_zero_inflow_gives_uniform(self):
-        sw = StoreWeightVector.uniform(18, 1)
-        sw = update_store_weights(sw, obs([0] * 18))
-        np.testing.assert_allclose(np.exp(sw.log_w[0]), np.full(18, 1 / 18), atol=1e-12)
+        log_w = store_weights(steps(obs([0] * 18)))[1]
+        np.testing.assert_allclose(np.exp(log_w[0]), np.full(18, 1 / 18), atol=1e-12)
 
     def test_fresh_mode_matches_softmax_oracle(self):
-        sw = StoreWeightVector.uniform(3, 1)
-        sw = update_store_weights(sw, obs([2, 1, 0]))
-        np.testing.assert_allclose(np.exp(sw.log_w[0]), softmax_oracle([2, 1, 0]), atol=1e-4)
-        np.testing.assert_allclose(np.exp(sw.log_w[0]), [0.6652, 0.2447, 0.0900], atol=1e-4)
+        log_w = store_weights(steps(obs([2, 1, 0])))[1]
+        np.testing.assert_allclose(np.exp(log_w[0]), softmax_oracle([2, 1, 0]), atol=1e-4)
+        np.testing.assert_allclose(np.exp(log_w[0]), [0.6652, 0.2447, 0.0900], atol=1e-4)
 
     def test_accumulation_is_multiplicative(self):
         # w *= exp(inflow) each step: two accumulated steps equal one fresh
         # update with the summed inflows.
-        sw = StoreWeightVector.uniform(4, 1)
-        sw = update_store_weights(sw, obs([3, 0, 1, 2]), accumulate=True)
-        sw = update_store_weights(sw, obs([0, 4, 1, 0]), accumulate=True)
-        fresh = update_store_weights(StoreWeightVector.uniform(4, 1), obs([3, 4, 2, 2]))
-        np.testing.assert_allclose(np.exp(sw.log_w), np.exp(fresh.log_w), atol=1e-12)
+        log_w = store_weights(steps(obs([3, 0, 1, 2]), obs([0, 4, 1, 0])), accumulate=True)[2]
+        fresh = store_weights(steps(obs([3, 4, 2, 2])))[1]
+        np.testing.assert_allclose(np.exp(log_w), np.exp(fresh), atol=1e-12)
 
     def test_fresh_mode_forgets_previous_steps(self):
-        sw = StoreWeightVector.uniform(3, 1)
-        sw = update_store_weights(sw, obs([9, 0, 0]))
-        sw = update_store_weights(sw, obs([0, 0, 0]))
-        np.testing.assert_allclose(np.exp(sw.log_w[0]), np.full(3, 1 / 3), atol=1e-12)
+        log_w = store_weights(steps(obs([9, 0, 0]), obs([0, 0, 0])))[2]
+        np.testing.assert_allclose(np.exp(log_w[0]), np.full(3, 1 / 3), atol=1e-12)
 
     def test_attribute_rows_normalized_independently(self):
         inflow_by_attr = np.array([[2, 0, 0], [0, 0, 5]], dtype=np.int64)
-        sw = update_store_weights(StoreWeightVector.uniform(3, 2), inflow_by_attr)
-        np.testing.assert_allclose(np.exp(sw.log_w[0]), softmax_oracle([2, 0, 0]), atol=1e-9)
-        np.testing.assert_allclose(np.exp(sw.log_w[1]), softmax_oracle([0, 0, 5]), atol=1e-9)
-        assert abs(np.exp(sw.log_w[0]).sum() - 1.0) < 1e-9
+        log_w = store_weights(steps(inflow_by_attr))[1]
+        np.testing.assert_allclose(np.exp(log_w[0]), softmax_oracle([2, 0, 0]), atol=1e-9)
+        np.testing.assert_allclose(np.exp(log_w[1]), softmax_oracle([0, 0, 5]), atol=1e-9)
+        assert abs(np.exp(log_w[0]).sum() - 1.0) < 1e-9
 
     def test_large_inflows_stay_finite(self):
-        sw = StoreWeightVector.uniform(18, 1)
         big = [10_000] + [0] * 17
-        sw = update_store_weights(sw, obs(big))
-        w = np.exp(sw.log_w[0])
+        log_w = store_weights(steps(obs(big)))[1]
+        w = np.exp(log_w[0])
         assert np.all(np.isfinite(w))
         assert abs(w.sum() - 1.0) < 1e-9
         assert w[0] == pytest.approx(1.0)
@@ -120,8 +118,8 @@ class TestParticleOps:
         assert_frequencies(stores, probs)
 
     def test_uniform_store_weights_leave_particles_unweighted(self):
-        sw = StoreWeightVector.uniform(3, 1)
-        assert_frequencies(self.pick([1, 2, 1], sw.log_w[0], seed=0), [0.25, 0.5, 0.25])
+        log_w = store_weights(np.zeros((1, 1, 3)))[0]
+        assert_frequencies(self.pick([1, 2, 1], log_w[0], seed=0), [0.25, 0.5, 0.25])
 
     def test_weighting_by_store_weights_hand_case(self):
         # count times weight: [2, 1, 1] * [0.5, 0.3, 0.2] = [1.0, 0.3, 0.2]
@@ -180,7 +178,7 @@ class TestParticleOps:
         assert np.all(place_new_agents(sw, rng, np.zeros(20, dtype=int)) == 5)
 
     def test_placement_uniform_weights(self):
-        sw = StoreWeightVector.uniform(4, 1)
+        sw = StoreWeightVector(step=0, log_w=store_weights(np.zeros((1, 1, 4)))[0])
         rng = np.random.default_rng(6)
         n = 40_000
         counts = np.bincount(place_new_agents(sw, rng, np.zeros(n, dtype=int)), minlength=4)
@@ -196,7 +194,7 @@ class TestSequenceWeights:
 
     def test_uniform_store_weights_give_uniform_sequences(self):
         pool = self.pool([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]])
-        sw = StoreWeightVector.uniform(18, 1)
+        sw = StoreWeightVector(step=0, log_w=store_weights(np.zeros((1, 1, 18)))[0])
         np.testing.assert_allclose(weight_sequences(pool, sw), np.full(3, 1 / 3), atol=1e-12)
 
     def test_hand_summed_weights(self):
@@ -248,7 +246,8 @@ class TestSequenceWeights:
 
     def test_single_entry_always_assigned(self):
         pool = self.pool([[0, 1, 2, 3]])
-        probs = weight_sequences(pool, StoreWeightVector.uniform(4, 1))
+        sw = StoreWeightVector(step=0, log_w=store_weights(np.zeros((1, 1, 4)))[0])
+        probs = weight_sequences(pool, sw)
         assert np.all(categorical(np.random.default_rng(0), probs, size=10) == 0)
 
     def test_non_finite_store_weights_rejected(self):
@@ -397,7 +396,7 @@ class TestRunAssimilation:
 
     def test_case3_weights_pool_once_per_spawn_batch(self, monkeypatch):
         # Each spawn batch weights the pool once, by the store weights of the
-        # step it spawns at: the uniform table (step None) for the initial
+        # step it spawns at: the uniform table (step 0) for the initial
         # population, the table of step t for a batch spawned at step t. The
         # batches after the initial one each hold replenish_count agents.
         _, assim_cfg, observations, pool = self.setup_inputs()
@@ -414,7 +413,7 @@ class TestRunAssimilation:
         n = world.agents_spawned
         firsts = list(range(assim_cfg.initial_agents, n, assim_cfg.replenish_count))
         assert len(firsts) > 1 and n > len(firsts) + 1
-        assert calls == [None, *world.entered[firsts, 0].tolist()]
+        assert calls == [0, *world.entered[firsts, 0].tolist()]
 
     def test_random_control_never_weights_the_pool(self, monkeypatch):
         _, assim_cfg, observations, pool = self.setup_inputs()
@@ -470,9 +469,9 @@ class TestRunAssimilation:
         choice = ChoiceModel(make_graph([[5.0, 6.5, 5.8]]))
         world = make_world([make_agent(store=0)], store_count=3)
         expected = choice.probs(0, 0, world.congestion)
-        sw = update_store_weights(StoreWeightVector.uniform(3, 1), obs([4, 4, 4]))
+        log_w = store_weights(steps(obs([4, 4, 4])))[1]
         probs = np.tile(expected, (20_000, 1))
-        assert_frequencies(filtered_moves(np.random.default_rng(10), probs, sw.log_w[0], 100),
+        assert_frequencies(filtered_moves(np.random.default_rng(10), probs, log_w[0], 100),
                            expected)
 
     def test_baseline_ignores_observations(self):

@@ -524,6 +524,30 @@ class TestPipeline:
         assert err.startswith("error: pool.ratios: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "raw",
+        [{"pool.size": 2**62}, {"pool.size": 4 * 10**17}, {"sim.total_agents": 4 * 10**17},
+         {"sim.total_agents": 2**62}, {"sim.max_transitions": 4 * 10**17}],
+        # numpy refuses an array of 2**62 int64 entries outright; 4e17 entries
+        # fit its size check but no address space, so the allocation fails
+        ids=["pool-size-too-big", "pool-size-no-memory", "agents-no-memory", "agents-too-big",
+             "transitions-too-big"],
+    )
+    def test_count_too_large_for_its_arrays_exits_3_naming_key(self, capsys, tmp_path, raw, jobs):
+        # validate-config accepts these counts; the run's arrays cannot be built
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate-config", "--config", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        rc = main(["experiment", "--config", str(path), "--out", str(tmp_path / "out"),
+                   "--runs", str(jobs), "--jobs", str(jobs)])
+        assert rc == EXIT_CONFIG_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {next(iter(raw))}: ")
+        assert "too many to allocate" in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "command",
         [["experiment", "--case", "1"], ["experiment", "--case", "2"], ["generate-obs"]],
@@ -682,9 +706,9 @@ def test_traced_experiment_runs_every_hooked_entry_point(tmp_path, jobs):
     assert payloads
     names = {span[2] for payload in payloads for span in payload["spans"]}
     assert {
-        "model.ChoiceModel.log_probs", "model.ChoiceModel.sample", "model.step_world",
+        "model.ChoiceModel.log_probs", "model.step_world",
         "twin.run_truth", "assimilation.run_baseline", "assimilation.run_assimilation",
-        "assimilation.update_store_weights", "assimilation.weight_sequences",
+        "assimilation.weight_sequences",
     } <= names
     if jobs > 1:
         assert len({payload["pid"] for payload in payloads}) > 1

@@ -4,7 +4,8 @@ Each law test makes 10^5 draws per row from one batched call, with a fixed
 seed, and requires a chi-square p-value above 0.001: against the reference
 probabilities where they are exact, and against 10^5 draws of the per-agent
 chain (a two-sample test) for the filtered moves. The hypothesis tests check
-the properties that hold draw by draw.
+the properties that hold draw by draw, and that one store_weights call builds
+the weights the per-step fold does.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from scipy import stats
 from roamlab.assimilation import (
     StoreWeightVector,
     filtered_moves,
-    update_store_weights,
+    store_weights,
     weight_sequences,
 )
 from roamlab.model import (
@@ -72,7 +73,8 @@ def case_weights(case):
     by_attr = np.array([[3, 0, 1, 2, 0], [0, 2, 0, 0, 3]])
     if case != 2:
         by_attr = np.broadcast_to(by_attr.sum(axis=0), by_attr.shape)
-    return update_store_weights(StoreWeightVector.uniform(5, 2), by_attr)
+    log_w = store_weights(np.stack([np.zeros_like(by_attr), by_attr]))[1]
+    return StoreWeightVector(step=1, log_w=log_w)
 
 
 def test_plain_moves_match_per_agent_law():
@@ -276,3 +278,23 @@ def test_spawn_runs_match_one_at_a_time_draws(seed, quotas, count):
     assert world.group[: world.agents_spawned].tolist() == expected
     np.testing.assert_array_equal(world.group_quota_remaining, quota)
     assert (after_groups or [rng.random()])[0] == oracle_rng.random()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 50), st.integers(1, 4), st.integers(2, 20),
+       st.integers(1, 100))
+@example(seed=0, t=200, g=4, s=18, high=30)  # the default protocol's shape
+def test_store_weights_equal_the_per_step_fold(seed, t, g, s, high):
+    """One store_weights call gives the per-step fold's weights: bit for bit
+    in fresh mode, and within 1e-12 under accumulation, where the fold
+    renormalizes at every step; each accumulated row t is the normalized sum
+    of the counts of steps 1..t."""
+    counts = np.random.default_rng(seed).integers(0, high, size=(t + 1, g, s))
+    np.testing.assert_array_equal(store_weights(counts), reference.fold_store_weights(counts))
+    accumulated = store_weights(counts, accumulate=True)
+    np.testing.assert_allclose(accumulated, reference.fold_store_weights(counts, accumulate=True),
+                               rtol=0, atol=1e-12)
+    summed = np.cumsum(counts[1:], axis=0)
+    linear = np.exp(summed - summed.max(axis=-1, keepdims=True))
+    np.testing.assert_allclose(np.exp(accumulated[1:]), linear / linear.sum(axis=-1, keepdims=True),
+                               rtol=0, atol=1e-12)
