@@ -73,10 +73,10 @@ def filtered_moves(
     return categorical(rng, np.exp(log_normalize_rows(log_cw)))
 
 
-def place_new_agents(sw: StoreWeightVector, rng: np.random.Generator, groups) -> np.ndarray:
-    """Initial stores for freshly spawned agents: agent i draws from the
-    store weights of its group, groups[i]."""
-    return categorical(rng, np.exp(sw.log_w[groups]))
+def place_new_agents(log_w: np.ndarray, rng: np.random.Generator, groups) -> np.ndarray:
+    """Initial stores for freshly spawned agents: agent i draws from its
+    group's row of the step's (G, S) store log weights, log_w[groups[i]]."""
+    return categorical(rng, np.exp(log_w[groups]))
 
 
 def weight_sequences(pool: SequencePool, sw: StoreWeightVector) -> np.ndarray:
@@ -129,9 +129,9 @@ def run_assimilation(
 
     observations is the (T+1, G, S) array of inflow counts by step, group and
     store, covering steps 0..horizon. The store weights of every step are
-    built from them in one store_weights call before the run: weights[0] is
+    built from them in one store_weights call before the run: log_w[0] is
     uniform, since no observation has been consumed when the initial
-    population is placed, and weights[t], applied during step t, takes in the
+    population is placed, and log_w[t], applied during step t, takes in the
     inflows observed at step t. Case 2 weights each group by its own counts;
     cases 1 and 3 weight every group by the per-store totals. Case 3 requires
     a sequence pool whose paths span the full transition count; each spawn
@@ -153,10 +153,7 @@ def run_assimilation(
         )
     if case != 2:  # every group sees the per-store totals
         observations = observations.sum(axis=1, keepdims=True).repeat(cfg.group_count, axis=1)
-    # one record per step only because the benchmark tracer's note on
-    # weight_sequences reads the step off it
-    weights = [StoreWeightVector(t, log_w) for t, log_w in
-               enumerate(store_weights(observations, options.weight_accumulation))]
+    log_w = store_weights(observations, options.weight_accumulation)
 
     if case == 3:
         if pool.paths.shape[1] != cfg.max_transitions + 1:
@@ -170,7 +167,8 @@ def run_assimilation(
             if options.random_baseline:
                 entries = rng.integers(pool.size, size=len(ids))
             else:
-                seq = weight_sequences(pool, weights[world.step])
+                # a record only for the benchmark tracer, whose note reads its step
+                seq = weight_sequences(pool, StoreWeightVector(world.step, log_w[world.step]))
                 entries = categorical(rng, seq, size=len(ids))
             followed[ids] = entries
             return pool.paths[entries, 0]
@@ -186,8 +184,8 @@ def run_assimilation(
 
             def mover(world, ids, rng):
                 groups = world.group[ids]
-                probs = choice.probs(groups, world.stores(ids), world.congestion)
-                return filtered_moves(rng, probs, weights[world.step].log_w[groups], n)
+                probs = np.exp(choice.log_probs(groups, world.stores(ids), world.congestion))
+                return filtered_moves(rng, probs, log_w[world.step][groups], n)
 
         else:
             mover = model_mover(choice)
@@ -195,7 +193,7 @@ def run_assimilation(
         if options.weighted_placement:
 
             def placer(world, ids, groups, rng):
-                return place_new_agents(weights[world.step], rng, groups)
+                return place_new_agents(log_w[world.step], rng, groups)
 
         else:
             placer = uniform_placer

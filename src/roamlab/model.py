@@ -198,23 +198,14 @@ class ChoiceModel:
         self._omega = cfg.omega
 
     def log_probs(self, group, current_store, congestion: np.ndarray) -> np.ndarray:
-        """Log choice probabilities over all stores; excluded stores get -inf.
-
-        group and current_store are scalars, giving one (S,) vector, or
-        equal-length arrays, giving one (m, S) row per agent.
-        """
-        group = np.asarray(group)
-        u = self._static[group] + self._omega[group][..., None] * congestion
+        """(m, S) log choice probabilities, a row per agent of the equal-length
+        arrays group and current_store; excluded stores get -inf (exp 0)."""
+        u = self._static[group] + self._omega[group][:, None] * congestion
         if not np.isfinite(u).all():
             raise ValueError("non-finite store utilities; check sim.omega and sim.k")
         if not self.allow_self_transition:
-            rows = u.reshape(-1, u.shape[-1])  # a view: u is a fresh C-ordered array
-            rows[np.arange(len(rows)), np.ravel(current_store)] = -np.inf
+            u[np.arange(len(u)), current_store] = -np.inf
         return log_normalize_rows(u)
-
-    def probs(self, group, current_store, congestion: np.ndarray) -> np.ndarray:
-        # exp(-inf) leaves exact zeros on excluded stores
-        return np.exp(self.log_probs(group, current_store, congestion))
 
 
 def _draw_dwells(cfg: SimConfig, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -356,7 +347,7 @@ def model_mover(choice: ChoiceModel):
     """Movement policy that samples directly from the choice model."""
 
     def mover(world, ids, rng):
-        probs = choice.probs(world.group[ids], world.stores(ids), world.congestion)
+        probs = np.exp(choice.log_probs(world.group[ids], world.stores(ids), world.congestion))
         return categorical(rng, probs)
 
     return mover

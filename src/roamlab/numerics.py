@@ -20,16 +20,15 @@ def log_normalize_rows(v: np.ndarray) -> np.ndarray:
 
 
 def categorical(rng: np.random.Generator, probs: np.ndarray, size: int | None = None):
-    """Inverse-CDF draws from one probability vector, or from each row of a stack.
+    """Inverse-CDF draws: `size` indices from one probability vector, or,
+    without size, one index per row of an (m, K) stack.
 
-    probs is (K,) or (m, K). Without size this returns one index (an int) for
-    a vector and one index per row for a stack; with size it returns `size`
-    indices (per row). One uniform per draw, scaled by its row's CDF total;
-    the index drawn is the count of CDF entries <= u, so the last category
-    with non-zero probability is reached without clamping, and a
-    zero-probability category is never drawn. A vector, which can be a whole
-    sequence pool, is searched with np.searchsorted; each row of a stack, a
-    few stores per agent, is compared with its uniforms entry by entry.
+    One uniform per draw, scaled by its row's CDF total; the index drawn is
+    the count of CDF entries <= u, so the last category with non-zero
+    probability is reached without clamping, and a zero-probability category
+    is never drawn. The vector, which can be a whole sequence pool, is
+    searched with np.searchsorted; each row of the stack, a few stores per
+    agent, is compared with its uniform entry by entry.
 
     Raises ValueError on a NaN or negative entry, or a row that sums more than
     1e-9 away from 1.
@@ -41,9 +40,6 @@ def categorical(rng: np.random.Generator, probs: np.ndarray, size: int | None = 
     total = cdf[..., -1:]
     if np.any(np.abs(total - 1.0) > 1e-9):
         raise ValueError("probabilities must sum to 1 (within 1e-9)")
-    if p.ndim == 1:
-        idx = np.searchsorted(cdf, rng.random(1 if size is None else size) * total, side="right")
-        return int(idx[0]) if size is None else idx
-    u = rng.random((len(p), 1 if size is None else size)) * total
-    idx = np.count_nonzero(cdf[:, None, :] <= u[:, :, None], axis=-1)
-    return idx[:, 0] if size is None else idx
+    if size is not None:
+        return np.searchsorted(cdf, rng.random(size) * total, side="right")
+    return np.count_nonzero(cdf <= rng.random((len(p), 1)) * total, axis=-1)

@@ -75,6 +75,11 @@ def make_graph(attractiveness, distance=None, allow_self_transition=False, **coe
     ).validate()
 
 
+def choice_row(choice, group, store, congestion):
+    """The (S,) choice probabilities of one agent of the group at the store."""
+    return np.exp(choice.log_probs([group], [store], congestion))[0]
+
+
 def make_agent(group=0, store=0, dwell=2, path=None):
     """One agent for make_world: its visited stores end at its current store,
     and it roams unless it has made every transition."""

@@ -20,7 +20,9 @@ from roamlab.metrics import build_od, decode_ngram, discrepancy, ngram_table
 from roamlab.model import ChoiceModel, store_utilities
 from roamlab.numerics import log_normalize_rows
 
-from conftest import TINY_OVERRIDES, FixedCounts, make_agent, make_graph, make_world, path_rows
+from conftest import (
+    TINY_OVERRIDES, FixedCounts, choice_row, make_agent, make_graph, make_world, path_rows,
+)
 
 
 def check(criterion: int, ok: bool, description: str):
@@ -94,7 +96,7 @@ def test_criterion_4_softmax_properties():
         congestion = rng.integers(0, 50, size=s)
         graph = make_graph(a, d, **params)
 
-        p = ChoiceModel(graph).probs(0, int(rng.integers(s)), congestion)
+        p = choice_row(ChoiceModel(graph), 0, int(rng.integers(s)), congestion)
         worst_sum = max(worst_sum, abs(p.sum() - 1.0))
 
         u = store_utilities(graph, congestion.astype(float))[0]
@@ -104,7 +106,7 @@ def test_criterion_4_softmax_properties():
         )
 
     sym_graph = make_graph([[5.0] * 18])
-    p = ChoiceModel(sym_graph).probs(0, 4, np.full(18, 7))
+    p = choice_row(ChoiceModel(sym_graph), 0, 4, np.full(18, 7))
     candidates = p[np.arange(18) != 4]
     exact_uniform = bool(np.all(candidates == candidates[0]))
 
@@ -122,7 +124,7 @@ def test_criterion_5_uniform_likelihood_is_noop():
     choice = ChoiceModel(graph)
     world = make_world([make_agent(store=0)], store_count=3)
     world.congestion = np.array([4, 2, 1])
-    expected = choice.probs(0, 0, world.congestion)
+    expected = choice_row(choice, 0, 0, world.congestion)
 
     log_w = store_weights(np.array([[[0, 0, 0]], [[3, 3, 3]]]))[1]
 

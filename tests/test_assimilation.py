@@ -18,7 +18,9 @@ from roamlab.model import ChoiceModel, completed_paths, path_rows
 from roamlab.numerics import categorical, log_normalize_rows
 from roamlab.twin import SequencePool, run_truth, sample_biased_pool
 
-from conftest import FixedCounts, agent_path, make_agent, make_graph, make_world, small_sim_config
+from conftest import (
+    FixedCounts, agent_path, choice_row, make_agent, make_graph, make_world, small_sim_config,
+)
 
 
 def obs(inflow, groups=1):
@@ -103,7 +105,7 @@ class TestParticleOps:
 
     def test_degenerate_proposal_is_constant(self):
         world, choice = self.frozen_scene((5.0, 5.0))
-        probs = np.tile(choice.probs(0, 0, world.congestion), (50, 1))
+        probs = np.tile(choice_row(choice, 0, 0, world.congestion), (50, 1))
         log_w = np.log([0.9, 0.1])
         stores = filtered_moves(np.random.default_rng(0), probs, log_w, 50)
         assert np.all(stores == 1)  # only candidate besides the current store
@@ -112,7 +114,7 @@ class TestParticleOps:
         # One candidate per move is kept whatever its weight, so the moves
         # follow the choice model.
         world, choice = self.frozen_scene((5.0, 7.0, 6.0, 5.5))
-        probs = choice.probs(0, 0, world.congestion)
+        probs = choice_row(choice, 0, 0, world.congestion)
         log_w = np.log([0.1, 0.6, 0.1, 0.2])
         stores = filtered_moves(np.random.default_rng(1), np.tile(probs, (self.N, 1)), log_w, 1)
         assert_frequencies(stores, probs)
@@ -134,9 +136,8 @@ class TestParticleOps:
 
     def test_attribute_variant_uses_group_row(self):
         log_attr = np.log(np.array([[0.9, 0.1], [0.2, 0.8]]))
-        sw = StoreWeightVector(step=1, log_w=log_attr)
         groups = np.arange(self.N) % 2
-        picks = self.pick([1, 1], sw.log_w[groups], seed=3)
+        picks = self.pick([1, 1], log_attr[groups], seed=3)
         assert_frequencies(picks[groups == 0], [0.9, 0.1])
         assert_frequencies(picks[groups == 1], [0.2, 0.8])
 
@@ -162,26 +163,25 @@ class TestParticleOps:
             filtered_moves(rng, probs, np.array([0.0, np.nan, 0.0]), 10)
 
     def test_placement_follows_store_weights(self):
-        sw = StoreWeightVector(step=1, log_w=np.log([softmax_oracle([2, 1, 0])]))
+        log_w = np.log([softmax_oracle([2, 1, 0])])
         rng = np.random.default_rng(4)
         n = 100_000
         w = np.array(softmax_oracle([2, 1, 0]))
-        counts = np.bincount(place_new_agents(sw, rng, np.zeros(n, dtype=int)), minlength=3)
+        counts = np.bincount(place_new_agents(log_w, rng, np.zeros(n, dtype=int)), minlength=3)
         sigma = np.sqrt(n * w * (1 - w))
         assert np.all(np.abs(counts - n * w) <= 3 * sigma)
 
     def test_placement_degenerate_weight(self):
         log_w = np.full((1, 6), -np.inf)
         log_w[0, 5] = 0.0
-        sw = StoreWeightVector(step=1, log_w=log_w)
         rng = np.random.default_rng(5)
-        assert np.all(place_new_agents(sw, rng, np.zeros(20, dtype=int)) == 5)
+        assert np.all(place_new_agents(log_w, rng, np.zeros(20, dtype=int)) == 5)
 
     def test_placement_uniform_weights(self):
-        sw = StoreWeightVector(step=0, log_w=store_weights(np.zeros((1, 1, 4)))[0])
+        log_w = store_weights(np.zeros((1, 1, 4)))[0]
         rng = np.random.default_rng(6)
         n = 40_000
-        counts = np.bincount(place_new_agents(sw, rng, np.zeros(n, dtype=int)), minlength=4)
+        counts = np.bincount(place_new_agents(log_w, rng, np.zeros(n, dtype=int)), minlength=4)
         sigma = math.sqrt(n * 0.25 * 0.75)
         assert np.all(np.abs(counts - n * 0.25) <= 3 * sigma)
 
@@ -468,7 +468,7 @@ class TestRunAssimilation:
         # must sample the plain choice distribution.
         choice = ChoiceModel(make_graph([[5.0, 6.5, 5.8]]))
         world = make_world([make_agent(store=0)], store_count=3)
-        expected = choice.probs(0, 0, world.congestion)
+        expected = choice_row(choice, 0, 0, world.congestion)
         log_w = store_weights(steps(obs([4, 4, 4])))[1]
         probs = np.tile(expected, (20_000, 1))
         assert_frequencies(filtered_moves(np.random.default_rng(10), probs, log_w[0], 100),

@@ -94,7 +94,7 @@ def filtered_chain_p(case):
     sw = case_weights(case)
     n = 5
     ids = np.repeat([0, 1], N)
-    probs = choice.probs(world.group[ids], world.stores(ids), world.congestion)
+    probs = np.exp(choice.log_probs(world.group[ids], world.stores(ids), world.congestion))
     log_w = sw.log_w[world.group[ids]]
     batched = filtered_moves(np.random.default_rng(62), probs, log_w, n)
     rng = np.random.default_rng(64)
@@ -157,7 +157,7 @@ def random_movers(rng, allow_self_transition):
     world = make_world(agents, store_count=s, quotas=(10,) * g)
     world.congestion = rng.integers(0, 20, size=s)
     current = world.stores(np.arange(m))
-    return choice.probs(world.group, current, world.congestion), current
+    return np.exp(choice.log_probs(world.group, current, world.congestion)), current
 
 
 @settings(max_examples=50, deadline=None)
@@ -204,27 +204,28 @@ def test_one_hot_weight_always_selects_its_store(seed, n):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 40), st.integers(1, 30))
 def test_stacked_draws_equal_row_by_row_inverse_cdf(seed, m, k, size):
+    # each of m rows, stacked `size` times, gets one draw
     rng = np.random.default_rng(seed)
     nonzero = rng.random((m, k)) < 0.6
     nonzero[np.arange(m), rng.integers(k, size=m)] = True
     p = rng.random((m, k)) * nonzero
-    p /= p.sum(axis=1, keepdims=True)
-    u = np.random.default_rng(seed + 1).random((m, size)).tolist()
-    expected = [[reference.inverse_cdf(row, x) for x in us] for row, us in zip(p.tolist(), u)]
-    got = categorical(np.random.default_rng(seed + 1), p, size=size)
+    p = np.repeat(p / p.sum(axis=1, keepdims=True), size, axis=0)
+    u = np.random.default_rng(seed + 1).random(len(p)).tolist()
+    expected = [reference.inverse_cdf(row, x) for row, x in zip(p.tolist(), u)]
+    got = categorical(np.random.default_rng(seed + 1), p)
     np.testing.assert_array_equal(got, expected)
-    assert np.all(p[np.arange(m)[:, None], got] > 0)
+    assert np.all(p[np.arange(len(p)), got] > 0)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 50))
 def test_one_dimensional_input_equals_a_single_row(seed, size):
+    # `size` draws from a vector are one draw from each of `size` copies of it:
+    # both take the same uniforms
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(int(rng.integers(2, 10))))
-    assert categorical(np.random.default_rng(seed), p) == (
-        categorical(np.random.default_rng(seed), p[None])[0])
     np.testing.assert_array_equal(categorical(np.random.default_rng(seed), p, size=size),
-                                  categorical(np.random.default_rng(seed), p[None], size=size)[0])
+                                  categorical(np.random.default_rng(seed), np.tile(p, (size, 1))))
 
     # A case-1 (S,) weight row filters like the same row given to every mover.
     probs, _ = random_movers(rng, bool(seed % 2))
@@ -233,12 +234,6 @@ def test_one_dimensional_input_equals_a_single_row(seed, size):
         filtered_moves(np.random.default_rng(seed), probs, row, size),
         filtered_moves(np.random.default_rng(seed), probs, np.tile(row, (len(probs), 1)), size),
     )
-
-    _, choice, world = two_group_scene(allow_self_transition=bool(seed % 2))
-    for agent in range(3):
-        g, c = world.group[agent], world.stores(agent)
-        np.testing.assert_array_equal(choice.log_probs(g, c, world.congestion),
-                                      choice.log_probs([g], [c], world.congestion)[0])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 1000, 2**31 + 5])

@@ -21,7 +21,9 @@ from roamlab.model import (
     uniform_placer,
 )
 
-from conftest import agent_path, make_agent, make_graph, make_world, small_sim_config
+from conftest import (
+    agent_path, choice_row, make_agent, make_graph, make_world, small_sim_config,
+)
 
 
 def params(omega=0.0, k=1.0, lam=6.0):
@@ -29,11 +31,11 @@ def params(omega=0.0, k=1.0, lam=6.0):
 
 
 def kernel_probs(attractiveness, pm, store, congestion=None, allow_self_transition=False):
-    """ChoiceModel.probs for a one-group graph; zero congestion by default."""
+    """One agent's choice row on a one-group graph; zero congestion by default."""
     cfg = make_graph(attractiveness, allow_self_transition=allow_self_transition, **pm)
     if congestion is None:
         congestion = np.zeros(cfg.store_count, dtype=np.int64)
-    return ChoiceModel(cfg).probs(0, store, congestion)
+    return choice_row(ChoiceModel(cfg), 0, store, congestion)
 
 
 class TestChoiceProbabilities:
@@ -85,7 +87,7 @@ class TestChoiceProbabilities:
         # ... and log_probs a congestion beyond the agent budget that overflows them
         cfg = make_graph([[5.0, 5.0, 5.0]], **params(omega=1e300))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-            ChoiceModel(cfg).probs(0, 0, np.array([0.0, 1e10, 0.0]))
+            choice_row(ChoiceModel(cfg), 0, 0, np.array([0.0, 1e10, 0.0]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
@@ -132,11 +134,11 @@ class TestChoiceModel:
         model = ChoiceModel(graph)
         congestion = rng.integers(0, 25, size=7)
         groups, currents = np.repeat([0, 1], 7), np.tile(np.arange(7), 2)
-        batched = model.probs(groups, currents, congestion)
+        batched = np.exp(model.log_probs(groups, currents, congestion))
         for row, (group, current) in enumerate(zip(groups, currents)):
             expected = reference.choice_probs(graph, group, current, congestion)
             np.testing.assert_allclose(
-                model.probs(group, current, congestion), expected, rtol=1e-12, atol=1e-15
+                choice_row(model, group, current, congestion), expected, rtol=1e-12, atol=1e-15
             )
             np.testing.assert_allclose(batched[row], expected, rtol=1e-12, atol=1e-15)
 

@@ -45,12 +45,12 @@ def test_log_normalize_rows_keeps_minus_inf_entries():
     np.testing.assert_array_equal(out, [[-np.log(2), -np.inf, -np.log(2)], [-np.inf, 0.0, -np.inf]])
 
 
-def test_categorical_scalar_and_vector_draws():
+def test_categorical_vector_and_stack_draws():
     rng = np.random.default_rng(0)
     probs = np.array([0.2, 0.5, 0.3])
-    singles = np.array([categorical(rng, probs) for _ in range(30_000)])
+    stacked = categorical(rng, np.tile(probs, (30_000, 1)))
     batch = categorical(rng, probs, size=30_000)
-    for draws in (singles, batch):
+    for draws in (stacked, batch):
         counts = np.bincount(draws, minlength=3)
         sigma = np.sqrt(len(draws) * probs * (1 - probs))
         assert np.all(np.abs(counts - len(draws) * probs) <= 3 * sigma)
@@ -83,7 +83,6 @@ def test_categorical_last_category_with_probability_one_always_drawn():
     rng = np.random.default_rng(2)
     probs = np.array([0.0, 0.0, 0.0, 1.0])
     assert np.all(categorical(rng, probs, size=10_000) == 3)
-    assert all(categorical(rng, probs) == 3 for _ in range(100))
     assert np.all(categorical(rng, np.tile(probs, (10_000, 1))) == 3)
 
 
@@ -97,10 +96,6 @@ def test_categorical_each_row_draws_from_its_own_row():
         assert np.all(counts[row == 0] == 0)
         sigma = np.sqrt(n * row * (1 - row))
         assert np.all(np.abs(counts - n * row) <= 3 * np.maximum(sigma, 1e-9))
-    per_row = categorical(rng, rows, size=n)
-    assert per_row.shape == (3, n)
-    for row, got in zip(rows, per_row):
-        assert np.all(row[got] > 0)
 
 
 @pytest.mark.parametrize("u, drawn", [(0.0, 1), (0.5, 3)], ids=["u-zero", "u-on-cdf-entry"])
@@ -108,7 +103,6 @@ def test_categorical_vector_skips_zero_categories_at_cdf_edges(u, drawn):
     # CDF 0, 0.5, 0.5, 1: the index is the count of entries <= u, so u = 0
     # passes the leading zero category and u = 0.5 the one after index 1
     probs = np.array([0.0, 0.5, 0.0, 0.5])
-    assert categorical(FixedUniforms([u]), probs) == drawn
     np.testing.assert_array_equal(categorical(FixedUniforms([u] * 3), probs, size=3), [drawn] * 3)
 
 
@@ -116,5 +110,4 @@ def test_categorical_stack_skips_zero_categories_at_cdf_edges():
     # row CDFs 0, 0.5, 0.5, 1 and 0, 0.25, 0.25, 1
     rows = np.array([[0.0, 0.5, 0.0, 0.5], [0.0, 0.25, 0.0, 0.75]])
     np.testing.assert_array_equal(categorical(FixedUniforms([0.0, 0.25]), rows), [1, 3])
-    np.testing.assert_array_equal(
-        categorical(FixedUniforms([[0.5, 0.0], [0.0, 0.25]]), rows, size=2), [[3, 1], [1, 3]])
+    np.testing.assert_array_equal(categorical(FixedUniforms([0.5, 0.0]), rows), [3, 1])
