@@ -13,10 +13,13 @@ def log_normalize_rows(v: np.ndarray) -> np.ndarray:
     """Shift each row (last axis) of v so that exp(row) sums to 1; a 1-D v is
     one row.
 
-    Every row's largest entry must be finite; -inf entries stay -inf.
+    Every row's largest entry must be finite; -inf entries stay -inf. The
+    shift by the row maximum is taken before the log of the sum is subtracted,
+    so the result does not carry the rounding of a large maximum, and rows
+    normalise at any finite scale.
     """
-    m = v.max(axis=-1, keepdims=True)
-    return v - (m + np.log(np.exp(v - m).sum(axis=-1, keepdims=True)))
+    shifted = v - v.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def categorical(rng: np.random.Generator, probs: np.ndarray, size: int | None = None):

@@ -26,6 +26,14 @@ MINI = {
 }
 
 
+def child_env():
+    """The environment of a child that imports the same roamlab as this
+    process, installed or not."""
+    src = str(Path(roamlab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 @pytest.fixture
 def mini_config(tmp_path):
     path = tmp_path / "mini.json"
@@ -573,15 +581,11 @@ class TestPipeline:
     def test_console_entry_point(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("{}")
-        # The child imports the same roamlab as this process, installed or not.
-        src = str(Path(roamlab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         proc = subprocess.run(
             [sys.executable, "-m", "roamlab.cli", "validate-config", "--config", str(path)],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["sim.store_count"] == 18
@@ -633,6 +637,17 @@ def test_accepted_config_never_ends_experiment_in_a_traceback(tmp_path, capsys, 
                "--jobs", "1"])
     assert rc in (EXIT_OK, EXIT_CONFIG_SCHEMA, EXIT_IO)
     assert rc == EXIT_OK or len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("raw", [{"sim.k": 1e4}, {"sim.omega": 1e4}, {"sim.k": 1e8}],
+                         ids=lambda raw: ",".join(f"{k}={v}" for k, v in raw.items()))
+def test_large_utility_scales_run(tmp_path, raw):
+    # choice and filter rows normalise however far the utilities sit from zero
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**TINY_OVERRIDES, **raw}))
+    rc = main(["experiment", "--config", str(path), "--out", str(tmp_path / "out"),
+               "--runs", "1", "--jobs", "1"])
+    assert rc == EXIT_OK
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,18 @@ def test_logsumexp_handles_large_values(v=np.array([10_000.0, 0.0])):
     assert np.isfinite(log_normalize_rows(v)[0])
 
 
+@pytest.mark.parametrize("offset", [1e5, 1e300])
+def test_log_normalize_rows_sum_to_one_far_from_zero(offset):
+    # near-flat rows far from zero, the last store excluded, as sim.k = 1e4
+    # makes the default choice rows: a maximum added back after the log of
+    # the sum rounds at its own scale, past rng.multinomial's 1e-12
+    rows = offset + np.random.default_rng(4).uniform(0, 0.05, size=(100, 18))
+    rows[:, -1] = -np.inf
+    p = np.exp(log_normalize_rows(rows))
+    assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
+    np.random.default_rng(5).multinomial(100, p)
+
+
 def test_log_normalize_rows_keeps_minus_inf_entries():
     out = log_normalize_rows(np.array([[0.0, -np.inf, 0.0], [-np.inf, 3.0, -np.inf]]))
     np.testing.assert_array_equal(out, [[-np.log(2), -np.inf, -np.log(2)], [-np.inf, 0.0, -np.inf]])

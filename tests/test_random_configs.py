@@ -2,8 +2,8 @@
 
 Hypothesis draws configs of other shapes than the default and tiny ones:
 2-6 stores, 1-3 groups, random quotas, lifecycle counts and dwell ranges, a
-horizon of 20-80 steps, 1-2 replicates, random flags and a random subset of
-cases. Each config either raises ConfigSchemaError naming its key, or runs
+horizon of 20-80 steps, choice coefficients over many orders of magnitude,
+1-2 replicates, random flags and a random subset of cases. Each config either raises ConfigSchemaError naming its key, or runs
 and writes a tree that holds every invariant of check_tree.
 """
 
@@ -55,7 +55,13 @@ def raw_configs(draw):
         "sim.dwell_min": dwell_min,
         "sim.dwell_max": draw(st.integers(dwell_min, dwell_min + 2)),
         "sim.horizon_steps": draw(st.integers(20, 80)),
-        "sim.k": draw(st.lists(st.floats(0.2, 2), min_size=groups, max_size=groups)),
+        # per-group choice coefficients over many orders of magnitude: k
+        # log-uniform over 1e-3..1e6, omega of either sign over 1e-4..1e6
+        "sim.k": draw(st.lists(st.floats(-3, 6).map(lambda e: 10**e),
+                               min_size=groups, max_size=groups)),
+        "sim.omega": draw(st.lists(
+            st.builds(lambda sign, e: sign * 10**e, st.sampled_from([-1, 1]), st.floats(-4, 6)),
+            min_size=groups, max_size=groups)),
         "truth.attractiveness": draw(st.lists(
             st.lists(st.integers(1, 10), min_size=stores, max_size=stores),
             min_size=groups, max_size=groups)),
