@@ -226,6 +226,9 @@ def resolve_config(raw: dict | None = None, overrides: dict | None = None) -> Ex
         )
         try:
             sim.validate()
+        except MemoryError as e:  # validate's own (S, S) and (G, S, S) temporaries
+            raise ConfigSchemaError(
+                f"sim.store_count: {s} stores are too many to validate: {e}") from e
         except ValueError as e:
             # validate names the SimConfig field first; name its config key
             field = str(e).partition(":")[0]

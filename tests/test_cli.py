@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -531,6 +532,21 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: pool.ratios: ")
         assert len(err.splitlines()) == 1
+
+    def test_store_count_too_large_to_validate_exits_3_naming_key(self, tmp_path):
+        # validate's (S, S) symmetry check and (G, S, S) decay need some GB at
+        # 8000 stores; the child's address space is capped below that
+        path = tmp_path / "stores.json"
+        path.write_text(json.dumps({"sim.store_count": 8000}))
+        limit = 2**30
+        proc = subprocess.run(
+            [sys.executable, "-m", "roamlab.cli", "validate-config", "--config", str(path)],
+            capture_output=True, text=True, env=child_env(),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == EXIT_CONFIG_SCHEMA
+        assert proc.stderr.startswith("error: sim.store_count: ")
+        assert len(proc.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize(
