@@ -3,8 +3,9 @@
 Hypothesis draws configs of other shapes than the default and tiny ones:
 2-6 stores, 1-3 groups, random quotas, lifecycle counts and dwell ranges, a
 horizon of 20-80 steps, choice coefficients over many orders of magnitude,
-1-2 replicates, random flags and a random subset of cases. Each config either raises ConfigSchemaError naming its key, or runs
-and writes a tree that holds every invariant of check_tree.
+1-2 replicates, random flags and a random subset of cases. Each config
+either raises ConfigSchemaError naming its key, or runs and writes a tree
+that holds every invariant of check_tree.
 """
 
 import json
