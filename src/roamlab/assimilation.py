@@ -105,7 +105,7 @@ class AssimOptions:
 
     particle_count: int = 100          # candidates per filtered move (cases 1-2)
     weight_accumulation: bool = False
-    random_baseline: bool = False
+    random_baseline: bool = False      # uniform case-3 assignment: the case3_random role
     filter_moves: bool = True          # per-move particle filtering (cases 1-2)
     weighted_placement: bool = True    # weight-driven spawn placement (cases 1-2)
 

@@ -46,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assimilate", help="run assimilation cases against stored observations")
     _add_common(p)
     p.add_argument("--case", help="1, 2, 3, or all (default: the config's experiment.cases)")
-    p.add_argument("--random-baseline", action="store_true",
-                   help="case 3 only: assign sequences uniformly instead of by likelihood")
 
     p = sub.add_parser("evaluate", help="aggregate completed replicates and write metrics")
     _add_common(p)
@@ -56,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--case", help="1, 2, 3, or all (default: the config's experiment.cases)")
     p.add_argument("--jobs", type=int, default=None, help="parallel replicate workers")
-    p.add_argument("--random-baseline", action="store_true",
-                   help="case 3 only: assign sequences uniformly instead of by likelihood")
 
     return parser
 
@@ -73,8 +69,6 @@ def _overrides(args) -> dict:
         ov["experiment.cases"] = [int(case)] if case.isdecimal() else case
     if getattr(args, "jobs", None) is not None:
         ov["experiment.jobs"] = args.jobs
-    if getattr(args, "random_baseline", False):
-        ov["flags.random_baseline"] = True
     return ov
 
 

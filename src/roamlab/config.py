@@ -50,8 +50,9 @@ def uniform_attractiveness(group_count: int = 4, store_count: int = 18) -> np.nd
     return np.full((group_count, store_count), UNIFORM_ATTRACTIVENESS)
 
 
-# the AssimOptions switches, each set by the config key flags.<field>
-ASSIM_FLAGS = [f.name for f in fields(AssimOptions) if f.name != "particle_count"]
+# the AssimOptions switches set by a config key flags.<field>; random_baseline is set per run
+ASSIM_FLAGS = [f.name for f in fields(AssimOptions)
+               if f.name not in ("particle_count", "random_baseline")]
 
 # key -> (default, kind, least). Null is accepted exactly where the default is
 # null. Ints must fit int64 and numbers must be finite as floats, and least
@@ -157,11 +158,22 @@ def _check(key, value):
         raise ConfigSchemaError(f"{key}: must be >= {least}, got {value!r}")
 
 
+def _unique_keys(pairs) -> dict:
+    """json object_pairs_hook: the object's pairs as a dict, refusing a key
+    named twice, which json would otherwise resolve to its last value."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ConfigSchemaError(f"{key}: named twice in the config")
+        seen.add(key)
+    return dict(pairs)
+
+
 def load_raw(path) -> dict:
     """Read the flat key/value JSON object from disk."""
     try:
         with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
+            raw = json.load(f, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise ConfigReadError(f"cannot read config {path}: {e}") from e
     # bad JSON or UTF-8, an int over Python's digit limit, or nesting past its stack
@@ -281,5 +293,7 @@ def validate_config(path=None, overrides: dict | None = None) -> ExperimentConfi
 def config_hash(cfg: ExperimentConfig) -> str:
     """Hash of the semantically meaningful resolved config."""
     semantic = {k: v for k, v in cfg.resolved.items() if k not in NON_SEMANTIC_KEYS}
+    # the removed flags.random_baseline, hashed as before so that metrics.json keeps its bytes
+    semantic["flags.random_baseline"] = False
     blob = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

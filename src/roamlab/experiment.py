@@ -41,11 +41,7 @@ def replicate_dir(out, role: str, replicate: int) -> Path:
 def case_labels(cfg: ExperimentConfig):
     """Assimilation runs to perform; case 3 always carries its random control."""
     labels = [f"case{c}" for c in cfg.cases if c != 3]
-    if 3 in cfg.cases:
-        if not cfg.assim_options.random_baseline:
-            labels.append("case3")
-        labels.append("case3_random")
-    return labels
+    return labels + list(CASE3_ROLES) if 3 in cfg.cases else labels
 
 
 def _stem(role: str) -> str:
@@ -214,7 +210,7 @@ def _read_summary(cfg: ExperimentConfig, out, replicate: int, roles) -> dict:
         d = replicate_dir(out, role, replicate)
         od_path, paths_path = d / f"{_stem(role)}_od.csv", d / f"{_stem(role)}_paths.csv"
         od = io.read_od(od_path, sim.store_count)
-        rows = io.read_paths(paths_path, sim.store_count)
+        rows = io.read_paths(paths_path, sim.store_count, sim.group_count)
         if not np.array_equal(build_od(rows, sim.store_count), od):
             raise io.MalformedTableError(f"{paths_path}: its moves do not give {od_path}")
         assignments = None

@@ -11,8 +11,9 @@ Stage products are read back strictly, each in one numpy pass, against the
 shapes the config gives the reader: the header must match exactly, every
 row must hold one integer per column, a dense count file must hold every
 cell of its array exactly once, an id column must number its rows 0..R-1,
-every store and attr must be in range and no observed count may be
-negative. A file that breaks this raises MalformedTableError naming the file.
+every store, group and attr must be in range and no agent_id or observed
+count may be negative. A file that breaks this raises MalformedTableError
+naming the file.
 """
 
 import json
@@ -171,13 +172,17 @@ def write_paths(path, rows):
     _write_table(path, ["agent_id", "group", "position", "store"], rows)
 
 
-def read_paths(path, store_count: int) -> np.ndarray:
+def read_paths(path, store_count: int, group_count: int) -> np.ndarray:
     """Path rows (agent_id, group, position, store), ordered by agent, then position.
 
-    Every agent's positions must run 0, 1, 2, ..., its group must not change
-    and every store must be in 0..store_count-1.
+    No agent_id may be negative, every agent's positions must run 0, 1, 2,
+    ..., its group must be in 0..group_count-1 and must not change, and every
+    store must be in 0..store_count-1.
     """
     rows = _read_table(path, ["agent_id", "group", "position", "store"])
+    if rows.size and rows[:, 0].min() < 0:
+        raise MalformedTableError(f"{path}: an agent_id is negative")
+    _check_range(path, "group", rows[:, 1], group_count)
     _check_range(path, "store", rows[:, 3], store_count)
     rows = rows[np.lexsort((rows[:, 2], rows[:, 0]))]
     agent, group, position = rows[:, 0], rows[:, 1], rows[:, 2]

@@ -154,7 +154,8 @@ def test_criterion_6_lifecycle_accounting(default_experiment):
     for r in range(cfg.replicate_count):
         for role in roles:
             fname = paths_file.get(role, "assim_paths.csv")
-            rows = io.read_paths(replicate_dir(out, role, r) / fname, cfg.assim.store_count)
+            rows = io.read_paths(replicate_dir(out, role, r) / fname,
+                                 cfg.assim.store_count, cfg.assim.group_count)
             starts = rows[rows[:, 2] == 0]  # one row per agent: its first store
             if len(starts) != 2000:
                 spawn_ok = False

@@ -107,11 +107,28 @@ class TestValidateConfig:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
-    def test_unknown_key_exits_3_naming_key(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text, error",
+        [('{"sim.stores": 9}', "sim.stores: unknown config key"),
+         # case 3 always runs beside case3_random, so the flag could only drop case3
+         ('{"flags.random_baseline": true}', "flags.random_baseline: unknown config key"),
+         # json keeps the last value, 1; the first alone is refused
+         ('{"sim.k": 1e308, "sim.k": 1}', "sim.k: named twice in the config")],
+        ids=["unknown", "removed-flag", "repeated"],
+    )
+    def test_unknown_or_repeated_key_exits_3_naming_key(self, capsys, tmp_path, text, error):
         path = tmp_path / "k.json"
-        path.write_text(json.dumps({"sim.stores": 9}))
+        path.write_text(text)
         assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG_SCHEMA
-        assert "sim.stores" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("command", ["assimilate", "experiment"])
+    def test_removed_random_baseline_option_exits_2(self, capsys, tmp_path, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--random-baseline", "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --random-baseline" in capsys.readouterr().err
 
     def test_invariant_violation_exits_3(self, capsys, tmp_path):
         path = tmp_path / "q.json"
@@ -328,6 +345,30 @@ class TestPipeline:
         assert err.startswith("error: ") and str(target) in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("column, agent, value", [(1, 0, 9), (0, 1, -1)],
+                             ids=["group-9", "agent-id-negative"])
+    def test_evaluate_on_paths_with_group_or_agent_id_out_of_range_exits_4(
+        self, mini_config, tmp_path, capsys, column, agent, value
+    ):
+        # every row of the agent is rewritten, so its path stays whole and its
+        # moves still give the OD matrix beside it
+        out = tmp_path / "out"
+        base = ["--config", str(mini_config), "--out", str(out)]
+        assert main(["experiment", *base, "--case", "1", "--jobs", "1"]) == EXIT_OK
+        target = out / "baseline" / "000" / "baseline_paths.csv"
+        header, *rows = target.read_text().splitlines(keepends=True)
+        for i, row in enumerate(rows):
+            cells = row.split(",")
+            if int(cells[0]) == agent:
+                cells[column] = str(value)
+                rows[i] = ",".join(cells)
+        target.write_text("".join([header, *rows]))
+        capsys.readouterr()
+        assert main(["evaluate", *base]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+        assert len(err.splitlines()) == 1
+
     def test_assimilate_on_truncated_attr_counts_exits_4(self, mini_config, tmp_path, capsys):
         out = tmp_path / "out"
         base = ["--config", str(mini_config), "--out", str(out)]
@@ -509,16 +550,6 @@ class TestPipeline:
         assert err.startswith("error: ") and str(blocker) in err
         assert len(err.splitlines()) == 1
 
-    def test_random_baseline_flag_skips_weighted_case3(self, mini_config, tmp_path):
-        out = tmp_path / "rb"
-        rc = main(
-            ["experiment", "--config", str(mini_config), "--case", "3", "--out", str(out),
-             "--jobs", "1", "--random-baseline"]
-        )
-        assert rc == EXIT_OK
-        assert (out / "case3_random").exists()
-        assert not (out / "case3").exists()
-
     @pytest.mark.parametrize(
         "command", [["generate-obs"], ["experiment", "--jobs", "1"], ["experiment", "--jobs", "2"]]
     )
@@ -670,7 +701,6 @@ def test_large_utility_scales_run(tmp_path, raw):
     "flag",
     [
         {"flags.weight_accumulation": True},
-        {"flags.random_baseline": True},
         {"flags.allow_self_transition": True},
         {"flags.count_spawn_as_inflow": False},
         {"flags.filter_moves": False},
@@ -694,7 +724,8 @@ def test_experiment_under_each_ablation_flag(tmp_path, flag):
     for role in ["truth", "baseline", *case_labels(cfg)]:
         for r in range(cfg.replicate_count):
             d = replicate_dir(out, role, r)
-            rows = io.read_paths(d / PATHS_FILE.get(role, "assim_paths.csv"), sim.store_count)
+            rows = io.read_paths(d / PATHS_FILE.get(role, "assim_paths.csv"),
+                                sim.store_count, sim.group_count)
             starts = rows[rows[:, 2] == 0]  # one row per agent: its first store
             assert len(starts) == sim.total_agents, role
             groups = np.bincount(starts[:, 1], minlength=sim.group_count)

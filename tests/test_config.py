@@ -1,9 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from roamlab.config import (
+    SCHEMA,
     ConfigReadError,
     ConfigSchemaError,
     config_hash,
@@ -65,6 +68,15 @@ class TestDefaults:
         assert np.all(np.diag(d) == 0)
         off = d[~np.eye(18, dtype=bool)]
         assert np.all(off == 1.0)
+
+    def test_readme_table_names_exactly_the_schema_keys(self):
+        # a row may name several keys, as `sim.omega`, `sim.k` does; sorted
+        # lists also catch a key named in two rows
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        named = [key for line in section.splitlines() if line.startswith("| `")
+                 for key in re.findall(r"`([^`]+)`", line.split("|")[1])]
+        assert sorted(named) == sorted(SCHEMA)
 
 
 class TestSchemaErrors:

@@ -55,10 +55,6 @@ class TestCaseLabels:
         cfg = resolve_config({}, {"experiment.cases": [2]})
         assert case_labels(cfg) == ["case2"]
 
-    def test_random_baseline_flag_drops_weighted_case3(self):
-        cfg = resolve_config({}, {"flags.random_baseline": True})
-        assert case_labels(cfg) == ["case1", "case2", "case3_random"]
-
 
 class TestStages:
     @pytest.fixture
@@ -75,7 +71,7 @@ class TestStages:
         assignments = io.read_assignments(d / "assigned_sequences.csv", sim.group_count)
         pool = io.read_sequence_pool(replicate_dir(tmp_path, "truth", 0) / "sequence_pool.csv",
                                      sim.max_transitions + 1, sim.store_count, sim.group_count)
-        rows = io.read_paths(d / "assim_paths.csv", sim.store_count)
+        rows = io.read_paths(d / "assim_paths.csv", sim.store_count, sim.group_count)
         entry_of = dict(zip(assignments[:, 1], assignments[:, 2]))
         followed = np.array([entry_of[aid] for aid in rows[:, 0]])
         np.testing.assert_array_equal(rows[:, 3], pool.paths[followed, rows[:, 2]])
@@ -205,6 +201,23 @@ class TestManifest:
         run_experiment(cfg, tmp_path)
         checksums = json.loads((tmp_path / "run_manifest.json").read_text())["checksums"]
         assert checksums == json.loads(GOLDEN_CHECKSUMS.read_text())
+
+    @pytest.mark.parametrize("cases", [[3], [1]])
+    def test_role_files_do_not_depend_on_the_other_cases(self, tmp_path, cases):
+        """A run of some cases writes each of its roles' replicate files with
+        the bytes the all-cases golden tree holds, since each role draws from
+        its own RNG stream. Of truth's files, sequence_pool.csv is written
+        only when case 3 runs."""
+        cfg = resolve_config({}, {**TINY_OVERRIDES, "experiment.jobs": 1,
+                                  "experiment.cases": cases})
+        run_experiment(cfg, tmp_path)
+        checksums = json.loads((tmp_path / "run_manifest.json").read_text())["checksums"]
+        roles = ["truth", "baseline", *case_labels(cfg)]
+        golden = {f: digest for f, digest in json.loads(GOLDEN_CHECKSUMS.read_text()).items()
+                  if f.split("/")[0] in roles
+                  and (3 in cases or not f.endswith("/sequence_pool.csv"))}
+        assert {f: digest for f, digest in checksums.items()
+                if f.split("/")[0] in roles} == golden
 
     def test_default_tree_matches_golden_checksums(self, tmp_path):
         """The default-scale tree of one replicate is byte-identical to the

@@ -40,7 +40,7 @@ def test_od_roundtrip(tmp_path):
 def test_paths_roundtrip(tmp_path):
     triples = [(0, 1, (4, 2, 0)), (1, 3, (5,)), (2, 0, (1, 1, 2, 3))]
     io.write_paths(tmp_path / "p.csv", path_rows(triples))
-    back = io.read_paths(tmp_path / "p.csv", 6)
+    back = io.read_paths(tmp_path / "p.csv", 6, 4)
     assert back.dtype == np.int64
     np.testing.assert_array_equal(back, path_rows(triples))
 
@@ -61,8 +61,8 @@ def test_header_only_files_parse_to_zero_rows(tmp_path):
     (tmp_path / "blank.csv").write_text("agent_id,group,position,store\n\n \n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        paths = io.read_paths(tmp_path / "p.csv", 4)
-        blank = io.read_paths(tmp_path / "blank.csv", 4)
+        paths = io.read_paths(tmp_path / "p.csv", 4, 4)
+        blank = io.read_paths(tmp_path / "blank.csv", 4, 4)
         with pytest.raises(io.MalformedTableError, match="no data rows"):
             io.read_assignments(tmp_path / "s.csv", 4)
     assert paths.shape == (0, 4)
@@ -80,7 +80,7 @@ def test_paths_read_in_agent_and_position_order_whatever_the_row_order(tmp_path)
     triples = [(0, 1, (4, 2, 0)), (1, 3, (5,)), (2, 0, (1, 1, 2, 3)), (3, 2, (0, 1))]
     io.write_paths(tmp_path / "p.csv", path_rows(triples))
     shuffle_rows(tmp_path / "p.csv", 3)
-    np.testing.assert_array_equal(io.read_paths(tmp_path / "p.csv", 6), path_rows(triples))
+    np.testing.assert_array_equal(io.read_paths(tmp_path / "p.csv", 6, 4), path_rows(triples))
 
 
 def test_observations_placed_by_index_whatever_the_row_order(tmp_path):
@@ -111,13 +111,16 @@ PATHS_HEADER = "agent_id,group,position,store\n"
         (PATHS_HEADER + "0,0,0,1\n0,1,1,2\n", "group"),
         (PATHS_HEADER + "0,0,0,1\n0,0,1,4\n", "store outside"),
         (PATHS_HEADER + "0,0,0,-1\n", "store outside"),
+        (PATHS_HEADER + "0,4,0,1\n0,4,1,2\n", "group outside"),
+        (PATHS_HEADER + "0,-1,0,1\n", "group outside"),
+        (PATHS_HEADER + "-1,0,0,1\n-1,0,1,2\n", "agent_id is negative"),
     ],
 )
 def test_malformed_paths_file_refused_naming_it(tmp_path, text, reason):
     path = tmp_path / "p.csv"
     path.write_text(text)
     with pytest.raises(io.MalformedTableError, match=reason) as info:
-        io.read_paths(path, 4)
+        io.read_paths(path, 4, 4)
     assert str(path) in str(info.value)
 
 
