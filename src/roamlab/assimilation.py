@@ -23,9 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChoiceModel, SimConfig, WorldState, model_mover, run_world, uniform_placer
+from .model import (
+    ChoiceModel, SimConfig, Streams, generators, model_mover, run_worlds, uniform_placer,
+)
 from .numerics import categorical, log_normalize_rows
-from .twin import SequencePool
+from .twin import SequencePool, run_truth
 
 @dataclass
 class StoreWeightVector:
@@ -74,8 +76,8 @@ def filtered_moves(
 
 
 def place_new_agents(log_w: np.ndarray, rng: np.random.Generator, groups) -> np.ndarray:
-    """Initial stores for freshly spawned agents: agent i draws from its
-    group's row of the step's (G, S) store log weights, log_w[groups[i]]."""
+    """Initial stores for freshly spawned agents: agent i draws from row
+    groups[i] of the store log weights log_w, its group's row of the step."""
     return categorical(rng, np.exp(log_w[groups]))
 
 
@@ -110,99 +112,143 @@ class AssimOptions:
     weighted_placement: bool = True    # weight-driven spawn placement (cases 1-2)
 
 
-def run_baseline(cfg: SimConfig, rng: np.random.Generator) -> WorldState:
-    """Plain model run without any observation input."""
-    return run_world(cfg, model_mover(ChoiceModel(cfg)), uniform_placer, rng)
+def run_baseline(cfg: SimConfig, rng, truth=None):
+    """Plain model runs without any observation input: one world, or one per
+    generator of a sequence, stepped in lockstep; returns the world or list.
+
+    truth, a (truth config, generators, count_spawn_as_inflow) triple, steps
+    those truth worlds in lockstep with these, the two sharing the plain
+    model's policies (twin.run_truth with beside); run_truth's (worlds,
+    observations) lists are then returned, the baseline worlds following the
+    truth worlds.
+    """
+    if truth is not None:
+        truth_cfg, truth_rngs, count_spawn_as_inflow = truth
+        return run_truth(truth_cfg, truth_rngs, count_spawn_as_inflow, beside=(cfg, rng))
+    rngs, one = generators(rng)
+    worlds = run_worlds(cfg, model_mover(ChoiceModel(cfg)), uniform_placer, rngs)
+    return worlds[0] if one else worlds
 
 
 def run_assimilation(
     cfg: SimConfig,
     observations,
-    case: int,
+    case,
     pool: SequencePool | None = None,
     *,
-    rng: np.random.Generator,
+    rng,
     options: AssimOptions | None = None,
-) -> tuple[WorldState, np.ndarray | None]:
-    """Run the assimilation world to the horizon under one regime; return
-    (world, assignments).
+):
+    """Run assimilation worlds to the horizon; return (world, assignments).
 
-    observations is the (T+1, G, S) array of inflow counts by step, group and
-    store, covering steps 0..horizon. The store weights of every step are
-    built from them in one store_weights call before the run: log_w[0] is
-    uniform, since no observation has been consumed when the initial
-    population is placed, and log_w[t], applied during step t, takes in the
-    inflows observed at step t. Case 2 weights each group by its own counts;
-    cases 1 and 3 weight every group by the per-store totals. Case 3 requires
-    a sequence pool whose paths span the full transition count; each spawn
-    batch weights it once, by the store weights of its step. The case-3
-    random control draws pool entries uniformly and never weights the pool.
+    With one generator rng, one world runs under one regime. observations is
+    the (T+1, G, S) array of inflow counts by step, group and store, covering
+    steps 0..horizon. The store weights of every step are built from them in
+    one store_weights call before the run: log_w[0] is uniform, since no
+    observation has been consumed when the initial population is placed, and
+    log_w[t], applied during step t, takes in the inflows observed at step t.
+    Case 2 weights each group by its own counts; cases 1 and 3 weight every
+    group by the per-store totals. Case 3 requires a sequence pool whose paths
+    span the full transition count; each spawn batch weights it once, by the
+    store weights of its step. The case-3 random control draws pool entries
+    uniformly and never weights the pool.
 
     assignments is None in cases 1 and 2; in case 3 it holds one (spawn
     step, agent_id, entry_id, attr) row per spawned agent, in id order.
-    """
-    if case not in (1, 2, 3):
-        raise ValueError(f"case must be 1, 2, or 3, got {case}")
-    if case == 3 and pool is None:
-        raise ValueError("case 3 requires a sequence pool")
-    options = options or AssimOptions()
-    if len(observations) < cfg.horizon_steps + 1:
-        raise ValueError(
-            f"observation stream covers {len(observations)} steps,"
-            f" horizon needs {cfg.horizon_steps + 1}"
-        )
-    if case != 2:  # every group sees the per-store totals
-        observations = observations.sum(axis=1, keepdims=True).repeat(cfg.group_count, axis=1)
-    log_w = store_weights(observations, options.weight_accumulation)
 
-    if case == 3:
-        if pool.paths.shape[1] != cfg.max_transitions + 1:
+    With a sequence of generators, one world each runs in lockstep
+    (model.run_worlds), and lists of the worlds and assignments are returned.
+    observations, case, pool and options then hold one entry per world. The
+    worlds share one policy family, cases 1 and 2 or case 3, and cases 1 and
+    2 all options but weight_accumulation.
+    """
+    rngs, one = generators(rng)
+    if one:
+        observations, case, pool, options = [observations], [case], [pool], [options]
+    cases, pools = list(case), list(pool or [None] * len(rngs))
+    options = [o or AssimOptions() for o in (options or [None] * len(rngs))]
+    for c, p, obs in zip(cases, pools, observations):
+        if c not in (1, 2, 3):
+            raise ValueError(f"case must be 1, 2, or 3, got {c}")
+        if c == 3 and p is None:
+            raise ValueError("case 3 requires a sequence pool")
+        if len(obs) < cfg.horizon_steps + 1:
             raise ValueError(
-                f"pool paths have length {pool.paths.shape[1]},"
-                f" expected {cfg.max_transitions + 1}"
+                f"observation stream covers {len(obs)} steps, horizon needs {cfg.horizon_steps + 1}"
             )
-        followed = np.zeros(cfg.total_agents, dtype=np.int64)  # pool entry of each agent
+        if c == 3 and p.paths.shape[1] != cfg.max_transitions + 1:
+            raise ValueError(
+                f"pool paths have length {p.paths.shape[1]}, expected {cfg.max_transitions + 1}"
+            )
+    if len({c == 3 for c in cases}) > 1:
+        raise ValueError(f"cases {cases} are not of one policy family: 1 and 2, or 3")
+    # every step's store weights of every world, (W, T+1, G, S); every group
+    # sees the per-store totals but in case 2
+    log_w = np.stack([
+        store_weights(obs if c == 2 else
+                      obs.sum(axis=1, keepdims=True).repeat(cfg.group_count, axis=1),
+                      o.weight_accumulation)
+        for c, o, obs in zip(cases, options, observations)
+    ])
+
+    if cases[0] == 3:
+        n = cfg.total_agents
+        # the pools end to end: entry e of world w is row offsets[w] + e
+        offsets = np.cumsum([0, *(p.size for p in pools[:-1])])
+        paths = np.concatenate([p.paths for p in pools])
+        followed = np.zeros(len(rngs) * n, dtype=np.int64)  # pool row of each agent of the run
 
         def placer(world, ids, groups, rng):
-            if options.random_baseline:
-                entries = rng.integers(pool.size, size=len(ids))
-            else:
-                # a record only for the benchmark tracer, whose note reads its step
-                seq = weight_sequences(pool, StoreWeightVector(world.step, log_w[world.step]))
-                entries = categorical(rng, seq, size=len(ids))
-            followed[ids] = entries
-            return pool.paths[entries, 0]
+            parts = rng.parts if isinstance(rng, Streams) else [(rng, 0, len(ids))]
+            rows = np.empty(len(ids), dtype=np.int64)
+            for r, a, z in parts:
+                w = world.first + ids[a] // n
+                if options[w].random_baseline:
+                    entries = r.integers(pools[w].size, size=z - a)
+                else:
+                    # a record only for the benchmark tracer, whose note reads its step
+                    sw = StoreWeightVector(world.step, log_w[w, world.step])
+                    entries = categorical(r, weight_sequences(pools[w], sw), size=z - a)
+                rows[a:z] = offsets[w] + entries
+            followed[world.first * n + ids] = rows
+            return paths[rows, 0]
 
         def mover(world, ids, rng):
-            return pool.paths[followed[ids], world.transitions[ids] + 1]
+            return paths[followed[world.first * n + ids], world.transitions[ids] + 1]
 
     else:
+        shared = {(o.particle_count, o.filter_moves, o.weighted_placement) for o in options}
+        if len(shared) > 1:
+            raise ValueError("worlds of cases 1 and 2 must share their options")
         choice = ChoiceModel(cfg)
-        n = options.particle_count
+        n, filter_moves, weighted_placement = shared.pop()
 
-        if options.filter_moves:
+        if filter_moves:
 
             def mover(world, ids, rng):
                 groups = world.group[ids]
-                probs = np.exp(choice.log_probs(groups, world.stores(ids), world.congestion))
-                return filtered_moves(rng, probs, log_w[world.step][groups], n)
+                probs = np.exp(choice.log_probs(groups, world.stores(ids), world.load(ids)))
+                return filtered_moves(rng, probs, log_w[world.world_of(ids), world.step, groups], n)
 
         else:
             mover = model_mover(choice)
 
-        if options.weighted_placement:
+        if weighted_placement:
 
             def placer(world, ids, groups, rng):
-                return place_new_agents(log_w[world.step], rng, groups)
+                return place_new_agents(log_w[:, world.step].reshape(-1, cfg.store_count), rng,
+                                        world.world_of(ids) * cfg.group_count + groups)
 
         else:
             placer = uniform_placer
 
-    world = run_world(cfg, mover, placer, rng)
-    assignments = None
-    if case == 3:
-        n = world.agents_spawned
-        assignments = np.column_stack(
-            [world.entered[:n, 0], np.arange(n), followed[:n], pool.attrs[followed[:n]]]
-        )
-    return world, assignments
+    worlds = run_worlds(cfg, mover, placer, rngs)
+    assignments = [None] * len(worlds)
+    if cases[0] == 3:
+        for w, world in enumerate(worlds):
+            k = world.agents_spawned
+            entries = followed[w * cfg.total_agents :][:k] - offsets[w]
+            assignments[w] = np.column_stack(
+                [world.entered[:k, 0], np.arange(k), entries, pools[w].attrs[entries]]
+            )
+    return (worlds[0], assignments[0]) if one else (worlds, assignments)

@@ -6,6 +6,7 @@ inputs that are missing or malformed.
 """
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -91,19 +92,20 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "generate-obs":
-            for r in range(cfg.replicate_count):
-                experiment.run_truth_stage(cfg, args.out, r)
+            for chunk in experiment.chunks(cfg):
+                experiment.run_truth_stage(cfg, args.out, chunk)
             print(f"wrote truth products for {cfg.replicate_count} replicate(s) under {args.out}")
         elif args.command == "baseline":
-            for r in range(cfg.replicate_count):
-                experiment.run_baseline_stage(cfg, args.out, r)
+            for chunk in experiment.chunks(cfg):
+                experiment.run_baseline_stage(cfg, args.out, chunk)
             print(f"wrote baseline runs for {cfg.replicate_count} replicate(s) under {args.out}")
         elif args.command == "assimilate":
             labels = experiment.case_labels(cfg)
-            for r in range(cfg.replicate_count):
-                observations, pool = experiment.load_truth_products(cfg, args.out, r)
-                for label in labels:
-                    experiment.run_case_stage(cfg, args.out, r, label, observations, pool)
+            for chunk in experiment.chunks(cfg):
+                products = [experiment.load_truth_products(cfg, args.out, r) for r in chunk]
+                observations, pools = [p[0] for p in products], [p[1] for p in products]
+                for family in experiment.families(labels):
+                    experiment.run_case_stage(cfg, args.out, chunk, family, observations, pools)
             print(f"wrote {', '.join(labels)} for {cfg.replicate_count} replicate(s)")
         elif args.command == "evaluate":
             summary = experiment.evaluate(cfg, args.out)
@@ -134,5 +136,14 @@ def _print_summary(summary: dict):
                 print(f"case3 {key} assignment composition L1: {bias[f'{key}_l1_mean']:.4f}")
 
 
+def run() -> int:
+    """The program entry, `roamlab` and `python -m roamlab.cli`: main, with
+    the heap the imports left frozen first, so that the collections run at
+    interpreter exit do not walk it. Not done in main, which tests call in
+    their own process."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

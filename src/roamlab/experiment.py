@@ -22,12 +22,13 @@ from . import io
 from .assimilation import run_assimilation, run_baseline
 from .config import ConfigSchemaError, ExperimentConfig, config_hash
 from .metrics import aggregate_runs, build_od, decode_ngram, ngram_table, top_k
-from .model import completed_paths, path_rows
+from .model import completed_paths, lockstep_size, path_rows
 from .seeds import ROLE_CODES, derive_rng
 from .twin import run_truth, sample_biased_pool
 
 NGRAM_N = 3
 CASE3_ROLES = ("case3", "case3_random")  # the roles that write assigned_sequences.csv
+CASE_FAMILIES = (("case1", "case2"), CASE3_ROLES)  # roles whose worlds share their policies
 
 
 class MissingInputError(FileNotFoundError):
@@ -72,44 +73,81 @@ def _write_world(cfg: ExperimentConfig, out, role: str, replicate: int, world, a
     return _summary(cfg, rows, od, assignments)
 
 
-def run_truth_stage(cfg: ExperimentConfig, out, replicate: int):
-    """Run one truth replicate and write its observation products, the
-    sequence pool only when case 3 runs; return (observations, pool or None,
-    the truth world's _summary)."""
-    world, observations = run_truth(
-        cfg.truth,
-        derive_rng(cfg.base_seed, replicate, "truth"),
-        count_spawn_as_inflow=cfg.count_spawn_as_inflow,
-    )
-    pool = None
-    if 3 in cfg.cases:
-        try:
-            pool = sample_biased_pool(
-                completed_paths(world),
-                cfg.pool_ratios,
-                cfg.pool_size,
-                derive_rng(cfg.base_seed, replicate, "pool"),
-            )
-        except ValueError as e:
-            raise ConfigSchemaError(
-                f"pool.ratios: {e} in replicate {replicate}; no agent of that group finished"
-                f" its transitions within sim.horizon_steps={cfg.truth.horizon_steps}"
-            ) from e
-    d = replicate_dir(out, "truth", replicate)
-    io.write_obs_counts(d / "obs_counts.csv", observations)
-    io.write_obs_counts_attr(d / "obs_counts_attr.csv", observations)
-    if pool is None:  # no pool of an earlier truth run may pass for this one's
-        (d / "sequence_pool.csv").unlink(missing_ok=True)
+def chunks(cfg: ExperimentConfig, jobs: int = 1):
+    """The replicates in consecutive chunks, each one pool task or stage call:
+    at least `jobs` chunks, and few enough replicates in each that the two
+    roles of a policy family step in one lockstep stack of the assimilation
+    environment (model.lockstep_size)."""
+    size = max(1, lockstep_size(cfg.assim) // 2)
+    count = max(jobs, -(-cfg.replicate_count // size))
+    return [c.tolist() for c in np.array_split(np.arange(cfg.replicate_count), count) if len(c)]
+
+
+def families(labels):
+    """The case labels grouped by policy family, each group stepped in lockstep."""
+    return [group for group in ([label for label in family if label in labels]
+                                for family in CASE_FAMILIES) if group]
+
+
+def _rngs(cfg: ExperimentConfig, role: str, replicates):
+    return [derive_rng(cfg.base_seed, r, role) for r in replicates]
+
+
+def run_truth_stage(cfg: ExperimentConfig, out, replicate, baseline: bool = False):
+    """Run truth replicates, one or a sequence of them stepped in lockstep,
+    and write their observation products, the sequence pool only when case 3
+    runs; return (observations, pool or None, the truth world's _summary) of
+    the replicate, or the list of them.
+
+    With baseline, each replicate's baseline world steps beside its truth
+    world (assimilation.run_baseline with truth) and is written too; its
+    _summary ends the replicate's tuple.
+    """
+    replicates, one = ([replicate], True) if isinstance(replicate, int) else (replicate, False)
+    truth = (cfg.truth, _rngs(cfg, "truth", replicates), cfg.count_spawn_as_inflow)
+    if baseline:
+        worlds, observations = run_baseline(cfg.assim, _rngs(cfg, "baseline", replicates), truth)
     else:
-        io.write_sequence_pool(d / "sequence_pool.csv", pool)
-    return observations, pool, _write_world(cfg, out, "truth", replicate, world)
+        worlds, observations = run_truth(*truth)
+    products = []
+    for k, r in enumerate(replicates):
+        world = worlds[k]
+        pool = None
+        if 3 in cfg.cases:
+            try:
+                pool = sample_biased_pool(
+                    completed_paths(world),
+                    cfg.pool_ratios,
+                    cfg.pool_size,
+                    derive_rng(cfg.base_seed, r, "pool"),
+                )
+            except ValueError as e:
+                raise ConfigSchemaError(
+                    f"pool.ratios: {e} in replicate {r}; no agent of that group finished"
+                    f" its transitions within sim.horizon_steps={cfg.truth.horizon_steps}"
+                ) from e
+        d = replicate_dir(out, "truth", r)
+        io.write_obs_counts(d / "obs_counts.csv", observations[k])
+        io.write_obs_counts_attr(d / "obs_counts_attr.csv", observations[k])
+        if pool is None:  # no pool of an earlier truth run may pass for this one's
+            (d / "sequence_pool.csv").unlink(missing_ok=True)
+        else:
+            io.write_sequence_pool(d / "sequence_pool.csv", pool)
+        product = (observations[k], pool, _write_world(cfg, out, "truth", r, world))
+        if baseline:
+            product += (_write_world(cfg, out, "baseline", r, worlds[len(replicates) + k]),)
+        products.append(product)
+    return products[0] if one else products
 
 
-def run_baseline_stage(cfg: ExperimentConfig, out, replicate: int):
-    """Plain model run in the assimilation environment (no observations);
-    return its _summary."""
-    world = run_baseline(cfg.assim, derive_rng(cfg.base_seed, replicate, "baseline"))
-    return _write_world(cfg, out, "baseline", replicate, world)
+def run_baseline_stage(cfg: ExperimentConfig, out, replicate):
+    """Plain model runs in the assimilation environment (no observations) of
+    one replicate, or of a sequence stepped in lockstep; return the
+    _summary of each."""
+    replicates, one = ([replicate], True) if isinstance(replicate, int) else (replicate, False)
+    worlds = run_baseline(cfg.assim, _rngs(cfg, "baseline", replicates))
+    summaries = [_write_world(cfg, out, "baseline", r, w) for r, w in zip(replicates, worlds)]
+    return summaries[0] if one else summaries
 
 
 def load_truth_products(cfg: ExperimentConfig, out, replicate: int):
@@ -129,34 +167,66 @@ def load_truth_products(cfg: ExperimentConfig, out, replicate: int):
     observations = io.read_observations(
         counts, attr, (sim.horizon_steps + 1, sim.group_count, sim.store_count)
     )
-    pool = None
-    if 3 in cfg.cases:
-        pool_path = d / "sequence_pool.csv"
-        if not pool_path.exists():
-            raise MissingInputError(
-                f"missing {pool_path}; run generate-obs with 3 in experiment.cases first"
-            )
-        pool = io.read_sequence_pool(
-            pool_path, sim.max_transitions + 1, sim.store_count, sim.group_count
+    return observations, _read_pool(cfg, out, replicate) if 3 in cfg.cases else None
+
+
+def _read_pool(cfg: ExperimentConfig, out, replicate: int):
+    """One replicate's sequence pool, which must hold pool.size entries."""
+    sim, path = cfg.assim, replicate_dir(out, "truth", replicate) / "sequence_pool.csv"
+    if not path.exists():
+        raise MissingInputError(
+            f"missing {path}; run generate-obs with 3 in experiment.cases first"
         )
-        if pool.size != cfg.pool_size:
-            raise io.MalformedTableError(f"{pool_path}: {pool.size} entries, not {cfg.pool_size}")
-    return observations, pool
+    pool = io.read_sequence_pool(path, sim.max_transitions + 1, sim.store_count, sim.group_count)
+    if pool.size != cfg.pool_size:
+        raise io.MalformedTableError(f"{path}: {pool.size} entries, not {cfg.pool_size}")
+    return pool
 
 
-def run_case_stage(cfg: ExperimentConfig, out, replicate: int, label: str, observations, pool):
-    """Run one assimilation variant on the given truth products (pool: case 3
-    only); return its _summary."""
-    case = 3 if label.startswith("case3") else int(label[-1])
-    world, assignments = run_assimilation(
+def _check_assignments(cfg: ExperimentConfig, path, assignments, rows, pool):
+    """Refuse case-3 assignment rows that the replicate's pool and the
+    role's path rows do not bear out: each entry_id must be a pool entry,
+    each step one of 0..horizon, each attr its entry's, and each agent's path
+    a prefix of its entry's path."""
+    step, _, entry, attr = assignments.T
+    if entry.min() < 0 or entry.max() >= pool.size:
+        raise io.MalformedTableError(f"{path}: an entry_id is outside 0..{pool.size - 1}")
+    horizon = cfg.assim.horizon_steps
+    if step.min() < 0 or step.max() > horizon:
+        raise io.MalformedTableError(f"{path}: a step is outside 0..{horizon}")
+    if not np.array_equal(attr, pool.attrs[entry]):
+        raise io.MalformedTableError(f"{path}: an attr is not its entry's")
+    agent, position, store = rows[:, 0], rows[:, 2], rows[:, 3]
+    if agent.max() >= len(entry) or position.max() >= pool.paths.shape[1] or not np.array_equal(
+            pool.paths[entry[agent], position], store):
+        raise io.MalformedTableError(f"{path}: an agent's path is not a prefix of its entry's")
+
+
+def run_case_stage(cfg: ExperimentConfig, out, replicate, label, observations, pool):
+    """Run one assimilation variant on one replicate's truth products (pool:
+    case 3 only); return its _summary.
+
+    Given sequences of replicates and of labels of one policy family, with
+    each replicate's observations and pool, every (label, replicate) world
+    steps in lockstep; the result is then each replicate's dict label ->
+    _summary.
+    """
+    if isinstance(replicate, int):
+        return run_case_stage(cfg, out, [replicate], [label], [observations], [pool])[0][label]
+    worlds = [(lab, k) for lab in label for k in range(len(replicate))]
+    runs, assignments = run_assimilation(
         cfg.assim,
-        observations,
-        case,
-        pool=pool,
-        rng=derive_rng(cfg.base_seed, replicate, label),
-        options=dataclasses.replace(cfg.assim_options, random_baseline=label == "case3_random"),
+        [observations[k] for _, k in worlds],
+        [3 if lab.startswith("case3") else int(lab[-1]) for lab, _ in worlds],
+        pool=[pool[k] for _, k in worlds],
+        rng=[derive_rng(cfg.base_seed, replicate[k], lab) for lab, k in worlds],
+        options=[dataclasses.replace(cfg.assim_options, random_baseline=lab == "case3_random")
+                 for lab, _ in worlds],
     )
-    return _write_world(cfg, out, label, replicate, world, assignments)
+    summaries = [{} for _ in replicate]
+    for (lab, k), world, rows in zip(worlds, runs, assignments):
+        summaries[k][lab] = _write_world(cfg, out, lab, replicate[k], world, rows)
+    return summaries
 
 
 class Summaries:
@@ -177,14 +247,24 @@ class Summaries:
         return self
 
 
-def run_replicate(cfg: ExperimentConfig, out, replicate: int) -> dict:
-    """Full pipeline for one replicate, chaining stages in memory; return its
-    summary, role -> the _summary of what each stage wrote."""
-    observations, pool, truth = run_truth_stage(cfg, out, replicate)
-    summaries = {"truth": truth, "baseline": run_baseline_stage(cfg, out, replicate)}
-    for label in case_labels(cfg):
-        summaries[label] = run_case_stage(cfg, out, replicate, label, observations, pool)
-    return summaries
+def run_replicate(cfg: ExperimentConfig, out, replicate) -> dict:
+    """Full pipeline for one replicate, or a sequence of them, chaining stages
+    in memory; return the replicate's summary, role -> the _summary of what
+    each stage wrote, or the list of them.
+
+    The worlds of each policy family step in lockstep over the replicates:
+    truth with baseline, case 1 with case 2, and case 3 with its random
+    control.
+    """
+    replicates, one = ([replicate], True) if isinstance(replicate, int) else (replicate, False)
+    products = run_truth_stage(cfg, out, replicates, baseline=True)
+    summaries = [{"truth": truth, "baseline": baseline} for _, _, truth, baseline in products]
+    observations, pools = [p[0] for p in products], [p[1] for p in products]
+    for family in families(case_labels(cfg)):
+        for summary, cases in zip(summaries, run_case_stage(cfg, out, replicates, family,
+                                                              observations, pools)):
+            summary.update(cases)
+    return summaries[0] if one else summaries
 
 
 def _present_roles(cfg: ExperimentConfig, out):
@@ -205,7 +285,7 @@ def _present_roles(cfg: ExperimentConfig, out):
 def _read_summary(cfg: ExperimentConfig, out, replicate: int, roles) -> dict:
     """One replicate's summary of the given roles, read back from its files,
     which must agree with each other as _write_world writes them."""
-    sim, summary = cfg.assim, {}
+    sim, summary, pool = cfg.assim, {}, None
     for role in roles:
         d = replicate_dir(out, role, replicate)
         od_path, paths_path = d / f"{_stem(role)}_od.csv", d / f"{_stem(role)}_paths.csv"
@@ -221,6 +301,8 @@ def _read_summary(cfg: ExperimentConfig, out, replicate: int, roles) -> dict:
             assignments = io.read_assignments(path, sim.group_count)
             if len(assignments) != np.count_nonzero(rows[:, 2] == 0):
                 raise io.MalformedTableError(f"{path}: not one row per agent of {paths_path}")
+            pool = pool or _read_pool(cfg, out, replicate)
+            _check_assignments(cfg, path, assignments, rows, pool)
         summary[role] = _summary(cfg, rows, od, assignments)
     return summary
 
@@ -336,13 +418,13 @@ def run_experiment(cfg: ExperimentConfig, out) -> dict:
     # the CPUs this process may run on, where the platform can tell
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(cfg.jobs or cpus or 1, cfg.replicate_count)
-    args = repeat(cfg), repeat(out), range(cfg.replicate_count)
+    args = repeat(cfg), repeat(out), chunks(cfg, jobs)
     summaries = Summaries()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries.fold(pool.map(run_replicate, *args))
+            summaries.fold(s for chunk in pool.map(run_replicate, *args) for s in chunk)
     else:
-        summaries.fold(map(run_replicate, *args))
+        summaries.fold(s for chunk in map(run_replicate, *args) for s in chunk)
     summary = evaluate(cfg, out, summaries)
     write_manifest(cfg, out, wall_time_s=time.perf_counter() - t0)
     return summary

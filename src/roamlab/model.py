@@ -22,7 +22,7 @@ run_world, drives the truth, baseline and assimilated runs. A mover maps
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,7 @@ def unit_distance(store_count: int) -> np.ndarray:
 
 @dataclass
 class WorldState:
-    """Mutable simulation state advanced by step_world.
+    """One world's state: what a run leaves, and what step_world advances.
 
     Per-agent arrays have one entry per agent of the total budget; the first
     agents_spawned entries are live. path holds each agent's visited stores,
@@ -60,6 +60,10 @@ class WorldState:
     def stores(self, ids):
         """The current store of each listed agent: the last of its path."""
         return self.path[ids, self.transitions[ids]]
+
+    def load(self, ids):
+        """The congestion row the listed agents choose against."""
+        return self.congestion
 
 
 # least value of each integer SimConfig field; the sim.* config key named
@@ -188,18 +192,22 @@ def store_utilities(cfg: SimConfig, congestion: np.ndarray) -> np.ndarray:
 class ChoiceModel:
     """Next-store distribution with the static utility part precomputed.
 
-    One instance per validated environment; per-call work is a row gather, a
-    vector add and a log-normalisation over the candidate stores.
+    One instance per validated environment, or per list of environments of
+    one lifecycle: row k * G + g of its tables is group g under the k-th
+    config. Per-call work is a row gather, a vector add and a
+    log-normalisation over the candidate stores.
     """
 
-    def __init__(self, cfg: SimConfig):
-        self.allow_self_transition = cfg.allow_self_transition
-        self._static = store_utilities(cfg, np.zeros(cfg.store_count))
-        self._omega = cfg.omega
+    def __init__(self, *cfgs: SimConfig):
+        self.allow_self_transition = cfgs[0].allow_self_transition
+        self.group_count = cfgs[0].group_count
+        self._static = np.concatenate([store_utilities(c, np.zeros(c.store_count)) for c in cfgs])
+        self._omega = np.concatenate([c.omega for c in cfgs])
 
     def log_probs(self, group, current_store, congestion: np.ndarray) -> np.ndarray:
         """(m, S) log choice probabilities, a row per agent of the equal-length
-        arrays group and current_store; excluded stores get -inf (exp 0)."""
+        arrays group and current_store, against one congestion row for all or
+        one per agent; excluded stores get -inf (exp 0)."""
         u = self._static[group] + self._omega[group][:, None] * congestion
         if not np.isfinite(u).all():
             raise ValueError("non-finite store utilities; check sim.omega and sim.k")
@@ -208,48 +216,142 @@ class ChoiceModel:
         return log_normalize_rows(u)
 
 
-def _draw_dwells(cfg: SimConfig, count: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.integers(cfg.dwell_min, cfg.dwell_max + 1, size=count)
+# The most agent path cells, summed over worlds, that one step_world call
+# advances: worlds of total_agents * (max_transitions + 1) cells each are
+# stepped lockstep_size at a time, at least one, so a config whose one world
+# fits runs as it would alone. See README.md for the measurement behind it.
+LOCKSTEP_CELLS = 1 << 17
 
 
-def _spawn_agents(world, cfg, count, placer, rng):
-    """Spawn up to count agents as one batch, entering their stores this step.
+def lockstep_size(cfg: SimConfig) -> int:
+    """How many worlds of cfg's lifecycle run_worlds steps together."""
+    return max(1, LOCKSTEP_CELLS // (cfg.total_agents * (cfg.max_transitions + 1)))
 
-    Each group is drawn uniformly among the groups with quota left after the
-    draws before it. No quota can run out before the last draw of a run of
-    min(left, smallest eligible quota) draws, so each such run is one
-    rng.integers call, which with PCG64 yields the same values, and leaves the
-    same generator state, as the draws made one at a time. Placement and dwell
-    are then drawn for the whole batch, one call each.
+
+class Streams:
+    """The generators of the worlds owning a run of agent rows, the rows
+    grouped by world in world order, with the draws a mover or placer makes.
+
+    Each draw concatenates every owning world's draw for its own rows, in
+    world order, so each world draws from its own generator exactly what it
+    would draw alone. parts lists (generator, first row, end row) per world.
     """
-    quota = world.group_quota_remaining
-    eligible = np.flatnonzero(quota > 0)
-    runs, left = [], count
-    while left > 0 and len(eligible):
-        run = min(left, int(quota[eligible].min()))
-        drawn = eligible[rng.integers(len(eligible), size=run)]
-        quota -= np.bincount(drawn, minlength=len(quota))
-        eligible = np.flatnonzero(quota > 0)
-        runs.append(drawn)
-        left -= run
-    if not runs:
-        return
-    groups = np.concatenate(runs)
-    ids = np.arange(world.agents_spawned, world.agents_spawned + len(groups))
-    stores = np.asarray(placer(world, ids, groups, rng), dtype=np.int64)
-    world.group[ids] = groups
-    world.dwell[ids] = _draw_dwells(cfg, len(ids), rng)
-    world.path[ids, 0] = stores
-    world.entered[ids, 0] = world.step
-    world.agents_spawned += len(ids)
+
+    def __init__(self, parts):
+        self.parts = parts
+
+    def random(self, size):
+        return np.concatenate([r.random((z - a, *size[1:])) for r, a, z in self.parts])
+
+    def integers(self, low, high=None, size=None):
+        return np.concatenate([r.integers(low, high, size=z - a) for r, a, z in self.parts])
+
+    def multinomial(self, n, pvals):
+        return np.concatenate([r.multinomial(n, pvals[a:z]) for r, a, z in self.parts])
 
 
-def uniform_placer(world, ids, groups, rng) -> np.ndarray:
-    return rng.integers(len(world.congestion), size=len(ids))
+@dataclass
+class Worlds:
+    """W worlds of one lifecycle, stepped together by step_world.
+
+    Agent i of the w-th world is row w * N + i of the per-agent arrays, N
+    being the total-agent budget, so a world's rows are contiguous and in
+    its spawn order; the per-world arrays have a leading axis of W. roaming
+    marks the spawned agents that have transitions left. first is the index
+    of the first of these worlds among all that a run steps (run_worlds),
+    which is how movers and placers find each world's own inputs.
+    """
+
+    step: int
+    first: int
+    group: np.ndarray           # (W * N,)
+    dwell: np.ndarray           # (W * N,)
+    transitions: np.ndarray     # (W * N,)
+    path: np.ndarray            # (W * N, max_transitions + 1)
+    entered: np.ndarray         # (W * N, max_transitions + 1)
+    roaming: np.ndarray         # (W * N,) bool
+    congestion: np.ndarray      # (W, S) roaming agents per store at the start of the step
+    agents_spawned: np.ndarray  # (W,)
+    group_quota_remaining: np.ndarray  # (W, G)
+    stationary_unretired: np.ndarray   # (W,)
+    size: int = field(init=False)      # W
+    capacity: int = field(init=False)  # N
+
+    def __post_init__(self):
+        self.size = len(self.agents_spawned)
+        self.capacity = len(self.group) // self.size
+
+    def stores(self, ids):
+        """The current store of each listed agent: the last of its path."""
+        return self.path[ids, self.transitions[ids]]
+
+    def world_of(self, ids):
+        """The run index of each listed agent's world; one int for one world."""
+        return self.first if self.size == 1 else self.first + ids // self.capacity
+
+    def load(self, ids):
+        """The congestion row each listed agent chooses against."""
+        return self.congestion if self.size == 1 else self.congestion[ids // self.capacity]
+
+    def tally(self, ids, values=None, width=None):
+        """The number of listed agents in each world, (W,); with values, of
+        each value 0..width-1 in each world, (W, width)."""
+        if self.size == 1:
+            return len(ids) if values is None else np.bincount(values, minlength=width)[None]
+        key = ids // self.capacity
+        if values is None:
+            return np.bincount(key, minlength=self.size)
+        return np.bincount(key * width + values, minlength=self.size * width).reshape(-1, width)
+
+    def streams(self, rngs, ids):
+        """What draws for the listed rows (ascending): the generator of their
+        world if one world owns them all, else a Streams over the owners."""
+        if self.size == 1:
+            return rngs[0]
+        ends = np.searchsorted(ids, np.arange(1, self.size + 1) * self.capacity).tolist()
+        parts = [(r, a, z) for r, a, z in zip(rngs, [0, *ends], ends) if z > a]
+        return parts[0][0] if len(parts) == 1 else Streams(parts)
+
+    def records(self) -> list:
+        """Each world's WorldState, its arrays views of these."""
+        n = self.capacity
+        return [WorldState(
+            step=self.step,
+            group=self.group[w * n : (w + 1) * n],
+            dwell=self.dwell[w * n : (w + 1) * n],
+            transitions=self.transitions[w * n : (w + 1) * n],
+            path=self.path[w * n : (w + 1) * n],
+            entered=self.entered[w * n : (w + 1) * n],
+            congestion=self.congestion[w],
+            agents_spawned=int(self.agents_spawned[w]),
+            group_quota_remaining=self.group_quota_remaining[w],
+            stationary_unretired=int(self.stationary_unretired[w]),
+        ) for w in range(self.size)]
+
+    @classmethod
+    def wrap(cls, world: WorldState) -> "Worlds":
+        """One world's record as a stack of one, sharing its arrays; the
+        record's own counters are updated by unwrap."""
+        n, most = world.agents_spawned, world.path.shape[1] - 1
+        roaming = np.zeros(len(world.group), dtype=bool)
+        roaming[:n] = world.transitions[:n] < most
+        return cls(
+            step=world.step, first=0, group=world.group, dwell=world.dwell,
+            transitions=world.transitions, path=world.path, entered=world.entered,
+            roaming=roaming, congestion=np.asarray(world.congestion)[None],
+            agents_spawned=np.array([n]),
+            group_quota_remaining=world.group_quota_remaining[None],
+            stationary_unretired=np.array([world.stationary_unretired]),
+        )
+
+    def unwrap(self, world: WorldState) -> WorldState:
+        """Copy the stack of one's counters into the record it wraps."""
+        vars(world).update(vars(self.records()[0]))
+        return world
 
 
-def new_world(cfg: SimConfig) -> WorldState:
-    """An empty world at step 0 with room for the whole agent budget.
+def new_worlds(cfg: SimConfig, count: int, first: int = 0) -> Worlds:
+    """count empty worlds at step 0, each with room for the whole agent budget.
 
     Raises ConfigSchemaError naming the config key that sized an array no
     allocator can build: sim.total_agents for the per-agent arrays, and
@@ -258,96 +360,202 @@ def new_world(cfg: SimConfig) -> WorldState:
     n, width = cfg.total_agents, cfg.max_transitions + 1
     key = "sim.total_agents"
     try:  # numpy refuses an array past the address space with ValueError
-        group, dwell, transitions = (np.zeros(n, dtype=np.int64) for _ in range(3))
+        group, dwell, transitions = (np.zeros(count * n, dtype=np.int64) for _ in range(3))
+        roaming = np.zeros(count * n, dtype=bool)
         key = "sim.max_transitions"
-        path, entered = (np.full((n, width), -1, dtype=np.int64) for _ in range(2))
+        path, entered = (np.full((count * n, width), -1, dtype=np.int64) for _ in range(2))
     except (MemoryError, ValueError) as e:
         from .config import ConfigSchemaError  # imported here: config imports this module
         raise ConfigSchemaError(f"{key}: {n} agents with {width} path entries each"
                                 f" are too many to allocate: {e}") from e
-    return WorldState(
+    return Worlds(
         step=0,
+        first=first,
         group=group,
         dwell=dwell,
         transitions=transitions,
         path=path,
         entered=entered,
-        congestion=np.zeros(cfg.store_count, dtype=np.int64),
-        agents_spawned=0,
-        group_quota_remaining=np.array(cfg.group_quotas, dtype=np.int64),
+        roaming=roaming,
+        congestion=np.zeros((count, cfg.store_count), dtype=np.int64),
+        agents_spawned=np.zeros(count, dtype=np.int64),
+        group_quota_remaining=np.tile(np.array(cfg.group_quotas, dtype=np.int64), (count, 1)),
+        stationary_unretired=np.zeros(count, dtype=np.int64),
     )
+
+
+def new_world(cfg: SimConfig) -> WorldState:
+    """An empty world at step 0 with room for the whole agent budget."""
+    return new_worlds(cfg, 1).records()[0]
+
+
+def _draw_dwells(cfg: SimConfig, count: int, rng) -> np.ndarray:
+    return rng.integers(cfg.dwell_min, cfg.dwell_max + 1, size=count)
+
+
+def _draw_groups(quota, count, rng):
+    """The groups of a spawn batch of up to count agents, quota spent in place.
+
+    Each group is drawn uniformly among the groups with quota left after the
+    draws before it. No quota can run out before the last draw of a run of
+    min(left, smallest eligible quota) draws, so each such run is one
+    rng.integers call, which with PCG64 yields the same values, and leaves the
+    same generator state, as the draws made one at a time.
+    """
+    eligible = (quota > 0).nonzero()[0]
+    runs, left = [], count
+    while left > 0 and len(eligible):
+        run = min(left, int(quota[eligible].min()))
+        drawn = eligible[rng.integers(len(eligible), size=run)]
+        quota -= np.bincount(drawn, minlength=len(quota))
+        eligible = (quota > 0).nonzero()[0]
+        runs.append(drawn)
+        left -= run
+    return np.concatenate([quota[:0], *runs])
+
+
+def _spawn_agents(world: Worlds, cfg, due, counts, placer, rngs):
+    """Spawn up to counts[k] agents in world due[k], one batch per world,
+    entering their stores this step.
+
+    Each world draws its batch's groups (_draw_groups); then one placer call
+    and one dwell draw serve every batch.
+    """
+    batches = [_draw_groups(world.group_quota_remaining[w], count, rngs[w])
+               for w, count in zip(due.tolist(), counts.tolist())]
+    sizes = [len(b) for b in batches]
+    if not sum(sizes):
+        return
+    starts = due * world.capacity + world.agents_spawned[due]
+    if len(due) == 1:
+        groups, ids = batches[0], np.arange(starts[0], starts[0] + sizes[0])
+    else:
+        groups = np.concatenate(batches)
+        ids = np.repeat(starts - np.cumsum([0, *sizes[:-1]]), sizes) + np.arange(len(groups))
+    rng = world.streams(rngs, ids)
+    stores = np.asarray(placer(world, ids, groups, rng), dtype=np.int64)
+    world.group[ids] = groups
+    world.dwell[ids] = _draw_dwells(cfg, len(ids), rng)
+    world.path[ids, 0] = stores
+    world.entered[ids, 0] = world.step
+    world.roaming[ids] = True
+    world.agents_spawned[due] += sizes
+
+
+def uniform_placer(world, ids, groups, rng) -> np.ndarray:
+    return rng.integers(world.congestion.shape[-1], size=len(ids))
 
 
 def init_world(cfg: SimConfig, placer, rng: np.random.Generator) -> WorldState:
     """Spawn the initial population at step 0."""
-    world = new_world(cfg)
-    _spawn_agents(world, cfg, cfg.initial_agents, placer, rng)
-    return world
+    world = new_worlds(cfg, 1)
+    _spawn_agents(world, cfg, np.zeros(1, dtype=np.int64), np.array([cfg.initial_agents]),
+                  placer, [rng])
+    return world.records()[0]
 
 
-def replenish(world: WorldState, cfg: SimConfig, placer, rng: np.random.Generator) -> WorldState:
+def replenish(world, cfg: SimConfig, placer, rng):
     """Retire full batches of stationary agents and spawn replacements.
 
-    Each time the unretired stationary count reaches the threshold and budget
-    remains, the batch is retired (so the threshold re-arms) and up to
+    Each time a world's unretired stationary count reaches the threshold and
+    budget remains, the batch is retired (so the threshold re-arms) and up to
     replenish_count new agents are spawned, capped by the total-agent budget.
     Spawned groups are drawn uniformly among groups with remaining quota.
+    world and rng are as step_world takes them.
     """
-    while (
-        world.stationary_unretired >= cfg.replenish_threshold
-        and world.agents_spawned < cfg.total_agents
-    ):
-        world.stationary_unretired -= cfg.replenish_threshold
-        n_new = min(cfg.replenish_count, cfg.total_agents - world.agents_spawned)
-        _spawn_agents(world, cfg, n_new, placer, rng)
-    return world
+    if isinstance(world, WorldState):
+        stack = Worlds.wrap(world)
+        replenish(stack, cfg, placer, [rng])
+        return stack.unwrap(world)
+    while True:
+        due = (world.stationary_unretired >= cfg.replenish_threshold).nonzero()[0]
+        if len(due):
+            due = due[world.agents_spawned[due] < cfg.total_agents]
+        if not len(due):
+            return world
+        world.stationary_unretired[due] -= cfg.replenish_threshold
+        counts = np.minimum(cfg.replenish_count, cfg.total_agents - world.agents_spawned[due])
+        _spawn_agents(world, cfg, due, counts, placer, rng)
 
 
-def step_world(
-    world: WorldState, cfg: SimConfig, mover, placer, rng: np.random.Generator
-) -> WorldState:
-    """Advance the world by one step, in place.
+def step_world(world, cfg: SimConfig, mover, placer, rng):
+    """Advance the worlds by one step, in place.
 
-    The congestion snapshot counts the roaming agents per store. Roaming
-    agents then count down their dwell. The agents hitting zero (ascending
-    id) get their next stores from one `mover` call against the snapshot;
-    they move there, and either go stationary at the transition cap or all
-    redraw a dwell in one call. Replenishment then runs.
+    world is a Worlds stack and rng holds one generator per world; or world
+    is one WorldState and rng its generator, stepped as a stack of one. In
+    each world the congestion snapshot counts the roaming agents per store.
+    Roaming agents then count down their dwell. The agents hitting zero
+    (ascending id) get their next stores from the `mover` against the
+    snapshot; they move there, and either go stationary at the transition
+    cap or redraw a dwell. Replenishment then runs. One mover call, and one
+    dwell draw, serve every world, each world drawing from its own generator
+    (Worlds.streams): its mover draws, then its dwells, then its spawns.
     """
+    if isinstance(world, WorldState):
+        stack = Worlds.wrap(world)
+        step_world(stack, cfg, mover, placer, [rng])
+        return stack.unwrap(world)
     if world.step >= cfg.horizon_steps:
         raise ValueError(f"world already at horizon step {cfg.horizon_steps}")
     world.step += 1
-    ids = np.flatnonzero(world.transitions[: world.agents_spawned] < cfg.max_transitions)
-    world.congestion = np.bincount(world.stores(ids), minlength=cfg.store_count)
-    world.dwell[ids] -= 1
-    movers = ids[world.dwell[ids] <= 0]
+    ids = world.roaming.nonzero()[0]
+    world.congestion = world.tally(ids, world.stores(ids), cfg.store_count)
+    dwell = world.dwell[ids] - 1
+    world.dwell[ids] = dwell
+    movers = ids[dwell <= 0]
     if len(movers):
-        stores = np.asarray(mover(world, movers, rng), dtype=np.int64)
+        stores = np.asarray(mover(world, movers, world.streams(rng, movers)), dtype=np.int64)
         moves = world.transitions[movers] + 1
         world.transitions[movers] = moves
         world.path[movers, moves] = stores
         world.entered[movers, moves] = world.step
-        going = movers[moves < cfg.max_transitions]
-        world.stationary_unretired += len(movers) - len(going)
-        world.dwell[going] = _draw_dwells(cfg, len(going), rng)
+        roams = moves < cfg.max_transitions
+        world.roaming[movers] = roams
+        going = movers[roams]
+        world.stationary_unretired += world.tally(movers) - world.tally(going)
+        if len(going):
+            world.dwell[going] = _draw_dwells(cfg, len(going), world.streams(rng, going))
 
     replenish(world, cfg, placer, rng)
     return world
 
 
+def run_worlds(cfg: SimConfig, mover, placer, rngs) -> list:
+    """Run one world per generator to the horizon, lockstep_size(cfg) of them
+    at a time; return their WorldStates in generator order."""
+    size, records = lockstep_size(cfg), []
+    for first in range(0, len(rngs), size):
+        chunk = rngs[first : first + size]
+        world = new_worlds(cfg, len(chunk), first)
+        _spawn_agents(world, cfg, np.arange(len(chunk)),
+                      np.full(len(chunk), cfg.initial_agents), placer, chunk)
+        for _ in range(cfg.horizon_steps):
+            step_world(world, cfg, mover, placer, chunk)
+        records += world.records()
+    return records
+
+
 def run_world(cfg: SimConfig, mover, placer, rng: np.random.Generator) -> WorldState:
     """Spawn the initial population, then step the world to the horizon."""
-    world = init_world(cfg, placer, rng)
-    for _ in range(cfg.horizon_steps):
-        step_world(world, cfg, mover, placer, rng)
-    return world
+    return run_worlds(cfg, mover, placer, [rng])[0]
 
 
-def model_mover(choice: ChoiceModel):
-    """Movement policy that samples directly from the choice model."""
+def generators(rng):
+    """(list of generators, whether rng was one): one world per generator."""
+    one = isinstance(rng, np.random.Generator)
+    return ([rng] if one else list(rng)), one
+
+
+def model_mover(choice: ChoiceModel, tables=None):
+    """Movement policy that samples directly from the choice model; tables,
+    if given, holds for each world of the run the index of the config whose
+    choice rows it moves by."""
 
     def mover(world, ids, rng):
-        probs = np.exp(choice.log_probs(world.group[ids], world.stores(ids), world.congestion))
+        groups = world.group[ids]
+        if tables is not None:
+            groups = groups + choice.group_count * tables[world.world_of(ids)]
+        probs = np.exp(choice.log_probs(groups, world.stores(ids), world.load(ids)))
         return categorical(rng, probs)
 
     return mover

@@ -37,12 +37,12 @@ def categorical(rng: np.random.Generator, probs: np.ndarray, size: int | None = 
     1e-9 away from 1.
     """
     p = np.asarray(probs, dtype=float)
-    if not np.all(p >= 0):  # also false for NaN
+    if not (p >= 0).all():  # also false for NaN
         raise ValueError("probabilities must be non-negative numbers")
-    cdf = np.cumsum(p, axis=-1)
+    cdf = p.cumsum(axis=-1)
     total = cdf[..., -1:]
-    if np.any(np.abs(total - 1.0) > 1e-9):
+    if (np.abs(total - 1.0) > 1e-9).any():
         raise ValueError("probabilities must sum to 1 (within 1e-9)")
     if size is not None:
         return np.searchsorted(cdf, rng.random(size) * total, side="right")
-    return np.count_nonzero(cdf <= rng.random((len(p), 1)) * total, axis=-1)
+    return (cdf <= rng.random((len(p), 1)) * total).sum(axis=-1)

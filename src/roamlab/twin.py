@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChoiceModel, SimConfig, WorldState, model_mover, run_world, uniform_placer
+from .model import ChoiceModel, SimConfig, generators, model_mover, run_worlds, uniform_placer
 from .numerics import categorical
 
 
@@ -31,29 +31,44 @@ class SequencePool:
         return len(self.attrs)
 
 
-def run_truth(
-    cfg: SimConfig,
-    rng: np.random.Generator,
-    count_spawn_as_inflow: bool = True,
-) -> tuple[WorldState, np.ndarray]:
-    """Step the truth world to the horizon and count its store entries.
+def run_truth(cfg: SimConfig, rng, count_spawn_as_inflow: bool = True, beside=None):
+    """Step truth worlds to the horizon and count their store entries.
 
-    Returns (world, observations), observations being the (T+1, G, S) array
-    of inflow counts by step, group and store. They are indexed by entry step
-    (step 0 holds the initial spawn entries); position 0 of a path, the spawn
-    placement, is counted only with count_spawn_as_inflow. The OD matrix and
-    the completed agents' paths are read off the world.
+    rng is one generator, for one world, or a sequence of them, one world
+    each, stepped in lockstep (model.run_worlds). Returns (world,
+    observations), or for a sequence the lists of both, observations being
+    the (T+1, G, S) array of inflow counts by step, group and store. They
+    are indexed by entry step (step 0 holds the initial spawn entries);
+    position 0 of a path, the spawn placement, is counted only with
+    count_spawn_as_inflow. The OD matrix and the completed agents' paths are
+    read off the world.
+
+    beside, a (SimConfig, generators) pair of another environment of cfg's
+    lifecycle, adds one plain model world per generator, stepped in lockstep
+    with the truth worlds: both move by the choice model, each by its own
+    config's rows, and place uniformly. Their worlds follow the truth worlds
+    in the list returned; they are not counted.
     """
-    world = run_world(cfg, model_mover(ChoiceModel(cfg)), uniform_placer, rng)
-    first = 0 if count_spawn_as_inflow else 1
-    entered = world.entered[: world.agents_spawned, first:]
-    agent, position = np.nonzero(entered >= 0)
+    rngs, one = generators(rng)
+    cfgs, others = [cfg], []
+    if beside is not None:
+        cfgs.append(beside[0])
+        others = list(beside[1])
+    tables = np.repeat([0, 1], [len(rngs), len(others)])
+    worlds = run_worlds(cfg, model_mover(ChoiceModel(*cfgs), tables if others else None),
+                        uniform_placer, rngs + others)
     shape = (cfg.horizon_steps + 1, cfg.group_count, cfg.store_count)
-    cells = np.ravel_multi_index(
-        (entered[agent, position], world.group[agent], world.path[agent, position + first]),
-        shape,
-    )
-    return world, np.bincount(cells, minlength=np.prod(shape)).reshape(shape)
+    first = 0 if count_spawn_as_inflow else 1
+    observations = []
+    for world in worlds[: len(rngs)]:
+        entered = world.entered[: world.agents_spawned, first:]
+        agent, position = np.nonzero(entered >= 0)
+        cells = np.ravel_multi_index(
+            (entered[agent, position], world.group[agent], world.path[agent, position + first]),
+            shape,
+        )
+        observations.append(np.bincount(cells, minlength=np.prod(shape)).reshape(shape))
+    return (worlds[0], observations[0]) if one else (worlds, observations)
 
 
 def sample_biased_pool(

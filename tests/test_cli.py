@@ -27,6 +27,30 @@ MINI = {
 }
 
 
+# Tamperings of case-3 assignment rows (step, agent_id, entry_id, attr), in
+# place, that the replicate's sequence pool and path rows refute.
+def _entry_outside_pool(table, pool):
+    table[0, 2] = pool.size
+
+
+def _step_past_horizon(table, pool):
+    table[-1, 0] = MINI["sim.horizon_steps"] + 1
+
+
+def _attr_not_its_entrys(table, pool):
+    table[0, 3] = (table[0, 3] + 1) % len(MINI["sim.group_quotas"])
+
+
+def _entry_not_starting_the_path(table, pool):
+    """Give one agent another entry of its attr, one that starts at another store."""
+    for row in table:
+        other = np.flatnonzero((pool.attrs == row[3]) & (pool.paths[:, 0] != pool.paths[row[2], 0]))
+        if len(other):
+            row[2] = other[0]
+            return
+    raise AssertionError("no agent has an entry of its attr starting elsewhere")
+
+
 def child_env():
     """The environment of a child that imports the same roamlab as this
     process, installed or not."""
@@ -451,6 +475,40 @@ class TestPipeline:
         assert main(["evaluate", *base]) == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(target) in err and "agent_id" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "tamper, word",
+        [
+            (_entry_outside_pool, "entry_id"),
+            (_step_past_horizon, "step"),
+            (_attr_not_its_entrys, "attr"),
+            (_entry_not_starting_the_path, "prefix"),
+        ],
+        ids=["entry-outside-pool", "step-past-horizon", "attr-not-its-entrys", "path-not-prefix"],
+    )
+    def test_evaluate_on_assignments_the_pool_does_not_bear_out_exits_4(
+        self, mini_config, tmp_path, capsys, tamper, word
+    ):
+        # Each row names an entry of the replicate's pool: the entry must
+        # exist, carry the row's attr and start the agent's path, and the
+        # agent must have spawned within the horizon.
+        out = tmp_path / "out"
+        base = ["--config", str(mini_config), "--out", str(out)]
+        assert main(["experiment", *base, "--case", "3", "--jobs", "1"]) == EXIT_OK
+        target = out / "case3" / "000" / "assigned_sequences.csv"
+        cfg = resolve_config(MINI)
+        pool = io.read_sequence_pool(out / "truth" / "000" / "sequence_pool.csv",
+                                     cfg.assim.max_transitions + 1, cfg.assim.store_count,
+                                     cfg.assim.group_count)
+        table = io.read_assignments(target, cfg.assim.group_count)
+        tamper(table, pool)
+        header = target.read_text().splitlines()[0]
+        target.write_text("\n".join([header, *(",".join(map(str, r)) for r in table.tolist())]))
+        capsys.readouterr()
+        assert main(["evaluate", *base]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err and word in err
         assert len(err.splitlines()) == 1
 
     def test_evaluate_on_missing_assignments_exits_4(self, mini_config, tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from roamlab import experiment, io
+from roamlab.cli import main
 from roamlab.config import resolve_config
 from roamlab.experiment import (
     MissingInputError,
@@ -25,6 +26,13 @@ from conftest import TINY_OVERRIDES
 
 GOLDEN_CHECKSUMS = Path(__file__).parent / "golden" / "tiny_checksums.json"
 DEFAULT_CHECKSUMS = Path(__file__).parent / "golden" / "default_checksums.json"
+
+
+def tree(out):
+    """relative path -> bytes of every file under out but run_manifest.json,
+    which holds a wall-clock time."""
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(Path(out).rglob("*"))
+            if p.is_file() and p.name != "run_manifest.json"}
 
 
 class TestSeeds:
@@ -186,6 +194,29 @@ class TestManifest:
         b = json.loads((tmp_path / "parallel" / "run_manifest.json").read_text())["checksums"]
         assert a == b
 
+
+    def test_uneven_worker_shares_write_the_serial_tree(self, tmp_path):
+        # Five replicates over three workers: chunks of 2, 2 and 1, each
+        # stepping its replicates' worlds in lockstep.
+        raw = {**TINY_OVERRIDES, "experiment.replicates": 5}
+        assert experiment.chunks(resolve_config(raw), 3) == [[0, 1], [2, 3], [4]]
+        for jobs in (1, 3):
+            run_experiment(resolve_config(raw, {"experiment.jobs": jobs}), tmp_path / str(jobs))
+        assert tree(tmp_path / "3") == tree(tmp_path / "1")
+
+    def test_stage_replicates_do_not_depend_on_the_worlds_beside_them(self, tmp_path):
+        # generate-obs, baseline and assimilate step every replicate of a
+        # role, or of a policy family, in lockstep: replicates 0-2 of a run
+        # of 3 hold the bytes they hold in a run of 8.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TINY_OVERRIDES))
+        for runs in (3, 8):
+            for command in (["generate-obs"], ["baseline"], ["assimilate", "--case", "all"]):
+                assert main([*command, "--config", str(config), "--runs", str(runs),
+                             "--out", str(tmp_path / str(runs))]) == 0
+        three = tree(tmp_path / "3")
+        assert len(three) == 3 * (5 + 2 + 2 * 2 + 2 * 3)  # truth, baseline, cases 1-2, case-3 roles
+        assert {f: tree(tmp_path / "8")[f] for f in three} == three
 
     def test_tiny_tree_matches_golden_checksums(self, tmp_path):
         """The tiny-config output tree is byte-identical to the golden tree.

@@ -26,7 +26,7 @@ from roamlab.model import (
     SimConfig,
     _spawn_agents,
     model_mover,
-    new_world,
+    new_worlds,
 )
 from roamlab.numerics import categorical
 from roamlab.twin import SequencePool
@@ -259,7 +259,7 @@ def test_one_integers_call_equals_scalar_draws(k):
 def test_spawn_runs_match_one_at_a_time_draws(seed, quotas, count):
     cfg = SimConfig(store_count=2, total_agents=sum(quotas), group_count=len(quotas),
                     group_quotas=quotas)
-    world = new_world(cfg)
+    world = new_worlds(cfg, 1)
     after_groups = []
 
     def placer(world, ids, groups, rng):
@@ -267,11 +267,11 @@ def test_spawn_runs_match_one_at_a_time_draws(seed, quotas, count):
         return np.zeros(len(ids), dtype=np.int64)
 
     rng = np.random.default_rng(seed)
-    _spawn_agents(world, cfg, count, placer, rng)
+    _spawn_agents(world, cfg, np.array([0]), np.array([count]), placer, [rng])
     oracle_rng, quota = np.random.default_rng(seed), np.array(quotas)
     expected = reference.spawn_groups(quota, count, oracle_rng)
-    assert world.group[: world.agents_spawned].tolist() == expected
-    np.testing.assert_array_equal(world.group_quota_remaining, quota)
+    assert world.group[: world.agents_spawned[0]].tolist() == expected
+    np.testing.assert_array_equal(world.group_quota_remaining[0], quota)
     assert (after_groups or [rng.random()])[0] == oracle_rng.random()
 
 

@@ -242,26 +242,29 @@ class TestStepWorld:
 
     def test_world_record_holds_after_every_step_of_every_role(self, tiny_cfg, tmp_path,
                                                                monkeypatch):
-        # Truth, baseline and every case step through run_world, which looks
-        # step_world up at each call; the wrapper checks the record around it.
+        # Truth, baseline and every case step through run_worlds, which looks
+        # step_world up at each call; the wrapper checks the record of every
+        # world of the stack around it.
         calls = []
 
         def checked(world, cfg, mover, placer, rng):
-            n = world.agents_spawned
-            roaming = np.count_nonzero(world.transitions[:n] < cfg.max_transitions)
+            roaming = [np.count_nonzero(w.transitions[: w.agents_spawned] < cfg.max_transitions)
+                       for w in world.records()]
             step_world(world, cfg, mover, placer, rng)
-            n = world.agents_spawned
-            np.testing.assert_array_equal(world.transitions[:n],
-                                          np.count_nonzero(world.path[:n] >= 0, axis=1) - 1)
-            entered = world.entered[:n]
-            assert np.all(np.diff(entered, axis=1)[entered[:, 1:] >= 0] >= 0)
-            assert world.congestion.sum() == roaming
-            calls.append(world.step)
+            for w, before in zip(world.records(), roaming):
+                n = w.agents_spawned
+                np.testing.assert_array_equal(w.transitions[:n],
+                                              np.count_nonzero(w.path[:n] >= 0, axis=1) - 1)
+                entered = w.entered[:n]
+                assert np.all(np.diff(entered, axis=1)[entered[:, 1:] >= 0] >= 0)
+                assert w.congestion.sum() == before
+                calls.append(w.step)
 
         monkeypatch.setattr(roamlab.model, "step_world", checked)
         summary = run_replicate(tiny_cfg, tmp_path, 0)
         assert sorted(summary) == sorted(["truth", "baseline", *case_labels(tiny_cfg)])
-        assert calls == list(range(1, tiny_cfg.assim.horizon_steps + 1)) * len(summary)
+        assert sorted(calls) == sorted(list(range(1, tiny_cfg.assim.horizon_steps + 1))
+                                       * len(summary))
 
     def test_rejects_step_past_horizon(self):
         cfg = small_sim_config(horizon_steps=1)
