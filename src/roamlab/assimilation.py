@@ -182,14 +182,13 @@ def run_assimilation(
             )
     if len({c == 3 for c in cases}) > 1:
         raise ValueError(f"cases {cases} are not of one policy family: 1 and 2, or 3")
-    # every step's store weights of every world, (W, T+1, G, S); every group
-    # sees the per-store totals but in case 2
-    log_w = np.stack([
-        store_weights(obs if c == 2 else
-                      obs.sum(axis=1, keepdims=True).repeat(cfg.group_count, axis=1),
-                      o.weight_accumulation)
-        for c, o, obs in zip(cases, options, observations)
-    ])
+    # every step's store weights of every world, (W, T+1, G, S), filled a
+    # world at a time; every group sees the per-store totals but in case 2
+    log_w = np.empty((len(rngs), cfg.horizon_steps + 1, cfg.group_count, cfg.store_count))
+    for w, (c, o, obs) in enumerate(zip(cases, options, observations)):
+        if c != 2:
+            obs = obs.sum(axis=1, keepdims=True).repeat(cfg.group_count, axis=1)
+        log_w[w] = store_weights(obs[: cfg.horizon_steps + 1], o.weight_accumulation)
 
     if cases[0] == 3:
         n = cfg.total_agents

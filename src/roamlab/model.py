@@ -15,14 +15,19 @@ max_transitions. Choices read the congestion snapshot taken at the start of
 each step, so its moves are conditionally independent, drawn as one batch.
 
 Movement and initial placement are pluggable policies, so one loop,
-run_world, drives the truth, baseline and assimilated runs. A mover maps
+run_worlds, drives the truth, baseline and assimilated runs. A mover maps
 (world, ids, rng) to the next store of each listed agent; a placer maps
 (world, ids, groups, rng) to the first store of each freshly spawned agent.
+
+Worlds of one lifecycle step in lockstep (Worlds): the per-step numpy calls
+serve every world at once, and each world draws from its own generator in
+its own order, so a world's arrays do not depend on the worlds beside it.
+One world is the stack of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -250,7 +255,6 @@ class Streams:
         return np.concatenate([r.multinomial(n, pvals[a:z]) for r, a, z in self.parts])
 
 
-@dataclass
 class Worlds:
     """W worlds of one lifecycle, stepped together by step_world.
 
@@ -260,26 +264,26 @@ class Worlds:
     marks the spawned agents that have transitions left. first is the index
     of the first of these worlds among all that a run steps (run_worlds),
     which is how movers and placers find each world's own inputs.
+
+    A plain class, not a dataclass: the code a dataclass generates would
+    cost every command its time at import.
     """
 
-    step: int
-    first: int
-    group: np.ndarray           # (W * N,)
-    dwell: np.ndarray           # (W * N,)
-    transitions: np.ndarray     # (W * N,)
-    path: np.ndarray            # (W * N, max_transitions + 1)
-    entered: np.ndarray         # (W * N, max_transitions + 1)
-    roaming: np.ndarray         # (W * N,) bool
-    congestion: np.ndarray      # (W, S) roaming agents per store at the start of the step
-    agents_spawned: np.ndarray  # (W,)
-    group_quota_remaining: np.ndarray  # (W, G)
-    stationary_unretired: np.ndarray   # (W,)
-    size: int = field(init=False)      # W
-    capacity: int = field(init=False)  # N
-
-    def __post_init__(self):
-        self.size = len(self.agents_spawned)
-        self.capacity = len(self.group) // self.size
+    def __init__(self, step, first, group, dwell, transitions, path, entered, roaming,
+                 congestion, agents_spawned, group_quota_remaining, stationary_unretired):
+        self.step, self.first = step, first
+        self.group = group                  # (W * N,)
+        self.dwell = dwell                  # (W * N,)
+        self.transitions = transitions      # (W * N,)
+        self.path = path                    # (W * N, max_transitions + 1)
+        self.entered = entered              # (W * N, max_transitions + 1)
+        self.roaming = roaming              # (W * N,) bool
+        self.congestion = congestion        # (W, S) roaming agents per store at the step's start
+        self.agents_spawned = agents_spawned                # (W,)
+        self.group_quota_remaining = group_quota_remaining  # (W, G)
+        self.stationary_unretired = stationary_unretired    # (W,)
+        self.size = len(agents_spawned)                     # W
+        self.capacity = len(group) // self.size             # N
 
     def stores(self, ids):
         """The current store of each listed agent: the last of its path."""
@@ -293,15 +297,16 @@ class Worlds:
         """The congestion row each listed agent chooses against."""
         return self.congestion if self.size == 1 else self.congestion[ids // self.capacity]
 
-    def tally(self, ids, values=None, width=None):
-        """The number of listed agents in each world, (W,); with values, of
-        each value 0..width-1 in each world, (W, width)."""
-        if self.size == 1:
-            return len(ids) if values is None else np.bincount(values, minlength=width)[None]
-        key = ids // self.capacity
-        if values is None:
-            return np.bincount(key, minlength=self.size)
-        return np.bincount(key * width + values, minlength=self.size * width).reshape(-1, width)
+    def tally(self, ids):
+        """How many of the listed agents each world holds: (W,), or an int
+        for one world."""
+        return len(ids) if self.size == 1 else np.bincount(ids // self.capacity, minlength=self.size)
+
+    def count_stores(self, ids, stores, store_count):
+        """(W, S) how many of the listed agents each world holds at each store."""
+        if self.size > 1:
+            stores = stores + store_count * (ids // self.capacity)
+        return np.bincount(stores, minlength=self.size * store_count).reshape(-1, store_count)
 
     def streams(self, rngs, ids):
         """What draws for the listed rows (ascending): the generator of their
@@ -408,9 +413,10 @@ def _draw_groups(quota, count, rng):
         run = min(left, int(quota[eligible].min()))
         drawn = eligible[rng.integers(len(eligible), size=run)]
         quota -= np.bincount(drawn, minlength=len(quota))
-        eligible = (quota > 0).nonzero()[0]
         runs.append(drawn)
         left -= run
+        if left:
+            eligible = (quota > 0).nonzero()[0]
     return np.concatenate([quota[:0], *runs])
 
 
@@ -499,7 +505,7 @@ def step_world(world, cfg: SimConfig, mover, placer, rng):
         raise ValueError(f"world already at horizon step {cfg.horizon_steps}")
     world.step += 1
     ids = world.roaming.nonzero()[0]
-    world.congestion = world.tally(ids, world.stores(ids), cfg.store_count)
+    world.congestion = world.count_stores(ids, world.stores(ids), cfg.store_count)
     dwell = world.dwell[ids] - 1
     world.dwell[ids] = dwell
     movers = ids[dwell <= 0]
