@@ -93,17 +93,16 @@ def _rngs(cfg: ExperimentConfig, role: str, replicates):
     return [derive_rng(cfg.base_seed, r, role) for r in replicates]
 
 
-def run_truth_stage(cfg: ExperimentConfig, out, replicate, baseline: bool = False):
-    """Run truth replicates, one or a sequence of them stepped in lockstep,
-    and write their observation products, the sequence pool only when case 3
-    runs; return (observations, pool or None, the truth world's _summary) of
-    the replicate, or the list of them.
+def run_truth_stage(cfg: ExperimentConfig, out, replicates, baseline: bool = False):
+    """Run the truth worlds of the replicates in lockstep and write their
+    observation products, the sequence pool only when case 3 runs; return
+    each replicate's (observations, pool or None, the truth world's
+    _summary).
 
     With baseline, each replicate's baseline world steps beside its truth
     world (assimilation.run_baseline with truth) and is written too; its
     _summary ends the replicate's tuple.
     """
-    replicates, one = ([replicate], True) if isinstance(replicate, int) else (replicate, False)
     truth = (cfg.truth, _rngs(cfg, "truth", replicates), cfg.count_spawn_as_inflow)
     if baseline:
         worlds, observations = run_baseline(cfg.assim, _rngs(cfg, "baseline", replicates), truth)
@@ -137,17 +136,14 @@ def run_truth_stage(cfg: ExperimentConfig, out, replicate, baseline: bool = Fals
         if baseline:
             product += (_write_world(cfg, out, "baseline", r, worlds[len(replicates) + k]),)
         products.append(product)
-    return products[0] if one else products
+    return products
 
 
-def run_baseline_stage(cfg: ExperimentConfig, out, replicate):
-    """Plain model runs in the assimilation environment (no observations) of
-    one replicate, or of a sequence stepped in lockstep; return the
-    _summary of each."""
-    replicates, one = ([replicate], True) if isinstance(replicate, int) else (replicate, False)
+def run_baseline_stage(cfg: ExperimentConfig, out, replicates):
+    """Plain model runs in the assimilation environment (no observations),
+    the replicates' worlds in lockstep; return the _summary of each."""
     worlds = run_baseline(cfg.assim, _rngs(cfg, "baseline", replicates))
-    summaries = [_write_world(cfg, out, "baseline", r, w) for r, w in zip(replicates, worlds)]
-    return summaries[0] if one else summaries
+    return [_write_world(cfg, out, "baseline", r, w) for r, w in zip(replicates, worlds)]
 
 
 def load_truth_products(cfg: ExperimentConfig, out, replicate: int):
@@ -202,30 +198,24 @@ def _check_assignments(cfg: ExperimentConfig, path, assignments, rows, pool):
         raise io.MalformedTableError(f"{path}: an agent's path is not a prefix of its entry's")
 
 
-def run_case_stage(cfg: ExperimentConfig, out, replicate, label, observations, pool):
-    """Run one assimilation variant on one replicate's truth products (pool:
-    case 3 only); return its _summary.
-
-    Given sequences of replicates and of labels of one policy family, with
-    each replicate's observations and pool, every (label, replicate) world
-    steps in lockstep; the result is then each replicate's dict label ->
-    _summary.
-    """
-    if isinstance(replicate, int):
-        return run_case_stage(cfg, out, [replicate], [label], [observations], [pool])[0][label]
-    worlds = [(lab, k) for lab in label for k in range(len(replicate))]
+def run_case_stage(cfg: ExperimentConfig, out, replicates, labels, observations, pools):
+    """Run assimilation roles of one policy family on the replicates' truth
+    products, each replicate's observations and pool (case 3 only), every
+    (label, replicate) world in lockstep; return each replicate's dict
+    label -> _summary."""
+    worlds = [(lab, k) for lab in labels for k in range(len(replicates))]
     runs, assignments = run_assimilation(
         cfg.assim,
         [observations[k] for _, k in worlds],
         [3 if lab.startswith("case3") else int(lab[-1]) for lab, _ in worlds],
-        pool=[pool[k] for _, k in worlds],
-        rng=[derive_rng(cfg.base_seed, replicate[k], lab) for lab, k in worlds],
+        pool=[pools[k] for _, k in worlds],
+        rng=[derive_rng(cfg.base_seed, replicates[k], lab) for lab, k in worlds],
         options=[dataclasses.replace(cfg.assim_options, random_baseline=lab == "case3_random")
                  for lab, _ in worlds],
     )
-    summaries = [{} for _ in replicate]
+    summaries = [{} for _ in replicates]
     for (lab, k), world, rows in zip(worlds, runs, assignments):
-        summaries[k][lab] = _write_world(cfg, out, lab, replicate[k], world, rows)
+        summaries[k][lab] = _write_world(cfg, out, lab, replicates[k], world, rows)
     return summaries
 
 
@@ -247,16 +237,14 @@ class Summaries:
         return self
 
 
-def run_replicate(cfg: ExperimentConfig, out, replicate) -> dict:
-    """Full pipeline for one replicate, or a sequence of them, chaining stages
-    in memory; return the replicate's summary, role -> the _summary of what
-    each stage wrote, or the list of them.
+def run_replicate(cfg: ExperimentConfig, out, replicates) -> list:
+    """Full pipeline for a chunk of replicates, chaining stages in memory;
+    return each replicate's summary, role -> the _summary of what each stage
+    wrote.
 
-    The worlds of each policy family step in lockstep over the replicates:
-    truth with baseline, case 1 with case 2, and case 3 with its random
-    control.
+    The worlds of each policy family step in lockstep over the chunk: truth
+    with baseline, case 1 with case 2, and case 3 with its random control.
     """
-    replicates, one = ([replicate], True) if isinstance(replicate, int) else (replicate, False)
     products = run_truth_stage(cfg, out, replicates, baseline=True)
     summaries = [{"truth": truth, "baseline": baseline} for _, _, truth, baseline in products]
     observations, pools = [p[0] for p in products], [p[1] for p in products]
@@ -264,7 +252,7 @@ def run_replicate(cfg: ExperimentConfig, out, replicate) -> dict:
         for summary, cases in zip(summaries, run_case_stage(cfg, out, replicates, family,
                                                               observations, pools)):
             summary.update(cases)
-    return summaries[0] if one else summaries
+    return summaries
 
 
 def _present_roles(cfg: ExperimentConfig, out):

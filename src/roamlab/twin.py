@@ -50,13 +50,12 @@ def run_truth(cfg: SimConfig, rng, count_spawn_as_inflow: bool = True, beside=No
     in the list returned; they are not counted.
     """
     rngs, one = generators(rng)
-    cfgs, others = [cfg], []
-    if beside is not None:
-        cfgs.append(beside[0])
-        others = list(beside[1])
-    tables = np.repeat([0, 1], [len(rngs), len(others)])
-    worlds = run_worlds(cfg, model_mover(ChoiceModel(*cfgs), tables if others else None),
-                        uniform_placer, rngs + others)
+    mover = model_mover(ChoiceModel(cfg))
+    others = [] if beside is None else list(beside[1])
+    if beside is not None:  # each world moves by its own config's rows
+        tables = np.repeat([0, 1], [len(rngs), len(others)])
+        mover = model_mover(ChoiceModel(cfg, beside[0]), tables)
+    worlds = run_worlds(cfg, mover, uniform_placer, rngs + others)
     shape = (cfg.horizon_steps + 1, cfg.group_count, cfg.store_count)
     first = 0 if count_spawn_as_inflow else 1
     observations = []

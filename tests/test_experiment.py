@@ -70,9 +70,9 @@ class TestStages:
         return resolve_config({}, {**TINY_OVERRIDES, "experiment.replicates": 1})
 
     def test_case_stage_reads_products_from_disk(self, cfg, tmp_path):
-        run_truth_stage(cfg, tmp_path, 0)
+        run_truth_stage(cfg, tmp_path, [0])
         observations, pool = load_truth_products(cfg, tmp_path, 0)
-        run_case_stage(cfg, tmp_path, 0, "case3", observations, pool)
+        run_case_stage(cfg, tmp_path, [0], ["case3"], [observations], [pool])
         d = replicate_dir(tmp_path, "case3", 0)
         assert (d / "assim_od.csv").exists()
         sim = cfg.assim
@@ -89,13 +89,13 @@ class TestStages:
             load_truth_products(cfg, tmp_path, 0)
 
     def test_evaluate_requires_truth(self, cfg, tmp_path):
-        run_baseline_stage(cfg, tmp_path, 0)
+        run_baseline_stage(cfg, tmp_path, [0])
         with pytest.raises(MissingInputError, match="truth"):
             evaluate(cfg, tmp_path)
 
     def test_evaluate_handles_partial_roles(self, cfg, tmp_path):
-        observations, _, _ = run_truth_stage(cfg, tmp_path, 0)
-        run_case_stage(cfg, tmp_path, 0, "case1", observations, None)
+        [(observations, _, _)] = run_truth_stage(cfg, tmp_path, [0])
+        run_case_stage(cfg, tmp_path, [0], ["case1"], [observations], [None])
         summary = evaluate(cfg, tmp_path)
         assert set(summary["discrepancy"]) == {"case1"}
         assert (tmp_path / "aggregate" / "case1" / "od_assim_mean.csv").exists()
@@ -173,7 +173,7 @@ class TestManifest:
 
         roles = ["truth", "baseline", *case_labels(cfg)]
         for r in range(cfg.replicate_count):
-            handed = experiment.run_replicate(cfg, tmp_path / "again", r)
+            [handed] = experiment.run_replicate(cfg, tmp_path / "again", [r])
             read = experiment._read_summary(cfg, tmp_path, r, roles)
             assert list(handed) == roles
             for role in roles:

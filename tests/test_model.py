@@ -261,7 +261,7 @@ class TestStepWorld:
                 calls.append(w.step)
 
         monkeypatch.setattr(roamlab.model, "step_world", checked)
-        summary = run_replicate(tiny_cfg, tmp_path, 0)
+        [summary] = run_replicate(tiny_cfg, tmp_path, [0])
         assert sorted(summary) == sorted(["truth", "baseline", *case_labels(tiny_cfg)])
         assert sorted(calls) == sorted(list(range(1, tiny_cfg.assim.horizon_steps + 1))
                                        * len(summary))
