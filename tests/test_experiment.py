@@ -194,7 +194,6 @@ class TestManifest:
         b = json.loads((tmp_path / "parallel" / "run_manifest.json").read_text())["checksums"]
         assert a == b
 
-
     def test_uneven_worker_shares_write_the_serial_tree(self, tmp_path):
         # Five replicates over three workers: chunks of 2, 2 and 1, each
         # stepping its replicates' worlds in lockstep.
