@@ -23,9 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    ChoiceModel, SimConfig, Streams, generators, model_mover, run_worlds, uniform_placer,
-)
+from .model import ChoiceModel, SimConfig, Streams, model_mover, run_worlds, uniform_placer
 from .numerics import categorical, log_normalize_rows
 from .twin import SequencePool, run_truth
 
@@ -112,60 +110,55 @@ class AssimOptions:
     weighted_placement: bool = True    # weight-driven spawn placement (cases 1-2)
 
 
-def run_baseline(cfg: SimConfig, rng, truth=None):
-    """Plain model runs without any observation input: one world, or one per
-    generator of a sequence, stepped in lockstep; returns the world or list.
+def run_baseline(cfg: SimConfig, rngs, truth=None):
+    """Plain model runs without any observation input, one world per
+    generator, stepped in one lockstep stack; returns the list of worlds.
 
-    truth, a (truth config, generators, count_spawn_as_inflow) triple, steps
-    those truth worlds in lockstep with these, the two sharing the plain
-    model's policies (twin.run_truth with beside); run_truth's (worlds,
-    observations) lists are then returned, the baseline worlds following the
-    truth worlds.
+    truth, a (truth config, generators, count_spawn_as_inflow) triple, adds
+    those truth worlds to the stack, the two sharing the plain model's
+    policies: the call is twin.run_truth's with beside, whose (worlds,
+    observations) lists it returns, the baseline worlds following the truth
+    worlds.
     """
     if truth is not None:
         truth_cfg, truth_rngs, count_spawn_as_inflow = truth
-        return run_truth(truth_cfg, truth_rngs, count_spawn_as_inflow, beside=(cfg, rng))
-    rngs, one = generators(rng)
-    worlds = run_worlds(cfg, model_mover(ChoiceModel(cfg)), uniform_placer, rngs)
-    return worlds[0] if one else worlds
+        return run_truth(truth_cfg, truth_rngs, count_spawn_as_inflow, beside=(cfg, rngs))
+    return run_worlds(cfg, model_mover(ChoiceModel(cfg)), uniform_placer, list(rngs))
 
 
 def run_assimilation(
     cfg: SimConfig,
     observations,
     case,
-    pool: SequencePool | None = None,
+    pool=None,
     *,
     rng,
-    options: AssimOptions | None = None,
+    options=None,
 ):
-    """Run assimilation worlds to the horizon; return (world, assignments).
+    """Run assimilation worlds, one per generator of rng, to the horizon in
+    one lockstep stack (model.run_worlds); return the lists (worlds,
+    assignments).
 
-    With one generator rng, one world runs under one regime. observations is
-    the (T+1, G, S) array of inflow counts by step, group and store, covering
-    steps 0..horizon. The store weights of every step are built from them in
-    one store_weights call before the run: log_w[0] is uniform, since no
+    observations, case, pool and options hold one entry per world; pool and
+    options may be omitted. Each world's observations are the (T+1, G, S)
+    array of inflow counts by step, group and store, covering steps
+    0..horizon. The store weights of every step are built from them in one
+    store_weights call before the run: log_w[0] is uniform, since no
     observation has been consumed when the initial population is placed, and
     log_w[t], applied during step t, takes in the inflows observed at step t.
     Case 2 weights each group by its own counts; cases 1 and 3 weight every
     group by the per-store totals. Case 3 requires a sequence pool whose paths
     span the full transition count; each spawn batch weights it once, by the
     store weights of its step. The case-3 random control draws pool entries
-    uniformly and never weights the pool.
+    uniformly and never weights the pool. The worlds share one policy
+    family, cases 1 and 2 or case 3, and cases 1 and 2 all options but
+    weight_accumulation.
 
-    assignments is None in cases 1 and 2; in case 3 it holds one (spawn
-    step, agent_id, entry_id, attr) row per spawned agent, in id order.
-
-    With a sequence of generators, one world each runs in lockstep
-    (model.run_worlds), and lists of the worlds and assignments are returned.
-    observations, case, pool and options then hold one entry per world. The
-    worlds share one policy family, cases 1 and 2 or case 3, and cases 1 and
-    2 all options but weight_accumulation.
+    A world's assignments are None in cases 1 and 2; in case 3 they hold one
+    (spawn step, agent_id, entry_id, attr) row per spawned agent, in id order.
     """
-    rngs, one = generators(rng)
-    if one:
-        observations, case, pool, options = [observations], [case], [pool], [options]
-    cases, pools = list(case), list(pool or [None] * len(rngs))
+    rngs, cases = list(rng), list(case)
+    pools = list(pool or [None] * len(rngs))
     options = [o or AssimOptions() for o in (options or [None] * len(rngs))]
     for c, p, obs in zip(cases, pools, observations):
         if c not in (1, 2, 3):
@@ -201,7 +194,7 @@ def run_assimilation(
             parts = rng.parts if isinstance(rng, Streams) else [(rng, 0, len(ids))]
             rows = np.empty(len(ids), dtype=np.int64)
             for r, a, z in parts:
-                w = world.first + ids[a] // n
+                w = ids[a] // n
                 if options[w].random_baseline:
                     entries = r.integers(pools[w].size, size=z - a)
                 else:
@@ -209,11 +202,11 @@ def run_assimilation(
                     sw = StoreWeightVector(world.step, log_w[w, world.step])
                     entries = categorical(r, weight_sequences(pools[w], sw), size=z - a)
                 rows[a:z] = offsets[w] + entries
-            followed[world.first * n + ids] = rows
+            followed[ids] = rows
             return paths[rows, 0]
 
         def mover(world, ids, rng):
-            return paths[followed[world.first * n + ids], world.transitions[ids] + 1]
+            return paths[followed[ids], world.transitions[ids] + 1]
 
     else:
         shared = {(o.particle_count, o.filter_moves, o.weighted_placement) for o in options}
@@ -250,4 +243,4 @@ def run_assimilation(
             assignments[w] = np.column_stack(
                 [world.entered[:k, 0], np.arange(k), entries, pools[w].attrs[entries]]
             )
-    return (worlds[0], assignments[0]) if one else (worlds, assignments)
+    return worlds, assignments

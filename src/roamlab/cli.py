@@ -104,7 +104,7 @@ def main(argv=None) -> int:
             for chunk in experiment.chunks(cfg):
                 products = [experiment.load_truth_products(cfg, args.out, r) for r in chunk]
                 observations, pools = [p[0] for p in products], [p[1] for p in products]
-                for family in experiment.families(labels):
+                for family in experiment.families(cfg):
                     experiment.run_case_stage(cfg, args.out, chunk, family, observations, pools)
             print(f"wrote {', '.join(labels)} for {cfg.replicate_count} replicate(s)")
         elif args.command == "evaluate":

@@ -22,13 +22,17 @@ from . import io
 from .assimilation import run_assimilation, run_baseline
 from .config import ConfigSchemaError, ExperimentConfig, config_hash
 from .metrics import aggregate_runs, build_od, decode_ngram, ngram_table, top_k
-from .model import completed_paths, lockstep_size, path_rows
+from .model import completed_paths, path_rows
 from .seeds import ROLE_CODES, derive_rng
 from .twin import run_truth, sample_biased_pool
 
 NGRAM_N = 3
 CASE3_ROLES = ("case3", "case3_random")  # the roles that write assigned_sequences.csv
 CASE_FAMILIES = (("case1", "case2"), CASE3_ROLES)  # roles whose worlds share their policies
+# The most 8-byte array cells (world_cells) that the worlds of one lockstep
+# stack hold between them: 2^20 cells, 8 MiB, 12 default worlds or 73 of the
+# test suite's tiny ones. See README.md for the measurement behind it.
+LOCKSTEP_CELLS = 1 << 20
 
 
 class MissingInputError(FileNotFoundError):
@@ -73,20 +77,42 @@ def _write_world(cfg: ExperimentConfig, out, role: str, replicate: int, world, a
     return _summary(cfg, rows, od, assignments)
 
 
+def world_cells(cfg: ExperimentConfig) -> int:
+    """The 8-byte array cells one world holds while it steps: its agents'
+    paths and entry steps, a choice row per agent, its replicate's (T+1, G,
+    S) observations and its own store weights, and with case 3 its pool's
+    paths."""
+    sim = cfg.assim
+    pool = cfg.pool_size * (sim.max_transitions + 1) if 3 in cfg.cases else 0
+    return (sim.total_agents * (2 * (sim.max_transitions + 1) + sim.store_count)
+            + 2 * (sim.horizon_steps + 1) * sim.group_count * sim.store_count + pool)
+
+
+def paired(cfg: ExperimentConfig) -> bool:
+    """Whether the two roles of a policy family step in one stack: only if
+    two worlds fit LOCKSTEP_CELLS, so that a config whose one world fits
+    steps one world at a time."""
+    return 2 * world_cells(cfg) <= LOCKSTEP_CELLS
+
+
 def chunks(cfg: ExperimentConfig, jobs: int = 1):
     """The replicates in consecutive chunks, each one pool task or stage call:
     at least `jobs` chunks, and few enough replicates in each that the two
-    roles of a policy family step in one lockstep stack of the assimilation
-    environment (model.lockstep_size)."""
-    size = max(1, lockstep_size(cfg.assim) // 2)
+    roles of a policy family fit one stack (LOCKSTEP_CELLS); one replicate
+    each if they do not."""
+    size = max(1, LOCKSTEP_CELLS // (2 * world_cells(cfg)))
     count = max(jobs, -(-cfg.replicate_count // size))
     return [c.tolist() for c in np.array_split(np.arange(cfg.replicate_count), count) if len(c)]
 
 
-def families(labels):
-    """The case labels grouped by policy family, each group stepped in lockstep."""
-    return [group for group in ([label for label in family if label in labels]
-                                for family in CASE_FAMILIES) if group]
+def families(cfg: ExperimentConfig):
+    """The case labels grouped by policy family, each group stepped in one
+    stack; each label on its own unless the family's roles are paired."""
+    labels = case_labels(cfg)
+    groups = [[label for label in family if label in labels] for family in CASE_FAMILIES]
+    if not paired(cfg):
+        groups = [[label] for group in groups for label in group]
+    return [group for group in groups if group]
 
 
 def _rngs(cfg: ExperimentConfig, role: str, replicates):
@@ -242,13 +268,16 @@ def run_replicate(cfg: ExperimentConfig, out, replicates) -> list:
     return each replicate's summary, role -> the _summary of what each stage
     wrote.
 
-    The worlds of each policy family step in lockstep over the chunk: truth
-    with baseline, case 1 with case 2, and case 3 with its random control.
+    The worlds of each policy family step in one stack over the chunk: truth
+    with baseline, case 1 with case 2, and case 3 with its random control;
+    or each role on its own, if the roles are not paired.
     """
-    products = run_truth_stage(cfg, out, replicates, baseline=True)
-    summaries = [{"truth": truth, "baseline": baseline} for _, _, truth, baseline in products]
+    pair = paired(cfg)
+    products = run_truth_stage(cfg, out, replicates, baseline=pair)
+    baselines = [p[3] for p in products] if pair else run_baseline_stage(cfg, out, replicates)
+    summaries = [{"truth": p[2], "baseline": b} for p, b in zip(products, baselines)]
     observations, pools = [p[0] for p in products], [p[1] for p in products]
-    for family in families(case_labels(cfg)):
+    for family in families(cfg):
         for summary, cases in zip(summaries, run_case_stage(cfg, out, replicates, family,
                                                               observations, pools)):
             summary.update(cases)

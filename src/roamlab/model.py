@@ -221,18 +221,6 @@ class ChoiceModel:
         return log_normalize_rows(u)
 
 
-# The most agent path cells, summed over worlds, that one step_world call
-# advances: worlds of total_agents * (max_transitions + 1) cells each are
-# stepped lockstep_size at a time, at least one, so a config whose one world
-# fits runs as it would alone. See README.md for the measurement behind it.
-LOCKSTEP_CELLS = 1 << 17
-
-
-def lockstep_size(cfg: SimConfig) -> int:
-    """How many worlds of cfg's lifecycle run_worlds steps together."""
-    return max(1, LOCKSTEP_CELLS // (cfg.total_agents * (cfg.max_transitions + 1)))
-
-
 class Streams:
     """The generators of the worlds owning a run of agent rows, the rows
     grouped by world in world order, with the draws a mover or placer makes.
@@ -261,17 +249,16 @@ class Worlds:
     Agent i of the w-th world is row w * N + i of the per-agent arrays, N
     being the total-agent budget, so a world's rows are contiguous and in
     its spawn order; the per-world arrays have a leading axis of W. roaming
-    marks the spawned agents that have transitions left. first is the index
-    of the first of these worlds among all that a run steps (run_worlds),
-    which is how movers and placers find each world's own inputs.
+    marks the spawned agents that have transitions left. Movers and placers
+    find each world's own inputs by its index in the stack (world_of).
 
     A plain class, not a dataclass: the code a dataclass generates would
     cost every command its time at import.
     """
 
-    def __init__(self, step, first, group, dwell, transitions, path, entered, roaming,
+    def __init__(self, step, group, dwell, transitions, path, entered, roaming,
                  congestion, agents_spawned, group_quota_remaining, stationary_unretired):
-        self.step, self.first = step, first
+        self.step = step
         self.group = group                  # (W * N,)
         self.dwell = dwell                  # (W * N,)
         self.transitions = transitions      # (W * N,)
@@ -290,8 +277,8 @@ class Worlds:
         return self.path[ids, self.transitions[ids]]
 
     def world_of(self, ids):
-        """The run index of each listed agent's world; one int for one world."""
-        return self.first if self.size == 1 else self.first + ids // self.capacity
+        """The stack index of each listed agent's world; 0 for one world."""
+        return 0 if self.size == 1 else ids // self.capacity
 
     def load(self, ids):
         """The congestion row each listed agent chooses against."""
@@ -341,7 +328,7 @@ class Worlds:
         roaming = np.zeros(len(world.group), dtype=bool)
         roaming[:n] = world.transitions[:n] < most
         return cls(
-            step=world.step, first=0, group=world.group, dwell=world.dwell,
+            step=world.step, group=world.group, dwell=world.dwell,
             transitions=world.transitions, path=world.path, entered=world.entered,
             roaming=roaming, congestion=np.asarray(world.congestion)[None],
             agents_spawned=np.array([n]),
@@ -355,7 +342,7 @@ class Worlds:
         return world
 
 
-def new_worlds(cfg: SimConfig, count: int, first: int = 0) -> Worlds:
+def new_worlds(cfg: SimConfig, count: int) -> Worlds:
     """count empty worlds at step 0, each with room for the whole agent budget.
 
     Raises ConfigSchemaError naming the config key that sized an array no
@@ -375,7 +362,6 @@ def new_worlds(cfg: SimConfig, count: int, first: int = 0) -> Worlds:
                                 f" are too many to allocate: {e}") from e
     return Worlds(
         step=0,
-        first=first,
         group=group,
         dwell=dwell,
         transitions=transitions,
@@ -527,29 +513,20 @@ def step_world(world, cfg: SimConfig, mover, placer, rng):
 
 
 def run_worlds(cfg: SimConfig, mover, placer, rngs) -> list:
-    """Run one world per generator to the horizon, lockstep_size(cfg) of them
-    at a time; return their WorldStates in generator order."""
-    size, records = lockstep_size(cfg), []
-    for first in range(0, len(rngs), size):
-        chunk = rngs[first : first + size]
-        world = new_worlds(cfg, len(chunk), first)
-        _spawn_agents(world, cfg, np.arange(len(chunk)),
-                      np.full(len(chunk), cfg.initial_agents), placer, chunk)
-        for _ in range(cfg.horizon_steps):
-            step_world(world, cfg, mover, placer, chunk)
-        records += world.records()
-    return records
+    """Run one world per generator to the horizon, all in one lockstep stack;
+    return their WorldStates in generator order. The caller sizes the stack:
+    a command's stacks are experiment.chunks' chunks."""
+    world = new_worlds(cfg, len(rngs))
+    _spawn_agents(world, cfg, np.arange(len(rngs)), np.full(len(rngs), cfg.initial_agents),
+                  placer, rngs)
+    for _ in range(cfg.horizon_steps):
+        step_world(world, cfg, mover, placer, rngs)
+    return world.records()
 
 
 def run_world(cfg: SimConfig, mover, placer, rng: np.random.Generator) -> WorldState:
     """Spawn the initial population, then step the world to the horizon."""
     return run_worlds(cfg, mover, placer, [rng])[0]
-
-
-def generators(rng):
-    """(list of generators, whether rng was one): one world per generator."""
-    one = isinstance(rng, np.random.Generator)
-    return ([rng] if one else list(rng)), one
 
 
 def model_mover(choice: ChoiceModel, tables=None):

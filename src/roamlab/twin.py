@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChoiceModel, SimConfig, generators, model_mover, run_worlds, uniform_placer
+from .model import ChoiceModel, SimConfig, model_mover, run_worlds, uniform_placer
 from .numerics import categorical
 
 
@@ -31,28 +31,27 @@ class SequencePool:
         return len(self.attrs)
 
 
-def run_truth(cfg: SimConfig, rng, count_spawn_as_inflow: bool = True, beside=None):
-    """Step truth worlds to the horizon and count their store entries.
+def run_truth(cfg: SimConfig, rngs, count_spawn_as_inflow: bool = True, beside=None):
+    """Step truth worlds, one per generator, to the horizon in one lockstep
+    stack (model.run_worlds) and count their store entries.
 
-    rng is one generator, for one world, or a sequence of them, one world
-    each, stepped in lockstep (model.run_worlds). Returns (world,
-    observations), or for a sequence the lists of both, observations being
-    the (T+1, G, S) array of inflow counts by step, group and store. They
+    Returns the lists (worlds, observations), observations being the (T+1,
+    G, S) array of inflow counts by step, group and store of each world. They
     are indexed by entry step (step 0 holds the initial spawn entries);
     position 0 of a path, the spawn placement, is counted only with
     count_spawn_as_inflow. The OD matrix and the completed agents' paths are
     read off the world.
 
     beside, a (SimConfig, generators) pair of another environment of cfg's
-    lifecycle, adds one plain model world per generator, stepped in lockstep
-    with the truth worlds: both move by the choice model, each by its own
-    config's rows, and place uniformly. Their worlds follow the truth worlds
-    in the list returned; they are not counted.
+    lifecycle, adds one plain model world per generator to the stack: both
+    move by the choice model, each by its own config's rows, and place
+    uniformly. Their worlds follow the truth worlds in the list returned;
+    they are not counted.
     """
-    rngs, one = generators(rng)
-    mover = model_mover(ChoiceModel(cfg))
-    others = [] if beside is None else list(beside[1])
-    if beside is not None:  # each world moves by its own config's rows
+    rngs, others = list(rngs), [] if beside is None else list(beside[1])
+    if beside is None:
+        mover = model_mover(ChoiceModel(cfg))
+    else:  # each world moves by its own config's rows
         tables = np.repeat([0, 1], [len(rngs), len(others)])
         mover = model_mover(ChoiceModel(cfg, beside[0]), tables)
     worlds = run_worlds(cfg, mover, uniform_placer, rngs + others)
@@ -67,7 +66,7 @@ def run_truth(cfg: SimConfig, rng, count_spawn_as_inflow: bool = True, beside=No
             shape,
         )
         observations.append(np.bincount(cells, minlength=np.prod(shape)).reshape(shape))
-    return (worlds[0], observations[0]) if one else (worlds, observations)
+    return worlds, observations
 
 
 def sample_biased_pool(

@@ -268,9 +268,9 @@ class TestSequenceWeights:
         )
         pool = self.pool([[0, 1], [1, 2], [2, 3], [3, 0]])
         observations = np.array([obs([0, 0, 0, 0]), obs([2, 0, 0, 0])])
-        _, assignments = run_assimilation(
-            cfg, observations, 3, pool=pool, rng=np.random.default_rng(7),
-            options=AssimOptions(random_baseline=True),
+        _, [assignments] = run_assimilation(
+            cfg, [observations], [3], pool=[pool], rng=[np.random.default_rng(7)],
+            options=[AssimOptions(random_baseline=True)],
         )
         spawned = assignments[assignments[:, 0] == 1, 2]
         assert len(spawned) == n
@@ -309,7 +309,7 @@ class TestRunAssimilation:
             horizon_steps=50,
             attractiveness=np.full((2, 5), 5.0),
         )
-        world, observations = run_truth(truth_cfg, np.random.default_rng(seed))
+        [world], [observations] = run_truth(truth_cfg, [np.random.default_rng(seed)])
         pool = sample_biased_pool(
             completed_paths(world), [0.6, 0.4], 30,
             np.random.default_rng(seed + 1),
@@ -324,9 +324,9 @@ class TestRunAssimilation:
         _, assim_cfg, observations, _ = self.setup_inputs()
         totals = observations.sum(axis=1, keepdims=True)
         options = AssimOptions(particle_count=7, weight_accumulation=accumulate)
-        (case1, _), (case2, _) = (
-            run_assimilation(assim_cfg, fed, case, rng=np.random.default_rng(8),
-                             options=options)
+        ([case1], _), ([case2], _) = (
+            run_assimilation(assim_cfg, [fed], [case], rng=[np.random.default_rng(8)],
+                             options=[options])
             for case, fed in [
                 (1, observations),
                 (2, np.broadcast_to(totals, observations.shape)),
@@ -340,26 +340,26 @@ class TestRunAssimilation:
         _, assim_cfg, observations, _ = self.setup_inputs()
         with pytest.raises(ValueError, match="pool"):
             run_assimilation(
-                assim_cfg, observations, 3, pool=None, rng=np.random.default_rng(0)
+                assim_cfg, [observations], [3], pool=None, rng=[np.random.default_rng(0)]
             )
 
     def test_invalid_case_rejected(self):
         _, assim_cfg, observations, _ = self.setup_inputs()
         with pytest.raises(ValueError, match="case"):
-            run_assimilation(assim_cfg, observations, 4, rng=np.random.default_rng(0))
+            run_assimilation(assim_cfg, [observations], [4], rng=[np.random.default_rng(0)])
 
     def test_short_observation_stream_rejected(self):
         _, assim_cfg, observations, _ = self.setup_inputs()
         with pytest.raises(ValueError, match="observation stream"):
             run_assimilation(
-                assim_cfg, observations[:10], 1, rng=np.random.default_rng(0)
+                assim_cfg, [observations[:10]], [1], rng=[np.random.default_rng(0)]
             )
 
     def test_runs_are_seed_deterministic(self):
         _, assim_cfg, observations, pool = self.setup_inputs()
-        (world_a, assignments_a), (world_b, assignments_b) = (
+        ([world_a], [assignments_a]), ([world_b], [assignments_b]) = (
             run_assimilation(
-                assim_cfg, observations, 3, pool=pool, rng=np.random.default_rng(5)
+                assim_cfg, [observations], [3], pool=[pool], rng=[np.random.default_rng(5)]
             )
             for _ in range(2)
         )
@@ -369,9 +369,9 @@ class TestRunAssimilation:
     @pytest.mark.parametrize("random_baseline", [False, True])
     def test_case3_assigns_one_row_per_agent_at_its_spawn_step(self, random_baseline):
         _, assim_cfg, observations, pool = self.setup_inputs()
-        world, assignments = run_assimilation(
-            assim_cfg, observations, 3, pool=pool, rng=np.random.default_rng(6),
-            options=AssimOptions(random_baseline=random_baseline),
+        [world], [assignments] = run_assimilation(
+            assim_cfg, [observations], [3], pool=[pool], rng=[np.random.default_rng(6)],
+            options=[AssimOptions(random_baseline=random_baseline)],
         )
         n = world.agents_spawned
         step, agent, entry, attr = assignments.T
@@ -384,8 +384,8 @@ class TestRunAssimilation:
 
     def test_case3_realized_paths_come_from_pool(self):
         _, assim_cfg, observations, pool = self.setup_inputs()
-        world, assignments = run_assimilation(
-            assim_cfg, observations, 3, pool=pool, rng=np.random.default_rng(6)
+        [world], [assignments] = run_assimilation(
+            assim_cfg, [observations], [3], pool=[pool], rng=[np.random.default_rng(6)]
         )
         entry_of = {aid: e for _, aid, e, _ in assignments.tolist()}
         assert len(entry_of) == world.agents_spawned
@@ -407,8 +407,8 @@ class TestRunAssimilation:
             return weight_sequences(pool, sw)
 
         monkeypatch.setattr(assimilation, "weight_sequences", counting)
-        world, _ = run_assimilation(
-            assim_cfg, observations, 3, pool=pool, rng=np.random.default_rng(6)
+        [world], _ = run_assimilation(
+            assim_cfg, [observations], [3], pool=[pool], rng=[np.random.default_rng(6)]
         )
         n = world.agents_spawned
         firsts = list(range(assim_cfg.initial_agents, n, assim_cfg.replenish_count))
@@ -422,9 +422,9 @@ class TestRunAssimilation:
             raise AssertionError("the random control weighted the sequence pool")
 
         monkeypatch.setattr(assimilation, "weight_sequences", refuse)
-        world, _ = run_assimilation(
-            assim_cfg, observations, 3, pool=pool, rng=np.random.default_rng(6),
-            options=AssimOptions(random_baseline=True),
+        [world], _ = run_assimilation(
+            assim_cfg, [observations], [3], pool=[pool], rng=[np.random.default_rng(6)],
+            options=[AssimOptions(random_baseline=True)],
         )
         assert world.agents_spawned > assim_cfg.horizon_steps + 1
 
@@ -433,7 +433,7 @@ class TestRunAssimilation:
         bad = SequencePool(paths=np.zeros((4, 2), dtype=np.int64), attrs=np.zeros(4, dtype=int))
         with pytest.raises(ValueError, match="pool paths"):
             run_assimilation(
-                assim_cfg, observations, 3, pool=bad, rng=np.random.default_rng(0)
+                assim_cfg, [observations], [3], pool=[bad], rng=[np.random.default_rng(0)]
             )
 
     def test_case2_places_each_group_by_its_own_row(self):
@@ -452,9 +452,9 @@ class TestRunAssimilation:
         observations = np.zeros((121, 2, 5), dtype=np.int64)
         observations[:, 0, 0] = 30
         observations[:, 1, 4] = 30
-        world, _ = run_assimilation(
-            assim_cfg, observations, 2, rng=np.random.default_rng(9),
-            options=AssimOptions(filter_moves=False),
+        [world], _ = run_assimilation(
+            assim_cfg, [observations], [2], rng=[np.random.default_rng(9)],
+            options=[AssimOptions(filter_moves=False)],
         )
         placed = {0: [], 1: []}
         for agent_id in range(10, world.agents_spawned):  # skip the initial population
@@ -476,6 +476,6 @@ class TestRunAssimilation:
 
     def test_baseline_ignores_observations(self):
         cfg = small_sim_config()
-        w1 = run_baseline(cfg, np.random.default_rng(3))
-        w2 = run_baseline(cfg, np.random.default_rng(3))
+        [w1] = run_baseline(cfg, [np.random.default_rng(3)])
+        [w2] = run_baseline(cfg, [np.random.default_rng(3)])
         np.testing.assert_array_equal(path_rows(w1), path_rows(w2))

@@ -64,6 +64,34 @@ class TestCaseLabels:
         assert case_labels(cfg) == ["case2"]
 
 
+class TestChunks:
+    @staticmethod
+    def chunk_size(overrides):
+        raw = {**TINY_OVERRIDES, "experiment.replicates": 100, **overrides}
+        return len(experiment.chunks(resolve_config({}, raw))[0])
+
+    @pytest.mark.parametrize("key, values", [
+        ("sim.store_count", [18, 36, 72, 144]),
+        ("sim.horizon_steps", [60, 240, 960]),
+        ("pool.size", [50, 5000, 20000]),
+    ])
+    def test_chunks_shrink_as_a_world_grows(self, key, values):
+        sizes = [self.chunk_size({key: v}) for v in values]
+        assert sizes == sorted(set(sizes), reverse=True), sizes
+
+    def test_worlds_too_large_to_pair_step_one_at_a_time(self):
+        # 2000 stores over 1000 steps: one world's (T+1, G, S) store weights
+        # are 8M cells, so no two worlds share a stack.
+        cfg = resolve_config({}, {
+            "sim.store_count": 2000, "sim.total_agents": 40, "sim.group_quotas": [10] * 4,
+            "sim.initial_agents": 40, "sim.max_transitions": 1, "sim.horizon_steps": 1000,
+            "experiment.replicates": 30,
+        })
+        assert not experiment.paired(cfg)
+        assert experiment.chunks(cfg) == [[r] for r in range(30)]
+        assert experiment.families(cfg) == [[label] for label in case_labels(cfg)]
+
+
 class TestStages:
     @pytest.fixture
     def cfg(self):
@@ -202,6 +230,18 @@ class TestManifest:
         for jobs in (1, 3):
             run_experiment(resolve_config(raw, {"experiment.jobs": jobs}), tmp_path / str(jobs))
         assert tree(tmp_path / "3") == tree(tmp_path / "1")
+
+    def test_roles_stepped_one_at_a_time_write_the_golden_tree(self, tmp_path, monkeypatch):
+        # A stack too small for two worlds steps every role on its own, one
+        # replicate per chunk; the tree is the one the paired stacks write.
+        monkeypatch.setattr(experiment, "LOCKSTEP_CELLS", 1)
+        cfg = resolve_config({}, {**TINY_OVERRIDES, "experiment.jobs": 1})
+        assert not experiment.paired(cfg)
+        assert experiment.families(cfg) == [[label] for label in case_labels(cfg)]
+        assert experiment.chunks(cfg) == [[0], [1]]
+        run_experiment(cfg, tmp_path)
+        checksums = json.loads((tmp_path / "run_manifest.json").read_text())["checksums"]
+        assert checksums == json.loads(GOLDEN_CHECKSUMS.read_text())
 
     def test_stage_replicates_do_not_depend_on_the_worlds_beside_them(self, tmp_path):
         # generate-obs, baseline and assimilate step every replicate of a

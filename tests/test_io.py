@@ -13,7 +13,7 @@ from conftest import path_rows, small_sim_config
 
 def test_observation_roundtrip(tmp_path):
     cfg = small_sim_config(store_count=4, horizon_steps=25)
-    _, observations = run_truth(cfg, np.random.default_rng(1))
+    _, [observations] = run_truth(cfg, [np.random.default_rng(1)])
     io.write_obs_counts(tmp_path / "c.csv", observations)
     io.write_obs_counts_attr(tmp_path / "a.csv", observations)
     back = io.read_observations(tmp_path / "c.csv", tmp_path / "a.csv", observations.shape)
@@ -85,7 +85,7 @@ def test_paths_read_in_agent_and_position_order_whatever_the_row_order(tmp_path)
 
 def test_observations_placed_by_index_whatever_the_row_order(tmp_path):
     cfg = small_sim_config(store_count=4, horizon_steps=25)
-    _, observations = run_truth(cfg, np.random.default_rng(1))
+    _, [observations] = run_truth(cfg, [np.random.default_rng(1)])
     io.write_obs_counts(tmp_path / "c.csv", observations)
     io.write_obs_counts_attr(tmp_path / "a.csv", observations)
     shuffle_rows(tmp_path / "c.csv", 4)
@@ -133,7 +133,7 @@ def test_observation_files_must_agree_on_extent(tmp_path):
 
 def test_totals_must_be_the_per_store_sums_of_the_attr_counts(tmp_path):
     cfg = small_sim_config(store_count=4, horizon_steps=25)
-    _, observations = run_truth(cfg, np.random.default_rng(1))
+    _, [observations] = run_truth(cfg, [np.random.default_rng(1)])
     io.write_obs_counts(tmp_path / "c.csv", observations)
     io.write_obs_counts_attr(tmp_path / "a.csv", observations)
     header, *rows = (tmp_path / "c.csv").read_text().splitlines(keepends=True)
@@ -170,7 +170,7 @@ def test_od_file_must_hold_every_cell_once(tmp_path, edit):
 @pytest.mark.parametrize("edit", CELL_EDITS)
 def test_observation_files_must_hold_every_cell_once(tmp_path, name, edit):
     cfg = small_sim_config(store_count=4, horizon_steps=25)
-    _, observations = run_truth(cfg, np.random.default_rng(1))
+    _, [observations] = run_truth(cfg, [np.random.default_rng(1)])
     io.write_obs_counts(tmp_path / "c.csv", observations)
     io.write_obs_counts_attr(tmp_path / "a.csv", observations)
     edit_rows(tmp_path / name, CELL_EDITS[edit])

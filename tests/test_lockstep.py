@@ -1,7 +1,7 @@
 """Worlds stepped in lockstep equal the same worlds run one at a time.
 
-No statistics: W worlds run together, by model.run_worlds or by the
-lockstep forms of run_truth, run_baseline and run_assimilation, hold the
+No statistics: W worlds run together, by model.run_worlds or by
+run_truth, run_baseline and run_assimilation given W generators, hold the
 arrays that W separate runs hold, array for array, and leave every
 generator in the state the separate runs leave it in. Each world keeps its
 own generator and its own draw order, so the worlds beside it, and how many
@@ -42,17 +42,8 @@ def assert_same(together, alone, rngs_together=(), rngs_alone=()):
         assert r.bit_generator.state == s.bit_generator.state
 
 
-@pytest.fixture(params=["one stack", "stacks of two"])
-def cap(request, monkeypatch):
-    """Run every lockstep call as one stack, or split into stacks of at most
-    two worlds, each stack reaching its worlds' inputs by their run index."""
-    if request.param == "stacks of two":
-        monkeypatch.setattr(roamlab.model, "lockstep_size", lambda cfg: 2)
-    return request.param
-
-
 @pytest.mark.parametrize("count", [1, 2, 5])
-def test_plain_worlds_equal_worlds_run_alone(count, cap):
+def test_plain_worlds_equal_worlds_run_alone(count):
     cfg = resolve_config({}, TINY_OVERRIDES).truth
     mover = model_mover(ChoiceModel(cfg))
     movers = []  # the movers of each world at each mover call
@@ -68,7 +59,7 @@ def test_plain_worlds_equal_worlds_run_alone(count, cap):
         assert any(len(set(m.tolist())) > 1 for m in movers)
 
 
-def test_a_world_spawning_nobody_after_step_0_steps_beside_others(cap):
+def test_a_world_spawning_nobody_after_step_0_steps_beside_others():
     # Three initial agents, replenished once all three have gone stationary:
     # with one transition each and dwells of 1-3 steps, within two steps that
     # happens in some worlds and not in others.
@@ -91,14 +82,14 @@ def family_runs(cfg, count):
     truth_b, base_b = generators(count, 1), generators(count, 2)
     worlds, observations = run_baseline(sim, base_a, truth=(cfg.truth, truth_a,
                                                             cfg.count_spawn_as_inflow))
-    truths = [run_truth(cfg.truth, r, cfg.count_spawn_as_inflow) for r in truth_b]
-    alone = [w for w, _ in truths] + [run_baseline(sim, r) for r in base_b]
-    for obs, (_, expected) in zip(observations, truths):
+    truths = [run_truth(cfg.truth, [r], cfg.count_spawn_as_inflow) for r in truth_b]
+    alone = [w for [w], _ in truths] + [w for r in base_b for w in run_baseline(sim, [r])]
+    for obs, (_, [expected]) in zip(observations, truths):
         np.testing.assert_array_equal(obs, expected)
     yield worlds, alone, truth_a + base_a, truth_b + base_b
 
     pools = []
-    for k, (world, _) in enumerate(truths):
+    for k, ([world], _) in enumerate(truths):
         try:
             pools.append(sample_biased_pool(roamlab.model.completed_paths(world),
                                             cfg.pool_ratios, cfg.pool_size,
@@ -118,17 +109,17 @@ def family_runs(cfg, count):
         worlds, assignments = run_assimilation(
             sim, [observations[k] for *_, k in worlds_of], [c for c, *_ in worlds_of],
             pool=pool, rng=a, options=opts)
-        alone = [run_assimilation(sim, observations[k], case, pool=p, rng=r, options=o)
+        alone = [run_assimilation(sim, [observations[k]], [case], pool=[p], rng=[r], options=[o])
                  for (case, _, k), p, r, o in zip(worlds_of, pool, b, opts)]
-        for rows, (_, expected) in zip(assignments, alone):
+        for rows, (_, [expected]) in zip(assignments, alone):
             if expected is None:
                 assert rows is None
             else:
                 np.testing.assert_array_equal(rows, expected)
-        yield worlds, [w for w, _ in alone], a, b
+        yield worlds, [w for [w], _ in alone], a, b
 
 
-def test_roles_of_one_family_equal_roles_run_alone(cap):
+def test_roles_of_one_family_equal_roles_run_alone():
     """Truth with baseline, case 1 with case 2 and case 3 with its random
     control, three replicates each."""
     cfg = resolve_config({}, TINY_OVERRIDES)

@@ -21,14 +21,15 @@ def truth_run():
         horizon_steps=80,
         attractiveness=np.array([[5.0, 7.0, 5.0, 5.0, 5.0], [5.0, 5.0, 5.0, 8.0, 5.0]]),
     )
-    return (cfg, *run_truth(cfg, np.random.default_rng(42)))
+    [world], [observations] = run_truth(cfg, [np.random.default_rng(42)])
+    return cfg, world, observations
 
 
 class TestObservations:
     def test_quiet_first_step_has_zero_inflow(self):
         # dwell is at least 2, so nobody moves (and nobody spawns) at step 1
         cfg = small_sim_config(horizon_steps=2)
-        _, observations = run_truth(cfg, np.random.default_rng(0))
+        _, [observations] = run_truth(cfg, [np.random.default_rng(0)])
         assert observations[1].sum() == 0
 
     def test_step_zero_counts_initial_spawns(self, truth_run):
@@ -45,8 +46,10 @@ class TestObservations:
 
     def test_spawns_excluded_when_flag_off(self):
         cfg = small_sim_config(horizon_steps=40)
-        _, with_spawns = run_truth(cfg, np.random.default_rng(1), count_spawn_as_inflow=True)
-        world, without = run_truth(cfg, np.random.default_rng(1), count_spawn_as_inflow=False)
+        _, [with_spawns] = run_truth(cfg, [np.random.default_rng(1)],
+                                     count_spawn_as_inflow=True)
+        [world], [without] = run_truth(cfg, [np.random.default_rng(1)],
+                                       count_spawn_as_inflow=False)
         total_with = int(with_spawns.sum())
         total_without = int(without.sum())
         assert total_with - total_without == world.agents_spawned
@@ -69,7 +72,8 @@ class TestObservations:
     @pytest.mark.parametrize("count_spawn_as_inflow", [True, False])
     def test_path_replay_reproduces_observations(self, truth_run, count_spawn_as_inflow):
         cfg, _, _ = truth_run
-        world, observations = run_truth(cfg, np.random.default_rng(42), count_spawn_as_inflow)
+        [world], [observations] = run_truth(cfg, [np.random.default_rng(42)],
+                                            count_spawn_as_inflow)
         rebuilt = rebuild_observations(
             world, cfg.horizon_steps, cfg.store_count, cfg.group_count,
             count_spawn_as_inflow,
