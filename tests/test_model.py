@@ -263,8 +263,10 @@ class TestStepWorld:
         monkeypatch.setattr(roamlab.model, "step_world", checked)
         [summary] = run_replicate(tiny_cfg, tmp_path, [0])
         assert sorted(summary) == sorted(["truth", "baseline", *case_labels(tiny_cfg)])
-        assert sorted(calls) == sorted(list(range(1, tiny_cfg.assim.horizon_steps + 1))
-                                       * len(summary))
+        # a stack of two worlds per policy family: truth with baseline, case 1
+        # with case 2, case 3 with its random control, one family after another
+        steps = range(1, tiny_cfg.assim.horizon_steps + 1)
+        assert calls == [s for s in steps for _ in range(2)] * (len(summary) // 2)
 
     def test_rejects_step_past_horizon(self):
         cfg = small_sim_config(horizon_steps=1)
