@@ -99,10 +99,16 @@ def chunks(cfg: ExperimentConfig, jobs: int = 1):
     """The replicates in consecutive chunks, each one pool task or stage call:
     at least `jobs` chunks, and few enough replicates in each that the two
     roles of a policy family fit one stack (LOCKSTEP_CELLS); one replicate
-    each if they do not."""
+    each if they do not. Raises ConfigSchemaError if the replicate numbers
+    are too many to allocate."""
     size = max(1, LOCKSTEP_CELLS // (2 * world_cells(cfg)))
     count = max(jobs, -(-cfg.replicate_count // size))
-    return [c.tolist() for c in np.array_split(np.arange(cfg.replicate_count), count) if len(c)]
+    try:  # numpy refuses an array past the address space with ValueError
+        replicates = np.arange(cfg.replicate_count)
+    except (MemoryError, ValueError) as e:
+        raise ConfigSchemaError(f"experiment.replicates: {cfg.replicate_count} replicates"
+                                f" are too many to allocate: {e}") from e
+    return [c.tolist() for c in np.array_split(replicates, count) if len(c)]
 
 
 def families(cfg: ExperimentConfig):
@@ -431,11 +437,11 @@ def run_experiment(cfg: ExperimentConfig, out) -> dict:
     """
     t0 = time.perf_counter()
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
     # the CPUs this process may run on, where the platform can tell
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(cfg.jobs or cpus or 1, cfg.replicate_count)
     args = repeat(cfg), repeat(out), chunks(cfg, jobs)
+    out.mkdir(parents=True, exist_ok=True)
     summaries = Summaries()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -16,13 +16,14 @@ each step, so its moves are conditionally independent, drawn as one batch.
 
 Movement and initial placement are pluggable policies, so one loop,
 run_worlds, drives the truth, baseline and assimilated runs. A mover maps
-(world, ids, rng) to the next store of each listed agent; a placer maps
-(world, ids, groups, rng) to the first store of each freshly spawned agent.
+(worlds, ids, rng) to the next store of each listed agent; a placer maps
+(worlds, ids, groups, rng) to the first store of each freshly spawned agent.
 
-Worlds of one lifecycle step in lockstep (Worlds): the per-step numpy calls
-serve every world at once, and each world draws from its own generator in
-its own order, so a world's arrays do not depend on the worlds beside it.
-One world is the stack of one.
+Worlds of one lifecycle step in lockstep (Worlds), the only thing the step
+loop takes: the per-step numpy calls serve every world at once, and each
+world draws from its own generator in its own order, so a world's arrays do
+not depend on the worlds beside it. A lone world is new_worlds(cfg, 1). A
+finished run hands back one read-only WorldState per world.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def unit_distance(store_count: int) -> np.ndarray:
 
 @dataclass
 class WorldState:
-    """One world's state: what a run leaves, and what step_world advances.
+    """One world's record: what a run leaves, read off its Worlds stack.
 
     Per-agent arrays have one entry per agent of the total budget; the first
     agents_spawned entries are live. path holds each agent's visited stores,
@@ -65,10 +66,6 @@ class WorldState:
     def stores(self, ids):
         """The current store of each listed agent: the last of its path."""
         return self.path[ids, self.transitions[ids]]
-
-    def load(self, ids):
-        """The congestion row the listed agents choose against."""
-        return self.congestion
 
 
 # least value of each integer SimConfig field; the sim.* config key named
@@ -277,29 +274,25 @@ class Worlds:
         return self.path[ids, self.transitions[ids]]
 
     def world_of(self, ids):
-        """The stack index of each listed agent's world; 0 for one world."""
-        return 0 if self.size == 1 else ids // self.capacity
+        """The stack index of each listed agent's world."""
+        return ids // self.capacity
 
     def load(self, ids):
         """The congestion row each listed agent chooses against."""
-        return self.congestion if self.size == 1 else self.congestion[ids // self.capacity]
+        return self.congestion[ids // self.capacity]
 
     def tally(self, ids):
-        """How many of the listed agents each world holds: (W,), or an int
-        for one world."""
-        return len(ids) if self.size == 1 else np.bincount(ids // self.capacity, minlength=self.size)
+        """(W,) how many of the listed agents each world holds."""
+        return np.bincount(ids // self.capacity, minlength=self.size)
 
     def count_stores(self, ids, stores, store_count):
         """(W, S) how many of the listed agents each world holds at each store."""
-        if self.size > 1:
-            stores = stores + store_count * (ids // self.capacity)
+        stores = stores + store_count * (ids // self.capacity)
         return np.bincount(stores, minlength=self.size * store_count).reshape(-1, store_count)
 
     def streams(self, rngs, ids):
         """What draws for the listed rows (ascending): the generator of their
         world if one world owns them all, else a Streams over the owners."""
-        if self.size == 1:
-            return rngs[0]
         ends = np.searchsorted(ids, np.arange(1, self.size + 1) * self.capacity).tolist()
         parts = [(r, a, z) for r, a, z in zip(rngs, [0, *ends], ends) if z > a]
         return parts[0][0] if len(parts) == 1 else Streams(parts)
@@ -319,27 +312,6 @@ class Worlds:
             group_quota_remaining=self.group_quota_remaining[w],
             stationary_unretired=int(self.stationary_unretired[w]),
         ) for w in range(self.size)]
-
-    @classmethod
-    def wrap(cls, world: WorldState) -> "Worlds":
-        """One world's record as a stack of one, sharing its arrays; the
-        record's own counters are updated by unwrap."""
-        n, most = world.agents_spawned, world.path.shape[1] - 1
-        roaming = np.zeros(len(world.group), dtype=bool)
-        roaming[:n] = world.transitions[:n] < most
-        return cls(
-            step=world.step, group=world.group, dwell=world.dwell,
-            transitions=world.transitions, path=world.path, entered=world.entered,
-            roaming=roaming, congestion=np.asarray(world.congestion)[None],
-            agents_spawned=np.array([n]),
-            group_quota_remaining=world.group_quota_remaining[None],
-            stationary_unretired=np.array([world.stationary_unretired]),
-        )
-
-    def unwrap(self, world: WorldState) -> WorldState:
-        """Copy the stack of one's counters into the record it wraps."""
-        vars(world).update(vars(self.records()[0]))
-        return world
 
 
 def new_worlds(cfg: SimConfig, count: int) -> Worlds:
@@ -373,11 +345,6 @@ def new_worlds(cfg: SimConfig, count: int) -> Worlds:
         group_quota_remaining=np.tile(np.array(cfg.group_quotas, dtype=np.int64), (count, 1)),
         stationary_unretired=np.zeros(count, dtype=np.int64),
     )
-
-
-def new_world(cfg: SimConfig) -> WorldState:
-    """An empty world at step 0 with room for the whole agent budget."""
-    return new_worlds(cfg, 1).records()[0]
 
 
 def _draw_dwells(cfg: SimConfig, count: int, rng) -> np.ndarray:
@@ -438,27 +405,15 @@ def uniform_placer(world, ids, groups, rng) -> np.ndarray:
     return rng.integers(world.congestion.shape[-1], size=len(ids))
 
 
-def init_world(cfg: SimConfig, placer, rng: np.random.Generator) -> WorldState:
-    """Spawn the initial population at step 0."""
-    world = new_worlds(cfg, 1)
-    _spawn_agents(world, cfg, np.zeros(1, dtype=np.int64), np.array([cfg.initial_agents]),
-                  placer, [rng])
-    return world.records()[0]
-
-
-def replenish(world, cfg: SimConfig, placer, rng):
+def replenish(world: Worlds, cfg: SimConfig, placer, rng: list):
     """Retire full batches of stationary agents and spawn replacements.
 
     Each time a world's unretired stationary count reaches the threshold and
     budget remains, the batch is retired (so the threshold re-arms) and up to
     replenish_count new agents are spawned, capped by the total-agent budget.
     Spawned groups are drawn uniformly among groups with remaining quota.
-    world and rng are as step_world takes them.
+    rng holds one generator per world of the stack, as step_world takes it.
     """
-    if isinstance(world, WorldState):
-        stack = Worlds.wrap(world)
-        replenish(stack, cfg, placer, [rng])
-        return stack.unwrap(world)
     while True:
         due = (world.stationary_unretired >= cfg.replenish_threshold).nonzero()[0]
         if len(due):
@@ -470,12 +425,11 @@ def replenish(world, cfg: SimConfig, placer, rng):
         _spawn_agents(world, cfg, due, counts, placer, rng)
 
 
-def step_world(world, cfg: SimConfig, mover, placer, rng):
+def step_world(world: Worlds, cfg: SimConfig, mover, placer, rng: list):
     """Advance the worlds by one step, in place.
 
-    world is a Worlds stack and rng holds one generator per world; or world
-    is one WorldState and rng its generator, stepped as a stack of one. In
-    each world the congestion snapshot counts the roaming agents per store.
+    world is a Worlds stack and rng holds one generator per world. In each
+    world the congestion snapshot counts the roaming agents per store.
     Roaming agents then count down their dwell. The agents hitting zero
     (ascending id) get their next stores from the `mover` against the
     snapshot; they move there, and either go stationary at the transition
@@ -483,10 +437,6 @@ def step_world(world, cfg: SimConfig, mover, placer, rng):
     dwell draw, serve every world, each world drawing from its own generator
     (Worlds.streams): its mover draws, then its dwells, then its spawns.
     """
-    if isinstance(world, WorldState):
-        stack = Worlds.wrap(world)
-        step_world(stack, cfg, mover, placer, [rng])
-        return stack.unwrap(world)
     if world.step >= cfg.horizon_steps:
         raise ValueError(f"world already at horizon step {cfg.horizon_steps}")
     world.step += 1
@@ -522,11 +472,6 @@ def run_worlds(cfg: SimConfig, mover, placer, rngs) -> list:
     for _ in range(cfg.horizon_steps):
         step_world(world, cfg, mover, placer, rngs)
     return world.records()
-
-
-def run_world(cfg: SimConfig, mover, placer, rng: np.random.Generator) -> WorldState:
-    """Spawn the initial population, then step the world to the horizon."""
-    return run_worlds(cfg, mover, placer, [rng])[0]
 
 
 def model_mover(choice: ChoiceModel, tables=None):

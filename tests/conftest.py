@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from roamlab.config import resolve_config
-from roamlab.model import SimConfig, new_world
+from roamlab.model import SimConfig, new_worlds
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run.
 settings.register_profile("ci", derandomize=True)
@@ -87,7 +87,8 @@ def make_agent(group=0, store=0, dwell=2, path=None):
 
 
 def make_world(agents, store_count, quotas=(10, 10, 10, 10), spawned=None, capacity=None):
-    """WorldState at step 0 holding the given agents as ids 0, 1, ...
+    """A stack of one world (Worlds) at step 0 holding the given agents as
+    ids 0, 1, ...; its per-world counters are row 0 of their arrays.
 
     Every store of an agent's path counts as entered at step 0. Ids from
     len(agents) up to `spawned` are spawned agents that have left: no path,
@@ -96,10 +97,10 @@ def make_world(agents, store_count, quotas=(10, 10, 10, 10), spawned=None, capac
     """
     spawned = len(agents) if spawned is None else spawned
     capacity = max(spawned, 1) if capacity is None else capacity
-    world = new_world(SimConfig(
+    world = new_worlds(SimConfig(
         store_count=store_count, total_agents=capacity,
         group_count=len(quotas), group_quotas=quotas,
-    ))
+    ), 1)
     for i, a in enumerate(agents):
         path = a["path"]
         world.group[i] = a["group"]
@@ -110,8 +111,9 @@ def make_world(agents, store_count, quotas=(10, 10, 10, 10), spawned=None, capac
     most = world.path.shape[1] - 1  # the transition cap
     world.transitions[len(agents) : spawned] = most
     roaming = np.flatnonzero(world.transitions[:spawned] < most)
-    world.congestion = np.bincount(world.stores(roaming), minlength=store_count)
-    world.agents_spawned = spawned
+    world.roaming[roaming] = True
+    world.congestion[0] = np.bincount(world.stores(roaming), minlength=store_count)
+    world.agents_spawned[0] = spawned
     return world
 
 

@@ -123,8 +123,8 @@ def test_criterion_5_uniform_likelihood_is_noop():
     graph = make_graph([[5.0, 5.0, 5.0]])
     choice = ChoiceModel(graph)
     world = make_world([make_agent(store=0)], store_count=3)
-    world.congestion = np.array([4, 2, 1])
-    expected = choice_row(choice, 0, 0, world.congestion)
+    world.congestion[0] = [4, 2, 1]
+    expected = choice_row(choice, 0, 0, world.congestion[0])
 
     log_w = store_weights(np.array([[[0, 0, 0]], [[3, 3, 3]]]))[1]
 

@@ -105,7 +105,7 @@ class TestParticleOps:
 
     def test_degenerate_proposal_is_constant(self):
         world, choice = self.frozen_scene((5.0, 5.0))
-        probs = np.tile(choice_row(choice, 0, 0, world.congestion), (50, 1))
+        probs = np.tile(choice_row(choice, 0, 0, world.congestion[0]), (50, 1))
         log_w = np.log([0.9, 0.1])
         stores = filtered_moves(np.random.default_rng(0), probs, log_w, 50)
         assert np.all(stores == 1)  # only candidate besides the current store
@@ -114,7 +114,7 @@ class TestParticleOps:
         # One candidate per move is kept whatever its weight, so the moves
         # follow the choice model.
         world, choice = self.frozen_scene((5.0, 7.0, 6.0, 5.5))
-        probs = choice_row(choice, 0, 0, world.congestion)
+        probs = choice_row(choice, 0, 0, world.congestion[0])
         log_w = np.log([0.1, 0.6, 0.1, 0.2])
         stores = filtered_moves(np.random.default_rng(1), np.tile(probs, (self.N, 1)), log_w, 1)
         assert_frequencies(stores, probs)
@@ -468,7 +468,7 @@ class TestRunAssimilation:
         # must sample the plain choice distribution.
         choice = ChoiceModel(make_graph([[5.0, 6.5, 5.8]]))
         world = make_world([make_agent(store=0)], store_count=3)
-        expected = choice_row(choice, 0, 0, world.congestion)
+        expected = choice_row(choice, 0, 0, world.congestion[0])
         log_w = store_weights(steps(obs([4, 4, 4])))[1]
         probs = np.tile(expected, (20_000, 1))
         assert_frequencies(filtered_moves(np.random.default_rng(10), probs, log_w[0], 100),

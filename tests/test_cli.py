@@ -661,6 +661,27 @@ class TestPipeline:
         assert "too many to allocate" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", [["generate-obs"], ["experiment", "--jobs", "1"]])
+    @pytest.mark.parametrize("runs", ["4000000000000000000", "100000000000"],
+                             ids=["replicates-too-big", "replicates-no-memory"])
+    def test_replicates_too_many_to_allocate_exits_3(self, capsys, tmp_path, command, runs):
+        # validate-config accepts both counts; numpy refuses an array of 4e18
+        # replicate numbers outright, and 1e11 of them fit its size check but
+        # not the child's capped address space, so the allocation fails
+        assert main(["validate-config", "--runs", runs]) == EXIT_OK
+        capsys.readouterr()
+        out, limit = tmp_path / "out", 2**30
+        proc = subprocess.run(
+            [sys.executable, "-m", "roamlab.cli", *command, "--runs", runs, "--out", str(out)],
+            capture_output=True, text=True, env=child_env(),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == EXIT_CONFIG_SCHEMA
+        assert proc.stderr.startswith("error: experiment.replicates: ")
+        assert "too many to allocate" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command",
         [["experiment", "--case", "1"], ["experiment", "--case", "2"], ["generate-obs"]],

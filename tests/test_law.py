@@ -51,7 +51,7 @@ def two_group_scene(allow_self_transition=False):
     agents = [make_agent(group=0, store=0), make_agent(group=1, store=2),
               make_agent(group=0, store=4)]
     world = make_world(agents, store_count=5, quotas=(10, 10))
-    world.congestion = np.array([6, 0, 3, 9, 1])
+    world.congestion[0] = [6, 0, 3, 9, 1]
     return graph, choice, world
 
 
@@ -83,7 +83,7 @@ def test_plain_moves_match_per_agent_law():
     stores = model_mover(choice)(world, ids, np.random.default_rng(61))
     for agent in range(3):
         probs = reference.choice_probs(graph, world.group[agent], world.stores(agent),
-                                       world.congestion)
+                                       world.congestion[0])
         counts = np.bincount(stores[ids == agent], minlength=5)
         assert chi_square_p(counts, probs) > 0.001
 
@@ -94,14 +94,14 @@ def filtered_chain_p(case):
     sw = case_weights(case)
     n = 5
     ids = np.repeat([0, 1], N)
-    probs = np.exp(choice.log_probs(world.group[ids], world.stores(ids), world.congestion))
+    probs = np.exp(choice.log_probs(world.group[ids], world.stores(ids), world.congestion[0]))
     log_w = sw.log_w[world.group[ids]]
     batched = filtered_moves(np.random.default_rng(62), probs, log_w, n)
     rng = np.random.default_rng(64)
     ps = []
     for agent in (0, 1):
         probs = reference.choice_probs(graph, world.group[agent], world.stores(agent),
-                                       world.congestion)
+                                       world.congestion[0])
         log_w = sw.log_w[world.group[agent]]
         chain = [reference.filtered_move(rng, probs, log_w, n) for _ in range(N)]
         ps.append(two_sample_p(batched[ids == agent], chain, 5))
@@ -155,9 +155,9 @@ def random_movers(rng, allow_self_transition):
     stores = np.append(rng.integers(s, size=m - 1), s - 1)
     agents = [make_agent(group=int(rng.integers(g)), store=int(c)) for c in stores]
     world = make_world(agents, store_count=s, quotas=(10,) * g)
-    world.congestion = rng.integers(0, 20, size=s)
+    world.congestion[0] = rng.integers(0, 20, size=s)
     current = world.stores(np.arange(m))
-    return np.exp(choice.log_probs(world.group, current, world.congestion)), current
+    return np.exp(choice.log_probs(world.group, current, world.congestion[0])), current
 
 
 @settings(max_examples=50, deadline=None)

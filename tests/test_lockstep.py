@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings
 import roamlab.model
 from roamlab.assimilation import run_assimilation, run_baseline
 from roamlab.config import ConfigSchemaError, resolve_config
-from roamlab.model import ChoiceModel, model_mover, run_world, run_worlds, uniform_placer
+from roamlab.model import ChoiceModel, model_mover, run_worlds, uniform_placer
 from roamlab.twin import run_truth, sample_biased_pool
 
 from conftest import TINY_OVERRIDES, small_sim_config
@@ -54,7 +54,7 @@ def test_plain_worlds_equal_worlds_run_alone(count):
 
     a, b = generators(count), generators(count)
     together = run_worlds(cfg, counting, uniform_placer, a)
-    assert_same(together, [run_world(cfg, mover, uniform_placer, r) for r in b], a, b)
+    assert_same(together, [run_worlds(cfg, mover, uniform_placer, [r])[0] for r in b], a, b)
     if count > 1:  # the worlds moved unequal numbers of agents at some step
         assert any(len(set(m.tolist())) > 1 for m in movers)
 
@@ -71,7 +71,7 @@ def test_a_world_spawning_nobody_after_step_0_steps_beside_others():
     together = run_worlds(cfg, mover, uniform_placer, a)
     spawned = {w.agents_spawned for w in together}
     assert cfg.initial_agents in spawned and len(spawned) > 1
-    assert_same(together, [run_world(cfg, mover, uniform_placer, r) for r in b], a, b)
+    assert_same(together, [run_worlds(cfg, mover, uniform_placer, [r])[0] for r in b], a, b)
 
 
 def family_runs(cfg, count):

@@ -11,11 +11,12 @@ from roamlab.experiment import case_labels, run_replicate
 from roamlab.model import (
     ChoiceModel,
     SimConfig,
-    init_world,
+    _spawn_agents,
     model_mover,
+    new_worlds,
     path_rows,
     replenish,
-    run_world,
+    run_worlds,
     step_world,
     store_utilities,
     uniform_placer,
@@ -164,7 +165,7 @@ class TestStepWorld:
             mover_calls.append(ids.tolist())
             return np.ones(len(ids), dtype=np.int64)
 
-        step_world(world, cfg, mover, uniform_placer, np.random.default_rng(0))
+        step_world(world, cfg, mover, uniform_placer, [np.random.default_rng(0)])
         assert world.dwell[0] == 1
         assert mover_calls == []
         assert agent_path(world, 0) == [0]
@@ -173,7 +174,7 @@ class TestStepWorld:
         cfg = small_sim_config()
         world = make_world([make_agent(dwell=1)], store_count=3, quotas=(4, 4), spawned=4,
                            capacity=cfg.total_agents)
-        step_world(world, cfg, always(2), uniform_placer, np.random.default_rng(0))
+        step_world(world, cfg, always(2), uniform_placer, [np.random.default_rng(0)])
         assert agent_path(world, 0) == [0, 2]
         assert world.transitions[0] == 1
         assert cfg.dwell_min <= world.dwell[0] <= cfg.dwell_max
@@ -184,9 +185,9 @@ class TestStepWorld:
         agent = make_agent(path=[0, 1, 2, 0], dwell=0)
         world = make_world([agent], store_count=3, quotas=(4, 4), spawned=4,
                            capacity=cfg.total_agents)
-        world.stationary_unretired = 1
+        world.stationary_unretired[0] = 1
         for _ in range(5):
-            step_world(world, cfg, always(1), uniform_placer, np.random.default_rng(0))
+            step_world(world, cfg, always(1), uniform_placer, [np.random.default_rng(0)])
         assert agent_path(world, 0) == [0, 1, 2, 0]
         assert world.transitions[0] == cfg.max_transitions
 
@@ -194,12 +195,12 @@ class TestStepWorld:
         cfg = small_sim_config()
         world = make_world([make_agent(path=[0, 1, 2], dwell=1)], store_count=3, quotas=(4, 4),
                            spawned=4, capacity=cfg.total_agents)
-        step_world(world, cfg, always(0), uniform_placer, np.random.default_rng(0))
+        step_world(world, cfg, always(0), uniform_placer, [np.random.default_rng(0)])
         assert world.transitions[0] == 3 == cfg.max_transitions
         # one stationary agent; below threshold 2, so nothing spawned
-        assert world.stationary_unretired == 1
+        assert world.stationary_unretired[0] == 1
         assert world.entered[0].tolist() == [0, 0, 0, 1]
-        step_world(world, cfg, always(0), uniform_placer, np.random.default_rng(0))
+        step_world(world, cfg, always(0), uniform_placer, [np.random.default_rng(0)])
         assert world.congestion.sum() == 0
 
     def test_batch_of_newly_stationary_triggers_spawn(self):
@@ -217,13 +218,13 @@ class TestStepWorld:
         agents = [make_agent(path=[0, 1, 2], dwell=1) for _ in range(40)]
         world = make_world(agents, store_count=3, quotas=(50, 50, 50, 50), spawned=40,
                            capacity=cfg.total_agents)
-        step_world(world, cfg, always(0), uniform_placer, np.random.default_rng(1))
-        assert world.agents_spawned == 80
+        step_world(world, cfg, always(0), uniform_placer, [np.random.default_rng(1)])
+        assert world.agents_spawned[0] == 80
         newcomers = np.arange(40, 80)
         assert np.all(world.entered[newcomers, 0] == 1)
         assert np.all(world.entered[newcomers, 1:] == -1)
         assert np.all(world.transitions[newcomers] == 0)
-        assert world.stationary_unretired == 0  # batch retired
+        assert world.stationary_unretired[0] == 0  # batch retired
 
     def test_occupancy_tracks_active_agents(self):
         # Each step's congestion counts the agents active when the step began,
@@ -231,14 +232,16 @@ class TestStepWorld:
         cfg = small_sim_config()
         rng = np.random.default_rng(5)
         mover = model_mover(ChoiceModel(cfg))
-        world = init_world(cfg, uniform_placer, rng)
+        world = new_worlds(cfg, 1)
+        _spawn_agents(world, cfg, np.zeros(1, dtype=np.int64), np.array([cfg.initial_agents]),
+                      uniform_placer, [rng])
         for _ in range(cfg.horizon_steps):
             expected = np.zeros(cfg.store_count, dtype=np.int64)
-            for i in range(world.agents_spawned):
+            for i in range(world.agents_spawned[0]):
                 if world.transitions[i] < cfg.max_transitions:
                     expected[agent_path(world, i)[-1]] += 1
-            step_world(world, cfg, mover, uniform_placer, rng)
-            np.testing.assert_array_equal(world.congestion, expected)
+            step_world(world, cfg, mover, uniform_placer, [rng])
+            np.testing.assert_array_equal(world.congestion[0], expected)
 
     def test_world_record_holds_after_every_step_of_every_role(self, tiny_cfg, tmp_path,
                                                                monkeypatch):
@@ -272,9 +275,9 @@ class TestStepWorld:
         cfg = small_sim_config(horizon_steps=1)
         world = make_world([make_agent()], store_count=3, quotas=(4, 4), spawned=4,
                            capacity=cfg.total_agents)
-        step_world(world, cfg, always(1), uniform_placer, np.random.default_rng(0))
+        step_world(world, cfg, always(1), uniform_placer, [np.random.default_rng(0)])
         with pytest.raises(ValueError, match="horizon"):
-            step_world(world, cfg, always(1), uniform_placer, np.random.default_rng(0))
+            step_world(world, cfg, always(1), uniform_placer, [np.random.default_rng(0)])
 
 
 class TestReplenish:
@@ -289,10 +292,10 @@ class TestReplenish:
         ).validate()
         world = make_world([], store_count=3, quotas=(500, 500, 500, 500), spawned=100,
                            capacity=cfg.total_agents)
-        world.stationary_unretired = 39
-        replenish(world, cfg, uniform_placer, np.random.default_rng(0))
-        assert world.agents_spawned == 100
-        assert world.stationary_unretired == 39
+        world.stationary_unretired[0] = 39
+        replenish(world, cfg, uniform_placer, [np.random.default_rng(0)])
+        assert world.agents_spawned[0] == 100
+        assert world.stationary_unretired[0] == 39
 
     def test_budget_exhausted_no_spawn(self):
         cfg = SimConfig(
@@ -303,10 +306,10 @@ class TestReplenish:
         ).validate()
         world = make_world([], store_count=3, quotas=(0, 0, 0, 0), spawned=2000,
                            capacity=cfg.total_agents)
-        world.stationary_unretired = 77
-        replenish(world, cfg, uniform_placer, np.random.default_rng(0))
-        assert world.agents_spawned == 2000
-        assert world.stationary_unretired == 77
+        world.stationary_unretired[0] = 77
+        replenish(world, cfg, uniform_placer, [np.random.default_rng(0)])
+        assert world.agents_spawned[0] == 2000
+        assert world.stationary_unretired[0] == 77
 
     def test_quota_exhaustion_caps_batch(self):
         cfg = SimConfig(
@@ -319,9 +322,9 @@ class TestReplenish:
         ).validate()
         world = make_world([], store_count=3, quotas=(0, 3, 0, 0), spawned=1997,
                            capacity=cfg.total_agents)
-        world.stationary_unretired = 40
-        replenish(world, cfg, uniform_placer, np.random.default_rng(0))
-        assert world.agents_spawned == 2000
+        world.stationary_unretired[0] = 40
+        replenish(world, cfg, uniform_placer, [np.random.default_rng(0)])
+        assert world.agents_spawned[0] == 2000
         assert world.group[1997:].tolist() == [1, 1, 1]
 
     def test_multiple_batches_fire_in_one_call(self):
@@ -330,16 +333,16 @@ class TestReplenish:
         )
         world = make_world([], store_count=3, quotas=(40, 40), spawned=20,
                            capacity=cfg.total_agents)
-        world.stationary_unretired = 5
-        replenish(world, cfg, uniform_placer, np.random.default_rng(0))
-        assert world.agents_spawned == 24  # two batches of 2
-        assert world.stationary_unretired == 1
+        world.stationary_unretired[0] = 5
+        replenish(world, cfg, uniform_placer, [np.random.default_rng(0)])
+        assert world.agents_spawned[0] == 24  # two batches of 2
+        assert world.stationary_unretired[0] == 1
 
 
 class TestLifecycleRun:
     def run_to_horizon(self, cfg, seed=11):
         mover = model_mover(ChoiceModel(cfg))
-        return run_world(cfg, mover, uniform_placer, np.random.default_rng(seed))
+        return run_worlds(cfg, mover, uniform_placer, [np.random.default_rng(seed)])[0]
 
     def test_accounting_and_path_bounds(self):
         cfg = small_sim_config(horizon_steps=80, total_agents=20, group_quotas=(10, 10))
