@@ -99,13 +99,17 @@ def weight_sequences(pool: SequencePool, sw: StoreWeightVector) -> np.ndarray:
     return np.exp(log_normalize_rows(log_sums))
 
 
+# the assimilation roles by policy family; the worlds of one run_assimilation
+# call are of one family, which shares its movers and placers
+FAMILIES = (("case1", "case2"), ("case3", "case3_random"))
+
+
 @dataclass
 class AssimOptions:
     """Switches for the assimilation loop; defaults follow the main setup."""
 
     particle_count: int = 100          # candidates per filtered move (cases 1-2)
     weight_accumulation: bool = False
-    random_baseline: bool = False      # uniform case-3 assignment: the case3_random role
     filter_moves: bool = True          # per-move particle filtering (cases 1-2)
     weighted_placement: bool = True    # weight-driven spawn placement (cases 1-2)
 
@@ -129,7 +133,7 @@ def run_baseline(cfg: SimConfig, rngs, truth=None):
 def run_assimilation(
     cfg: SimConfig,
     observations,
-    case,
+    roles,
     pool=None,
     *,
     rng,
@@ -139,51 +143,51 @@ def run_assimilation(
     one lockstep stack (model.run_worlds); return the lists (worlds,
     assignments).
 
-    observations, case, pool and options hold one entry per world; pool and
-    options may be omitted. Each world's observations are the (T+1, G, S)
-    array of inflow counts by step, group and store, covering steps
-    0..horizon. The store weights of every step are built from them in one
-    store_weights call before the run: log_w[0] is uniform, since no
-    observation has been consumed when the initial population is placed, and
-    log_w[t], applied during step t, takes in the inflows observed at step t.
-    Case 2 weights each group by its own counts; cases 1 and 3 weight every
-    group by the per-store totals. Case 3 requires a sequence pool whose paths
-    span the full transition count; each spawn batch weights it once, by the
-    store weights of its step. The case-3 random control draws pool entries
-    uniformly and never weights the pool. The worlds share one policy
-    family, cases 1 and 2 or case 3, and cases 1 and 2 all options but
-    weight_accumulation.
+    observations, roles and pool hold one entry per world; pool may be
+    omitted. roles are the worlds' role labels, all of one family of
+    FAMILIES: case1 and case2, or case3 and its random control case3_random.
+    options, one AssimOptions (the defaults if omitted), serves every world.
+    Each world's observations are the (T+1, G, S) array of inflow counts by
+    step, group and store, covering steps 0..horizon. The store weights of
+    every step are built from them in one store_weights call before the run:
+    log_w[0] is uniform, since no observation has been consumed when the
+    initial population is placed, and log_w[t], applied during step t, takes
+    in the inflows observed at step t. Case 2 weights each group by its own
+    counts; cases 1 and 3 weight every group by the per-store totals. Case 3
+    requires a sequence pool whose paths span the full transition count;
+    each spawn batch weights it once, by the store weights of its step. The
+    case3_random control draws pool entries uniformly and never weights the
+    pool.
 
     A world's assignments are None in cases 1 and 2; in case 3 they hold one
     (spawn step, agent_id, entry_id, attr) row per spawned agent, in id order.
     """
-    rngs, cases = list(rng), list(case)
+    rngs, roles = list(rng), list(roles)
     pools = list(pool or [None] * len(rngs))
-    options = [o or AssimOptions() for o in (options or [None] * len(rngs))]
-    for c, p, obs in zip(cases, pools, observations):
-        if c not in (1, 2, 3):
-            raise ValueError(f"case must be 1, 2, or 3, got {c}")
-        if c == 3 and p is None:
+    options = options or AssimOptions()
+    if not any(set(roles) <= set(family) for family in FAMILIES):
+        raise ValueError(f"roles {roles} are not all of one family of {FAMILIES}")
+    sequences = set(roles) <= set(FAMILIES[1])  # case 3 and its random control
+    for p, obs in zip(pools, observations):
+        if sequences and p is None:
             raise ValueError("case 3 requires a sequence pool")
         if len(obs) < cfg.horizon_steps + 1:
             raise ValueError(
                 f"observation stream covers {len(obs)} steps, horizon needs {cfg.horizon_steps + 1}"
             )
-        if c == 3 and p.paths.shape[1] != cfg.max_transitions + 1:
+        if sequences and p.paths.shape[1] != cfg.max_transitions + 1:
             raise ValueError(
                 f"pool paths have length {p.paths.shape[1]}, expected {cfg.max_transitions + 1}"
             )
-    if len({c == 3 for c in cases}) > 1:
-        raise ValueError(f"cases {cases} are not of one policy family: 1 and 2, or 3")
     # every step's store weights of every world, (W, T+1, G, S), filled a
     # world at a time; every group sees the per-store totals but in case 2
     log_w = np.empty((len(rngs), cfg.horizon_steps + 1, cfg.group_count, cfg.store_count))
-    for w, (c, o, obs) in enumerate(zip(cases, options, observations)):
-        if c != 2:
+    for w, (role, obs) in enumerate(zip(roles, observations)):
+        if role != "case2":
             obs = obs.sum(axis=1, keepdims=True).repeat(cfg.group_count, axis=1)
-        log_w[w] = store_weights(obs[: cfg.horizon_steps + 1], o.weight_accumulation)
+        log_w[w] = store_weights(obs[: cfg.horizon_steps + 1], options.weight_accumulation)
 
-    if cases[0] == 3:
+    if sequences:
         n = cfg.total_agents
         # the pools end to end: entry e of world w is row offsets[w] + e
         offsets = np.cumsum([0, *(p.size for p in pools[:-1])])
@@ -195,7 +199,7 @@ def run_assimilation(
             rows = np.empty(len(ids), dtype=np.int64)
             for r, a, z in parts:
                 w = ids[a] // n
-                if options[w].random_baseline:
+                if roles[w] == "case3_random":
                     entries = r.integers(pools[w].size, size=z - a)
                 else:
                     # a record only for the benchmark tracer, whose note reads its step
@@ -209,13 +213,9 @@ def run_assimilation(
             return paths[followed[ids], world.transitions[ids] + 1]
 
     else:
-        shared = {(o.particle_count, o.filter_moves, o.weighted_placement) for o in options}
-        if len(shared) > 1:
-            raise ValueError("worlds of cases 1 and 2 must share their options")
-        choice = ChoiceModel(cfg)
-        n, filter_moves, weighted_placement = shared.pop()
+        choice, n = ChoiceModel(cfg), options.particle_count
 
-        if filter_moves:
+        if options.filter_moves:
 
             def mover(world, ids, rng):
                 groups = world.group[ids]
@@ -225,7 +225,7 @@ def run_assimilation(
         else:
             mover = model_mover(choice)
 
-        if weighted_placement:
+        if options.weighted_placement:
 
             def placer(world, ids, groups, rng):
                 return place_new_agents(log_w[:, world.step].reshape(-1, cfg.store_count), rng,
@@ -236,7 +236,7 @@ def run_assimilation(
 
     worlds = run_worlds(cfg, mover, placer, rngs)
     assignments = [None] * len(worlds)
-    if cases[0] == 3:
+    if sequences:
         for w, world in enumerate(worlds):
             k = world.agents_spawned
             entries = followed[w * cfg.total_agents :][:k] - offsets[w]

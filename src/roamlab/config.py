@@ -34,7 +34,7 @@ TRUTH_HOTSPOT_LEVELS = (7.5, 8.0, 8.5, 10.0)
 UNIFORM_ATTRACTIVENESS = 5.0
 
 
-def truth_attractiveness(group_count: int = 4, store_count: int = 18) -> np.ndarray:
+def truth_attractiveness(group_count: int, store_count: int) -> np.ndarray:
     """Group-specific table: group g favors stores 3g..3g+2, all else 5."""
     if group_count != len(TRUTH_HOTSPOT_LEVELS):
         raise ConfigSchemaError(
@@ -46,13 +46,12 @@ def truth_attractiveness(group_count: int = 4, store_count: int = 18) -> np.ndar
     return a
 
 
-def uniform_attractiveness(group_count: int = 4, store_count: int = 18) -> np.ndarray:
+def uniform_attractiveness(group_count: int, store_count: int) -> np.ndarray:
     return np.full((group_count, store_count), UNIFORM_ATTRACTIVENESS)
 
 
-# the AssimOptions switches set by a config key flags.<field>; random_baseline is set per run
-ASSIM_FLAGS = [f.name for f in fields(AssimOptions)
-               if f.name not in ("particle_count", "random_baseline")]
+# the AssimOptions switches, each set by a config key flags.<field>
+ASSIM_FLAGS = [f.name for f in fields(AssimOptions) if f.name != "particle_count"]
 
 # key -> (default, kind, least). Null is accepted exactly where the default is
 # null. Ints must fit int64 and numbers must be finite as floats, and least

@@ -9,7 +9,6 @@ separately with identical results. The output tree is
     out/run_manifest.json
 """
 
-import dataclasses
 import hashlib
 import os
 import time
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .assimilation import run_assimilation, run_baseline
+from .assimilation import FAMILIES, run_assimilation, run_baseline
 from .config import ConfigSchemaError, ExperimentConfig, config_hash
 from .metrics import aggregate_runs, build_od, decode_ngram, ngram_table, top_k
 from .model import completed_paths, path_rows
@@ -27,8 +26,7 @@ from .seeds import ROLE_CODES, derive_rng
 from .twin import run_truth, sample_biased_pool
 
 NGRAM_N = 3
-CASE3_ROLES = ("case3", "case3_random")  # the roles that write assigned_sequences.csv
-CASE_FAMILIES = (("case1", "case2"), CASE3_ROLES)  # roles whose worlds share their policies
+CASE3_ROLES = FAMILIES[1]  # the roles that write assigned_sequences.csv
 # The most 8-byte array cells (world_cells) that the worlds of one lockstep
 # stack hold between them: 2^20 cells, 8 MiB, 12 default worlds or 73 of the
 # test suite's tiny ones. See README.md for the measurement behind it.
@@ -115,7 +113,7 @@ def families(cfg: ExperimentConfig):
     """The case labels grouped by policy family, each group stepped in one
     stack; each label on its own unless the family's roles are paired."""
     labels = case_labels(cfg)
-    groups = [[label for label in family if label in labels] for family in CASE_FAMILIES]
+    groups = [[label for label in family if label in labels] for family in FAMILIES]
     if not paired(cfg):
         groups = [[label] for group in groups for label in group]
     return [group for group in groups if group]
@@ -239,11 +237,10 @@ def run_case_stage(cfg: ExperimentConfig, out, replicates, labels, observations,
     runs, assignments = run_assimilation(
         cfg.assim,
         [observations[k] for _, k in worlds],
-        [3 if lab.startswith("case3") else int(lab[-1]) for lab, _ in worlds],
+        [lab for lab, _ in worlds],
         pool=[pools[k] for _, k in worlds],
         rng=[derive_rng(cfg.base_seed, replicates[k], lab) for lab, k in worlds],
-        options=[dataclasses.replace(cfg.assim_options, random_baseline=lab == "case3_random")
-                 for lab, _ in worlds],
+        options=cfg.assim_options,
     )
     summaries = [{} for _ in replicates]
     for (lab, k), world, rows in zip(worlds, runs, assignments):

@@ -22,7 +22,7 @@ run_worlds, drives the truth, baseline and assimilated runs. A mover maps
 Worlds of one lifecycle step in lockstep (Worlds), the only thing the step
 loop takes: the per-step numpy calls serve every world at once, and each
 world draws from its own generator in its own order, so a world's arrays do
-not depend on the worlds beside it. A lone world is new_worlds(cfg, 1). A
+not depend on the worlds beside it. A lone world is Worlds(cfg, 1). A
 finished run hands back one read-only WorldState per world.
 """
 
@@ -170,10 +170,11 @@ class SimConfig:
         if np.any(self.lam < 0):
             raise ValueError(f"lam: entries must be >= 0, got {self.lam}")
         # utilities are linear in congestion, which runs from 0 to total_agents
-        for field, c in (("k", 0), ("omega", self.total_agents)):
-            with np.errstate(over="ignore", invalid="ignore"):
-                u = store_utilities(self, np.full(s, c))
-            if not np.isfinite(u).all():
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = store_utilities(self, np.zeros(s))
+            top = u + self.omega[:, None] * self.total_agents
+        for field, v, c in (("k", u, 0), ("omega", top, self.total_agents)):
+            if not np.isfinite(v).all():
                 raise ValueError(f"{field}: store utilities are not finite at congestion {c}")
         return self
 
@@ -253,21 +254,34 @@ class Worlds:
     cost every command its time at import.
     """
 
-    def __init__(self, step, group, dwell, transitions, path, entered, roaming,
-                 congestion, agents_spawned, group_quota_remaining, stationary_unretired):
-        self.step = step
-        self.group = group                  # (W * N,)
-        self.dwell = dwell                  # (W * N,)
-        self.transitions = transitions      # (W * N,)
-        self.path = path                    # (W * N, max_transitions + 1)
-        self.entered = entered              # (W * N, max_transitions + 1)
-        self.roaming = roaming              # (W * N,) bool
-        self.congestion = congestion        # (W, S) roaming agents per store at the step's start
-        self.agents_spawned = agents_spawned                # (W,)
-        self.group_quota_remaining = group_quota_remaining  # (W, G)
-        self.stationary_unretired = stationary_unretired    # (W,)
-        self.size = len(agents_spawned)                     # W
-        self.capacity = len(group) // self.size             # N
+    def __init__(self, cfg: SimConfig, count: int):
+        """count empty worlds at step 0, each with room for the whole agent budget.
+
+        Raises ConfigSchemaError naming the config key that sized an array no
+        allocator can build: sim.total_agents for the per-agent arrays, and
+        sim.max_transitions for the per-agent paths.
+        """
+        n, width = cfg.total_agents, cfg.max_transitions + 1
+        self.step, self.size, self.capacity = 0, count, n  # W worlds of N agents each
+        key = "sim.total_agents"
+        try:  # numpy refuses an array past the address space with ValueError
+            # per agent: (W * N,), and (W * N, max_transitions + 1) for path and entered
+            self.group, self.dwell, self.transitions = (
+                np.zeros(count * n, dtype=np.int64) for _ in range(3))
+            self.roaming = np.zeros(count * n, dtype=bool)
+            key = "sim.max_transitions"
+            self.path, self.entered = (
+                np.full((count * n, width), -1, dtype=np.int64) for _ in range(2))
+        except (MemoryError, ValueError) as e:
+            from .config import ConfigSchemaError  # imported here: config imports this module
+            raise ConfigSchemaError(f"{key}: {n} agents with {width} path entries each"
+                                    f" are too many to allocate: {e}") from e
+        # per world: (W, S) roaming agents per store at the step's start, (W, G)
+        # quotas left, and (W,) counters
+        self.congestion = np.zeros((count, cfg.store_count), dtype=np.int64)
+        self.group_quota_remaining = np.tile(np.array(cfg.group_quotas, dtype=np.int64), (count, 1))
+        self.agents_spawned = np.zeros(count, dtype=np.int64)
+        self.stationary_unretired = np.zeros(count, dtype=np.int64)
 
     def stores(self, ids):
         """The current store of each listed agent: the last of its path."""
@@ -312,39 +326,6 @@ class Worlds:
             group_quota_remaining=self.group_quota_remaining[w],
             stationary_unretired=int(self.stationary_unretired[w]),
         ) for w in range(self.size)]
-
-
-def new_worlds(cfg: SimConfig, count: int) -> Worlds:
-    """count empty worlds at step 0, each with room for the whole agent budget.
-
-    Raises ConfigSchemaError naming the config key that sized an array no
-    allocator can build: sim.total_agents for the per-agent arrays, and
-    sim.max_transitions for the per-agent paths.
-    """
-    n, width = cfg.total_agents, cfg.max_transitions + 1
-    key = "sim.total_agents"
-    try:  # numpy refuses an array past the address space with ValueError
-        group, dwell, transitions = (np.zeros(count * n, dtype=np.int64) for _ in range(3))
-        roaming = np.zeros(count * n, dtype=bool)
-        key = "sim.max_transitions"
-        path, entered = (np.full((count * n, width), -1, dtype=np.int64) for _ in range(2))
-    except (MemoryError, ValueError) as e:
-        from .config import ConfigSchemaError  # imported here: config imports this module
-        raise ConfigSchemaError(f"{key}: {n} agents with {width} path entries each"
-                                f" are too many to allocate: {e}") from e
-    return Worlds(
-        step=0,
-        group=group,
-        dwell=dwell,
-        transitions=transitions,
-        path=path,
-        entered=entered,
-        roaming=roaming,
-        congestion=np.zeros((count, cfg.store_count), dtype=np.int64),
-        agents_spawned=np.zeros(count, dtype=np.int64),
-        group_quota_remaining=np.tile(np.array(cfg.group_quotas, dtype=np.int64), (count, 1)),
-        stationary_unretired=np.zeros(count, dtype=np.int64),
-    )
 
 
 def _draw_dwells(cfg: SimConfig, count: int, rng) -> np.ndarray:
@@ -466,7 +447,7 @@ def run_worlds(cfg: SimConfig, mover, placer, rngs) -> list:
     """Run one world per generator to the horizon, all in one lockstep stack;
     return their WorldStates in generator order. The caller sizes the stack:
     a command's stacks are experiment.chunks' chunks."""
-    world = new_worlds(cfg, len(rngs))
+    world = Worlds(cfg, len(rngs))
     _spawn_agents(world, cfg, np.arange(len(rngs)), np.full(len(rngs), cfg.initial_agents),
                   placer, rngs)
     for _ in range(cfg.horizon_steps):

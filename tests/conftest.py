@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from roamlab.config import resolve_config
-from roamlab.model import SimConfig, new_worlds
+from roamlab.model import SimConfig, Worlds
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run.
 settings.register_profile("ci", derandomize=True)
@@ -97,7 +97,7 @@ def make_world(agents, store_count, quotas=(10, 10, 10, 10), spawned=None, capac
     """
     spawned = len(agents) if spawned is None else spawned
     capacity = max(spawned, 1) if capacity is None else capacity
-    world = new_worlds(SimConfig(
+    world = Worlds(SimConfig(
         store_count=store_count, total_agents=capacity,
         group_count=len(quotas), group_quotas=quotas,
     ), 1)

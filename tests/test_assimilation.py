@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -269,8 +270,7 @@ class TestSequenceWeights:
         pool = self.pool([[0, 1], [1, 2], [2, 3], [3, 0]])
         observations = np.array([obs([0, 0, 0, 0]), obs([2, 0, 0, 0])])
         _, [assignments] = run_assimilation(
-            cfg, [observations], [3], pool=[pool], rng=[np.random.default_rng(7)],
-            options=[AssimOptions(random_baseline=True)],
+            cfg, [observations], ["case3_random"], pool=[pool], rng=[np.random.default_rng(7)],
         )
         spawned = assignments[assignments[:, 0] == 1, 2]
         assert len(spawned) == n
@@ -325,11 +325,11 @@ class TestRunAssimilation:
         totals = observations.sum(axis=1, keepdims=True)
         options = AssimOptions(particle_count=7, weight_accumulation=accumulate)
         ([case1], _), ([case2], _) = (
-            run_assimilation(assim_cfg, [fed], [case], rng=[np.random.default_rng(8)],
-                             options=[options])
-            for case, fed in [
-                (1, observations),
-                (2, np.broadcast_to(totals, observations.shape)),
+            run_assimilation(assim_cfg, [fed], [role], rng=[np.random.default_rng(8)],
+                             options=options)
+            for role, fed in [
+                ("case1", observations),
+                ("case2", np.broadcast_to(totals, observations.shape)),
             ]
         )
         assert case1.agents_spawned == case2.agents_spawned
@@ -340,38 +340,47 @@ class TestRunAssimilation:
         _, assim_cfg, observations, _ = self.setup_inputs()
         with pytest.raises(ValueError, match="pool"):
             run_assimilation(
-                assim_cfg, [observations], [3], pool=None, rng=[np.random.default_rng(0)]
+                assim_cfg, [observations], ["case3"], pool=None, rng=[np.random.default_rng(0)]
             )
 
     def test_invalid_case_rejected(self):
         _, assim_cfg, observations, _ = self.setup_inputs()
         with pytest.raises(ValueError, match="case"):
-            run_assimilation(assim_cfg, [observations], [4], rng=[np.random.default_rng(0)])
+            run_assimilation(assim_cfg, [observations], ["case4"], rng=[np.random.default_rng(0)])
+
+    @pytest.mark.parametrize("roles", [["case1", "case3"], ["case2", "case4"]],
+                             ids=["mixed", "unknown"])
+    def test_roles_not_of_one_family_rejected(self, roles):
+        # a stack mixing the families, or holding a role of neither, names both
+        _, assim_cfg, observations, pool = self.setup_inputs()
+        families = "(('case1', 'case2'), ('case3', 'case3_random'))"
+        with pytest.raises(ValueError, match=re.escape(families)):
+            run_assimilation(assim_cfg, [observations] * 2, roles, pool=[pool] * 2,
+                             rng=[np.random.default_rng(0), np.random.default_rng(1)])
 
     def test_short_observation_stream_rejected(self):
         _, assim_cfg, observations, _ = self.setup_inputs()
         with pytest.raises(ValueError, match="observation stream"):
             run_assimilation(
-                assim_cfg, [observations[:10]], [1], rng=[np.random.default_rng(0)]
+                assim_cfg, [observations[:10]], ["case1"], rng=[np.random.default_rng(0)]
             )
 
     def test_runs_are_seed_deterministic(self):
         _, assim_cfg, observations, pool = self.setup_inputs()
         ([world_a], [assignments_a]), ([world_b], [assignments_b]) = (
             run_assimilation(
-                assim_cfg, [observations], [3], pool=[pool], rng=[np.random.default_rng(5)]
+                assim_cfg, [observations], ["case3"], pool=[pool], rng=[np.random.default_rng(5)]
             )
             for _ in range(2)
         )
         np.testing.assert_array_equal(path_rows(world_a), path_rows(world_b))
         np.testing.assert_array_equal(assignments_a, assignments_b)
 
-    @pytest.mark.parametrize("random_baseline", [False, True])
-    def test_case3_assigns_one_row_per_agent_at_its_spawn_step(self, random_baseline):
+    @pytest.mark.parametrize("role", ["case3", "case3_random"])
+    def test_case3_assigns_one_row_per_agent_at_its_spawn_step(self, role):
         _, assim_cfg, observations, pool = self.setup_inputs()
         [world], [assignments] = run_assimilation(
-            assim_cfg, [observations], [3], pool=[pool], rng=[np.random.default_rng(6)],
-            options=[AssimOptions(random_baseline=random_baseline)],
+            assim_cfg, [observations], [role], pool=[pool], rng=[np.random.default_rng(6)],
         )
         n = world.agents_spawned
         step, agent, entry, attr = assignments.T
@@ -385,7 +394,7 @@ class TestRunAssimilation:
     def test_case3_realized_paths_come_from_pool(self):
         _, assim_cfg, observations, pool = self.setup_inputs()
         [world], [assignments] = run_assimilation(
-            assim_cfg, [observations], [3], pool=[pool], rng=[np.random.default_rng(6)]
+            assim_cfg, [observations], ["case3"], pool=[pool], rng=[np.random.default_rng(6)]
         )
         entry_of = {aid: e for _, aid, e, _ in assignments.tolist()}
         assert len(entry_of) == world.agents_spawned
@@ -408,7 +417,7 @@ class TestRunAssimilation:
 
         monkeypatch.setattr(assimilation, "weight_sequences", counting)
         [world], _ = run_assimilation(
-            assim_cfg, [observations], [3], pool=[pool], rng=[np.random.default_rng(6)]
+            assim_cfg, [observations], ["case3"], pool=[pool], rng=[np.random.default_rng(6)]
         )
         n = world.agents_spawned
         firsts = list(range(assim_cfg.initial_agents, n, assim_cfg.replenish_count))
@@ -423,8 +432,8 @@ class TestRunAssimilation:
 
         monkeypatch.setattr(assimilation, "weight_sequences", refuse)
         [world], _ = run_assimilation(
-            assim_cfg, [observations], [3], pool=[pool], rng=[np.random.default_rng(6)],
-            options=[AssimOptions(random_baseline=True)],
+            assim_cfg, [observations], ["case3_random"], pool=[pool],
+            rng=[np.random.default_rng(6)],
         )
         assert world.agents_spawned > assim_cfg.horizon_steps + 1
 
@@ -433,7 +442,7 @@ class TestRunAssimilation:
         bad = SequencePool(paths=np.zeros((4, 2), dtype=np.int64), attrs=np.zeros(4, dtype=int))
         with pytest.raises(ValueError, match="pool paths"):
             run_assimilation(
-                assim_cfg, [observations], [3], pool=[bad], rng=[np.random.default_rng(0)]
+                assim_cfg, [observations], ["case3"], pool=[bad], rng=[np.random.default_rng(0)]
             )
 
     def test_case2_places_each_group_by_its_own_row(self):
@@ -453,8 +462,8 @@ class TestRunAssimilation:
         observations[:, 0, 0] = 30
         observations[:, 1, 4] = 30
         [world], _ = run_assimilation(
-            assim_cfg, [observations], [2], rng=[np.random.default_rng(9)],
-            options=[AssimOptions(filter_moves=False)],
+            assim_cfg, [observations], ["case2"], rng=[np.random.default_rng(9)],
+            options=AssimOptions(filter_moves=False),
         )
         placed = {0: [], 1: []}
         for agent_id in range(10, world.agents_spawned):  # skip the initial population

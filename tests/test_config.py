@@ -15,6 +15,7 @@ from roamlab.config import (
     uniform_attractiveness,
     validate_config,
 )
+from roamlab.model import SimConfig
 
 
 class TestDefaults:
@@ -38,7 +39,7 @@ class TestDefaults:
             np.testing.assert_array_equal(getattr(cfg.truth, field), [value] * 4)
 
     def test_truth_attractiveness_table(self):
-        a = truth_attractiveness()
+        a = truth_attractiveness(SimConfig.group_count, SimConfig.store_count)
         assert a.shape == (4, 18)
         np.testing.assert_array_equal(a[0, 0:3], [7.5] * 3)
         np.testing.assert_array_equal(a[1, 3:6], [8.0] * 3)
@@ -52,7 +53,9 @@ class TestDefaults:
     def test_assim_environment_is_uniform_five(self):
         cfg = resolve_config({})
         assert np.all(cfg.assim.attractiveness == 5.0)
-        np.testing.assert_array_equal(uniform_attractiveness(), np.full((4, 18), 5.0))
+        np.testing.assert_array_equal(
+            uniform_attractiveness(SimConfig.group_count, SimConfig.store_count),
+            np.full((4, 18), 5.0))
 
     def test_environments_share_structural_fields(self):
         cfg = resolve_config({})

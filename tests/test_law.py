@@ -24,9 +24,9 @@ from roamlab.assimilation import (
 from roamlab.model import (
     ChoiceModel,
     SimConfig,
+    Worlds,
     _spawn_agents,
     model_mover,
-    new_worlds,
 )
 from roamlab.numerics import categorical
 from roamlab.twin import SequencePool
@@ -259,7 +259,7 @@ def test_one_integers_call_equals_scalar_draws(k):
 def test_spawn_runs_match_one_at_a_time_draws(seed, quotas, count):
     cfg = SimConfig(store_count=2, total_agents=sum(quotas), group_count=len(quotas),
                     group_quotas=quotas)
-    world = new_worlds(cfg, 1)
+    world = Worlds(cfg, 1)
     after_groups = []
 
     def placer(world, ids, groups, rng):

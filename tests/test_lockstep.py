@@ -8,8 +8,6 @@ own generator and its own draw order, so the worlds beside it, and how many
 step at once, change nothing.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -97,20 +95,19 @@ def family_runs(cfg, count):
         except ValueError:  # a group with a pool share finished no path
             pools = None
             break
-    roles = [(1, False), (2, False)] + ([(3, False), (3, True)] if pools else [])
+    roles = ["case1", "case2"] + (["case3", "case3_random"] if pools else [])
     for family in (roles[:2], roles[2:]):
         if not family:
             continue
-        worlds_of = [(case, random, k) for case, random in family for k in range(count)]
-        opts = [dataclasses.replace(options, random_baseline=random)
-                for _, random, _ in worlds_of]
-        pool = [pools[k] if case == 3 else None for case, _, k in worlds_of]
+        worlds_of = [(role, k) for role in family for k in range(count)]
+        pool = [pools[k] if role.startswith("case3") else None for role, k in worlds_of]
         a, b = generators(len(worlds_of), 4), generators(len(worlds_of), 4)
         worlds, assignments = run_assimilation(
-            sim, [observations[k] for *_, k in worlds_of], [c for c, *_ in worlds_of],
-            pool=pool, rng=a, options=opts)
-        alone = [run_assimilation(sim, [observations[k]], [case], pool=[p], rng=[r], options=[o])
-                 for (case, _, k), p, r, o in zip(worlds_of, pool, b, opts)]
+            sim, [observations[k] for _, k in worlds_of], [role for role, _ in worlds_of],
+            pool=pool, rng=a, options=options)
+        alone = [run_assimilation(sim, [observations[k]], [role], pool=[p], rng=[r],
+                                  options=options)
+                 for (role, k), p, r in zip(worlds_of, pool, b)]
         for rows, (_, [expected]) in zip(assignments, alone):
             if expected is None:
                 assert rows is None

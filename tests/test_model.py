@@ -11,9 +11,9 @@ from roamlab.experiment import case_labels, run_replicate
 from roamlab.model import (
     ChoiceModel,
     SimConfig,
+    Worlds,
     _spawn_agents,
     model_mover,
-    new_worlds,
     path_rows,
     replenish,
     run_worlds,
@@ -232,7 +232,7 @@ class TestStepWorld:
         cfg = small_sim_config()
         rng = np.random.default_rng(5)
         mover = model_mover(ChoiceModel(cfg))
-        world = new_worlds(cfg, 1)
+        world = Worlds(cfg, 1)
         _spawn_agents(world, cfg, np.zeros(1, dtype=np.int64), np.array([cfg.initial_agents]),
                       uniform_placer, [rng])
         for _ in range(cfg.horizon_steps):

@@ -3,13 +3,15 @@
     python tools/same_bytes.py PARENT_CHECKOUT
 
 Runs `python -m roamlab.cli` in this checkout and in PARENT_CHECKOUT, each
-with PYTHONPATH=<checkout>/src, on five runs:
+with PYTHONPATH=<checkout>/src, on six runs:
 
 - the default `experiment --runs 4 --seed 7` at `--jobs 1`;
 - the same at `--jobs 2`;
 - the same with `flags.weight_accumulation`, at `--runs 2`;
 - the protocol_case3 benchmark setup: `pool.size` 1000, `--case 3 --jobs 1
   --runs 2`;
+- case 1 alone, `--case 1 --jobs 1 --runs 2`: a truth stage with no sequence
+  pool and a policy family of one role;
 - the staged tiny pipeline, `generate-obs`, `baseline`, `assimilate` and
   `evaluate`, on the TINY_OVERRIDES of tests/conftest.py.
 
@@ -55,6 +57,8 @@ def runs():
          [["experiment", "--runs", "2", "--seed", "7", "--jobs", "1"]]),
         ("protocol_case3", {"pool.size": 1000},
          [["experiment", "--case", "3", "--jobs", "1", "--runs", "2", "--seed", "7"]]),
+        ("case1-only", None,
+         [["experiment", "--case", "1", "--jobs", "1", "--runs", "2", "--seed", "7"]]),
         ("staged-tiny", tiny_overrides(),
          [["generate-obs"], ["baseline"], ["assimilate"], ["evaluate"]]),
     ]
