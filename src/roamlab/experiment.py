@@ -251,7 +251,8 @@ def run_case_stage(cfg: ExperimentConfig, out, replicates, labels, observations,
 class Summaries:
     """Replicate summaries, each a dict role -> _summary, folded in replicate
     order: per role, every OD matrix, the running sum of the 3-gram tables and
-    every group count."""
+    every group count. A chunk's Summaries merges into those of the chunks
+    before it, the sums being exact in any grouping."""
 
     def __init__(self):
         self.od, self.ngrams, self.groups = {}, {}, {}
@@ -265,11 +266,19 @@ class Summaries:
                     self.groups.setdefault(role, []).append(groups)
         return self
 
+    def merge(self, other: "Summaries"):
+        for role, ods in other.od.items():
+            self.od.setdefault(role, []).extend(ods)
+            self.ngrams[role] = self.ngrams.get(role, 0) + other.ngrams[role]
+        for role, groups in other.groups.items():
+            self.groups.setdefault(role, []).extend(groups)
+        return self
 
-def run_replicate(cfg: ExperimentConfig, out, replicates) -> list:
+
+def run_replicate(cfg: ExperimentConfig, out, replicates) -> Summaries:
     """Full pipeline for a chunk of replicates, chaining stages in memory;
-    return each replicate's summary, role -> the _summary of what each stage
-    wrote.
+    return the chunk's Summaries, folded from the _summary of what each stage
+    wrote: one 3-gram sum per role, however many replicates the chunk has.
 
     The worlds of each policy family step in one stack over the chunk: truth
     with baseline, case 1 with case 2, and case 3 with its random control;
@@ -277,13 +286,12 @@ def run_replicate(cfg: ExperimentConfig, out, replicates) -> list:
     """
     pair = paired(cfg)
     products = run_truth_stage(cfg, out, replicates, baseline=pair)
+    summaries = Summaries().fold({"truth": p[2]} for p in products)
     baselines = [p[3] for p in products] if pair else run_baseline_stage(cfg, out, replicates)
-    summaries = [{"truth": p[2], "baseline": b} for p, b in zip(products, baselines)]
+    summaries.fold({"baseline": b} for b in baselines)
     observations, pools = [p[0] for p in products], [p[1] for p in products]
     for family in families(cfg):
-        for summary, cases in zip(summaries, run_case_stage(cfg, out, replicates, family,
-                                                              observations, pools)):
-            summary.update(cases)
+        summaries.fold(run_case_stage(cfg, out, replicates, family, observations, pools))
     return summaries
 
 
@@ -429,8 +437,9 @@ def ProcessPoolExecutor(*args, **kwargs):
 def run_experiment(cfg: ExperimentConfig, out) -> dict:
     """The full pipeline over all replicates, then aggregation and manifest.
 
-    Each replicate's summary is folded in as it finishes, so evaluate scores
-    the run without reading back what the replicates wrote.
+    Each chunk's Summaries, folded where its replicates ran, is merged in
+    chunk order, so evaluate scores the run without reading back what the
+    replicates wrote.
     """
     t0 = time.perf_counter()
     out = Path(out)
@@ -442,9 +451,11 @@ def run_experiment(cfg: ExperimentConfig, out) -> dict:
     summaries = Summaries()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries.fold(s for chunk in pool.map(run_replicate, *args) for s in chunk)
+            for part in pool.map(run_replicate, *args):
+                summaries.merge(part)
     else:
-        summaries.fold(s for chunk in map(run_replicate, *args) for s in chunk)
+        for part in map(run_replicate, *args):
+            summaries.merge(part)
     summary = evaluate(cfg, out, summaries)
     write_manifest(cfg, out, wall_time_s=time.perf_counter() - t0)
     return summary

@@ -13,7 +13,16 @@ row must hold one integer per column, a dense count file must hold every
 cell of its array exactly once, an id column must number its rows 0..R-1,
 every store, group and attr must be in range and no agent_id or observed
 count may be negative. A file that breaks this raises MalformedTableError
-naming the file.
+naming the file, as does a byte anywhere in it that is not UTF-8.
+
+"One integer per column" is read as numpy's loadtxt reads it, so the
+readers also accept these forms, which no writer writes:
+- \n or a lone \r as the line end, and a stray \r before a line end (it
+  reads as a blank line);
+- blank lines;
+- spaces, tabs or other whitespace around a number;
+- a leading + or leading zeros.
+A byte-order mark is refused, as a header that does not match.
 """
 
 import json
@@ -31,20 +40,26 @@ class MalformedTableError(ValueError):
 
 def _read_table(path, header):
     """Rows of an integer stage CSV as an (R, len(header)) int64 array;
-    header is the exact list of column names."""
-    with open(path, encoding="utf-8") as f:
-        found = f.readline().rstrip("\n").split(",")
-        if found != header:
-            raise MalformedTableError(f"{path}: header {found} is not {header}")
-        start = f.tell()
-        if not f.readline().strip() and not f.read().strip():
-            return np.empty((0, len(header)), dtype=np.int64)
-        f.seek(start)
-        try:
-            table = np.loadtxt(f, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-        except ValueError as e:
-            reason = str(e).split("; use `usecols`")[0]  # numpy's hint names its own argument
-            raise MalformedTableError(f"{path}: {reason}") from e
+    header is the exact list of column names. The whole file is decoded
+    before any of it is parsed, so a byte that is not UTF-8 is refused
+    wherever it lies."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise MalformedTableError(f"{path}: not UTF-8 text: {e}") from e
+    first, _, body = text.partition("\n")
+    found = first.split(",")
+    if found != header:
+        raise MalformedTableError(f"{path}: header {found} is not {header}")
+    if not body.strip():
+        return np.empty((0, len(header)), dtype=np.int64)
+    try:
+        lines = body.split("\n")  # loadtxt parses a list of lines faster than a file
+        table = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+    except ValueError as e:
+        reason = str(e).split("; use `usecols`")[0]  # numpy's hint names its own argument
+        raise MalformedTableError(f"{path}: {reason}") from e
     if table.shape[1] != len(header):
         raise MalformedTableError(
             f"{path}: rows hold {table.shape[1]} cells, header names {len(header)}"

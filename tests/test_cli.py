@@ -543,6 +543,18 @@ class TestPipeline:
         assert len(err.splitlines()) == 1
         assert (out / "aggregate" / "metrics.json").read_text() == metrics
 
+    def test_evaluate_on_byte_not_utf8_exits_4(self, mini_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        base = ["--config", str(mini_config), "--out", str(out)]
+        assert main(["experiment", *base, "--case", "1", "--jobs", "1"]) == EXIT_OK
+        target = out / "truth" / "000" / "truth_od.csv"
+        target.write_bytes(target.read_bytes() + b"\xff")
+        capsys.readouterr()
+        assert main(["evaluate", *base]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("scope", ["tree", "one-file"])
     def test_evaluate_on_od_of_another_store_count_exits_4(
         self, mini_config, tmp_path, capsys, scope

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import shutil
 from pathlib import Path
 
@@ -199,19 +200,46 @@ class TestManifest:
         evaluate(cfg, tmp_path)
         assert files() == scored
 
+        # A one-replicate chunk's 3-gram sum is that replicate's whole table.
         roles = ["truth", "baseline", *case_labels(cfg)]
         for r in range(cfg.replicate_count):
-            [handed] = experiment.run_replicate(cfg, tmp_path / "again", [r])
+            handed = experiment.run_replicate(cfg, tmp_path / "again", [r])
             read = experiment._read_summary(cfg, tmp_path, r, roles)
-            assert list(handed) == roles
+            assert list(handed.od) == list(handed.ngrams) == roles
             for role in roles:
-                (od, ngrams, groups), (od_read, ngrams_read, groups_read) = handed[role], read[role]
+                [od], ngrams = handed.od[role], handed.ngrams[role]
+                od_read, ngrams_read, groups_read = read[role]
                 np.testing.assert_array_equal(od, od_read)
                 np.testing.assert_array_equal(ngrams, ngrams_read)
                 if role in experiment.CASE3_ROLES:
+                    [groups] = handed.groups[role]
                     np.testing.assert_array_equal(groups, groups_read)
                 else:
-                    assert groups is None and groups_read is None
+                    assert role not in handed.groups and groups_read is None
+
+    def test_chunk_hands_back_its_replicates_folded(self, tmp_path):
+        # A pool task folds its chunk where it ran: per role, each replicate's
+        # OD matrix and group counts in replicate order, and one 3-gram sum.
+        cfg = resolve_config({}, {**TINY_OVERRIDES, "experiment.replicates": 3})
+        roles = ["truth", "baseline", *case_labels(cfg)]
+        handed = experiment.run_replicate(cfg, tmp_path, [0, 1, 2])
+        read = experiment.Summaries().fold(
+            experiment._read_summary(cfg, tmp_path, r, roles) for r in range(3))
+        for part in ("od", "ngrams", "groups"):
+            got, want = getattr(handed, part), getattr(read, part)
+            assert list(got) == list(want)
+            for role in want:
+                np.testing.assert_array_equal(got[role], want[role])
+        assert [len(handed.od[role]) for role in roles] == [3] * len(roles)
+        assert sorted(handed.groups) == sorted(experiment.CASE3_ROLES)
+
+    def test_chunk_result_holds_one_3gram_sum_per_role(self, tmp_path):
+        # What a pool task pickles back grows with its replicates' OD matrices
+        # and group counts, not with one S^3 table per replicate.
+        cfg = resolve_config({}, {**TINY_OVERRIDES, "experiment.replicates": 4})
+        one = pickle.dumps(experiment.run_replicate(cfg, tmp_path / "one", [0]))
+        four = pickle.dumps(experiment.run_replicate(cfg, tmp_path / "four", [0, 1, 2, 3]))
+        assert len(four) < 1.5 * len(one)
 
     def test_parallel_and_serial_runs_agree(self, tmp_path):
         serial = resolve_config({}, {**TINY_OVERRIDES, "experiment.jobs": 1})

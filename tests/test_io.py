@@ -124,6 +124,24 @@ def test_malformed_paths_file_refused_naming_it(tmp_path, text, reason):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "rows, where",
+    [(1, "first"), (1, "last"), (2000, "last")],
+    ids=["first-small", "last-small", "last-past-8KiB"],
+)
+def test_byte_not_utf8_refused_naming_the_file_wherever_it_lies(tmp_path, rows, where):
+    # The text decoder reads the first 8 KiB at once: a bad byte there was
+    # decoded outside the refusal, one further on inside numpy's parser.
+    path = tmp_path / "p.csv"
+    io.write_paths(path, [(agent, 0, 0, 1) for agent in range(rows)])
+    data = path.read_bytes()
+    assert (len(data) > 8192) == (rows > 1)
+    path.write_bytes(b"\xff" + data if where == "first" else data + b"\xff")
+    with pytest.raises(io.MalformedTableError, match="not UTF-8") as info:
+        io.read_paths(path, 4, 4)
+    assert str(path) in str(info.value)
+
+
 def test_observation_files_must_agree_on_extent(tmp_path):
     (tmp_path / "c.csv").write_text("step,store,count\n0,0,1\n0,1,0\n")
     (tmp_path / "a.csv").write_text("step,attr,store,count\n0,0,0,1\n1,0,1,0\n")
