@@ -54,8 +54,8 @@ def _read_table(path, header):
         raise MalformedTableError(f"{path}: header {found} is not {header}")
     if not body.strip():
         return np.empty((0, len(header)), dtype=np.int64)
+    lines = body.split("\n")  # loadtxt parses a list of lines faster than a file
     try:
-        lines = body.split("\n")  # loadtxt parses a list of lines faster than a file
         table = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
     except ValueError as e:
         reason = str(e).split("; use `usecols`")[0]  # numpy's hint names its own argument

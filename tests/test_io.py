@@ -130,8 +130,8 @@ def test_malformed_paths_file_refused_naming_it(tmp_path, text, reason):
     ids=["first-small", "last-small", "last-past-8KiB"],
 )
 def test_byte_not_utf8_refused_naming_the_file_wherever_it_lies(tmp_path, rows, where):
-    # The text decoder reads the first 8 KiB at once: a bad byte there was
-    # decoded outside the refusal, one further on inside numpy's parser.
+    # A text file is decoded 8 KiB at a time: the byte lies in the first
+    # chunk, at either end, or past it.
     path = tmp_path / "p.csv"
     io.write_paths(path, [(agent, 0, 0, 1) for agent in range(rows)])
     data = path.read_bytes()
